@@ -286,6 +286,25 @@ class GeometricDetector:
         return geometric_detect(scene, self.params)
 
 
+def _may_overlap(a: Sequence[OrientedBox], b: Sequence[OrientedBox]) -> np.ndarray:
+    """Mask [i, j] that is False only where boxes a[i] and b[j] cannot
+    overlap, so their IoU is 0: the xy circles around their footprints
+    (radius half the footprint diagonal) are apart, or their z-extents do
+    not overlap (tested as in :func:`box_iou`)."""
+
+    def bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, ...]:
+        rows = np.array([(*x.center, x.length, x.width, x.height) for x in boxes])
+        cx, cy, cz, length, width, height = rows.reshape(-1, 6).T
+        return cx, cy, 0.5 * np.hypot(length, width), cz - height / 2.0, cz + height / 2.0
+
+    ax, ay, ar, az0, az1 = (v[:, np.newaxis] for v in bounds(a))
+    bx, by, br, bz0, bz1 = bounds(b)
+    # the relative slack keeps pairs whose circles merely touch: their clipped
+    # footprints may carry a rounding-level area
+    near_xy = np.hypot(ax - bx, ay - by) <= (ar + br) * (1.0 + 1e-9)
+    return near_xy & (np.minimum(az1, bz1) - np.maximum(az0, bz0) > 0)
+
+
 def match_boxes(
     predicted: Sequence[OrientedBox],
     truth: Sequence[OrientedBox],
@@ -299,12 +318,14 @@ def match_boxes(
     """
     from .scene import box_iou
 
+    # pairs that cannot overlap have IoU 0, which only a threshold <= 0 accepts
+    candidates = (_may_overlap(predicted, truth) if iou_threshold > 0
+                  else np.ones((len(predicted), len(truth)), dtype=bool))
     pairs = []
-    for i, p in enumerate(predicted):
-        for j, t in enumerate(truth):
-            iou = box_iou(p, t)
-            if iou >= iou_threshold:
-                pairs.append((iou, i, j))
+    for i, j in zip(*np.nonzero(candidates)):
+        iou = box_iou(predicted[i], truth[j])
+        if iou >= iou_threshold:
+            pairs.append((iou, int(i), int(j)))
     pairs.sort(key=lambda x: (-x[0], x[1], x[2]))
     used_p: set[int] = set()
     used_t: set[int] = set()

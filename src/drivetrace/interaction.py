@@ -20,8 +20,9 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from .risk import ObjectAssessment, UncertaintyConfig, combined_uncertainty, shannon_entropy
 from .scene import (
+    NUM_CLASSES,
     ClassDistribution,
     EgoState,
     ObjectClass,
@@ -97,12 +99,45 @@ class InteractionEdge:
     attention: float = 0.0
 
 
-@dataclass(frozen=True)
+_EDGE_FLOATS = ("distance", "speed_diff", "intensity", "energy", "attention")
+_ARRAY_FIELDS = ("src", "dst", *_EDGE_FLOATS, "indptr")
+
+
+@dataclass(frozen=True, eq=False)
 class InteractionGraph:
-    """Directed interaction graph over object nodes plus the ego node."""
+    """Directed interaction graph over object nodes plus the ego node.
+
+    Edges are stored as parallel arrays sorted by destination, then
+    source, node index; ``src`` and ``dst`` index into ``node_ids``.  The
+    in-edges of node ``k`` are the slice ``indptr[k]:indptr[k + 1]``
+    (CSR offsets).  All arrays, and the dense attention matrix built on
+    construction, are read-only.  ``edges`` is a tuple of
+    :class:`InteractionEdge` built on first access.
+    """
 
     node_ids: tuple[int, ...]
-    edges: tuple[InteractionEdge, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    distance: np.ndarray
+    speed_diff: np.ndarray
+    intensity: np.ndarray
+    energy: np.ndarray
+    attention: np.ndarray
+    indptr: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in _ARRAY_FIELDS:
+            getattr(self, name).flags.writeable = False
+        dense = np.zeros((self.n_nodes, self.n_nodes))
+        dense[self.dst, self.src] = self.attention
+        dense.flags.writeable = False
+        object.__setattr__(self, "_attention_matrix", dense)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InteractionGraph):
+            return NotImplemented
+        return self.node_ids == other.node_ids and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in _ARRAY_FIELDS)
 
     @property
     def n_nodes(self) -> int:
@@ -111,16 +146,30 @@ class InteractionGraph:
     def index_of(self, node_id: int) -> int:
         return self.node_ids.index(node_id)
 
+    def _edge_tuples(self, lo: int, hi: int) -> list[InteractionEdge]:
+        ids = self.node_ids
+        floats = [getattr(self, f)[lo:hi].tolist() for f in _EDGE_FLOATS]
+        return [InteractionEdge(ids[s], ids[d], *rest)
+                for s, d, *rest in zip(self.src[lo:hi].tolist(),
+                                       self.dst[lo:hi].tolist(), *floats)]
+
+    @cached_property
+    def edges(self) -> tuple[InteractionEdge, ...]:
+        return tuple(self._edge_tuples(0, len(self.src)))
+
     def in_edges(self, node_id: int) -> list[InteractionEdge]:
-        return [e for e in self.edges if e.dst == node_id]
+        if node_id not in self.node_ids:
+            return []
+        k = self.index_of(node_id)
+        return self._edge_tuples(int(self.indptr[k]), int(self.indptr[k + 1]))
 
     def attention_matrix(self) -> np.ndarray:
         """A[dst, src] = attention of edge src -> dst (rows sum to 1 or 0)."""
-        idx = {nid: i for i, nid in enumerate(self.node_ids)}
-        a = np.zeros((self.n_nodes, self.n_nodes))
-        for e in self.edges:
-            a[idx[e.dst], idx[e.src]] = e.attention
-        return a
+        return self._attention_matrix
+
+
+def _energy(distance, speed_diff, intensity, cfg: InteractionConfig):
+    return cfg.w_distance * distance + cfg.w_speed * speed_diff + cfg.w_intensity * intensity
 
 
 def interaction_energy(distance: float, speed_diff: float, intensity: float,
@@ -128,7 +177,7 @@ def interaction_energy(distance: float, speed_diff: float, intensity: float,
     """Linear pairwise energy over distance, speed difference and intensity."""
     if distance < 0 or speed_diff < 0:
         raise ValueError("distance and speed_diff must be >= 0")
-    return cfg.w_distance * distance + cfg.w_speed * speed_diff + cfg.w_intensity * intensity
+    return _energy(distance, speed_diff, intensity, cfg)
 
 
 def _pair_factor(a: ObjectClass, b: ObjectClass) -> float:
@@ -140,33 +189,43 @@ def _pair_factor(a: ObjectClass, b: ObjectClass) -> float:
     return 0.5
 
 
+_CLASSES = sorted(ObjectClass, key=lambda c: c.index)
+#: _pair_factor indexed by [src class index, dst class index]
+_PAIR_FACTOR = np.array([[_pair_factor(a, b) for b in _CLASSES] for a in _CLASSES])
+
+
 def contextual_intensity(
-    src_center: np.ndarray,
-    dst_center: np.ndarray,
-    src_heading: float,
-    src_class: ObjectClass,
-    dst_class: ObjectClass,
-) -> float:
-    """Heading-alignment intensity in [0, 1]: maximal when the source
-    heads straight at the destination, scaled by a class-pair factor."""
-    bearing = math.atan2(dst_center[1] - src_center[1], dst_center[0] - src_center[0])
-    alignment = 0.5 * (1.0 + math.cos(src_heading - bearing))
-    return alignment * _pair_factor(src_class, dst_class)
-
-
-@dataclass(frozen=True)
-class _Node:
-    node_id: int
-    center: np.ndarray
-    velocity: np.ndarray
-    heading: float
-    label: ObjectClass
+    offset: np.ndarray,
+    src_heading: np.ndarray,
+    src_class: np.ndarray,
+    dst_class: np.ndarray,
+) -> np.ndarray:
+    """Per-edge heading-alignment intensity in [0, 1]: maximal when the
+    source heads straight at the destination, scaled by a class-pair
+    factor.  ``offset`` is the (E, 3) array of destination minus source
+    centers; classes are class indices."""
+    bearing = np.arctan2(offset[:, 1], offset[:, 0])
+    alignment = 0.5 * (1.0 + np.cos(src_heading - bearing))
+    return alignment * _PAIR_FACTOR[src_class, dst_class]
 
 
 def _object_heading(obj: TrackedObject) -> float:
     if obj.speed > STATIC_SPEED:
         return math.atan2(obj.velocity[1], obj.velocity[0])
     return obj.box.yaw
+
+
+def _ego_velocity(ego: EgoState) -> np.ndarray:
+    return ego.speed * np.array([math.cos(ego.heading), math.sin(ego.heading), 0.0])
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((v * v).sum(axis=-1))
+
+
+_EGO_CLASS = ClassDistribution.one_hot(ObjectClass.VEHICLE)
+_EGO_ONLY = InteractionGraph((EGO_ID,), *[np.empty(0, dtype=np.intp)] * 2,
+                             *[np.empty(0)] * len(_EDGE_FLOATS), np.zeros(2, dtype=np.intp))
 
 
 def build_graph(objects: Sequence[TrackedObject], ego: EgoState,
@@ -176,38 +235,52 @@ def build_graph(objects: Sequence[TrackedObject], ego: EgoState,
 
     Attention is normalized over each node's in-edges.
     """
-    nodes = [
-        _Node(o.id, np.asarray(o.box.center), np.asarray(o.velocity),
-              _object_heading(o), o.class_dist.top_class)
-        for o in objects
-    ]
-    ego_vel = ego.speed * np.array([math.cos(ego.heading), math.sin(ego.heading), 0.0])
-    nodes.append(_Node(EGO_ID, np.asarray(ego.position), ego_vel, ego.heading,
-                       ObjectClass.VEHICLE))
-    raw_edges: list[InteractionEdge] = []
-    for src in nodes:
-        for dst in nodes:
-            if src.node_id == dst.node_id:
-                continue
-            d = float(np.linalg.norm(src.center - dst.center))
-            if d > cfg.edge_radius:
-                continue
-            dv = float(np.linalg.norm(src.velocity - dst.velocity))
-            inten = contextual_intensity(src.center, dst.center, src.heading,
-                                         src.label, dst.label)
-            e = interaction_energy(d, dv, inten, cfg)
-            raw_edges.append(InteractionEdge(src.node_id, dst.node_id, d, dv, inten, e))
-    sign = 1.0 if cfg.attention_positive_energy else -1.0
-    edges: list[InteractionEdge] = []
-    for node in nodes:
-        incoming = [e for e in raw_edges if e.dst == node.node_id]
-        if not incoming:
-            continue
-        logits = np.array([sign * e.energy for e in incoming])
-        w = np.exp(logits - logits.max())
-        w /= w.sum()
-        edges.extend(replace(e, attention=float(a)) for e, a in zip(incoming, w))
-    return InteractionGraph(tuple(n.node_id for n in nodes), tuple(edges))
+    for i, o in enumerate(objects):
+        if o.id == EGO_ID:
+            raise ValueError(
+                f"object {i} has id {EGO_ID}, which is reserved for the ego node")
+    if not objects:
+        return _EGO_ONLY
+    n = len(objects) + 1
+    # one row per node: center, velocity, heading, class probabilities
+    nodes = np.array(
+        [(*o.box.center, *o.velocity, _object_heading(o), *o.class_dist.probs)
+         for o in objects]
+        + [(*ego.position, *_ego_velocity(ego), ego.heading, *_EGO_CLASS.probs)])
+    centers, velocities, headings = nodes[:, 0:3], nodes[:, 3:6], nodes[:, 6]
+    classes = nodes[:, 7:].argmax(axis=1)
+    offsets = centers[:, np.newaxis, :] - centers[np.newaxis, :, :]  # [dst, src]
+    distances = _norms(offsets)
+    # not "<=": a NaN distance keeps its edge, as in the per-pair builder, so a
+    # NaN position shows up as NaN attention instead of a dropped edge
+    near = ~(distances > cfg.edge_radius)
+    near.flat[:: n + 1] = False  # no self-edges
+    # row-major nonzero of the [dst, src] mask orders edges by dst, then src
+    dst, src = np.nonzero(near)
+    distance = distances[dst, src]
+    speed_diff = _norms((velocities[np.newaxis, :, :] - velocities[:, np.newaxis, :])[dst, src])
+    intensity = contextual_intensity(offsets[dst, src], headings[src],
+                                     classes[src], classes[dst])
+    energy = _energy(distance, speed_diff, intensity, cfg)  # norms are never negative
+    in_degree = np.bincount(dst, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(in_degree, out=indptr[1:])
+    attention = _segment_softmax(energy if cfg.attention_positive_energy else -energy,
+                                 indptr[:-1], in_degree)
+    return InteractionGraph(tuple(o.id for o in objects) + (EGO_ID,), src, dst,
+                            distance, speed_diff, intensity, energy, attention, indptr)
+
+
+def _segment_softmax(logits: np.ndarray, starts: np.ndarray,
+                     sizes: np.ndarray) -> np.ndarray:
+    """Softmax within each segment ``starts[k]:starts[k] + sizes[k]`` of
+    ``logits``; the segments tile it in order."""
+    if len(logits) == 0:
+        return logits.copy()
+    nonempty = sizes > 0
+    starts, sizes = starts[nonempty], sizes[nonempty]
+    w = np.exp(logits - np.repeat(np.maximum.reduceat(logits, starts), sizes))
+    return w / np.repeat(np.add.reduceat(w, starts), sizes)
 
 
 def node_features(obj: TrackedObject, assessment: ObjectAssessment) -> np.ndarray:
@@ -230,7 +303,7 @@ def node_features(obj: TrackedObject, assessment: ObjectAssessment) -> np.ndarra
 
 
 def ego_features(ego: EgoState) -> np.ndarray:
-    vel = ego.speed * np.array([math.cos(ego.heading), math.sin(ego.heading), 0.0])
+    vel = _ego_velocity(ego)
     one_hot = [0.0] * 4
     one_hot[ObjectClass.VEHICLE.index] = 1.0
     return np.array(
@@ -372,6 +445,19 @@ def _forward(values: Sequence[Sequence[np.ndarray]], attention: np.ndarray,
     return logits, activations
 
 
+def _mc_logits(graph: InteractionGraph, feats: np.ndarray,
+               params: Sequence[BayesianLayer], mc_samples: int, seed: int) -> np.ndarray:
+    """Logits of ``mc_samples`` weight draws, shape (samples, nodes, out);
+    sample s uses the PCG64 stream seeded with (seed, s)."""
+    attention = graph.attention_matrix()
+    samples = []
+    for s in range(mc_samples):
+        values, _ = _sample_layers(params, np.random.default_rng([seed, s]))
+        logits, _ = _forward(values, attention, feats)
+        samples.append(logits)
+    return np.stack(samples)
+
+
 def forward_mc(graph: InteractionGraph, feats: np.ndarray,
                params: Sequence[BayesianLayer], mc_samples: int, seed: int = 0
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -380,16 +466,9 @@ def forward_mc(graph: InteractionGraph, feats: np.ndarray,
     s uses the PCG64 stream seeded with (seed, s)."""
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    attention = graph.attention_matrix()
     if feats.shape[0] != graph.n_nodes:
         raise ValueError(f"feature rows {feats.shape[0]} != nodes {graph.n_nodes}")
-    samples = []
-    for s in range(mc_samples):
-        rng = np.random.default_rng([seed, s])
-        values, _ = _sample_layers(params, rng)
-        logits, _ = _forward(values, attention, feats)
-        samples.append(logits)
-    stack = np.stack(samples)
+    stack = _mc_logits(graph, feats, params, mc_samples, seed)
     return stack.mean(axis=0), stack.std(axis=0)
 
 
@@ -502,6 +581,22 @@ def elbo_loss(
 # ---------------------------------------------------------------------------
 
 
+def _log_beliefs(probs: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(probs, PROB_FLOOR))
+
+
+def _pool_beliefs(log_raw: np.ndarray, attention: np.ndarray,
+                  log_neighbors: np.ndarray) -> np.ndarray:
+    """Log-linear pooling, one row per refined belief:
+    log q = log_raw + attention @ log_neighbors, shifted so each row's
+    maximum is 0 and exponentiated (not yet normalized)."""
+    valid = (attention >= 0.0) & (attention <= 1.0)
+    if not valid.all():
+        raise ValueError(f"attention must lie in [0, 1], got {attention[~valid][0]}")
+    log_q = log_raw + attention @ log_neighbors
+    return np.exp(log_q - log_q.max(axis=-1, keepdims=True))
+
+
 def fuse_refine(raw: ClassDistribution,
                 neighbor_evidence: Iterable[tuple[ClassDistribution, float]]
                 ) -> ClassDistribution:
@@ -509,13 +604,11 @@ def fuse_refine(raw: ClassDistribution,
     neighbor beliefs: log q = log raw + sum_j a_j log p_j, renormalized.
     Probabilities are floored at 1e-9 before taking logs.  With agreeing
     evidence this never increases entropy."""
-    log_q = np.log(np.maximum(raw.as_array(), PROB_FLOOR))
-    for dist, attention in neighbor_evidence:
-        if not (0.0 <= attention <= 1.0):
-            raise ValueError(f"attention must lie in [0, 1], got {attention}")
-        log_q = log_q + attention * np.log(np.maximum(dist.as_array(), PROB_FLOOR))
-    q = np.exp(log_q - log_q.max())
-    return ClassDistribution.from_array(q)
+    evidence = list(neighbor_evidence)
+    attention = np.array([[a for _, a in evidence]], dtype=np.float64).reshape(1, -1)
+    neighbors = np.array([d.probs for d, _ in evidence]).reshape(-1, NUM_CLASSES)
+    q = _pool_beliefs(_log_beliefs(raw.as_array()), attention, _log_beliefs(neighbors))
+    return ClassDistribution.from_array(q[0])
 
 
 def refine_uncertainty(
@@ -553,8 +646,7 @@ def classify_interaction(
     """
     if not in_corridor(center[0], center[1], ego, corridor_width, corridor_length):
         return InteractionLabel.IGNORE
-    ego_vel = ego.speed * np.array([math.cos(ego.heading), math.sin(ego.heading), 0.0])
-    rel_v = np.asarray(velocity, dtype=np.float64) - ego_vel
+    rel_v = np.asarray(velocity, dtype=np.float64) - _ego_velocity(ego)
     pos = np.asarray(center, dtype=np.float64)
     dist = float(np.linalg.norm(pos))
     closing = 0.0 if dist == 0 else float(-(pos @ rel_v) / dist)
@@ -584,42 +676,38 @@ def refine_objects(
     otherwise the label falls back to the kinematic rule and the spread
     is zero.
     """
-    by_id = {o.id: o for o in objects}
+    n = len(objects)
+    if graph.node_ids[:n] != tuple(o.id for o in objects) or graph.n_nodes != n + 1:
+        raise ValueError("graph nodes must be the objects, in order, then the ego")
+    if n == 0:
+        return []
     assess_by_id = {a.object_id: a for a in assessments}
-    prob_std = None
-    pred_labels = None
-    if model is not None and objects:
+    log_p = _log_beliefs(np.array([o.class_dist.probs for o in objects]))
+    # the ego row and column are dropped: the ego node carries no class belief
+    fused = _pool_beliefs(log_p, graph.attention_matrix()[:n, :n], log_p)
+    labels = list(InteractionLabel)
+    if model is not None:
         feats = graph_features(objects, assessments, ego)
-        samples = []
-        for s in range(model.config.mc_samples):
-            rng = np.random.default_rng([seed, s])
-            values, _ = _sample_layers(model.params, rng)
-            logits, _ = _forward(values, graph.attention_matrix(), feats)
-            samples.append(_softmax(logits))
-        stack = np.stack(samples)
-        prob_std = stack.std(axis=0)
-        pred_labels = stack.mean(axis=0).argmax(axis=1)
+        probs = _softmax(_mc_logits(graph, feats, model.params,
+                                    model.config.mc_samples, seed))
+        prob_std = probs.std(axis=0)
+        pred_labels = probs.mean(axis=0).argmax(axis=1)
     refined: list[RefinedEstimate] = []
     for row, obj in enumerate(objects):
-        a = assess_by_id[obj.id]
-        evidence = [
-            (by_id[e.src].class_dist, e.attention)
-            for e in graph.in_edges(obj.id)
-            if e.src != EGO_ID
-        ]
-        fused = fuse_refine(obj.class_dist, evidence)
-        if model is not None and prob_std is not None:
-            eps = tuple(float(v) for v in prob_std[row])
-            label = list(InteractionLabel)[int(pred_labels[row])]
+        dist = ClassDistribution.from_array(fused[row])
+        if model is not None:
+            eps = tuple(prob_std[row].tolist())
+            label = labels[int(pred_labels[row])]
         else:
-            eps = (0.0,) * len(InteractionLabel)
+            eps = (0.0,) * len(labels)
             label = classify_interaction(obj.box.center, obj.velocity,
                                          obj.class_dist.top_class, ego)
         refined.append(
             RefinedEstimate(
                 object_id=obj.id,
-                refined_class_dist=fused,
-                refined_uncertainty=refine_uncertainty(fused, a.deviation, ucfg),
+                refined_class_dist=dist,
+                refined_uncertainty=refine_uncertainty(
+                    dist, assess_by_id[obj.id].deviation, ucfg),
                 epistemic_std=eps,
                 interaction_label=label,
             )
@@ -679,6 +767,8 @@ def train_bgnn(
     kl_weight: Optional[float] = None,
 ) -> list[float]:
     """Full-batch Adam training; returns the per-step loss history."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     state = AdamState()
     history = []
     for step in range(steps):

@@ -490,6 +490,8 @@ def format_trace(trace: DecisionTrace) -> str:
 def risk_factors_with_graph_refs(factors: Sequence[RiskFactor],
                                  graph: InteractionGraph) -> list[RiskFactor]:
     """Attach the ego-edge attention as extra evidence where available."""
+    if all(f.object_id is None for f in factors):
+        return list(factors)
     ego_edges = {e.src: e for e in graph.in_edges(EGO_ID)}
     out = []
     for f in factors:

@@ -106,6 +106,11 @@ class TestTrainEvaluate:
         history = json.loads((out / "training.json").read_text())
         assert history["accuracy"] >= 0.5
 
+    def test_train_bgnn_zero_steps_exit_1(self, tmp_path, capsys):
+        assert run("train-bgnn", "--steps", "0", "--samples", "2",
+                   "--embed-dim", "8", "--out", str(tmp_path / "train")) == 1
+        assert "ValueError: steps must be >= 1" in capsys.readouterr().err
+
     def test_evaluate_end_to_end(self, tmp_path):
         gen = tmp_path / "gen"
         assert run("generate", "--template", "empty-road,lead-vehicle",

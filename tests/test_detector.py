@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drivetrace.detector import (
     ClusterParams,
@@ -15,7 +16,8 @@ from drivetrace.detector import (
     points_in_box,
 )
 from drivetrace.risk import shannon_entropy
-from drivetrace.scene import GroundTruthObject, ObjectClass, OrientedBox, PointCloud, Scene, EgoState
+from drivetrace.scene import (GroundTruthObject, ObjectClass, OrientedBox, PointCloud, Scene,
+                              EgoState, box_iou)
 from conftest import tiny_scene
 
 
@@ -239,3 +241,61 @@ class TestMatching:
         gt = [OrientedBox((0, 0, 0), 1, 1, 1, 0.0)]
         pred = [OrientedBox((0.99, 0, 0), 1, 1, 1, 0.0)]  # sliver of overlap
         assert match_boxes(pred, gt, iou_threshold=0.1) == []
+
+    def test_zero_threshold_matches_disjoint_boxes(self):
+        pred = [OrientedBox((0, 0, 0), 1, 1, 1, 0.0)]
+        gt = [OrientedBox((50, 0, 0), 1, 1, 1, 0.0)]
+        assert match_boxes(pred, gt, iou_threshold=0.0) == [(0, 0, 0.0)]
+
+
+def full_scan_matching(predicted, truth, iou_threshold):
+    """Greedy matching over every pair: the reference for match_boxes."""
+    pairs = sorted(
+        ((iou, i, j) for i, p in enumerate(predicted) for j, t in enumerate(truth)
+         if (iou := box_iou(p, t)) >= iou_threshold),
+        key=lambda x: (-x[0], x[1], x[2]))
+    used_p, used_t, matches = set(), set(), []
+    for iou, i, j in pairs:
+        if i not in used_p and j not in used_t:
+            used_p.add(i)
+            used_t.add(j)
+            matches.append((i, j, iou))
+    return sorted(matches, key=lambda m: m[0])
+
+
+_coord = st.one_of(st.floats(-6, 6), st.floats(-200, 200))
+_box = st.builds(
+    OrientedBox,
+    st.tuples(_coord, _coord, st.floats(-2, 2)),
+    st.floats(0.3, 5), st.floats(0.3, 3), st.floats(0.3, 2),
+    st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)),
+)
+
+
+@st.composite
+def _neighbours(draw):
+    """A box and a close neighbour of equal size: sharing a face along x
+    or in z, or shifted along the footprint diagonal by a fraction s of it,
+    which overlaps at the corners for s < 1 and touches at one corner
+    (circles touching too) for s = 1."""
+    b = draw(_box)
+    (x, y, z), length, width, height = b.center, b.length, b.width, b.height
+    kind = draw(st.sampled_from(["side", "stacked", "corner"]))
+    if kind == "stacked":
+        return [b, OrientedBox((x, y, z + height), length, width, height, b.yaw)]
+    s = 1.0 if kind == "side" else draw(st.one_of(st.just(1.0), st.floats(0.9, 1.0)))
+    dy = 0.0 if kind == "side" else s * width
+    return [OrientedBox(b.center, length, width, height, 0.0),
+            OrientedBox((x + s * length, y + dy, z), length, width, height, 0.0)]
+
+
+class TestMatchingPrefilter:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_box, max_size=6), st.lists(_box, max_size=6),
+           st.lists(_neighbours(), max_size=2),
+           st.one_of(st.sampled_from([0.0, 1e-9, 0.1, 0.5]), st.floats(0, 1)))
+    def test_equals_full_scan(self, pred, truth, neighbours, threshold):
+        for a, b in neighbours:
+            pred.append(a)
+            truth.append(b)
+        assert match_boxes(pred, truth, threshold) == full_scan_matching(pred, truth, threshold)

@@ -34,6 +34,7 @@ from drivetrace.interaction import (
 from drivetrace.risk import UncertaintyConfig, assess, shannon_entropy
 from drivetrace.scene import ClassDistribution, EgoState, ObjectClass, PointCloud
 from conftest import make_object
+from interaction_oracle import scalar_build_graph, scalar_refine_objects
 
 CFG = InteractionConfig()
 SMALL = InteractionConfig(layers=2, embed_dim=8, mc_samples=3)
@@ -126,6 +127,111 @@ class TestBuildGraph:
         assert 0.0 <= e.intensity <= 1.0
         assert e.energy == pytest.approx(
             CFG.w_distance * 10.0 + CFG.w_speed * 6.0 + CFG.w_intensity * e.intensity)
+
+    def test_ego_id_rejected(self):
+        objs = [make_object(0, (5, 0, 0)), make_object(EGO_ID, (10, 0, 0))]
+        with pytest.raises(ValueError, match="object 1 has id -1"):
+            build_graph(objs, EgoState(), CFG)
+
+    def test_empty_graph(self):
+        g = build_graph([], EgoState(speed=8.0), CFG)
+        assert g.node_ids == (EGO_ID,) and g.edges == () and g.in_edges(EGO_ID) == []
+        np.testing.assert_array_equal(g.attention_matrix(), np.zeros((1, 1)))
+
+    def test_value_equality(self):
+        objs = [make_object(0, (5, 0, 0)), make_object(1, (9, 2, 0))]
+        g = build_graph(objs, EgoState(speed=8.0), CFG)
+        assert g == build_graph(objs, EgoState(speed=8.0), CFG)
+        assert g != build_graph(objs, EgoState(speed=9.0), CFG)
+
+
+_probs = st.one_of(
+    st.sampled_from([c.index for c in ObjectClass]).map(
+        lambda k: tuple(float(i == k) for i in range(4))),
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
+    .filter(lambda p: sum(p) > 0.1)
+    .map(lambda p: ClassDistribution.from_array(p).probs),
+)
+_coord = st.floats(-40, 40)
+
+
+@st.composite
+def graph_inputs(draw, max_objects=10):
+    """Objects (ids in arbitrary order, static and moving), an ego state
+    and a graph config."""
+    ids = draw(st.lists(st.integers(0, 500), unique=True, max_size=max_objects))
+    objs = [
+        make_object(
+            oid,
+            (draw(_coord), draw(_coord), draw(st.floats(-1, 2))),
+            yaw=draw(st.floats(-math.pi, math.pi)),
+            velocity=(draw(st.floats(-10, 10)), draw(st.floats(-10, 10)), 0.0),
+            probs=draw(_probs),
+        )
+        for oid in ids
+    ]
+    ego = EgoState(heading=draw(st.floats(-math.pi, math.pi)), speed=draw(st.floats(0, 20)),
+                   position=draw(st.one_of(st.just((0.0, 0.0, 0.0)),
+                                           st.tuples(_coord, _coord, st.just(0.0)))))
+    cfg = InteractionConfig(edge_radius=draw(st.sampled_from([0.5, 10.0, 30.0, 100.0])),
+                            w_speed=draw(st.sampled_from([0.0, 0.1, 2.0])),
+                            attention_positive_energy=draw(st.booleans()))
+    return objs, ego, cfg
+
+
+def assert_refined_close(new, old):
+    assert [r.object_id for r in new] == [r.object_id for r in old]
+    for a, b in zip(new, old):
+        np.testing.assert_allclose(a.refined_class_dist.probs, b.refined_class_dist.probs,
+                                   rtol=0, atol=1e-12)
+        assert a.refined_uncertainty == pytest.approx(b.refined_uncertainty, rel=0, abs=1e-12)
+        np.testing.assert_allclose(a.epistemic_std, b.epistemic_std, rtol=0, atol=1e-12)
+        assert a.interaction_label is b.interaction_label
+
+
+class TestScalarEquivalence:
+    """The array-backed graph against the per-pair scalar builder kept in
+    tests/interaction_oracle.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_inputs())
+    def test_graph_matches_scalar_builder(self, inputs):
+        objs, ego, cfg = inputs
+        g = build_graph(objs, ego, cfg)
+        ref = scalar_build_graph(objs, ego, cfg)
+        assert g.node_ids == ref.node_ids
+        assert [(e.src, e.dst) for e in g.edges] == [(e.src, e.dst) for e in ref.edges]
+        for f in ("distance", "speed_diff", "intensity", "energy", "attention"):
+            np.testing.assert_allclose([getattr(e, f) for e in g.edges],
+                                       [getattr(e, f) for e in ref.edges], rtol=0, atol=1e-12)
+        for row_sum in g.attention_matrix().sum(axis=1):
+            assert row_sum == pytest.approx(1.0, abs=1e-12) or row_sum == 0.0
+        for nid in g.node_ids:
+            assert g.in_edges(nid) == [e for e in g.edges if e.dst == nid]
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_inputs())
+    def test_refine_matches_scalar(self, inputs):
+        objs, ego, cfg = inputs
+        ucfg = UncertaintyConfig()
+        assessments = assess(objs, ego, PointCloud(), ucfg)
+        new = refine_objects(objs, assessments, build_graph(objs, ego, cfg), ego, ucfg)
+        old = scalar_refine_objects(objs, assessments, scalar_build_graph(objs, ego, cfg),
+                                    ego, ucfg)
+        assert_refined_close(new, old)
+
+    @settings(max_examples=25, deadline=None)
+    @given(graph_inputs(max_objects=5), st.integers(0, 2**16))
+    def test_refine_with_model_matches_scalar(self, inputs, seed):
+        objs, ego, cfg = inputs
+        ucfg = UncertaintyConfig()
+        model = BgnnModel.initialize(SMALL, seed=1)
+        assessments = assess(objs, ego, PointCloud(), ucfg)
+        new = refine_objects(objs, assessments, build_graph(objs, ego, cfg), ego, ucfg,
+                             model=model, seed=seed)
+        old = scalar_refine_objects(objs, assessments, scalar_build_graph(objs, ego, cfg),
+                                    ego, ucfg, model=model, seed=seed)
+        assert_refined_close(new, old)
 
 
 class TestNodeFeatures:
@@ -309,6 +415,14 @@ class TestRefine:
         for a, r in zip(assessments, refined):
             assert r.refined_uncertainty < a.uncertainty
             assert r.epistemic_std == (0.0, 0.0, 0.0)
+
+    def test_graph_of_other_objects_rejected(self):
+        objs = [make_object(0, (5, 0, 0)), make_object(1, (9, 2, 0))]
+        ego, ucfg = EgoState(), UncertaintyConfig()
+        assessments = assess(objs, ego, PointCloud(), ucfg)
+        graph = build_graph(objs[::-1], ego, CFG)
+        with pytest.raises(ValueError, match="graph nodes"):
+            refine_objects(objs, assessments, graph, ego, ucfg)
 
     def test_classify_interaction_rules(self):
         ego = EgoState(speed=8.0)
