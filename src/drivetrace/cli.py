@@ -20,8 +20,9 @@ from .config import PipelineConfig, load_config, save_config
 from .evaluate import evaluate_suite, parse_csv, result_to_dict, write_report
 from .interaction import (
     BgnnModel,
-    InteractionConfig,
+    edge_to_dict,
     load_model,
+    refined_to_dict,
     save_model,
     synthetic_yield_ignore_dataset,
     train_bgnn,
@@ -31,7 +32,7 @@ from .pipeline import run_scene
 from .reasoner import format_trace, trace_to_dict
 from .risk import assessment_to_dict
 from .scenario import ScenarioSpec, Template, generate
-from .scene_io import load_scene, save_scene
+from .scene_io import load_scene, object_to_dict, save_scene
 
 
 def _dump(payload, path: Path) -> None:
@@ -46,12 +47,6 @@ def _out_dir(args) -> Path:
 
 def _load(args) -> PipelineConfig:
     return load_config(args.config, seed=args.seed)
-
-
-def _scene_result(args, config: PipelineConfig):
-    scene = load_scene(args.scene)
-    model = load_model(args.model) if getattr(args, "model", None) else None
-    return run_scene(scene, config, model)
 
 
 def cmd_generate(args) -> int:
@@ -76,86 +71,42 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_detect(args) -> int:
+#: Scene commands: output file, payload of the pipeline result, and the
+#: stdout line of (payload, output path).  A text payload is written as is.
+SCENE_COMMANDS = {
+    "detect": ("detections.json",
+               lambda r: [object_to_dict(o) for o in r.detections],
+               lambda dets, path: f"{len(dets)} detections -> {path}"),
+    "assess": ("assessments.json",
+               lambda r: [assessment_to_dict(a) for a in r.assessments],
+               lambda assessments, path: f"{len(assessments)} assessments -> {path}"),
+    "graph": ("graph.json",
+              lambda r: {"nodes": list(r.graph.node_ids),
+                         "edges": [edge_to_dict(e) for e in r.graph.edges],
+                         "refined": [refined_to_dict(x) for x in r.refined]},
+              lambda graph, path: f"graph with {len(graph['edges'])} edges -> {path}"),
+    "reason": ("trace.json",
+               lambda r: trace_to_dict(r.trace),
+               lambda trace, path: f"{trace['speed']} / {trace['path']} -> {path}"),
+    "trace": ("trace.txt",
+              lambda r: format_trace(r.trace),
+              lambda text, path: text),
+}
+
+
+def cmd_scene(args) -> int:
+    """Run the pipeline on one scene and write the output of ``args.command``."""
     out = _out_dir(args)
     config = _load(args)
-    result = _scene_result(args, config)
-    payload = [
-        {
-            "id": o.id,
-            "box": {"center": list(o.box.center), "length": o.box.length,
-                    "width": o.box.width, "height": o.box.height, "yaw": o.box.yaw},
-            "velocity": list(o.velocity),
-            "class_probs": list(o.class_dist.probs),
-            "support_points": list(o.support_points),
-        }
-        for o in result.detections
-    ]
-    _dump(payload, out / "detections.json")
-    print(f"{len(payload)} detections -> {out / 'detections.json'}")
-    return 0
-
-
-def cmd_assess(args) -> int:
-    out = _out_dir(args)
-    config = _load(args)
-    result = _scene_result(args, config)
-    _dump([assessment_to_dict(a) for a in result.assessments], out / "assessments.json")
-    print(f"{len(result.assessments)} assessments -> {out / 'assessments.json'}")
-    return 0
-
-
-def cmd_graph(args) -> int:
-    out = _out_dir(args)
-    config = _load(args)
-    result = _scene_result(args, config)
-    payload = {
-        "nodes": list(result.graph.node_ids),
-        "edges": [
-            {
-                "src": e.src,
-                "dst": e.dst,
-                "distance": e.distance,
-                "speed_diff": e.speed_diff,
-                "intensity": e.intensity,
-                "energy": e.energy,
-                "attention": e.attention,
-            }
-            for e in result.graph.edges
-        ],
-        "refined": [
-            {
-                "object_id": r.object_id,
-                "refined_class_probs": list(r.refined_class_dist.probs),
-                "refined_uncertainty": r.refined_uncertainty,
-                "epistemic_std": list(r.epistemic_std),
-                "interaction_label": r.interaction_label.value,
-            }
-            for r in result.refined
-        ],
-    }
-    _dump(payload, out / "graph.json")
-    print(f"graph with {len(result.graph.edges)} edges -> {out / 'graph.json'}")
-    return 0
-
-
-def cmd_reason(args) -> int:
-    out = _out_dir(args)
-    config = _load(args)
-    result = _scene_result(args, config)
-    _dump(trace_to_dict(result.trace), out / "trace.json")
-    print(f"{result.trace.speed.value} / {result.trace.path.value} "
-          f"-> {out / 'trace.json'}")
-    return 0
-
-
-def cmd_trace(args) -> int:
-    out = _out_dir(args)
-    config = _load(args)
-    result = _scene_result(args, config)
-    text = format_trace(result.trace)
-    (out / "trace.txt").write_text(text + "\n")
-    print(text)
+    scene = load_scene(args.scene)
+    model = load_model(args.model) if args.model else None
+    name, payload_of, line = SCENE_COMMANDS[args.command]
+    payload = payload_of(run_scene(scene, config, model))
+    if isinstance(payload, str):
+        (out / name).write_text(payload + "\n")
+    else:
+        _dump(payload, out / name)
+    print(line(payload, out / name))
     return 0
 
 
@@ -181,7 +132,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     config = _load(args)
     model = load_model(args.model) if args.model else None
-    result, records = evaluate_suite(args.manifest, config, jobs=args.jobs, model=model)
+    result, records = evaluate_suite(args.manifest, config, model=model)
     write_report(result, out)
     _dump(result_to_dict(result), out / "result.json")
     _dump(
@@ -239,19 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cloud-format", choices=("ascii", "binary"), default="ascii")
     p.set_defaults(func=cmd_generate)
 
-    for name, func, needs_model in (
-        ("detect", cmd_detect, True),
-        ("assess", cmd_assess, True),
-        ("graph", cmd_graph, True),
-        ("reason", cmd_reason, True),
-        ("trace", cmd_trace, True),
-    ):
+    for name in SCENE_COMMANDS:
         p = sub.add_parser(name, help=f"run the pipeline and write {name} output")
         common(p)
         p.add_argument("--scene", required=True, help="scene JSON file")
-        if needs_model:
-            p.add_argument("--model", help="trained BGNN parameter file")
-        p.set_defaults(func=func)
+        p.add_argument("--model", help="trained BGNN parameter file")
+        p.set_defaults(func=cmd_scene)
 
     p = sub.add_parser("train-bgnn", help="train the interaction BGNN on synthetic labels")
     common(p)
@@ -265,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run a scenario suite and report metrics")
     common(p)
     p.add_argument("--manifest", required=True, help="suite manifest JSON")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scene workers")
     p.add_argument("--model", help="trained BGNN parameter file")
     p.set_defaults(func=cmd_evaluate)
 

@@ -15,16 +15,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from .detector import ClusterParams, NoiseModel
+from .detector import DETECTORS, ClusterParams, NoiseModel
 from .interaction import InteractionConfig
-from .preprocess import NormalizationConfig
 from .reasoner import ReasonerConfig
 from .risk import RiskConfig, UncertaintyConfig
 
 ENV_CONFIG = "PRIME_CONFIG"
 
 _SECTIONS = {
-    "normalization": NormalizationConfig,
     "cluster": ClusterParams,
     "noise": NoiseModel,
     "uncertainty": UncertaintyConfig,
@@ -36,7 +34,6 @@ _SECTIONS = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    normalization: NormalizationConfig = field(default_factory=NormalizationConfig)
     cluster: ClusterParams = field(default_factory=ClusterParams)
     noise: NoiseModel = field(default_factory=NoiseModel)
     uncertainty: UncertaintyConfig = field(default_factory=UncertaintyConfig)
@@ -47,8 +44,8 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.detector not in ("oracle", "geometric"):
-            raise ValueError(f"detector must be 'oracle' or 'geometric', got {self.detector!r}")
+        if self.detector not in DETECTORS:
+            raise ValueError(f"detector must be one of {sorted(DETECTORS)}, got {self.detector!r}")
 
 
 def _section_from_dict(cls: type, data: dict[str, Any], section: str) -> Any:

@@ -1,6 +1,7 @@
-"""Pluggable object detection over scenes.
+"""Object detection over scenes.
 
-Two ports stand in for a trained neural detector at desk scale:
+Two detectors stand in for a trained neural detector at desk scale; the
+``detector`` config key picks one by its name in :data:`DETECTORS`:
 
 * :func:`oracle_detect` perturbs ground truth with configurable Gaussian
   noise, class-temperature smoothing and dropout.  Deterministic for a
@@ -16,8 +17,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Protocol, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -30,16 +31,13 @@ from .scene import (
     wrap_angle,
 )
 
+if TYPE_CHECKING:
+    from .config import PipelineConfig
+
 # margin (meters) around a ground-truth box when collecting support points;
 # covers surface-sampling sensor noise
 SUPPORT_MARGIN = 0.1
 MIN_EXTENT = 0.01
-
-
-class DetectorPort(Protocol):
-    """Anything that turns a Scene into tracked objects."""
-
-    def detect(self, scene: Scene) -> list[TrackedObject]: ...
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,7 @@ def oracle_detect(scene: Scene, noise: NoiseModel) -> list[TrackedObject]:
                 box=box,
                 velocity=gt.velocity,
                 class_dist=smoothed_class_dist(gt.label, noise.class_temperature),
-                support_points=tuple(int(i) for i in support),
+                support_points=support,
             )
         )
     return detections
@@ -260,30 +258,20 @@ def geometric_detect(scene: Scene, params: ClusterParams) -> list[TrackedObject]
             box=box,
             velocity=(0.0, 0.0, 0.0),
             class_dist=cdist,
-            support_points=tuple(int(j) for j in np.sort(orig)),
+            support_points=np.sort(orig),
         )
         for i, (box, cdist, orig) in enumerate(fits)
     ]
 
 
-class OracleDetector:
-    """DetectorPort adapter around :func:`oracle_detect`."""
-
-    def __init__(self, noise: NoiseModel):
-        self.noise = noise
-
-    def detect(self, scene: Scene) -> list[TrackedObject]:
-        return oracle_detect(scene, self.noise)
-
-
-class GeometricDetector:
-    """DetectorPort adapter around :func:`geometric_detect`."""
-
-    def __init__(self, params: ClusterParams):
-        self.params = params
-
-    def detect(self, scene: Scene) -> list[TrackedObject]:
-        return geometric_detect(scene, self.params)
+#: Detector name (the ``detector`` config key) -> detect(scene, config).
+#: The oracle offsets its noise seed by the run seed, so --seed affects
+#: detection.
+DETECTORS: dict[str, Callable[[Scene, "PipelineConfig"], list[TrackedObject]]] = {
+    "oracle": lambda scene, config: oracle_detect(
+        scene, replace(config.noise, seed=config.noise.seed + config.seed)),
+    "geometric": lambda scene, config: geometric_detect(scene, config.cluster),
+}
 
 
 def _may_overlap(a: Sequence[OrientedBox], b: Sequence[OrientedBox]) -> np.ndarray:

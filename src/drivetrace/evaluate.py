@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -174,27 +173,20 @@ def _evaluate_one(path: str, template: str, config: PipelineConfig,
 def evaluate_suite(
     manifest_path: str | Path,
     config: PipelineConfig,
-    jobs: int = 1,
     model: Optional[BgnnModel] = None,
 ) -> tuple[SuiteResult, list[SceneRecord]]:
     """Evaluate every scene in the manifest.
 
     Unreadable or failing scenes are recorded with their error and skipped
     from the metrics; aggregation runs in a canonical order (sorted by
-    scene path) so the result does not depend on manifest ordering or the
-    number of workers.
+    scene path) so the result does not depend on manifest ordering.
     """
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
     base = manifest_path.parent
     entries = [(e["path"], e["template"]) for e in manifest["scenes"]]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(
-                lambda it: _evaluate_one(it[0], it[1], config, model, base), entries))
-    else:
-        records = [_evaluate_one(p, t, config, model, base) for p, t in entries]
-    records = sorted(records, key=lambda r: r.path)
+    records = sorted((_evaluate_one(p, t, config, model, base) for p, t in entries),
+                     key=lambda r: r.path)
     return _aggregate(records), records
 
 

@@ -99,6 +99,18 @@ class InteractionEdge:
     attention: float = 0.0
 
 
+def edge_to_dict(e: InteractionEdge) -> dict:
+    return {
+        "src": e.src,
+        "dst": e.dst,
+        "distance": e.distance,
+        "speed_diff": e.speed_diff,
+        "intensity": e.intensity,
+        "energy": e.energy,
+        "attention": e.attention,
+    }
+
+
 _EDGE_FLOATS = ("distance", "speed_diff", "intensity", "energy", "attention")
 _ARRAY_FIELDS = ("src", "dst", *_EDGE_FLOATS, "indptr")
 
@@ -628,6 +640,16 @@ class RefinedEstimate:
     refined_uncertainty: float
     epistemic_std: tuple[float, ...]
     interaction_label: InteractionLabel
+
+
+def refined_to_dict(r: RefinedEstimate) -> dict:
+    return {
+        "object_id": r.object_id,
+        "refined_class_probs": list(r.refined_class_dist.probs),
+        "refined_uncertainty": r.refined_uncertainty,
+        "epistemic_std": list(r.epistemic_std),
+        "interaction_label": r.interaction_label.value,
+    }
 
 
 def classify_interaction(

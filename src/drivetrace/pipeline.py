@@ -7,11 +7,11 @@ be processed concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from .config import PipelineConfig
-from .detector import geometric_detect, oracle_detect
+from .detector import DETECTORS
 from .interaction import (
     BgnnModel,
     InteractionGraph,
@@ -49,13 +49,7 @@ def detect(scene: Scene, config: PipelineConfig) -> list[TrackedObject]:
     objects is returned as-is (pre-detected input)."""
     if scene.objects:
         return list(scene.objects)
-    if config.detector == "oracle":
-        # the run seed offsets the noise stream so --seed affects detection
-        noise = replace(config.noise, seed=config.noise.seed + config.seed)
-        return oracle_detect(scene, noise)
-    if config.detector == "geometric":
-        return geometric_detect(scene, config.cluster)
-    raise ValueError(f"unknown detector {config.detector!r}")
+    return DETECTORS[config.detector](scene, config)
 
 
 def run_scene(scene: Scene, config: PipelineConfig,
@@ -82,8 +76,3 @@ def run_scene(scene: Scene, config: PipelineConfig,
         lead=lead,
         trace=trace,
     )
-
-
-def results_for(scenes: Sequence[Scene], config: PipelineConfig,
-                model: Optional[BgnnModel] = None) -> list[SceneResult]:
-    return [run_scene(s, config, model) for s in scenes]

@@ -289,6 +289,16 @@ class ClassDistribution:
         return ObjectClass.from_index(int(np.argmax(self.probs)))
 
 
+def _finite_vector(obj: object, name: str) -> tuple[float, ...]:
+    """Field ``name`` of ``obj`` as 3 floats; raises ValueError naming the
+    field when it has another length or a NaN or infinite component."""
+    raw = getattr(obj, name)
+    values = tuple(float(v) for v in raw)
+    if len(values) != 3 or not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{type(obj).__name__}.{name} must be 3 finite values, got {raw!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class TrackedObject:
     """A detected/tracked object: box, velocity, class belief, and the
@@ -301,8 +311,8 @@ class TrackedObject:
     support_points: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "velocity", tuple(float(v) for v in self.velocity))
-        object.__setattr__(self, "support_points", tuple(int(i) for i in self.support_points))
+        object.__setattr__(self, "velocity", _finite_vector(self, "velocity"))
+        object.__setattr__(self, "support_points", tuple(map(int, self.support_points)))
 
     @property
     def speed(self) -> float:
@@ -320,11 +330,11 @@ class EgoState:
     position: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.speed < 0:
-            raise ValueError(f"speed must be >= 0, got {self.speed}")
+        if not (math.isfinite(self.speed) and self.speed >= 0):
+            raise ValueError(f"EgoState.speed must be finite and >= 0, got {self.speed!r}")
         object.__setattr__(self, "heading", wrap_angle(self.heading))
         object.__setattr__(self, "lane_heading", wrap_angle(self.lane_heading))
-        object.__setattr__(self, "position", tuple(float(p) for p in self.position))
+        object.__setattr__(self, "position", _finite_vector(self, "position"))
 
 
 @dataclass(frozen=True)
@@ -334,7 +344,7 @@ class GroundTruthObject:
     velocity: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "velocity", tuple(float(v) for v in self.velocity))
+        object.__setattr__(self, "velocity", _finite_vector(self, "velocity"))
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,16 @@ def _box_from_dict(d: dict[str, Any]) -> OrientedBox:
     return OrientedBox(tuple(d["center"]), d["length"], d["width"], d["height"], d["yaw"])
 
 
+def object_to_dict(obj: TrackedObject) -> dict[str, Any]:
+    return {
+        "id": obj.id,
+        "box": _box_to_dict(obj.box),
+        "velocity": list(obj.velocity),
+        "class_probs": list(obj.class_dist.probs),
+        "support_points": list(obj.support_points),
+    }
+
+
 def scene_to_dict(scene: Scene, cloud_file: str) -> dict[str, Any]:
     d: dict[str, Any] = {
         "timestamp": scene.timestamp,
@@ -92,16 +102,7 @@ def scene_to_dict(scene: Scene, cloud_file: str) -> dict[str, Any]:
             "lane_heading": scene.ego.lane_heading,
             "intent": scene.ego.intent.value,
         },
-        "objects": [
-            {
-                "id": o.id,
-                "box": _box_to_dict(o.box),
-                "velocity": list(o.velocity),
-                "class_probs": list(o.class_dist.probs),
-                "support_points": list(o.support_points),
-            }
-            for o in scene.objects
-        ],
+        "objects": [object_to_dict(o) for o in scene.objects],
         "ground_truth": None,
         "cloud_file": cloud_file,
     }

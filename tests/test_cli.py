@@ -13,6 +13,7 @@ from drivetrace.config import (
     load_config,
     save_config,
 )
+from drivetrace.detector import DETECTORS
 
 
 def run(*argv) -> int:
@@ -136,6 +137,22 @@ class TestTrainEvaluate:
         for name in ("report.txt", "report.csv", "report_plot.json", "result.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_evaluate_records_nan_speed_scene(self, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        assert run("generate", "--template", "empty-road,lead-vehicle",
+                   "--out", str(gen)) == 0
+        bad = gen / "scene_lead-vehicle_0000.json"
+        d = json.loads(bad.read_text())
+        d["ego"]["speed"] = float("nan")
+        bad.write_text(json.dumps(d))
+        out = tmp_path / "eval"
+        assert run("evaluate", "--manifest", str(gen / "manifest.json"),
+                   "--out", str(out)) == 1
+        assert "1 scene(s) failed" in capsys.readouterr().err
+        records = {r["path"]: r for r in json.loads((out / "scenes.json").read_text())}
+        assert "EgoState.speed" in records[bad.name]["error"]
+        assert records["scene_empty-road_0000.json"]["error"] is None
+
     def test_evaluate_error_exit_code(self, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(
@@ -187,6 +204,15 @@ class TestArgsAndConfig:
             config_from_dict({"bogus": {}})
         with pytest.raises(ValueError, match="unknown keys in config section"):
             config_from_dict({"risk": {"decay_length": 10.0, "typo": 1}})
+        with pytest.raises(ValueError, match="unknown top-level"):
+            config_from_dict({"normalization": {}})
+
+    def test_unknown_detector_lists_table(self):
+        with pytest.raises(ValueError) as exc:
+            PipelineConfig(detector="lidarnet")
+        assert "lidarnet" in str(exc.value)
+        for name in DETECTORS:
+            assert repr(name) in str(exc.value)
 
     def test_section_override(self):
         cfg = config_from_dict({"risk": {"decay_length": 10.0}, "seed": 7})

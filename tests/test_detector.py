@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drivetrace.config import PipelineConfig
 from drivetrace.detector import (
+    DETECTORS,
     ClusterParams,
     NoiseModel,
     box_regression_error,
@@ -15,7 +17,9 @@ from drivetrace.detector import (
     oracle_detect,
     points_in_box,
 )
+from drivetrace.pipeline import detect
 from drivetrace.risk import shannon_entropy
+from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import (GroundTruthObject, ObjectClass, OrientedBox, PointCloud, Scene,
                               EgoState, box_iou)
 from conftest import tiny_scene
@@ -24,6 +28,22 @@ from conftest import tiny_scene
 def gt_vehicle(x, y=0.0, yaw=0.0, velocity=(0.0, 0.0, 0.0)):
     return GroundTruthObject(OrientedBox((x, y, 0.8), 4.5, 1.9, 1.6, yaw),
                              ObjectClass.VEHICLE, velocity)
+
+
+class TestDetectorTable:
+    @pytest.mark.parametrize("name", sorted(DETECTORS))
+    def test_pipeline_detect_runs_each_entry(self, name):
+        scene = generate(ScenarioSpec(template=Template.LEAD_VEHICLE, seed=1))
+        config = PipelineConfig(detector=name, seed=3)
+        dets = detect(scene, config)
+        assert dets == DETECTORS[name](scene, config)
+        assert dets and all(d.support_points for d in dets)
+
+    def test_oracle_entry_offsets_noise_seed_by_run_seed(self):
+        scene = tiny_scene([gt_vehicle(10.0)])
+        noise = NoiseModel(pos_std=0.3, seed=7)
+        dets = detect(scene, PipelineConfig(noise=noise, seed=5))
+        assert dets == oracle_detect(scene, NoiseModel(pos_std=0.3, seed=12))
 
 
 class TestOracleDetect:

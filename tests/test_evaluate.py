@@ -142,11 +142,6 @@ class TestEvaluateSuite:
         rb, _ = evaluate_suite(rev, PipelineConfig())
         assert ra == rb
 
-    def test_jobs_parallel_same_result(self, suite_dir):
-        ra, _ = evaluate_suite(suite_dir / "manifest.json", PipelineConfig(), jobs=1)
-        rb, _ = evaluate_suite(suite_dir / "manifest.json", PipelineConfig(), jobs=4)
-        assert ra == rb
-
     def test_unreadable_scene_reported(self, suite_dir, tmp_path):
         manifest = {"scenes": [
             {"path": str(suite_dir / "scene_empty-road_0000.json"), "template": "empty-road"},

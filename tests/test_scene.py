@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from drivetrace.scene import (
     ClassDistribution,
     EgoState,
+    GroundTruthObject,
     ObjectClass,
     OrientedBox,
     PointCloud,
@@ -184,6 +185,23 @@ class TestTypes:
         assert ego.lane_heading == pytest.approx(math.pi)
         with pytest.raises(ValueError):
             EgoState(speed=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kinematics_rejected(self, bad):
+        with pytest.raises(ValueError, match="EgoState.speed"):
+            EgoState(speed=bad)
+        with pytest.raises(ValueError, match="EgoState.position"):
+            EgoState(position=(0.0, 0.0, bad))
+        box = OrientedBox((1, 0, 0), 1, 1, 1, 0)
+        with pytest.raises(ValueError, match="TrackedObject.velocity"):
+            TrackedObject(1, box, (0.0, bad, 0.0), ClassDistribution.uniform())
+        with pytest.raises(ValueError, match="GroundTruthObject.velocity"):
+            GroundTruthObject(box, ObjectClass.VEHICLE, (bad, 0.0, 0.0))
+
+    def test_velocity_needs_three_components(self):
+        box = OrientedBox((1, 0, 0), 1, 1, 1, 0)
+        with pytest.raises(ValueError, match="GroundTruthObject.velocity must be 3"):
+            GroundTruthObject(box, ObjectClass.VEHICLE, (5.0, 0.0))
 
 
 class TestCorridor:

@@ -12,6 +12,7 @@ from drivetrace.scene_io import (
     load_scene,
     read_cloud,
     save_scene,
+    scene_to_dict,
     write_cloud_ascii,
     write_cloud_binary,
 )
@@ -106,3 +107,32 @@ def test_objects_round_trip_preserves_support_points(tmp_path):
     assert len(back.objects) == 1
     assert back.objects[0].support_points == scene.objects[0].support_points
     assert back.objects[0].class_dist == scene.objects[0].class_dist
+
+
+def test_nan_ego_speed_rejected_at_load(tmp_path):
+    scene = generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=1))
+    path = tmp_path / "scene.json"
+    save_scene(scene, path)
+    d = json.loads(path.read_text())
+    d["ego"]["speed"] = float("nan")
+    path.write_text(json.dumps(d))
+    assert "NaN" in path.read_text()
+    with pytest.raises(ValueError, match="EgoState.speed"):
+        load_scene(path)
+
+
+def test_detected_objects_serialize_like_scene_objects(tmp_path):
+    from drivetrace.cli import main
+    from drivetrace.config import PipelineConfig
+    from drivetrace.pipeline import detect
+
+    scene = generate(ScenarioSpec(template=Template.DENSE_TRAFFIC, seed=2))
+    path = tmp_path / "scene.json"
+    save_scene(scene, path)
+    assert main(["detect", "--scene", str(path), "--out", str(tmp_path / "det")]) == 0
+    dets = json.loads((tmp_path / "det" / "detections.json").read_text())
+    loaded = load_scene(path)
+    objects = scene_to_dict(loaded.with_objects(detect(loaded, PipelineConfig())),
+                            "cloud")["objects"]
+    assert len(dets) == len(objects) > 1
+    assert dets == json.loads(json.dumps(objects))
