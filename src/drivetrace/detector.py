@@ -7,8 +7,8 @@ Two detectors stand in for a trained neural detector at desk scale; the
   noise, class-temperature smoothing and dropout.  Deterministic for a
   given seed (NumPy PCG64 via ``default_rng``).
 * :func:`geometric_detect` is a classical baseline: ground removal,
-  fixed-radius euclidean clustering on a uniform grid hash, PCA-oriented
-  box fits, and a dimension-based class heuristic.
+  fixed-radius euclidean clustering on a uniform grid, PCA-oriented box
+  fits, and a dimension-based class heuristic.
 
 Both return TrackedObjects whose support points index into the scene cloud.
 """
@@ -16,7 +16,6 @@ Both return TrackedObjects whose support points index into the scene cloud.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -69,6 +68,9 @@ class ClusterParams:
     min_points: int = 10
 
     def __post_init__(self) -> None:
+        for name in ("ground_z_max", "neighbor_radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"ClusterParams.{name} must be finite, got {getattr(self, name)!r}")
         if self.neighbor_radius <= 0:
             raise ValueError("neighbor_radius must be > 0")
         if self.min_points < 1:
@@ -145,37 +147,118 @@ def oracle_detect(scene: Scene, noise: NoiseModel) -> list[TrackedObject]:
     return detections
 
 
+#: Candidate point pairs that :func:`_grid_clusters` tests per batch (a
+#: batch holds whole points, so one point's candidates may overrun it).  It
+#: bounds the clustering's temporaries to a few hundred kB on clouds of any
+#: size.
+PAIR_CHUNK = 4096
+
+#: A cell itself and the 13 neighbour cells that follow it in lexicographic
+#: order: together they reach every pair of adjacent cells exactly once.
+_FORWARD_CELLS = np.array([(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                           for dz in (-1, 0, 1) if (dx, dy, dz) >= (0, 0, 0)])
+
+
+def _cell_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One int64 code per row of integer cell keys, in the rows'
+    lexicographic order, and the code step of each axis.
+
+    Each axis is first compressed: a gap of more than one cell between
+    occupied keys shrinks to two cells, which keeps which cells are
+    adjacent.  A code then never overflows, however far apart the points
+    are; a one-cell margin on every side keeps the codes of the neighbour
+    cells distinct.
+    """
+    columns, spans = [], []
+    for k in keys.T:
+        unique, inverse = np.unique(k, return_inverse=True)
+        # a difference that wraps past int64 is negative: also a gap
+        compressed = np.concatenate(([1], 1 + np.cumsum(np.where(np.diff(unique) == 1, 1, 2))))
+        columns.append(compressed[inverse])
+        spans.append(int(compressed[-1]) + 2)
+    if spans[0] * spans[1] * spans[2] >= 2 ** 63:
+        raise ValueError(f"too many distinct grid cells to cluster: spans {spans}")
+    steps = np.array([spans[1] * spans[2], spans[2], 1], dtype=np.int64)
+    return columns[0] * steps[0] + columns[1] * steps[1] + columns[2], steps
+
+
+def _merge_components(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
+    """Join the components of the edges ``(a[k], b[k])`` in place.
+
+    ``parent`` is a forest kept fully compressed: ``parent[i]`` is the
+    root of ``i``, the smallest index of its component.  Each round hooks
+    every root to the smallest root it shares an edge with, then jumps
+    pointers until all point at a root again (Shiloach & Vishkin 1982);
+    rounds repeat until no edge joins two roots.  Returns the rounds run.
+    """
+    rounds = 0
+    while True:
+        root_a, root_b = parent[a], parent[b]
+        apart = root_a != root_b
+        if not apart.any():
+            return rounds
+        a, b, root_a, root_b = a[apart], b[apart], root_a[apart], root_b[apart]
+        np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent[:] = jumped
+        rounds += 1
+
+
 def _grid_clusters(xyz: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Fixed-radius connected components via a uniform grid spatial hash."""
-    cell = radius
-    keys = np.floor(xyz / cell).astype(np.int64)
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    for i, k in enumerate(map(tuple, keys)):
-        buckets.setdefault(k, []).append(i)
+    """Fixed-radius connected components on a uniform grid (Euclidean
+    cluster extraction): two points join when their cells of side
+    ``radius`` are adjacent and their squared distance is at most
+    ``radius**2``.
+
+    Points are sorted by cell.  The candidates of a point are the later
+    points of its own cell and every point of its 13 forward cells; runs
+    of points holding about :data:`PAIR_CHUNK` candidates are tested at a
+    time, and the pairs within the radius are merged by
+    :func:`_merge_components`.  Returns each component as a sorted index
+    array, ordered by smallest index.
+    """
     n = xyz.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return []
+    codes, steps = _cell_codes(np.floor(xyz / radius).astype(np.int64))
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    new_cell = np.concatenate(([True], codes[1:] != codes[:-1]))
+    cell = np.cumsum(new_cell) - 1  # of each sorted position
+    starts = np.flatnonzero(new_cell)
+    ends = np.append(starts[1:], n)
+    # per cell and forward cell (column 0 the cell itself), the positions
+    # begin .. begin + count of the forward cell's points
+    cells = codes[starts]
+    query = cells[:, np.newaxis] + _FORWARD_CELLS @ steps
+    found = np.minimum(np.searchsorted(cells, query), cells.size - 1)
+    begin = starts[found]
+    count = np.where(cells[found] == query, ends[found] - begin, 0)
+    position = np.arange(n)
+    own_after = ends[cell] - position - 1
+    candidates = count[:, 1:].sum(axis=1)[cell] + own_after
+    runs = np.split(position, np.searchsorted(
+        np.cumsum(candidates), np.arange(PAIR_CHUNK, candidates.sum(), PAIR_CHUNK)))
+    pts = xyz[order]
     r2 = radius * radius
-    next_label = 0
-    offsets = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = next_label
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            kx, ky, kz = keys[i]
-            p = xyz[i]
-            for dx, dy, dz in offsets:
-                for j in buckets.get((kx + dx, ky + dy, kz + dz), ()):
-                    if labels[j] >= 0:
-                        continue
-                    d = xyz[j] - p
-                    if d @ d <= r2:
-                        labels[j] = next_label
-                        queue.append(j)
-        next_label += 1
-    return [np.nonzero(labels == k)[0] for k in range(next_label)]
+    parent = np.arange(n)
+    for run in runs:
+        row_begin, row_count = begin[cell[run]], count[cell[run]]
+        row_begin[:, 0], row_count[:, 0] = run + 1, own_after[run]
+        row_count = row_count.ravel()
+        i = np.repeat(np.repeat(run, row_begin.shape[1]), row_count)
+        row_shift = row_begin.ravel() - (np.cumsum(row_count) - row_count)
+        j = np.arange(row_count.sum()) + np.repeat(row_shift, row_count)
+        d = pts.take(j, axis=0) - pts.take(i, axis=0)
+        # batched matmul takes the same BLAS dot as a scalar ``d @ d`` does,
+        # so a pair at exactly the radius is decided bit for bit alike
+        near = (d[:, np.newaxis, :] @ d[:, :, np.newaxis])[:, 0, 0] <= r2
+        _merge_components(parent, order[i[near]], order[j[near]])
+    members = np.argsort(parent, kind="stable")
+    return np.split(members, np.flatnonzero(np.diff(parent[members])) + 1)
 
 
 def _classify_cluster(length: float, width: float, height: float, z_std: float) -> ClassDistribution:

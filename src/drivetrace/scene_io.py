@@ -53,7 +53,13 @@ def read_cloud(path: str | Path, frame_id: str = "ego") -> PointCloud:
     """Read either cloud format; binary is detected by its magic string."""
     raw = Path(path).read_bytes()
     if raw[: len(CLOUD_MAGIC)] == CLOUD_MAGIC:
+        if len(raw) < 16:
+            raise ValueError(f"point cloud {path} has {len(raw)} bytes, "
+                             f"less than its 16-byte header")
         (count,) = struct.unpack("<Q", raw[8:16])
+        if len(raw) != 16 + 16 * count:
+            raise ValueError(f"point cloud {path} has header count {count}, which needs "
+                             f"{16 + 16 * count} bytes, but the file has {len(raw)}")
         data = np.frombuffer(raw, dtype="<f4", offset=16, count=count * 4)
         return PointCloud(data.reshape(count, 4).astype(np.float64), frame_id)
     rows = []
@@ -118,6 +124,16 @@ def scene_to_dict(scene: Scene, cloud_file: str) -> dict[str, Any]:
     return d
 
 
+def _support_points(obj: dict[str, Any], n_points: int) -> tuple[int, ...]:
+    """An object's support indices; raises ValueError naming the object
+    when one does not index the cloud (a negative index would wrap)."""
+    support = tuple(obj["support_points"])
+    if support and not (min(support) >= 0 and max(support) < n_points):
+        raise ValueError(f"object {obj['id']}: support_points must lie in [0, {n_points}), "
+                         f"got indices from {min(support)} to {max(support)}")
+    return support
+
+
 def scene_from_dict(d: dict[str, Any], cloud: PointCloud) -> Scene:
     ego = d["ego"]
     gt = None
@@ -143,7 +159,7 @@ def scene_from_dict(d: dict[str, Any], cloud: PointCloud) -> Scene:
                 box=_box_from_dict(o["box"]),
                 velocity=tuple(o["velocity"]),
                 class_dist=ClassDistribution(tuple(o["class_probs"])),
-                support_points=tuple(o["support_points"]),
+                support_points=_support_points(o, len(cloud)),
             )
             for o in d["objects"]
         ),
@@ -166,7 +182,14 @@ def save_scene(scene: Scene, scene_path: str | Path, cloud_format: str = "ascii"
 
 
 def load_scene(scene_path: str | Path) -> Scene:
+    """Read a scene file and its cloud.  A malformed file raises
+    ValueError with the scene path in front of the reason."""
     scene_path = Path(scene_path)
-    d = json.loads(scene_path.read_text())
-    cloud = read_cloud(scene_path.parent / d["cloud_file"])
-    return scene_from_dict(d, cloud)
+    try:
+        d = json.loads(scene_path.read_text())
+        cloud = read_cloud(scene_path.parent / d["cloud_file"])
+        return scene_from_dict(d, cloud)
+    except KeyError as exc:
+        raise ValueError(f"{scene_path}: missing key {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{scene_path}: {exc}") from exc

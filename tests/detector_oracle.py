@@ -1,0 +1,47 @@
+"""Scalar reference implementation of the geometric detector's clustering,
+kept as the oracle for the array-based ``drivetrace.detector._grid_clusters``.
+
+This is the per-point breadth-first search the package used before the
+clustering moved to whole-array pair generation and label merging: points
+are bucketed by grid cell, and each unlabelled point seeds a search over
+the 27 surrounding cells.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+import numpy as np
+
+
+def bfs_grid_clusters(xyz: np.ndarray, radius: float) -> list[np.ndarray]:
+    """Fixed-radius connected components via a uniform grid spatial hash."""
+    cell = radius
+    keys = np.floor(xyz / cell).astype(np.int64)
+    buckets: dict[tuple[int, int, int], list[int]] = {}
+    for i, k in enumerate(map(tuple, keys)):
+        buckets.setdefault(k, []).append(i)
+    n = xyz.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    r2 = radius * radius
+    next_label = 0
+    offsets = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = next_label
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            kx, ky, kz = keys[i]
+            p = xyz[i]
+            for dx, dy, dz in offsets:
+                for j in buckets.get((kx + dx, ky + dy, kz + dz), ()):
+                    if labels[j] >= 0:
+                        continue
+                    d = xyz[j] - p
+                    if d @ d <= r2:
+                        labels[j] = next_label
+                        queue.append(j)
+        next_label += 1
+    return [np.nonzero(labels == k)[0] for k in range(next_label)]

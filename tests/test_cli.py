@@ -88,6 +88,15 @@ class TestPipelineCommands:
                        "--out", str(out)) == 0
         assert (a / "trace.json").read_bytes() == (b / "trace.json").read_bytes()
 
+    def test_scene_error_names_file(self, ped_scene, tmp_path, capsys):
+        d = json.loads(ped_scene.read_text())
+        d["ego"]["position"] = [float("nan"), 0.0, 0.0]
+        bad = ped_scene.parent / "posnan.json"
+        bad.write_text(json.dumps(d))
+        assert run("reason", "--scene", str(bad), "--out", str(tmp_path / "r")) == 1
+        err = capsys.readouterr().err
+        assert f"error: ValueError: {bad}: EgoState.position must be 3 finite values" in err
+
     def test_trace_pretty_print(self, ped_scene, tmp_path, capsys):
         out = tmp_path / "trace"
         assert run("trace", "--scene", str(ped_scene), "--out", str(out)) == 0
@@ -239,6 +248,16 @@ class TestArgsAndConfig:
                    "--out", str(out)) == 0
         assert list(workdir.iterdir()) == []
         assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("name", ["neighbor_radius", "ground_z_max"])
+    def test_non_finite_cluster_config_exit_1(self, tmp_path, capsys, name):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"cluster": {"%s": NaN}, "detector": "geometric"}' % name)
+        with pytest.raises(ValueError, match=f"ClusterParams.{name} must be finite"):
+            load_config(bad)
+        assert run("generate", "--template", "empty-road",
+                   "--config", str(bad), "--out", str(tmp_path / "o")) == 1
+        assert f"ClusterParams.{name}" in capsys.readouterr().err
 
     def test_invalid_config_file_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"

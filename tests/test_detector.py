@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from drivetrace import detector
 from drivetrace.config import PipelineConfig
 from drivetrace.detector import (
     DETECTORS,
     ClusterParams,
     NoiseModel,
+    _grid_clusters,
     box_regression_error,
     geometric_detect,
     match_boxes,
@@ -23,6 +26,7 @@ from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import (GroundTruthObject, ObjectClass, OrientedBox, PointCloud, Scene,
                               EgoState, box_iou)
 from conftest import tiny_scene
+from detector_oracle import bfs_grid_clusters
 
 
 def gt_vehicle(x, y=0.0, yaw=0.0, velocity=(0.0, 0.0, 0.0)):
@@ -206,6 +210,139 @@ class TestGeometricDetect:
         det = geometric_detect(scene, self.PARAMS)[0]
         assert det.class_dist.top_class is ObjectClass.PEDESTRIAN
         assert max(det.class_dist.probs) == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize(("name", "value"), [
+    ("ground_z_max", float("nan")), ("ground_z_max", float("inf")),
+    ("neighbor_radius", float("nan")), ("neighbor_radius", float("inf")),
+    ("neighbor_radius", float("-inf")), ("neighbor_radius", 0.0), ("min_points", 0),
+])
+def test_cluster_params_rejects_invalid(name, value):
+    with pytest.raises(ValueError, match=name):
+        ClusterParams(**{name: value})
+
+
+def assert_same_clusters(xyz, radius):
+    """The array-based clustering returns the oracle BFS's partition, in its
+    order: sorted index arrays, ordered by smallest index."""
+    got = _grid_clusters(xyz, radius)
+    want = bfs_grid_clusters(xyz, radius)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    return got
+
+
+_RADII = st.sampled_from([0.05, 0.3, 1 / 3, 0.5, 0.7, 1.0, 2.5])
+_seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def _clouds(draw):
+    n = draw(st.integers(0, 120))
+    span = draw(st.sampled_from([0.5, 2.0, 8.0]))
+    return draw(arrays(np.float64, (n, 3), elements=st.floats(-span, span)))
+
+
+@st.composite
+def _radius_pairs(draw):
+    """Points with a partner at distance ``radius``, along an axis or in a
+    random direction, then nudged an ulp or two in or out; some points sit
+    on cell boundaries."""
+    radius = draw(_RADII)
+    pts = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            p = radius * np.array(draw(st.tuples(*[st.integers(-4, 4)] * 3)), dtype=float)
+        else:
+            p = np.array(draw(st.tuples(*[st.floats(-3, 3)] * 3)))
+        if draw(st.booleans()):
+            u = np.zeros(3)
+            u[draw(st.integers(0, 2))] = draw(st.sampled_from([-1.0, 1.0]))
+        else:
+            u = np.array(draw(st.tuples(*[st.floats(-1, 1)] * 3)))
+            if np.linalg.norm(u) < 0.1:
+                u = np.array([1.0, 1.0, 1.0])
+            u /= np.linalg.norm(u)
+        q = p + radius * u
+        outward = draw(st.sampled_from([-1.0, 1.0]))
+        for _ in range(draw(st.integers(0, 2))):
+            q = np.nextafter(q, q + outward * u)
+        pts += [p, q]
+    return radius, np.array(pts)
+
+
+class TestGridClustersOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(_clouds(), _RADII)
+    def test_random_clouds(self, xyz, radius):
+        assert_same_clusters(xyz, radius)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_radius_pairs())
+    def test_pairs_at_the_radius(self, case):
+        radius, xyz = case
+        assert_same_clusters(xyz, radius)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_seeds, st.integers(1, 40), _RADII)
+    def test_duplicate_points(self, seed, n, radius):
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(-2.0, 2.0, (n, 3))
+        xyz = np.repeat(base, rng.integers(1, 4, n), axis=0)
+        xyz = xyz[rng.permutation(len(xyz))]
+        assert_same_clusters(xyz, radius)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_seeds, st.integers(2, 400), _RADII)
+    def test_scrambled_chain_merges_in_few_rounds(self, seed, n, radius):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        along = 0.9 * radius * np.arange(n)
+        xyz = np.empty((n, 3))
+        xyz[rng.permutation(n)] = rng.uniform(-5, 5, 3) + along[:, np.newaxis] * u
+        merge, rounds = detector._merge_components, []
+
+        def counted(parent, a, b):
+            rounds.append(merge(parent, a, b))
+            return rounds[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detector, "_merge_components", counted)
+            clusters = assert_same_clusters(xyz, radius)
+        assert len(clusters) == 1
+        # hooking to the smallest root shrinks a chain geometrically; a
+        # label sweep along it would need up to n rounds
+        assert sum(rounds) <= 2 * math.ceil(math.log2(n)) + 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(_seeds, _RADII, st.sampled_from([1e7, -1e7]))
+    def test_clusters_far_apart(self, seed, radius, shift):
+        rng = np.random.default_rng(seed)
+        near = rng.normal(0.0, radius, (30, 3))
+        far = rng.normal(0.0, radius, (30, 3)) + shift * np.array([1.0, -1.0, 1.0])
+        xyz = np.vstack([near, far])[rng.permutation(60)]
+        clusters = assert_same_clusters(xyz, radius)
+        assert len(clusters) >= 2
+
+    def test_coordinates_beyond_int64_cells(self, rng):
+        # float32 cloud files can hold finite coordinates whose cell index
+        # does not fit in int64
+        xyz = rng.uniform(0.0, 4.0, (50, 3))
+        xyz[[3, 7, 9]] = [[1e30, 1.0, 1.0], [1e30, 1.0, 1.1], [-1e30, 1.0, 1.0]]
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_same_clusters(xyz, 0.7)
+
+    @pytest.mark.parametrize("template", list(Template))
+    def test_geometric_detect_matches_oracle_clustering(self, template):
+        scene = generate(ScenarioSpec(template=template, seed=1))
+        params = ClusterParams()
+        got = geometric_detect(scene, params)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detector, "_grid_clusters", bfs_grid_clusters)
+            want = geometric_detect(scene, params)
+        assert got == want
 
 
 class TestRegressionError:

@@ -136,3 +136,62 @@ def test_detected_objects_serialize_like_scene_objects(tmp_path):
                             "cloud")["objects"]
     assert len(dets) == len(objects) > 1
     assert dets == json.loads(json.dumps(objects))
+
+
+def test_truncated_binary_cloud_names_file(cloud, tmp_path):
+    path = tmp_path / "cloud.pcb"
+    write_cloud_binary(cloud, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-5])
+    with pytest.raises(ValueError) as exc:
+        read_cloud(path)
+    message = str(exc.value)
+    assert str(path) in message
+    assert f"header count {len(cloud)}" in message
+    assert f"file has {len(raw) - 5}" in message
+
+
+def test_binary_cloud_shorter_than_header(tmp_path):
+    path = tmp_path / "cloud.pcb"
+    path.write_bytes(CLOUD_MAGIC + b"\x01\x00")
+    with pytest.raises(ValueError, match="less than its 16-byte header") as exc:
+        read_cloud(path)
+    assert str(path) in str(exc.value)
+
+
+def test_scene_load_error_names_scene_file(tmp_path):
+    scene = generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=1))
+    path = tmp_path / "scene.json"
+    save_scene(scene, path, cloud_format="binary")
+    d = json.loads(path.read_text())
+    del d["timestamp"]
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="missing key 'timestamp'") as exc:
+        load_scene(path)
+    assert str(exc.value).startswith(str(path))
+    cloud_path = tmp_path / d["cloud_file"]
+    cloud_path.write_bytes(cloud_path.read_bytes()[:20])
+    d["timestamp"] = 0.0
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="header count") as exc:
+        load_scene(path)
+    assert str(exc.value).startswith(str(path))
+    assert str(cloud_path) in str(exc.value)
+
+
+@pytest.mark.parametrize("index", [-1, 10 ** 9])
+def test_support_points_outside_cloud_rejected_at_load(tmp_path, index):
+    from drivetrace.config import PipelineConfig
+    from drivetrace.pipeline import detect
+
+    scene = generate(ScenarioSpec(template=Template.STATIC_VEHICLE_AHEAD, seed=3))
+    scene = scene.with_objects(detect(scene, PipelineConfig()))
+    path = tmp_path / "scene.json"
+    save_scene(scene, path)
+    d = json.loads(path.read_text())
+    d["objects"][0]["support_points"].append(index)
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=r"object 0: support_points must lie in \[0, ") as exc:
+        load_scene(path)
+    assert str(index) in str(exc.value)
+    assert str(path) in str(exc.value)
