@@ -17,7 +17,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import PipelineConfig, load_config, save_config
-from .evaluate import evaluate_suite, parse_csv, result_to_dict, write_report
+from .evaluate import (
+    evaluate_suite,
+    parse_csv,
+    record_to_dict,
+    result_to_dict,
+    write_report,
+)
 from .interaction import (
     BgnnModel,
     edge_to_dict,
@@ -135,21 +141,7 @@ def cmd_evaluate(args) -> int:
     result, records = evaluate_suite(args.manifest, config, model=model)
     write_report(result, out)
     _dump(result_to_dict(result), out / "result.json")
-    _dump(
-        [
-            {
-                "path": r.path,
-                "template": r.template,
-                "expected_speed": r.expected_speed,
-                "predicted_speed": r.predicted_speed,
-                "expected_path": r.expected_path,
-                "predicted_path": r.predicted_path,
-                "error": r.error,
-            }
-            for r in records
-        ],
-        out / "scenes.json",
-    )
+    _dump([record_to_dict(r) for r in records], out / "scenes.json")
     errors = result.counts.get("errors", 0)
     print((out / "report.txt").read_text())
     if errors:

@@ -376,3 +376,16 @@ def result_to_dict(result: SuiteResult) -> dict[str, Any]:
         "reg_error": result.reg_error,
         "counts": dict(sorted(result.counts.items())),
     }
+
+
+def record_to_dict(record: SceneRecord) -> dict[str, Any]:
+    """One scene's entry in ``scenes.json``."""
+    return {
+        "path": record.path,
+        "template": record.template,
+        "expected_speed": record.expected_speed,
+        "predicted_speed": record.predicted_speed,
+        "expected_path": record.expected_path,
+        "predicted_path": record.predicted_path,
+        "error": record.error,
+    }

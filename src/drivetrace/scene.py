@@ -312,7 +312,16 @@ class TrackedObject:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "velocity", _finite_vector(self, "velocity"))
-        object.__setattr__(self, "support_points", tuple(map(int, self.support_points)))
+        support = self.support_points
+        if isinstance(support, np.ndarray) and support.dtype.kind in "iu":
+            # tolist() gives Python ints; converting numpy scalars one by
+            # one costs several times more
+            support = support.tolist()
+        elif isinstance(support, np.ndarray):
+            support = map(int, support.tolist())
+        else:
+            support = map(int, support)
+        object.__setattr__(self, "support_points", tuple(support))
 
     @property
     def speed(self) -> float:

@@ -50,7 +50,9 @@ def write_cloud_binary(cloud: PointCloud, path: str | Path) -> None:
 
 
 def read_cloud(path: str | Path, frame_id: str = "ego") -> PointCloud:
-    """Read either cloud format; binary is detected by its magic string."""
+    """Read either cloud format; binary is detected by its magic string.
+    A malformed file raises ValueError naming the file, and for an ASCII
+    cloud the line."""
     raw = Path(path).read_bytes()
     if raw[: len(CLOUD_MAGIC)] == CLOUD_MAGIC:
         if len(raw) < 16:
@@ -61,17 +63,26 @@ def read_cloud(path: str | Path, frame_id: str = "ego") -> PointCloud:
             raise ValueError(f"point cloud {path} has header count {count}, which needs "
                              f"{16 + 16 * count} bytes, but the file has {len(raw)}")
         data = np.frombuffer(raw, dtype="<f4", offset=16, count=count * 4)
-        return PointCloud(data.reshape(count, 4).astype(np.float64), frame_id)
-    rows = []
-    for line in raw.decode("utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"bad point line in {path}: {line!r}")
-        rows.append([float(v) for v in parts])
-    return PointCloud(np.array(rows, dtype=np.float64).reshape(-1, 4), frame_id)
+        data = data.reshape(count, 4).astype(np.float64)
+    else:
+        rows = []
+        for lineno, line in enumerate(raw.decode("utf-8").splitlines(), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 4:
+                raise ValueError(f"{path}:{lineno}: bad point line {line!r}, "
+                                 f"expected 4 values")
+            try:
+                rows.append([float(v) for v in parts])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        data = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    try:
+        return PointCloud(data, frame_id)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _box_to_dict(box: OrientedBox) -> dict[str, Any]:

@@ -1,10 +1,14 @@
-"""Scalar reference implementation of the geometric detector's clustering,
-kept as the oracle for the array-based ``drivetrace.detector._grid_clusters``.
+"""Reference implementations kept as oracles for the detectors.
 
-This is the per-point breadth-first search the package used before the
-clustering moved to whole-array pair generation and label merging: points
-are bucketed by grid cell, and each unlabelled point seeds a search over
-the 27 surrounding cells.
+``bfs_grid_clusters`` is the per-point breadth-first search the geometric
+detector's clustering used before it moved to whole-array pair generation
+and label merging: points are bucketed by grid cell, and each unlabelled
+point seeds a search over the 27 surrounding cells.  It is the oracle for
+``drivetrace.detector._grid_clusters``.
+
+``scan_support_points`` is the full-cloud scan the oracle detector used to
+collect each object's support points before it prefiltered the cloud by
+the box's axis-aligned bounding rectangle.
 """
 
 from __future__ import annotations
@@ -12,6 +16,15 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+
+from drivetrace.detector import points_in_box
+from drivetrace.scene import OrientedBox
+
+
+def scan_support_points(xyz: np.ndarray, box: OrientedBox, margin: float) -> np.ndarray:
+    """Ascending indices of every point of ``xyz`` inside ``box`` inflated
+    by ``margin``, found by rotating the whole cloud."""
+    return np.nonzero(points_in_box(xyz, box, margin))[0]
 
 
 def bfs_grid_clusters(xyz: np.ndarray, radius: float) -> list[np.ndarray]:

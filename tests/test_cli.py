@@ -97,6 +97,21 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert f"error: ValueError: {bad}: EgoState.position must be 3 finite values" in err
 
+    def test_cloud_error_names_scene_and_cloud_file(self, ped_scene, tmp_path, capsys):
+        cloud = ped_scene.parent / json.loads(ped_scene.read_text())["cloud_file"]
+        lines = cloud.read_text().splitlines()
+        lines[3] = "1.0 2.0 nan 4.0"
+        cloud.write_text("\n".join(lines) + "\n")
+        assert run("reason", "--scene", str(ped_scene), "--out", str(tmp_path / "r")) == 1
+        err = capsys.readouterr().err
+        assert (f"error: ValueError: {ped_scene}: {cloud}: "
+                f"point cloud contains non-finite values") in err
+        lines[3] = "1.0 2.0 3.0 abc"
+        cloud.write_text("\n".join(lines) + "\n")
+        assert run("reason", "--scene", str(ped_scene), "--out", str(tmp_path / "r")) == 1
+        err = capsys.readouterr().err
+        assert f"error: ValueError: {ped_scene}: {cloud}:4: could not convert" in err
+
     def test_trace_pretty_print(self, ped_scene, tmp_path, capsys):
         out = tmp_path / "trace"
         assert run("trace", "--scene", str(ped_scene), "--out", str(out)) == 0

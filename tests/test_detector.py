@@ -26,7 +26,7 @@ from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import (GroundTruthObject, ObjectClass, OrientedBox, PointCloud, Scene,
                               EgoState, box_iou)
 from conftest import tiny_scene
-from detector_oracle import bfs_grid_clusters
+from detector_oracle import bfs_grid_clusters, scan_support_points
 
 
 def gt_vehicle(x, y=0.0, yaw=0.0, velocity=(0.0, 0.0, 0.0)):
@@ -119,7 +119,7 @@ class TestOracleDetect:
         scene = tiny_scene([gt_vehicle(10.0, y=5.0)], cloud_points=pts)
         det = oracle_detect(scene, NoiseModel())[0]
         mask = points_in_box(scene.cloud.xyz, scene.ground_truth[0].box, 0.1)
-        assert set(det.support_points) == set(np.nonzero(mask)[0])
+        assert det.support_points == tuple(np.nonzero(mask)[0].tolist())
 
 
 def sample_box_surface_grid(box: OrientedBox, step=0.1):
@@ -456,3 +456,63 @@ class TestMatchingPrefilter:
             pred.append(a)
             truth.append(b)
         assert match_boxes(pred, truth, threshold) == full_scan_matching(pred, truth, threshold)
+
+
+_YAWS = st.one_of(st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi / 4, math.pi]),
+                  st.floats(-math.pi, math.pi))
+
+
+def _ulp_steps(v):
+    """``v`` and ``v`` moved one and two ulps down and up."""
+    down = np.nextafter(v, -np.inf)
+    up = np.nextafter(v, np.inf)
+    return [np.nextafter(down, -np.inf), down, v, up, np.nextafter(up, np.inf)]
+
+
+@st.composite
+def _boxes_near_their_points(draw):
+    """Overlapping boxes around a centre up to 1e6 m from the origin, and a
+    cloud holding, per box, points on each inflated face and corner, each
+    also nudged up to two ulps in and out along x and y, plus random points."""
+    scale = draw(st.sampled_from([0.0, 10.0, 1e3, 1e6]))
+    base = np.array([draw(st.floats(-scale, scale)), draw(st.floats(-scale, scale))])
+    rng = np.random.default_rng(draw(_seeds))
+    boxes, pts = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        cx, cy = base + rng.uniform(-3.0, 3.0, 2)
+        box = OrientedBox((cx, cy, 1.0), draw(st.floats(0.05, 8.0)),
+                          draw(st.floats(0.05, 8.0)), 2.0, draw(_YAWS))
+        boxes.append(box)
+        hl = box.length / 2.0 + detector.SUPPORT_MARGIN
+        hw = box.width / 2.0 + detector.SUPPORT_MARGIN
+        t = rng.uniform(-1.0, 1.0, 4)
+        local = np.array([(sx * hl, sy * hw) for sx in (-1, 1) for sy in (-1, 1)]
+                         + [(-hl, t[0] * hw), (hl, t[1] * hw),
+                            (t[2] * hl, -hw), (t[3] * hl, hw)])
+        c, s = math.cos(box.yaw), math.sin(box.yaw)
+        xy = np.column_stack([cx + local[:, 0] * c - local[:, 1] * s,
+                              cy + local[:, 0] * s + local[:, 1] * c])
+        for x in _ulp_steps(xy[:, 0]):
+            for y in _ulp_steps(xy[:, 1]):
+                pts.append(np.column_stack([x, y, np.ones(len(x))]))
+        pts.append(np.column_stack([rng.uniform(-1.5, 1.5, (40, 2)) * (hl + hw) + (cx, cy),
+                                    rng.uniform(-0.5, 2.5, 40)]))
+    xyz = np.vstack(pts)[rng.permutation(sum(len(p) for p in pts))]
+    return boxes, np.column_stack([xyz, np.ones(len(xyz))])
+
+
+class TestSupportPointsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_boxes_near_their_points(), st.sampled_from([0.0, 0.3, 0.6]), _seeds)
+    def test_support_points_equal_full_scan(self, case, dropout, seed):
+        boxes, data = case
+        gts = [GroundTruthObject(box, ObjectClass.VEHICLE, (0.0, 0.0, 0.0)) for box in boxes]
+        scene = tiny_scene(gts, cloud_points=data)
+        # with no box noise a detection's centre is its ground truth's
+        want = {box.center: scan_support_points(scene.cloud.xyz, box, detector.SUPPORT_MARGIN)
+                for box in boxes}
+        dets = oracle_detect(scene, NoiseModel(dropout_prob=dropout, seed=seed))
+        assert len(dets) == len(boxes) or dropout > 0
+        for det in dets:
+            assert det.support_points == tuple(want[det.box.center].tolist())
+

@@ -198,6 +198,16 @@ class TestTypes:
         with pytest.raises(ValueError, match="GroundTruthObject.velocity"):
             GroundTruthObject(box, ObjectClass.VEHICLE, (bad, 0.0, 0.0))
 
+    def test_support_points_become_python_ints(self):
+        box = OrientedBox((1, 0, 0), 1, 1, 1, 0)
+        want = (0, 2, 5, 9)
+        for support in (list(want), np.array(want, dtype=np.int64),
+                        np.array(want, dtype=np.int32), np.array([0.0, 2.7, 5.99, 9.5])):
+            obj = TrackedObject(1, box, (0, 0, 0), ClassDistribution.uniform(),
+                                support_points=support)
+            assert obj.support_points == want
+            assert all(type(i) is int for i in obj.support_points)
+
     def test_velocity_needs_three_components(self):
         box = OrientedBox((1, 0, 0), 1, 1, 1, 0)
         with pytest.raises(ValueError, match="GroundTruthObject.velocity must be 3"):

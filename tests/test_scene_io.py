@@ -1,6 +1,7 @@
 """Scene JSON and point-cloud file format round-trips."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -43,8 +44,9 @@ def test_ascii_comments_and_blank_lines(tmp_path):
 def test_ascii_bad_line_rejected(tmp_path):
     path = tmp_path / "cloud.pts"
     path.write_text("1.0 2.0 3.0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 4 values") as exc:
         read_cloud(path)
+    assert str(exc.value).startswith(f"{path}:1: ")
 
 
 def test_binary_round_trip(cloud, tmp_path):
@@ -159,6 +161,28 @@ def test_binary_cloud_shorter_than_header(tmp_path):
     assert str(path) in str(exc.value)
 
 
+def test_ascii_bad_number_names_file_and_line(tmp_path):
+    path = tmp_path / "cloud.pts"
+    path.write_text("# header\n1 2 3 4\n\n1 2 3 abc\n")
+    with pytest.raises(ValueError) as exc:
+        read_cloud(path)
+    assert str(exc.value) == f"{path}:4: could not convert string to float: 'abc'"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("fmt", ["ascii", "binary"])
+def test_non_finite_cloud_names_file(tmp_path, fmt, bad):
+    path = tmp_path / ("cloud.pts" if fmt == "ascii" else "cloud.pcb")
+    rows = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, bad, 7.0, 8.0]])
+    if fmt == "ascii":
+        path.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in rows))
+    else:
+        path.write_bytes(CLOUD_MAGIC + struct.pack("<Q", 2) + rows.astype("<f4").tobytes())
+    with pytest.raises(ValueError) as exc:
+        read_cloud(path)
+    assert str(exc.value) == f"{path}: point cloud contains non-finite values"
+
+
 def test_scene_load_error_names_scene_file(tmp_path):
     scene = generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=1))
     path = tmp_path / "scene.json"
@@ -177,6 +201,13 @@ def test_scene_load_error_names_scene_file(tmp_path):
         load_scene(path)
     assert str(exc.value).startswith(str(path))
     assert str(cloud_path) in str(exc.value)
+    cloud_path = tmp_path / "scene.pts"
+    cloud_path.write_text("1 2 3 4\n1 2 3 abc\n")
+    d["cloud_file"] = cloud_path.name
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError) as exc:
+        load_scene(path)
+    assert str(exc.value).startswith(f"{path}: {cloud_path}:2: could not convert")
 
 
 @pytest.mark.parametrize("index", [-1, 10 ** 9])
