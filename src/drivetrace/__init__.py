@@ -6,7 +6,6 @@ from .scene import (
     EgoState,
     GroundTruthObject,
     Intent,
-    LidarPoint,
     ObjectClass,
     OrientedBox,
     PointCloud,

@@ -26,7 +26,7 @@ from .evaluate import (
 )
 from .interaction import (
     BgnnModel,
-    edge_to_dict,
+    graph_to_dict,
     load_model,
     refined_to_dict,
     save_model,
@@ -87,8 +87,7 @@ SCENE_COMMANDS = {
                lambda r: [assessment_to_dict(a) for a in r.assessments],
                lambda assessments, path: f"{len(assessments)} assessments -> {path}"),
     "graph": ("graph.json",
-              lambda r: {"nodes": list(r.graph.node_ids),
-                         "edges": [edge_to_dict(e) for e in r.graph.edges],
+              lambda r: {**graph_to_dict(r.graph),
                          "refined": [refined_to_dict(x) for x in r.refined]},
               lambda graph, path: f"graph with {len(graph['edges'])} edges -> {path}"),
     "reason": ("trace.json",

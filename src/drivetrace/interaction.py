@@ -22,7 +22,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -88,108 +87,67 @@ class InteractionConfig:
             raise ValueError("energy weights must be >= 0")
 
 
-@dataclass(frozen=True)
-class InteractionEdge:
-    src: int
-    dst: int
-    distance: float
-    speed_diff: float
-    intensity: float
-    energy: float
-    attention: float = 0.0
-
-
-def edge_to_dict(e: InteractionEdge) -> dict:
-    return {
-        "src": e.src,
-        "dst": e.dst,
-        "distance": e.distance,
-        "speed_diff": e.speed_diff,
-        "intensity": e.intensity,
-        "energy": e.energy,
-        "attention": e.attention,
-    }
-
-
-_EDGE_FLOATS = ("distance", "speed_diff", "intensity", "energy", "attention")
-_ARRAY_FIELDS = ("src", "dst", *_EDGE_FLOATS, "indptr")
+#: one row per directed edge; ``src`` and ``dst`` are indices into the
+#: graph's ``node_ids``
+EDGE_DTYPE = np.dtype([("src", np.intp), ("dst", np.intp), ("distance", np.float64),
+                       ("speed_diff", np.float64), ("intensity", np.float64),
+                       ("energy", np.float64), ("attention", np.float64)])
 
 
 @dataclass(frozen=True, eq=False)
 class InteractionGraph:
-    """Directed interaction graph over object nodes plus the ego node.
+    """Directed interaction graph over object nodes plus the ego node, which
+    is always the last node.
 
-    Edges are stored as parallel arrays sorted by destination, then
-    source, node index; ``src`` and ``dst`` index into ``node_ids``.  The
-    in-edges of node ``k`` are the slice ``indptr[k]:indptr[k + 1]``
-    (CSR offsets).  All arrays, and the dense attention matrix built on
-    construction, are read-only.  ``edges`` is a tuple of
-    :class:`InteractionEdge` built on first access.
+    ``edges`` is one :data:`EDGE_DTYPE` table sorted by destination, then
+    source, node index.  The in-edges of node ``k`` are the rows
+    ``indptr[k]:indptr[k + 1]`` (CSR offsets).  The table, the offsets and
+    the dense attention matrix built on construction are read-only.
     """
 
     node_ids: tuple[int, ...]
-    src: np.ndarray
-    dst: np.ndarray
-    distance: np.ndarray
-    speed_diff: np.ndarray
-    intensity: np.ndarray
-    energy: np.ndarray
-    attention: np.ndarray
+    edges: np.ndarray
     indptr: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in _ARRAY_FIELDS:
-            getattr(self, name).flags.writeable = False
+        self.edges.flags.writeable = False
+        self.indptr.flags.writeable = False
         dense = np.zeros((self.n_nodes, self.n_nodes))
-        dense[self.dst, self.src] = self.attention
+        dense[self.edges["dst"], self.edges["src"]] = self.edges["attention"]
         dense.flags.writeable = False
         object.__setattr__(self, "_attention_matrix", dense)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InteractionGraph):
             return NotImplemented
-        return self.node_ids == other.node_ids and all(
-            np.array_equal(getattr(self, f), getattr(other, f)) for f in _ARRAY_FIELDS)
+        return (self.node_ids == other.node_ids and np.array_equal(self.edges, other.edges)
+                and np.array_equal(self.indptr, other.indptr))
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
-
-    def index_of(self, node_id: int) -> int:
-        return self.node_ids.index(node_id)
-
-    def _edge_tuples(self, lo: int, hi: int) -> list[InteractionEdge]:
-        ids = self.node_ids
-        floats = [getattr(self, f)[lo:hi].tolist() for f in _EDGE_FLOATS]
-        return [InteractionEdge(ids[s], ids[d], *rest)
-                for s, d, *rest in zip(self.src[lo:hi].tolist(),
-                                       self.dst[lo:hi].tolist(), *floats)]
-
-    @cached_property
-    def edges(self) -> tuple[InteractionEdge, ...]:
-        return tuple(self._edge_tuples(0, len(self.src)))
-
-    def in_edges(self, node_id: int) -> list[InteractionEdge]:
-        if node_id not in self.node_ids:
-            return []
-        k = self.index_of(node_id)
-        return self._edge_tuples(int(self.indptr[k]), int(self.indptr[k + 1]))
 
     def attention_matrix(self) -> np.ndarray:
         """A[dst, src] = attention of edge src -> dst (rows sum to 1 or 0)."""
         return self._attention_matrix
 
 
-def _energy(distance, speed_diff, intensity, cfg: InteractionConfig):
-    return cfg.w_distance * distance + cfg.w_speed * speed_diff + cfg.w_intensity * intensity
+def graph_to_dict(graph: InteractionGraph) -> dict:
+    """Node ids and one record per edge, with ``src`` and ``dst`` as node ids."""
+    ids = graph.node_ids
+    return {
+        "nodes": list(ids),
+        "edges": [dict(zip(EDGE_DTYPE.names, (ids[s], ids[d], *rest)))
+                  for s, d, *rest in graph.edges.tolist()],
+    }
 
 
-def interaction_energy(distance: float, speed_diff: float, intensity: float,
-                       cfg: InteractionConfig) -> float:
-    """Linear pairwise energy over distance, speed difference and intensity."""
-    if distance < 0 or speed_diff < 0:
+def interaction_energy(distance, speed_diff, intensity, cfg: InteractionConfig):
+    """Linear pairwise energy over distance, speed difference and intensity,
+    for one edge (floats) or many (arrays).  A NaN distance passes through."""
+    if np.less(distance, 0).any() or np.less(speed_diff, 0).any():
         raise ValueError("distance and speed_diff must be >= 0")
-    return _energy(distance, speed_diff, intensity, cfg)
+    return cfg.w_distance * distance + cfg.w_speed * speed_diff + cfg.w_intensity * intensity
 
 
 def _pair_factor(a: ObjectClass, b: ObjectClass) -> float:
@@ -236,8 +194,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 _EGO_CLASS = ClassDistribution.one_hot(ObjectClass.VEHICLE)
-_EGO_ONLY = InteractionGraph((EGO_ID,), *[np.empty(0, dtype=np.intp)] * 2,
-                             *[np.empty(0)] * len(_EDGE_FLOATS), np.zeros(2, dtype=np.intp))
+_EGO_ONLY = InteractionGraph((EGO_ID,), np.empty(0, EDGE_DTYPE), np.zeros(2, dtype=np.intp))
 
 
 def build_graph(objects: Sequence[TrackedObject], ego: EgoState,
@@ -269,18 +226,20 @@ def build_graph(objects: Sequence[TrackedObject], ego: EgoState,
     near.flat[:: n + 1] = False  # no self-edges
     # row-major nonzero of the [dst, src] mask orders edges by dst, then src
     dst, src = np.nonzero(near)
-    distance = distances[dst, src]
-    speed_diff = _norms((velocities[np.newaxis, :, :] - velocities[:, np.newaxis, :])[dst, src])
-    intensity = contextual_intensity(offsets[dst, src], headings[src],
-                                     classes[src], classes[dst])
-    energy = _energy(distance, speed_diff, intensity, cfg)  # norms are never negative
+    edges = np.empty(len(dst), EDGE_DTYPE)
+    edges["src"], edges["dst"] = src, dst
+    edges["distance"] = distance = distances[dst, src]
+    edges["speed_diff"] = speed_diff = _norms(
+        (velocities[np.newaxis, :, :] - velocities[:, np.newaxis, :])[dst, src])
+    edges["intensity"] = intensity = contextual_intensity(
+        offsets[dst, src], headings[src], classes[src], classes[dst])
+    edges["energy"] = energy = interaction_energy(distance, speed_diff, intensity, cfg)
     in_degree = np.bincount(dst, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(in_degree, out=indptr[1:])
-    attention = _segment_softmax(energy if cfg.attention_positive_energy else -energy,
-                                 indptr[:-1], in_degree)
-    return InteractionGraph(tuple(o.id for o in objects) + (EGO_ID,), src, dst,
-                            distance, speed_diff, intensity, energy, attention, indptr)
+    edges["attention"] = _segment_softmax(energy if cfg.attention_positive_energy else -energy,
+                                          indptr[:-1], in_degree)
+    return InteractionGraph(tuple(o.id for o in objects) + (EGO_ID,), edges, indptr)
 
 
 def _segment_softmax(logits: np.ndarray, starts: np.ndarray,

@@ -61,7 +61,7 @@ def run_scene(scene: Scene, config: PipelineConfig,
     graph = build_graph(scene.objects, scene.ego, config.interaction)
     refined = refine_objects(scene.objects, assessments, graph, scene.ego,
                              config.uncertainty, model=model, seed=config.seed)
-    factors = extract_risk_factors(scene, assessments, refined, graph,
+    factors = extract_risk_factors(scene, assessments, refined,
                                    config.reasoner, config.uncertainty)
     factors = risk_factors_with_graph_refs(factors, graph)
     lead = find_lead(scene.objects, scene.ego, config.reasoner)

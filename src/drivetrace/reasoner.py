@@ -17,7 +17,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .interaction import EGO_ID, InteractionGraph, RefinedEstimate
+from .interaction import InteractionGraph, RefinedEstimate
 from .risk import ObjectAssessment, RiskTier, UncertaintyConfig
 from .scene import EgoState, Intent, ObjectClass, Scene, TrackedObject, forward_lateral, in_corridor
 
@@ -177,7 +177,6 @@ def extract_risk_factors(
     scene: Scene,
     assessments: Sequence[ObjectAssessment],
     refined: Sequence[RefinedEstimate],
-    graph: InteractionGraph,
     cfg: ReasonerConfig,
     ucfg: UncertaintyConfig,
 ) -> list[RiskFactor]:
@@ -492,15 +491,18 @@ def risk_factors_with_graph_refs(factors: Sequence[RiskFactor],
     """Attach the ego-edge attention as extra evidence where available."""
     if all(f.object_id is None for f in factors):
         return list(factors)
-    ego_edges = {e.src: e for e in graph.in_edges(EGO_ID)}
+    ego = graph.n_nodes - 1  # the ego is always the last node
+    rows = graph.edges[graph.indptr[ego]:graph.indptr[ego + 1]]
+    ego_edges = {graph.node_ids[s]: (a, e)
+                 for s, a, e in rows[["src", "attention", "energy"]].tolist()}
     out = []
     for f in factors:
         if f.object_id is not None and f.object_id in ego_edges:
-            e = ego_edges[f.object_id]
+            attention, energy = ego_edges[f.object_id]
             out.append(RiskFactor(
                 f.kind, f.magnitude, f.object_id,
-                f.evidence + (("ego_edge_attention", e.attention),
-                              ("ego_edge_energy", e.energy)),
+                f.evidence + (("ego_edge_attention", attention),
+                              ("ego_edge_energy", energy)),
             ))
         else:
             out.append(f)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,24 +64,6 @@ def wrap_angle(a: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class LidarPoint:
-    """Single LiDAR return in the ego frame."""
-
-    x: float
-    y: float
-    z: float
-    intensity: float
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z", "intensity"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"LidarPoint.{name} must be finite, got {v!r}")
-        if self.intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {self.intensity}")
-
-
 class PointCloud:
     """Ordered collection of LiDAR points, stored as an (N, 4) float64 array.
 
@@ -107,11 +89,6 @@ class PointCloud:
         self.data = arr
         self.frame_id = frame_id
 
-    @classmethod
-    def from_points(cls, points: Sequence[LidarPoint], frame_id: str = "ego") -> "PointCloud":
-        rows = [(p.x, p.y, p.z, p.intensity) for p in points]
-        return cls(np.array(rows, dtype=np.float64).reshape(-1, 4), frame_id)
-
     @property
     def xyz(self) -> np.ndarray:
         return self.data[:, :3]
@@ -120,15 +97,8 @@ class PointCloud:
     def intensity(self) -> np.ndarray:
         return self.data[:, 3]
 
-    def point(self, i: int) -> LidarPoint:
-        x, y, z, it = self.data[i]
-        return LidarPoint(float(x), float(y), float(z), float(it))
-
     def __len__(self) -> int:
         return self.data.shape[0]
-
-    def __iter__(self) -> Iterator[LidarPoint]:
-        return (self.point(i) for i in range(len(self)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointCloud):

@@ -2,10 +2,11 @@
 refinement, kept as the oracle for the array-backed code in
 ``drivetrace.interaction``.
 
-This is the per-pair loop the package used before the graph moved to
-parallel edge arrays: one ``InteractionEdge`` per directed pair within
-the edge radius, a softmax over each node's in-edges, in-edge lookups by
-scanning every edge, and sequential log-linear pooling per object.
+This is the per-pair loop the package used before the graph moved to an
+edge table: one ``ScalarEdge`` record per directed pair within the edge
+radius, keyed by node ids, a softmax over each node's in-edges, in-edge
+lookups by scanning every edge, and sequential log-linear pooling per
+object.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from drivetrace.interaction import (
     STATIC_SPEED,
     BgnnModel,
     InteractionConfig,
-    InteractionEdge,
     InteractionLabel,
     RefinedEstimate,
     _forward,
@@ -38,15 +38,26 @@ from drivetrace.scene import ClassDistribution, EgoState, ObjectClass, TrackedOb
 
 
 @dataclass(frozen=True)
+class ScalarEdge:
+    src: int
+    dst: int
+    distance: float
+    speed_diff: float
+    intensity: float
+    energy: float
+    attention: float = 0.0
+
+
+@dataclass(frozen=True)
 class ScalarGraph:
     node_ids: tuple[int, ...]
-    edges: tuple[InteractionEdge, ...]
+    edges: tuple[ScalarEdge, ...]
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
-    def in_edges(self, node_id: int) -> list[InteractionEdge]:
+    def in_edges(self, node_id: int) -> list[ScalarEdge]:
         return [e for e in self.edges if e.dst == node_id]
 
     def attention_matrix(self) -> np.ndarray:
@@ -88,7 +99,7 @@ def scalar_build_graph(objects: Sequence[TrackedObject], ego: EgoState,
     ego_vel = ego.speed * np.array([math.cos(ego.heading), math.sin(ego.heading), 0.0])
     nodes.append((EGO_ID, np.asarray(ego.position), ego_vel, ego.heading,
                   ObjectClass.VEHICLE))
-    raw_edges: list[InteractionEdge] = []
+    raw_edges: list[ScalarEdge] = []
     for s_id, s_c, s_v, s_h, s_cls in nodes:
         for d_id, d_c, d_v, _, d_cls in nodes:
             if s_id == d_id:
@@ -99,9 +110,9 @@ def scalar_build_graph(objects: Sequence[TrackedObject], ego: EgoState,
             dv = float(np.linalg.norm(s_v - d_v))
             inten = _intensity(s_c, d_c, s_h, s_cls, d_cls)
             e = interaction_energy(d, dv, inten, cfg)
-            raw_edges.append(InteractionEdge(s_id, d_id, d, dv, inten, e))
+            raw_edges.append(ScalarEdge(s_id, d_id, d, dv, inten, e))
     sign = 1.0 if cfg.attention_positive_energy else -1.0
-    edges: list[InteractionEdge] = []
+    edges: list[ScalarEdge] = []
     for node_id, *_ in nodes:
         incoming = [e for e in raw_edges if e.dst == node_id]
         if not incoming:

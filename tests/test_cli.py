@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from drivetrace.cli import main
@@ -14,6 +15,9 @@ from drivetrace.config import (
     save_config,
 )
 from drivetrace.detector import DETECTORS
+from drivetrace.pipeline import run_scene
+from drivetrace.scene_io import load_scene
+from interaction_oracle import scalar_build_graph
 
 
 def run(*argv) -> int:
@@ -72,6 +76,15 @@ class TestPipelineCommands:
         g = json.loads((out / "graph.json").read_text())
         assert -1 in g["nodes"]
         assert g["refined"][0]["interaction_label"] == "Yield"
+        # the edge list against the per-pair oracle on the same detections
+        config = PipelineConfig()
+        scene = run_scene(load_scene(ped_scene), config).scene
+        ref = scalar_build_graph(scene.objects, scene.ego, config.interaction)
+        assert g["nodes"] == list(ref.node_ids)
+        assert [(e["src"], e["dst"]) for e in g["edges"]] == [(e.src, e.dst) for e in ref.edges]
+        for f in ("distance", "speed_diff", "intensity", "energy", "attention"):
+            np.testing.assert_allclose([e[f] for e in g["edges"]],
+                                       [getattr(e, f) for e in ref.edges], rtol=0, atol=1e-12)
 
     def test_reason_names_brake(self, ped_scene, tmp_path):
         out = tmp_path / "reason"

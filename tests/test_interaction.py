@@ -44,6 +44,18 @@ def dist(*p):
     return ClassDistribution(tuple(p))
 
 
+def in_edges(g, node_id):
+    """The CSR slice of ``g.edges`` that holds the in-edges of ``node_id``."""
+    k = g.node_ids.index(node_id)
+    return g.edges[g.indptr[k]:g.indptr[k + 1]]
+
+
+def edge_ids(g):
+    """(source id, destination id) of every edge, in table order."""
+    ids = g.node_ids
+    return [(ids[s], ids[d]) for s, d in g.edges[["src", "dst"]].tolist()]
+
+
 class TestEnergy:
     def test_zero(self):
         assert interaction_energy(0, 0, 0, CFG) == 0.0
@@ -51,6 +63,10 @@ class TestEnergy:
     def test_direct(self):
         cfg = InteractionConfig(w_distance=1.0, w_speed=1.0, w_intensity=1.0)
         assert interaction_energy(2.0, 1.0, 0.5, cfg) == pytest.approx(3.5)
+        energy = interaction_energy(np.array([2.0, 0.0, np.nan]), np.array([1.0, 0.0, 0.0]),
+                                    np.array([0.5, 0.25, 0.0]), cfg)
+        np.testing.assert_allclose(energy[:2], [3.5, 0.25])
+        assert np.isnan(energy[2])  # a NaN distance passes through
 
     @given(st.floats(0, 100), st.floats(0, 50), st.floats(0, 1),
            st.floats(0, 10))
@@ -62,20 +78,22 @@ class TestEnergy:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             interaction_energy(-1.0, 0, 0, CFG)
+        with pytest.raises(ValueError):
+            interaction_energy(np.zeros(3), np.array([0.0, -1e-9, 0.0]), np.zeros(3), CFG)
 
 
 class TestBuildGraph:
     def test_radius_cut(self):
         objs = [make_object(0, (5, 0, 0)), make_object(1, (105, 0, 0))]
         g = build_graph(objs, EgoState(), CFG)
-        assert not any({e.src, e.dst} == {0, 1} for e in g.edges)
+        assert not any({s, d} == {0, 1} for s, d in edge_ids(g))
 
     def test_single_in_edge_attention_one(self):
         objs = [make_object(0, (5, 0, 0))]
         g = build_graph(objs, EgoState(), CFG)
-        incoming = g.in_edges(0)
-        assert len(incoming) == 1 and incoming[0].src == EGO_ID
-        assert incoming[0].attention == pytest.approx(1.0)
+        incoming = in_edges(g, 0)
+        assert len(incoming) == 1 and g.node_ids[incoming[0]["src"]] == EGO_ID
+        assert incoming[0]["attention"] == pytest.approx(1.0)
 
     def test_equal_energy_attention_thirds(self):
         # three same-class static sources at distance 5, each headed straight
@@ -88,7 +106,7 @@ class TestBuildGraph:
         ]
         cfg = InteractionConfig(edge_radius=6.0)  # exclude the ego at origin
         g = build_graph([center, *sats], EgoState(), cfg)
-        att = [e.attention for e in g.in_edges(0)]
+        att = in_edges(g, 0)["attention"]
         assert len(att) == 3
         np.testing.assert_allclose(att, [1 / 3] * 3, atol=1e-12)
 
@@ -98,9 +116,9 @@ class TestBuildGraph:
                 for i in range(6)]
         g = build_graph(objs, EgoState(speed=8.0), CFG)
         for nid in g.node_ids:
-            incoming = g.in_edges(nid)
-            if incoming:
-                assert sum(e.attention for e in incoming) == pytest.approx(1.0, abs=1e-12)
+            incoming = in_edges(g, nid)
+            if len(incoming):
+                assert incoming["attention"].sum() == pytest.approx(1.0, abs=1e-12)
         a = g.attention_matrix()
         rows = a.sum(axis=1)
         for r in rows:
@@ -113,20 +131,20 @@ class TestBuildGraph:
                              InteractionConfig(attention_positive_energy=True))
         # default: the lowest-energy in-edge gets the most attention;
         # flipped: the highest-energy one does
-        for g, pick in ((g_decay, min), (g_grow, max)):
-            incoming = g.in_edges(0)
-            expected = pick(incoming, key=lambda e: e.energy)
-            assert max(incoming, key=lambda e: e.attention) == expected
+        for g, pick in ((g_decay, np.argmin), (g_grow, np.argmax)):
+            incoming = in_edges(g, 0)
+            expected = incoming[pick(incoming["energy"])]
+            assert incoming[np.argmax(incoming["attention"])] == expected
 
     def test_edge_fields(self):
         objs = [make_object(0, (10, 0, 0), velocity=(2, 0, 0))]
         g = build_graph(objs, EgoState(speed=8.0), CFG)
-        e = next(e for e in g.edges if e.src == EGO_ID and e.dst == 0)
-        assert e.distance == pytest.approx(10.0)
-        assert e.speed_diff == pytest.approx(6.0)
-        assert 0.0 <= e.intensity <= 1.0
-        assert e.energy == pytest.approx(
-            CFG.w_distance * 10.0 + CFG.w_speed * 6.0 + CFG.w_intensity * e.intensity)
+        e = next(e for ids, e in zip(edge_ids(g), g.edges) if ids == (EGO_ID, 0))
+        assert e["distance"] == pytest.approx(10.0)
+        assert e["speed_diff"] == pytest.approx(6.0)
+        assert 0.0 <= e["intensity"] <= 1.0
+        assert e["energy"] == pytest.approx(
+            CFG.w_distance * 10.0 + CFG.w_speed * 6.0 + CFG.w_intensity * e["intensity"])
 
     def test_ego_id_rejected(self):
         objs = [make_object(0, (5, 0, 0)), make_object(EGO_ID, (10, 0, 0))]
@@ -135,7 +153,7 @@ class TestBuildGraph:
 
     def test_empty_graph(self):
         g = build_graph([], EgoState(speed=8.0), CFG)
-        assert g.node_ids == (EGO_ID,) and g.edges == () and g.in_edges(EGO_ID) == []
+        assert g.node_ids == (EGO_ID,) and len(g.edges) == 0 and len(in_edges(g, EGO_ID)) == 0
         np.testing.assert_array_equal(g.attention_matrix(), np.zeros((1, 1)))
 
     def test_value_equality(self):
@@ -200,14 +218,15 @@ class TestScalarEquivalence:
         g = build_graph(objs, ego, cfg)
         ref = scalar_build_graph(objs, ego, cfg)
         assert g.node_ids == ref.node_ids
-        assert [(e.src, e.dst) for e in g.edges] == [(e.src, e.dst) for e in ref.edges]
+        assert edge_ids(g) == [(e.src, e.dst) for e in ref.edges]
         for f in ("distance", "speed_diff", "intensity", "energy", "attention"):
-            np.testing.assert_allclose([getattr(e, f) for e in g.edges],
-                                       [getattr(e, f) for e in ref.edges], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g.edges[f], [getattr(e, f) for e in ref.edges],
+                                       rtol=0, atol=1e-12)
         for row_sum in g.attention_matrix().sum(axis=1):
             assert row_sum == pytest.approx(1.0, abs=1e-12) or row_sum == 0.0
-        for nid in g.node_ids:
-            assert g.in_edges(nid) == [e for e in g.edges if e.dst == nid]
+        for k in range(g.n_nodes):
+            assert np.array_equal(g.edges[g.indptr[k]:g.indptr[k + 1]],
+                                  g.edges[g.edges["dst"] == k])
 
     @settings(max_examples=200, deadline=None)
     @given(graph_inputs())
@@ -295,7 +314,7 @@ class TestForwardMc:
         cloud = PointCloud(np.array([[5.0, 0, 0, 1.0], [25.0, 0, 0, 1.0]]))
         assessments = assess(objs, ego, cloud)
         graph = build_graph(objs, ego, cfg)
-        assert graph.edges == ()
+        assert len(graph.edges) == 0
         feats = graph_features(objs, assessments, ego)
         model = BgnnModel.initialize(cfg, seed=2)
         base, _ = forward_mc(graph, feats, model.params, 4, seed=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from drivetrace.config import PipelineConfig
-from drivetrace.interaction import InteractionConfig, build_graph, refine_objects
+from drivetrace.interaction import EGO_ID, InteractionConfig, build_graph, refine_objects
 from drivetrace.pipeline import run_scene
 from drivetrace.reasoner import (
     DecisionTrace,
@@ -21,12 +21,14 @@ from drivetrace.reasoner import (
     extract_risk_factors,
     find_lead,
     format_trace,
+    risk_factors_with_graph_refs,
     trace_to_dict,
 )
 from drivetrace.risk import UncertaintyConfig, assess
 from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import EgoState, Intent, PointCloud
 from conftest import make_object
+from interaction_oracle import scalar_build_graph
 
 CFG = ReasonerConfig()
 UCFG = UncertaintyConfig()
@@ -214,7 +216,7 @@ class TestExtractFactors:
         assert assessments[0].tier.value == "High"  # would be a High-tier risk...
         graph = build_graph(scene.objects, ego, self.ICFG)
         refined = refine_objects(scene.objects, assessments, graph, ego, UCFG)
-        factors = extract_risk_factors(scene, assessments, refined, graph, CFG, UCFG)
+        factors = extract_risk_factors(scene, assessments, refined, CFG, UCFG)
         # ...but the corridor gate keeps CollisionRisk out
         assert not any(f.kind is FactorKind.COLLISION_RISK for f in factors)
 
@@ -239,11 +241,30 @@ class TestExtractFactors:
         assert assessments[0].flagged
         graph = build_graph(scene.objects, ego, self.ICFG)
         refined = refine_objects(scene.objects, assessments, graph, ego, UCFG)
-        factors = extract_risk_factors(scene, assessments, refined, graph, CFG, UCFG)
+        factors = extract_risk_factors(scene, assessments, refined, CFG, UCFG)
         unp = [f for f in factors if f.kind is FactorKind.UNPREDICTABLE_OBJECT]
         assert len(unp) == 1
         assert unp[0].magnitude == pytest.approx(
             min(1.0, assessments[0].uncertainty / UCFG.threshold))
+
+    def test_ego_edge_evidence(self):
+        ego = EgoState(speed=8.0)
+        objs = [make_object(0, (8, 0.5, 0), velocity=(3, 0, 0)),
+                make_object(1, (60, 0, 0)),  # beyond edge_radius of the ego
+                make_object(2, (5, -3, 0), yaw=1.0)]
+        factors = [collision(0.9, object_id=0), occlusion(),
+                   unpredictable(object_id=1), unpredictable(object_id=2)]
+        out = risk_factors_with_graph_refs(factors, build_graph(objs, ego, self.ICFG))
+        ref = scalar_build_graph(objs, ego, self.ICFG)
+        assert out[1] == factors[1] and out[2] == factors[2]
+        for f, new in ((factors[0], out[0]), (factors[3], out[3])):
+            e = next(e for e in ref.edges if e.src == f.object_id and e.dst == EGO_ID)
+            assert new.evidence[:-2] == f.evidence
+            assert [k for k, _ in new.evidence[-2:]] == ["ego_edge_attention", "ego_edge_energy"]
+            for key, expected in (("ego_edge_attention", e.attention),
+                                  ("ego_edge_energy", e.energy)):
+                assert type(new.get(key)) is float
+                assert new.get(key) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 class TestLead:

@@ -167,7 +167,7 @@ class TestTypes:
     def test_point_cloud(self):
         cloud = PointCloud(np.array([[1.0, 2.0, 3.0, 4.0], [0, 0, 0, 0]]))
         assert len(cloud) == 2
-        assert cloud.point(0).intensity == 4.0
+        assert cloud.data[0, 3] == 4.0
         with pytest.raises(ValueError):
             PointCloud(np.array([[1.0, 2.0, 3.0, -1.0]]))
         assert not cloud.data.flags.writeable

@@ -38,7 +38,7 @@ def test_ascii_comments_and_blank_lines(tmp_path):
     path.write_text("# header comment\n\n1.0 2.0 3.0 4.0\n# mid comment\n5 6 7 8\n")
     back = read_cloud(path)
     assert len(back) == 2
-    assert back.point(1).x == 5.0
+    assert back.data[1, 0] == 5.0
 
 
 def test_ascii_bad_line_rejected(tmp_path):
