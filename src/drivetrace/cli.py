@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -118,11 +117,9 @@ def cmd_scene(args) -> int:
 def cmd_train_bgnn(args) -> int:
     out = _out_dir(args)
     config = _load(args)
-    icfg = config.interaction
-    if args.embed_dim:
-        icfg = replace(icfg, embed_dim=args.embed_dim)
-    model = BgnnModel.initialize(icfg, seed=config.seed)
-    dataset = synthetic_yield_ignore_dataset(args.samples, config.seed, icfg)
+    model = BgnnModel.initialize(config.interaction, seed=config.seed)
+    dataset = synthetic_yield_ignore_dataset(args.samples, config.seed, config.interaction,
+                                             config.reasoner.static_speed)
     history = train_bgnn(model, dataset, steps=args.steps, lr=args.lr,
                          seed=config.seed)
     accuracy = training_accuracy(model, dataset)
@@ -193,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--samples", type=int, default=128, help="training graphs")
     p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--embed-dim", type=int, default=None,
-                   help="override config embed_dim (smaller is faster)")
     p.set_defaults(func=cmd_train_bgnn)
 
     p = sub.add_parser("evaluate", help="run a scenario suite and report metrics")

@@ -20,22 +20,34 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .risk import ObjectAssessment, UncertaintyConfig, combined_uncertainty, shannon_entropy
+from .risk import (
+    ObjectAssessment,
+    RiskConfig,
+    UncertaintyConfig,
+    assess,
+    combined_uncertainty,
+    shannon_entropy,
+)
 from .scene import (
     NUM_CLASSES,
     ClassDistribution,
     EgoState,
     ObjectClass,
+    OrientedBox,
+    PointCloud,
     TrackedObject,
     in_corridor,
 )
+
+if TYPE_CHECKING:
+    from .reasoner import ReasonerConfig
 
 EGO_ID = -1
 #: nominal ego body used for the ego node features
@@ -43,7 +55,6 @@ EGO_DIMS = (4.5, 1.9, 1.6)
 FEATURE_DIM = 16  # center 3 + velocity 3 + dims 3 + sin/cos yaw + class 4 + risk
 MODEL_MAGIC = b"BGNN0001"
 PROB_FLOOR = 1e-9
-STATIC_SPEED = 0.5
 
 
 class InteractionLabel(Enum):
@@ -179,8 +190,8 @@ def contextual_intensity(
     return alignment * _PAIR_FACTOR[src_class, dst_class]
 
 
-def _object_heading(obj: TrackedObject) -> float:
-    if obj.speed > STATIC_SPEED:
+def _object_heading(obj: TrackedObject, static_speed: float) -> float:
+    if obj.speed > static_speed:
         return math.atan2(obj.velocity[1], obj.velocity[0])
     return obj.box.yaw
 
@@ -198,11 +209,12 @@ _EGO_ONLY = InteractionGraph((EGO_ID,), np.empty(0, EDGE_DTYPE), np.zeros(2, dty
 
 
 def build_graph(objects: Sequence[TrackedObject], ego: EgoState,
-                cfg: InteractionConfig) -> InteractionGraph:
+                cfg: InteractionConfig, static_speed: float) -> InteractionGraph:
     """Build the interaction graph: object nodes plus the ego node, with
     directed edges between all node pairs within ``edge_radius``.
 
-    Attention is normalized over each node's in-edges.
+    An object heads along its velocity above ``static_speed`` and along its
+    box yaw otherwise.  Attention is normalized over each node's in-edges.
     """
     for i, o in enumerate(objects):
         if o.id == EGO_ID:
@@ -213,7 +225,7 @@ def build_graph(objects: Sequence[TrackedObject], ego: EgoState,
     n = len(objects) + 1
     # one row per node: center, velocity, heading, class probabilities
     nodes = np.array(
-        [(*o.box.center, *o.velocity, _object_heading(o), *o.class_dist.probs)
+        [(*o.box.center, *o.velocity, _object_heading(o, static_speed), *o.class_dist.probs)
          for o in objects]
         + [(*ego.position, *_ego_velocity(ego), ego.heading, *_EGO_CLASS.probs)])
     centers, velocities, headings = nodes[:, 0:3], nodes[:, 3:6], nodes[:, 6]
@@ -333,21 +345,6 @@ class BayesianLayer:
             bias_means=np.zeros(out_dim),
             bias_log_stds=np.full(out_dim, init_log_std),
         )
-
-    def arrays(self) -> list[np.ndarray]:
-        return [self.weight_means, self.weight_log_stds, self.bias_means, self.bias_log_stds]
-
-
-@dataclass
-class LayerGrads:
-    weight_means: np.ndarray
-    weight_log_stds: np.ndarray
-    bias_means: np.ndarray
-    bias_log_stds: np.ndarray
-
-    @staticmethod
-    def zeros_like(layer: BayesianLayer) -> "LayerGrads":
-        return LayerGrads(*(np.zeros_like(a) for a in layer.arrays()))
 
     def arrays(self) -> list[np.ndarray]:
         return [self.weight_means, self.weight_log_stds, self.bias_means, self.bias_log_stds]
@@ -477,8 +474,9 @@ def elbo_loss(
     prior_std: float,
     mc_samples: int,
     kl_weight: Optional[float] = None,
-) -> tuple[float, list[LayerGrads]]:
-    """ELBO-style loss and analytic gradients.
+) -> tuple[float, list[BayesianLayer]]:
+    """ELBO-style loss and analytic gradients, one :class:`BayesianLayer`
+    of gradient arrays per parameter layer.
 
     ``batch`` holds (graph, features, labels) triples; labels are int
     class indices per node, -1 for unlabeled nodes.  The loss is the MC
@@ -489,7 +487,7 @@ def elbo_loss(
     """
     if kl_weight is None:
         kl_weight = 1.0 / len(batch)
-    grads = [LayerGrads.zeros_like(layer) for layer in params]
+    grads = [BayesianLayer(*(np.zeros_like(a) for a in layer.arrays())) for layer in params]
     n_graphs = len(batch)
     ce_total = 0.0
     prepared = [(g.attention_matrix(), feats, labels) for g, feats, labels in batch]
@@ -616,22 +614,21 @@ def classify_interaction(
     velocity: Sequence[float],
     top_class: ObjectClass,
     ego: EgoState,
-    corridor_width: float = 3.5,
-    corridor_length: float = 40.0,
+    cfg: ReasonerConfig,
 ) -> InteractionLabel:
-    """Kinematic interaction rule.
+    """Kinematic interaction rule over the ego corridor of ``cfg``.
 
-    Yield for corridor objects closing faster than 0.5 m/s and for any
-    pedestrian in the corridor; Follow for corridor vehicles receding or
-    matching speed; Ignore otherwise.
+    Yield for corridor objects closing faster than ``cfg.static_speed`` and
+    for any pedestrian in the corridor; Follow for corridor vehicles
+    receding or matching speed; Ignore otherwise.
     """
-    if not in_corridor(center[0], center[1], ego, corridor_width, corridor_length):
+    if not in_corridor(center[0], center[1], ego, cfg.corridor_width, cfg.corridor_length):
         return InteractionLabel.IGNORE
     rel_v = np.asarray(velocity, dtype=np.float64) - _ego_velocity(ego)
     pos = np.asarray(center, dtype=np.float64)
     dist = float(np.linalg.norm(pos))
     closing = 0.0 if dist == 0 else float(-(pos @ rel_v) / dist)
-    if top_class is ObjectClass.PEDESTRIAN or closing > STATIC_SPEED:
+    if top_class is ObjectClass.PEDESTRIAN or closing > cfg.static_speed:
         return InteractionLabel.YIELD
     if top_class is ObjectClass.VEHICLE:
         return InteractionLabel.FOLLOW
@@ -644,6 +641,7 @@ def refine_objects(
     graph: InteractionGraph,
     ego: EgoState,
     ucfg: UncertaintyConfig,
+    rcfg: ReasonerConfig,
     model: Optional[BgnnModel] = None,
     seed: int = 0,
 ) -> list[RefinedEstimate]:
@@ -682,7 +680,7 @@ def refine_objects(
         else:
             eps = (0.0,) * len(labels)
             label = classify_interaction(obj.box.center, obj.velocity,
-                                         obj.class_dist.top_class, ego)
+                                         obj.class_dist.top_class, ego, rcfg)
         refined.append(
             RefinedEstimate(
                 object_id=obj.id,
@@ -708,7 +706,7 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(params: Sequence[BayesianLayer], grads: Sequence[LayerGrads],
+def adam_step(params: Sequence[BayesianLayer], grads: Sequence[BayesianLayer],
               state: AdamState, lr: float = 0.01, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> None:
     if not state.m:
@@ -765,11 +763,10 @@ def synthetic_yield_ignore_dataset(
     n_graphs: int,
     seed: int,
     cfg: InteractionConfig,
+    static_speed: float,
 ) -> list[tuple[InteractionGraph, np.ndarray, np.ndarray]]:
     """Linearly separable Yield/Ignore set built from proximity and closing
     speed: near approaching objects are Yield, far receding ones Ignore."""
-    from .risk import RiskConfig, assess  # local to avoid cycles at import time
-
     rng = np.random.default_rng(seed)
     ego = EgoState(heading=0.0, speed=8.0)
     dataset = []
@@ -784,26 +781,18 @@ def synthetic_yield_ignore_dataset(
             vx = rng.uniform(9.0, 16.0)
             label = InteractionLabel.IGNORE
         y = rng.uniform(-1.5, 1.5)
-        from .scene import OrientedBox
-
         obj = TrackedObject(
             id=0,
             box=OrientedBox((x, y, 0.8), 4.5, 1.9, 1.6, 0.0),
             velocity=(vx, 0.0, 0.0),
             class_dist=ClassDistribution.one_hot(ObjectClass.VEHICLE),
         )
-        assessments = assess([obj], ego, _empty_cloud(), UncertaintyConfig(), RiskConfig())
-        graph = build_graph([obj], ego, cfg)
+        assessments = assess([obj], ego, PointCloud(), UncertaintyConfig(), RiskConfig())
+        graph = build_graph([obj], ego, cfg, static_speed)
         feats = graph_features([obj], assessments, ego)
         labels = np.array([label.index, -1])
         dataset.append((graph, feats, labels))
     return dataset
-
-
-def _empty_cloud():
-    from .scene import PointCloud
-
-    return PointCloud()
 
 
 # ---------------------------------------------------------------------------
@@ -826,38 +815,38 @@ def save_model(model: BgnnModel, path: str | Path) -> None:
     body = b"".join(a.astype("<f8").tobytes() for layer in model.params
                     for a in layer.arrays())
     path.write_bytes(header + body)
-    cfg = model.config
-    sidecar = {
-        "in_dim": model.in_dim,
-        "out_dim": model.out_dim,
-        "config": {
-            "edge_radius": cfg.edge_radius,
-            "w_distance": cfg.w_distance,
-            "w_speed": cfg.w_speed,
-            "w_intensity": cfg.w_intensity,
-            "layers": cfg.layers,
-            "embed_dim": cfg.embed_dim,
-            "mc_samples": cfg.mc_samples,
-            "prior_std": cfg.prior_std,
-            "attention_positive_energy": cfg.attention_positive_energy,
-        },
-    }
+    sidecar = {"in_dim": model.in_dim, "out_dim": model.out_dim,
+               "config": asdict(model.config)}
     path.with_suffix(path.suffix + ".json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def load_model(path: str | Path) -> BgnnModel:
+    """Read a model written by :func:`save_model`.
+
+    A file whose size differs from the size its header implies, and a
+    sidecar with missing, unknown or invalid config keys, raise ValueError
+    with the offending file's path in front of the reason.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if raw[:8] != MODEL_MAGIC:
-        raise ValueError(f"not a model file: {path}")
-    (n_layers,) = struct.unpack("<I", raw[8:12])
-    dims = []
-    pos = 12
-    for _ in range(n_layers):
-        out_dim, in_dim = struct.unpack("<II", raw[pos : pos + 8])
-        dims.append((out_dim, in_dim))
-        pos += 8
+        raise ValueError(f"{path}: not a model file")
+
+    def size_error(what: str, expected: int) -> ValueError:
+        return ValueError(f"{path}: {what} take {expected} bytes, "
+                          f"but the file has {len(raw)}")
+
+    if len(raw) < 12:
+        raise size_error("the magic and layer count", 12)
+    (n_layers,) = struct.unpack_from("<I", raw, 8)
+    pos = 12 + 8 * n_layers
+    if len(raw) < pos:
+        raise size_error(f"the dims of {n_layers} layers", pos)
+    dims = [struct.unpack_from("<II", raw, 12 + 8 * k) for k in range(n_layers)]
+    expected = pos + sum(16 * out_dim * (in_dim + 1) for out_dim, in_dim in dims)
+    if len(raw) != expected:
+        raise size_error(f"the header and {n_layers} layers", expected)
     layers = []
     for out_dim, in_dim in dims:
         arrays = []
@@ -867,6 +856,12 @@ def load_model(path: str | Path) -> BgnnModel:
             arrays.append(arr.astype(np.float64))
             pos += count * 8
         layers.append(BayesianLayer(*arrays))
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    cfg = InteractionConfig(**sidecar["config"])
-    return BgnnModel(cfg, sidecar["in_dim"], sidecar["out_dim"], layers)
+    sidecar_path = path.with_suffix(path.suffix + ".json")
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+        cfg = InteractionConfig(**sidecar["config"])
+        return BgnnModel(cfg, sidecar["in_dim"], sidecar["out_dim"], layers)
+    except KeyError as exc:
+        raise ValueError(f"{sidecar_path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar_path}: {exc}") from exc

@@ -58,9 +58,11 @@ def run_scene(scene: Scene, config: PipelineConfig,
     scene = scene.with_objects(detections)
     assessments = assess(scene.objects, scene.ego, scene.cloud,
                          config.uncertainty, config.risk)
-    graph = build_graph(scene.objects, scene.ego, config.interaction)
+    graph = build_graph(scene.objects, scene.ego, config.interaction,
+                        config.reasoner.static_speed)
     refined = refine_objects(scene.objects, assessments, graph, scene.ego,
-                             config.uncertainty, model=model, seed=config.seed)
+                             config.uncertainty, config.reasoner, model=model,
+                             seed=config.seed)
     factors = extract_risk_factors(scene, assessments, refined,
                                    config.reasoner, config.uncertainty)
     factors = risk_factors_with_graph_refs(factors, graph)

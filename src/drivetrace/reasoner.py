@@ -139,9 +139,7 @@ def _sector_densities(scene: Scene, cfg: ReasonerConfig) -> list[float]:
     xyz = scene.cloud.xyz
     if xyz.shape[0] == 0:
         return [0.0] * cfg.occlusion_sectors
-    c, s = math.cos(scene.ego.heading), math.sin(scene.ego.heading)
-    fwd = xyz[:, 0] * c + xyz[:, 1] * s
-    lat = -xyz[:, 0] * s + xyz[:, 1] * c
+    fwd, lat = forward_lateral(xyz[:, 0], xyz[:, 1], scene.ego)
     half = cfg.corridor_width / 2.0
     sector_len = cfg.corridor_length / cfg.occlusion_sectors
     area = sector_len * cfg.corridor_width

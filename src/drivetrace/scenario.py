@@ -20,6 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .interaction import InteractionLabel, classify_interaction
+from .reasoner import ReasonerConfig
 from .scene import (
     EgoState,
     GroundTruthObject,
@@ -252,8 +253,10 @@ def _template_tag(t: Template) -> int:
     return list(Template).index(t)
 
 
-def label_interactions(scene: Scene) -> list[tuple[int, InteractionLabel]]:
-    """Rule-based interaction labels for the ground-truth objects.
+def label_interactions(scene: Scene,
+                       cfg: ReasonerConfig) -> list[tuple[int, InteractionLabel]]:
+    """Rule-based interaction labels for the ground-truth objects, over the
+    corridor and moving-speed threshold of ``cfg``.
 
     Yield for corridor objects closing in (or any corridor pedestrian),
     Follow for corridor vehicles receding or matching speed, Ignore
@@ -265,6 +268,6 @@ def label_interactions(scene: Scene) -> list[tuple[int, InteractionLabel]]:
     if scene.ground_truth is None:
         raise ValueError("label_interactions requires scene.ground_truth")
     return [
-        (i, classify_interaction(g.box.center, g.velocity, g.label, scene.ego))
+        (i, classify_interaction(g.box.center, g.velocity, g.label, scene.ego, cfg))
         for i, g in enumerate(scene.ground_truth)
     ]

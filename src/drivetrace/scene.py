@@ -361,14 +361,16 @@ class Scene:
 
 
 def forward_lateral(x: float, y: float, ego: EgoState) -> tuple[float, float]:
-    """Project a point into the ego heading frame: (forward, lateral)."""
+    """Project a point, or arrays of points, into the ego heading frame:
+    (forward, lateral)."""
     c, s = math.cos(ego.heading), math.sin(ego.heading)
     return (c * x + s * y, -s * x + c * y)
 
 
-def in_corridor(x: float, y: float, ego: EgoState, width: float = 3.5,
-                length: float = 40.0, lateral_offset: float = 0.0) -> bool:
-    """True if (x, y) lies in the rectangular corridor ahead of the ego.
+def in_corridor(x: float, y: float, ego: EgoState, width: float, length: float,
+                lateral_offset: float = 0.0) -> bool:
+    """True if (x, y) lies in the ``width`` x ``length`` rectangular
+    corridor ahead of the ego.
 
     ``lateral_offset`` shifts the corridor sideways (adjacent lanes are the
     corridors at +/- width).

@@ -20,7 +20,6 @@ import numpy as np
 from drivetrace.interaction import (
     EGO_ID,
     PROB_FLOOR,
-    STATIC_SPEED,
     BgnnModel,
     InteractionConfig,
     InteractionLabel,
@@ -33,6 +32,7 @@ from drivetrace.interaction import (
     interaction_energy,
     refine_uncertainty,
 )
+from drivetrace.reasoner import ReasonerConfig
 from drivetrace.risk import ObjectAssessment, UncertaintyConfig
 from drivetrace.scene import ClassDistribution, EgoState, ObjectClass, TrackedObject
 
@@ -83,16 +83,16 @@ def _intensity(src_center, dst_center, src_heading, src_class, dst_class) -> flo
     return alignment * _pair_factor(src_class, dst_class)
 
 
-def _heading(obj: TrackedObject) -> float:
-    if obj.speed > STATIC_SPEED:
+def _heading(obj: TrackedObject, static_speed: float) -> float:
+    if obj.speed > static_speed:
         return math.atan2(obj.velocity[1], obj.velocity[0])
     return obj.box.yaw
 
 
 def scalar_build_graph(objects: Sequence[TrackedObject], ego: EgoState,
-                       cfg: InteractionConfig) -> ScalarGraph:
+                       cfg: InteractionConfig, static_speed: float) -> ScalarGraph:
     nodes = [
-        (o.id, np.asarray(o.box.center), np.asarray(o.velocity), _heading(o),
+        (o.id, np.asarray(o.box.center), np.asarray(o.velocity), _heading(o, static_speed),
          o.class_dist.top_class)
         for o in objects
     ]
@@ -142,6 +142,7 @@ def scalar_refine_objects(
     graph: ScalarGraph,
     ego: EgoState,
     ucfg: UncertaintyConfig,
+    rcfg: ReasonerConfig,
     model: Optional[BgnnModel] = None,
     seed: int = 0,
 ) -> list[RefinedEstimate]:
@@ -170,7 +171,7 @@ def scalar_refine_objects(
         else:
             eps = (0.0,) * len(InteractionLabel)
             label = classify_interaction(obj.box.center, obj.velocity,
-                                         obj.class_dist.top_class, ego)
+                                         obj.class_dist.top_class, ego, rcfg)
         refined.append(RefinedEstimate(
             obj.id, fused,
             refine_uncertainty(fused, assess_by_id[obj.id].deviation, ucfg),

@@ -15,6 +15,7 @@ from drivetrace.config import (
     save_config,
 )
 from drivetrace.detector import DETECTORS
+from drivetrace.interaction import BgnnModel, InteractionConfig, save_model
 from drivetrace.pipeline import run_scene
 from drivetrace.scene_io import load_scene
 from interaction_oracle import scalar_build_graph
@@ -79,7 +80,8 @@ class TestPipelineCommands:
         # the edge list against the per-pair oracle on the same detections
         config = PipelineConfig()
         scene = run_scene(load_scene(ped_scene), config).scene
-        ref = scalar_build_graph(scene.objects, scene.ego, config.interaction)
+        ref = scalar_build_graph(scene.objects, scene.ego, config.interaction,
+                                 config.reasoner.static_speed)
         assert g["nodes"] == list(ref.node_ids)
         assert [(e["src"], e["dst"]) for e in g["edges"]] == [(e.src, e.dst) for e in ref.edges]
         for f in ("distance", "speed_diff", "intensity", "energy", "attention"):
@@ -134,19 +136,26 @@ class TestPipelineCommands:
         assert capsys.readouterr().out.strip() in text + "\n"
 
 
+@pytest.fixture()
+def small_embed(tmp_path):
+    path = tmp_path / "embed8.json"
+    path.write_text(json.dumps({"interaction": {"embed_dim": 8}}))
+    return path
+
+
 class TestTrainEvaluate:
-    def test_train_bgnn_artifacts(self, tmp_path):
+    def test_train_bgnn_artifacts(self, tmp_path, small_embed):
         out = tmp_path / "train"
         assert run("train-bgnn", "--steps", "30", "--samples", "32",
-                   "--embed-dim", "8", "--out", str(out)) == 0
+                   "--config", str(small_embed), "--out", str(out)) == 0
         assert (out / "model.bin").exists()
         assert (out / "model.bin.json").exists()
         history = json.loads((out / "training.json").read_text())
         assert history["accuracy"] >= 0.5
 
-    def test_train_bgnn_zero_steps_exit_1(self, tmp_path, capsys):
+    def test_train_bgnn_zero_steps_exit_1(self, tmp_path, capsys, small_embed):
         assert run("train-bgnn", "--steps", "0", "--samples", "2",
-                   "--embed-dim", "8", "--out", str(tmp_path / "train")) == 1
+                   "--config", str(small_embed), "--out", str(tmp_path / "train")) == 1
         assert "ValueError: steps must be >= 1" in capsys.readouterr().err
 
     def test_evaluate_end_to_end(self, tmp_path):
@@ -189,6 +198,16 @@ class TestTrainEvaluate:
         records = {r["path"]: r for r in json.loads((out / "scenes.json").read_text())}
         assert "EgoState.speed" in records[bad.name]["error"]
         assert records["scene_empty-road_0000.json"]["error"] is None
+
+    def test_evaluate_truncated_model_exit_1(self, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        assert run("generate", "--template", "empty-road", "--out", str(gen)) == 0
+        model = tmp_path / "model.bin"
+        save_model(BgnnModel.initialize(InteractionConfig(layers=1, embed_dim=4)), model)
+        model.write_bytes(model.read_bytes()[:-8])
+        assert run("evaluate", "--manifest", str(gen / "manifest.json"),
+                   "--model", str(model), "--out", str(tmp_path / "eval")) == 1
+        assert f"error: ValueError: {model}: " in capsys.readouterr().err
 
     def test_evaluate_error_exit_code(self, tmp_path):
         manifest = tmp_path / "manifest.json"

@@ -1,5 +1,6 @@
 """Interaction graph, Bayesian GNN, fusion, and variational training."""
 
+import json
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from drivetrace.interaction import (
     train_bgnn,
     training_accuracy,
 )
+from drivetrace.reasoner import ReasonerConfig
 from drivetrace.risk import UncertaintyConfig, assess, shannon_entropy
 from drivetrace.scene import ClassDistribution, EgoState, ObjectClass, PointCloud
 from conftest import make_object
@@ -38,6 +40,8 @@ from interaction_oracle import scalar_build_graph, scalar_refine_objects
 
 CFG = InteractionConfig()
 SMALL = InteractionConfig(layers=2, embed_dim=8, mc_samples=3)
+RCFG = ReasonerConfig()
+STATIC = RCFG.static_speed
 
 
 def dist(*p):
@@ -85,12 +89,12 @@ class TestEnergy:
 class TestBuildGraph:
     def test_radius_cut(self):
         objs = [make_object(0, (5, 0, 0)), make_object(1, (105, 0, 0))]
-        g = build_graph(objs, EgoState(), CFG)
+        g = build_graph(objs, EgoState(), CFG, STATIC)
         assert not any({s, d} == {0, 1} for s, d in edge_ids(g))
 
     def test_single_in_edge_attention_one(self):
         objs = [make_object(0, (5, 0, 0))]
-        g = build_graph(objs, EgoState(), CFG)
+        g = build_graph(objs, EgoState(), CFG, STATIC)
         incoming = in_edges(g, 0)
         assert len(incoming) == 1 and g.node_ids[incoming[0]["src"]] == EGO_ID
         assert incoming[0]["attention"] == pytest.approx(1.0)
@@ -105,7 +109,7 @@ class TestBuildGraph:
             make_object(3, (20, 5, 0), yaw=-math.pi / 2),
         ]
         cfg = InteractionConfig(edge_radius=6.0)  # exclude the ego at origin
-        g = build_graph([center, *sats], EgoState(), cfg)
+        g = build_graph([center, *sats], EgoState(), cfg, STATIC)
         att = in_edges(g, 0)["attention"]
         assert len(att) == 3
         np.testing.assert_allclose(att, [1 / 3] * 3, atol=1e-12)
@@ -114,7 +118,7 @@ class TestBuildGraph:
         objs = [make_object(i, (rng.uniform(2, 28), rng.uniform(-8, 8), 0),
                             velocity=(rng.uniform(-5, 5), rng.uniform(-5, 5), 0))
                 for i in range(6)]
-        g = build_graph(objs, EgoState(speed=8.0), CFG)
+        g = build_graph(objs, EgoState(speed=8.0), CFG, STATIC)
         for nid in g.node_ids:
             incoming = in_edges(g, nid)
             if len(incoming):
@@ -126,9 +130,9 @@ class TestBuildGraph:
 
     def test_sign_flip_config(self):
         objs = [make_object(0, (10, 0, 0)), make_object(1, (18, 0, 0))]
-        g_decay = build_graph(objs, EgoState(), CFG)
+        g_decay = build_graph(objs, EgoState(), CFG, STATIC)
         g_grow = build_graph(objs, EgoState(),
-                             InteractionConfig(attention_positive_energy=True))
+                             InteractionConfig(attention_positive_energy=True), STATIC)
         # default: the lowest-energy in-edge gets the most attention;
         # flipped: the highest-energy one does
         for g, pick in ((g_decay, np.argmin), (g_grow, np.argmax)):
@@ -138,7 +142,7 @@ class TestBuildGraph:
 
     def test_edge_fields(self):
         objs = [make_object(0, (10, 0, 0), velocity=(2, 0, 0))]
-        g = build_graph(objs, EgoState(speed=8.0), CFG)
+        g = build_graph(objs, EgoState(speed=8.0), CFG, STATIC)
         e = next(e for ids, e in zip(edge_ids(g), g.edges) if ids == (EGO_ID, 0))
         assert e["distance"] == pytest.approx(10.0)
         assert e["speed_diff"] == pytest.approx(6.0)
@@ -146,21 +150,31 @@ class TestBuildGraph:
         assert e["energy"] == pytest.approx(
             CFG.w_distance * 10.0 + CFG.w_speed * 6.0 + CFG.w_intensity * e["intensity"])
 
+    def test_static_speed_picks_velocity_heading(self):
+        # 0.3 m/s sideways at yaw 0: above a 0.2 m/s threshold the object
+        # heads along its velocity (pi/2), below the default 0.5 along its yaw
+        objs = [make_object(0, (10, 0, 0), yaw=0.0, velocity=(0, 0.3, 0))]
+        (moving,) = in_edges(build_graph(objs, EgoState(), CFG, 0.2), EGO_ID)
+        (static,) = in_edges(build_graph(objs, EgoState(), CFG, STATIC), EGO_ID)
+        assert moving["intensity"] == pytest.approx(0.5 * 0.8, abs=1e-12)
+        assert static["intensity"] == pytest.approx(0.0, abs=1e-12)
+        assert moving["energy"] > static["energy"]
+
     def test_ego_id_rejected(self):
         objs = [make_object(0, (5, 0, 0)), make_object(EGO_ID, (10, 0, 0))]
         with pytest.raises(ValueError, match="object 1 has id -1"):
-            build_graph(objs, EgoState(), CFG)
+            build_graph(objs, EgoState(), CFG, STATIC)
 
     def test_empty_graph(self):
-        g = build_graph([], EgoState(speed=8.0), CFG)
+        g = build_graph([], EgoState(speed=8.0), CFG, STATIC)
         assert g.node_ids == (EGO_ID,) and len(g.edges) == 0 and len(in_edges(g, EGO_ID)) == 0
         np.testing.assert_array_equal(g.attention_matrix(), np.zeros((1, 1)))
 
     def test_value_equality(self):
         objs = [make_object(0, (5, 0, 0)), make_object(1, (9, 2, 0))]
-        g = build_graph(objs, EgoState(speed=8.0), CFG)
-        assert g == build_graph(objs, EgoState(speed=8.0), CFG)
-        assert g != build_graph(objs, EgoState(speed=9.0), CFG)
+        g = build_graph(objs, EgoState(speed=8.0), CFG, STATIC)
+        assert g == build_graph(objs, EgoState(speed=8.0), CFG, STATIC)
+        assert g != build_graph(objs, EgoState(speed=9.0), CFG, STATIC)
 
 
 _probs = st.one_of(
@@ -175,8 +189,9 @@ _coord = st.floats(-40, 40)
 
 @st.composite
 def graph_inputs(draw, max_objects=10):
-    """Objects (ids in arbitrary order, static and moving), an ego state
-    and a graph config."""
+    """Objects (ids in arbitrary order, static and moving), an ego state,
+    a graph config and a reasoner config (corridor and moving-speed
+    threshold)."""
     ids = draw(st.lists(st.integers(0, 500), unique=True, max_size=max_objects))
     objs = [
         make_object(
@@ -194,7 +209,10 @@ def graph_inputs(draw, max_objects=10):
     cfg = InteractionConfig(edge_radius=draw(st.sampled_from([0.5, 10.0, 30.0, 100.0])),
                             w_speed=draw(st.sampled_from([0.0, 0.1, 2.0])),
                             attention_positive_energy=draw(st.booleans()))
-    return objs, ego, cfg
+    rcfg = ReasonerConfig(corridor_width=draw(st.floats(0.5, 20)),
+                          corridor_length=draw(st.floats(1, 80)),
+                          static_speed=draw(st.floats(0, 15)))
+    return objs, ego, cfg, rcfg
 
 
 def assert_refined_close(new, old):
@@ -214,9 +232,9 @@ class TestScalarEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(graph_inputs())
     def test_graph_matches_scalar_builder(self, inputs):
-        objs, ego, cfg = inputs
-        g = build_graph(objs, ego, cfg)
-        ref = scalar_build_graph(objs, ego, cfg)
+        objs, ego, cfg, rcfg = inputs
+        g = build_graph(objs, ego, cfg, rcfg.static_speed)
+        ref = scalar_build_graph(objs, ego, cfg, rcfg.static_speed)
         assert g.node_ids == ref.node_ids
         assert edge_ids(g) == [(e.src, e.dst) for e in ref.edges]
         for f in ("distance", "speed_diff", "intensity", "energy", "attention"):
@@ -231,25 +249,28 @@ class TestScalarEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(graph_inputs())
     def test_refine_matches_scalar(self, inputs):
-        objs, ego, cfg = inputs
+        objs, ego, cfg, rcfg = inputs
         ucfg = UncertaintyConfig()
         assessments = assess(objs, ego, PointCloud(), ucfg)
-        new = refine_objects(objs, assessments, build_graph(objs, ego, cfg), ego, ucfg)
-        old = scalar_refine_objects(objs, assessments, scalar_build_graph(objs, ego, cfg),
-                                    ego, ucfg)
+        new = refine_objects(objs, assessments, build_graph(objs, ego, cfg, rcfg.static_speed),
+                             ego, ucfg, rcfg)
+        old = scalar_refine_objects(objs, assessments,
+                                    scalar_build_graph(objs, ego, cfg, rcfg.static_speed),
+                                    ego, ucfg, rcfg)
         assert_refined_close(new, old)
 
     @settings(max_examples=25, deadline=None)
     @given(graph_inputs(max_objects=5), st.integers(0, 2**16))
     def test_refine_with_model_matches_scalar(self, inputs, seed):
-        objs, ego, cfg = inputs
+        objs, ego, cfg, rcfg = inputs
         ucfg = UncertaintyConfig()
         model = BgnnModel.initialize(SMALL, seed=1)
         assessments = assess(objs, ego, PointCloud(), ucfg)
-        new = refine_objects(objs, assessments, build_graph(objs, ego, cfg), ego, ucfg,
-                             model=model, seed=seed)
-        old = scalar_refine_objects(objs, assessments, scalar_build_graph(objs, ego, cfg),
-                                    ego, ucfg, model=model, seed=seed)
+        new = refine_objects(objs, assessments, build_graph(objs, ego, cfg, rcfg.static_speed),
+                             ego, ucfg, rcfg, model=model, seed=seed)
+        old = scalar_refine_objects(objs, assessments,
+                                    scalar_build_graph(objs, ego, cfg, rcfg.static_speed),
+                                    ego, ucfg, rcfg, model=model, seed=seed)
         assert_refined_close(new, old)
 
 
@@ -282,7 +303,7 @@ class TestNodeFeatures:
 
 class TestForwardMc:
     def graph_and_feats(self, cfg=SMALL, seed=0):
-        data = synthetic_yield_ignore_dataset(1, seed, cfg)
+        data = synthetic_yield_ignore_dataset(1, seed, cfg, STATIC)
         return data[0][0], data[0][1]
 
     def test_degenerate_stds_equal_mean_forward(self):
@@ -313,7 +334,7 @@ class TestForwardMc:
         ego = EgoState(speed=8.0)
         cloud = PointCloud(np.array([[5.0, 0, 0, 1.0], [25.0, 0, 0, 1.0]]))
         assessments = assess(objs, ego, cloud)
-        graph = build_graph(objs, ego, cfg)
+        graph = build_graph(objs, ego, cfg, STATIC)
         assert len(graph.edges) == 0
         feats = graph_features(objs, assessments, ego)
         model = BgnnModel.initialize(cfg, seed=2)
@@ -335,14 +356,14 @@ class TestForwardMc:
         assessments = assess(objs, ego, cloud)
         model = BgnnModel.initialize(cfg, seed=3)
 
-        graph = build_graph(objs, ego, cfg)
+        graph = build_graph(objs, ego, cfg, STATIC)
         feats = graph_features(objs, assessments, ego)
         base, _ = forward_mc(graph, feats, model.params, 5, seed=7)
 
         perm = [2, 0, 3, 1]
         objs_p = [objs[i] for i in perm]
         assessments_p = [assessments[i] for i in perm]
-        graph_p = build_graph(objs_p, ego, cfg)
+        graph_p = build_graph(objs_p, ego, cfg, STATIC)
         feats_p = graph_features(objs_p, assessments_p, ego)
         out_p, _ = forward_mc(graph_p, feats_p, model.params, 5, seed=7)
 
@@ -429,8 +450,8 @@ class TestRefine:
             [np.array([o.box.center for o in objs]), np.ones(3)]))
         ucfg = UncertaintyConfig()
         assessments = assess(objs, ego, cloud, ucfg)
-        graph = build_graph(objs, ego, CFG)
-        refined = refine_objects(objs, assessments, graph, ego, ucfg)
+        graph = build_graph(objs, ego, CFG, STATIC)
+        refined = refine_objects(objs, assessments, graph, ego, ucfg, RCFG)
         for a, r in zip(assessments, refined):
             assert r.refined_uncertainty < a.uncertainty
             assert r.epistemic_std == (0.0, 0.0, 0.0)
@@ -439,24 +460,24 @@ class TestRefine:
         objs = [make_object(0, (5, 0, 0)), make_object(1, (9, 2, 0))]
         ego, ucfg = EgoState(), UncertaintyConfig()
         assessments = assess(objs, ego, PointCloud(), ucfg)
-        graph = build_graph(objs[::-1], ego, CFG)
+        graph = build_graph(objs[::-1], ego, CFG, STATIC)
         with pytest.raises(ValueError, match="graph nodes"):
-            refine_objects(objs, assessments, graph, ego, ucfg)
+            refine_objects(objs, assessments, graph, ego, ucfg, RCFG)
 
     def test_classify_interaction_rules(self):
         ego = EgoState(speed=8.0)
         # closing static vehicle ahead: Yield
         assert classify_interaction((10, 0, 0), (0, 0, 0), ObjectClass.VEHICLE,
-                                    ego) is InteractionLabel.YIELD
+                                    ego, RCFG) is InteractionLabel.YIELD
         # lead at matching speed: Follow
         assert classify_interaction((15, 0, 0), (8, 0, 0), ObjectClass.VEHICLE,
-                                    ego) is InteractionLabel.FOLLOW
+                                    ego, RCFG) is InteractionLabel.FOLLOW
         # pedestrian in corridor: Yield regardless of motion
         assert classify_interaction((12, 1, 0), (8.0, 0, 0), ObjectClass.PEDESTRIAN,
-                                    ego) is InteractionLabel.YIELD
+                                    ego, RCFG) is InteractionLabel.YIELD
         # outside corridor: Ignore
         assert classify_interaction((10, 5, 0), (0, 0, 0), ObjectClass.VEHICLE,
-                                    ego) is InteractionLabel.IGNORE
+                                    ego, RCFG) is InteractionLabel.IGNORE
 
 
 class TestElbo:
@@ -473,7 +494,7 @@ class TestElbo:
         # with beta = 0, a trained-to-saturation model reaches ~0 cross-entropy
         cfg = InteractionConfig(layers=1, embed_dim=8, mc_samples=1)
         model = BgnnModel.initialize(cfg, seed=0)
-        data = synthetic_yield_ignore_dataset(16, 5, cfg)
+        data = synthetic_yield_ignore_dataset(16, 5, cfg, STATIC)
         train_bgnn(model, data, steps=300, lr=0.05, seed=1, kl_weight=0.0)
         for layer in model.params:  # silence the sampling noise
             layer.weight_log_stds[...] = -60.0
@@ -485,7 +506,7 @@ class TestElbo:
     def test_gradient_matches_finite_differences(self):
         cfg = SMALL
         model = BgnnModel.initialize(cfg, seed=4)
-        data = synthetic_yield_ignore_dataset(2, 14, cfg)
+        data = synthetic_yield_ignore_dataset(2, 14, cfg, STATIC)
 
         def flatten():
             return np.concatenate([a.ravel() for l in model.params for a in l.arrays()])
@@ -523,7 +544,7 @@ class TestTraining:
     def test_loss_decreases(self):
         cfg = InteractionConfig(layers=2, embed_dim=16, mc_samples=2)
         model = BgnnModel.initialize(cfg, seed=1)
-        data = synthetic_yield_ignore_dataset(64, 7, cfg)
+        data = synthetic_yield_ignore_dataset(64, 7, cfg, STATIC)
         history = train_bgnn(model, data, steps=60, lr=0.02, seed=3)
         assert history[-1] < history[0]
         assert training_accuracy(model, data) > 0.9
@@ -545,10 +566,49 @@ class TestSerialization:
 
     def test_forward_identical_after_reload(self, tmp_path):
         model = BgnnModel.initialize(SMALL, seed=9)
-        data = synthetic_yield_ignore_dataset(1, 0, SMALL)
+        data = synthetic_yield_ignore_dataset(1, 0, SMALL, STATIC)
         graph, feats, _ = data[0]
         save_model(model, tmp_path / "m.bin")
         back = load_model(tmp_path / "m.bin")
         a, _ = forward_mc(graph, feats, model.params, 4, seed=2)
         b, _ = forward_mc(graph, feats, back.params, 4, seed=2)
         np.testing.assert_array_equal(a, b)
+
+    def save_small(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(BgnnModel.initialize(SMALL, seed=9), path)
+        return path, path.read_bytes()
+
+    def test_truncated_body_rejected(self, tmp_path):
+        path, raw = self.save_small(tmp_path)
+        path.write_bytes(raw[:-8])
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}: the header and 5 layers take {len(raw)} bytes, "
+                                   f"but the file has {len(raw) - 8}")
+
+    def test_short_header_rejected(self, tmp_path):
+        path, raw = self.save_small(tmp_path)
+        path.write_bytes(raw[:10])
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}: the magic and layer count take 12 bytes, "
+                                   f"but the file has 10")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, raw = self.save_small(tmp_path)
+        path.write_bytes(raw + bytes(8))
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}: the header and 5 layers take {len(raw)} bytes, "
+                                   f"but the file has {len(raw) + 8}")
+
+    def test_unknown_sidecar_key_rejected(self, tmp_path):
+        path, _ = self.save_small(tmp_path)
+        sidecar = path.with_suffix(".bin.json")
+        data = json.loads(sidecar.read_text())
+        data["config"]["embed_size"] = 8
+        sidecar.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="embed_size") as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{sidecar}: ")

@@ -1,4 +1,5 @@
-"""Source layout guard: every top-level function and class is used.
+"""Source layout guards: every top-level function and class is used, and
+every config knob has one owner that the code reads.
 
 A top-level ``def`` or ``class`` in ``src/drivetrace`` whose name appears
 nowhere else in the package (as a whole word, outside its own definition
@@ -7,10 +8,13 @@ uses, so public API that only tests and users call stays allowed.
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
+
+from drivetrace.config import _SECTIONS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "drivetrace"
 SOURCES = {path: path.read_text().splitlines() for path in sorted(PACKAGE.glob("*.py"))}
@@ -34,3 +38,34 @@ def test_every_definition_is_used(path, name, lineno):
         if not (other == path and i == lineno)
     )
     assert used, f"{path.name}:{lineno}: {name} is defined but nothing in the package uses it"
+
+
+#: (section, field) of every config knob
+CONFIG_FIELDS = [(section, f.name) for section, cls in _SECTIONS.items()
+                 for f in dataclasses.fields(cls)]
+
+
+def test_every_config_field_is_read():
+    """Each config knob is read as ``.<field>`` by some module other than
+    config.py; a read through ``self`` (validation) does not count."""
+    unread = []
+    for section, name in CONFIG_FIELDS:
+        read = re.compile(rf"(?<!\bself)\.{re.escape(name)}\b")
+        if not any(read.search(line) for path, lines in SOURCES.items()
+                   if path.name != "config.py" for line in lines):
+            unread.append(f"{section}.{name}")
+    assert not unread, f"config fields that no module reads: {unread}"
+
+
+def test_no_constant_shadows_a_config_field():
+    """A module-level constant named after a config field in upper case is a
+    second copy of that knob, which code can read in place of the config."""
+    knobs = {name.upper(): f"{section}.{name}" for section, name in CONFIG_FIELDS}
+    copies = []
+    for path, lines in SOURCES.items():
+        for node in ast.parse("\n".join(lines)).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            copies += [f"{path.name}:{node.lineno}: {t.id} copies {knobs[t.id]}"
+                       for t in targets if isinstance(t, ast.Name) and t.id in knobs]
+    assert not copies, "\n".join(copies)

@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from drivetrace.config import PipelineConfig
-from drivetrace.interaction import EGO_ID, InteractionConfig, build_graph, refine_objects
+from drivetrace.config import PipelineConfig, config_from_dict
+from drivetrace.interaction import (
+    EGO_ID,
+    InteractionConfig,
+    InteractionLabel,
+    build_graph,
+    refine_objects,
+)
 from drivetrace.pipeline import run_scene
 from drivetrace.reasoner import (
     DecisionTrace,
@@ -26,7 +32,7 @@ from drivetrace.reasoner import (
 )
 from drivetrace.risk import UncertaintyConfig, assess
 from drivetrace.scenario import ScenarioSpec, Template, generate
-from drivetrace.scene import EgoState, Intent, PointCloud
+from drivetrace.scene import EgoState, Intent, PointCloud, Scene
 from conftest import make_object
 from interaction_oracle import scalar_build_graph
 
@@ -214,8 +220,8 @@ class TestExtractFactors:
         scene = type(scene)(scene.timestamp, ego, cloud, scene.objects, None)
         assessments = assess(scene.objects, ego, cloud)
         assert assessments[0].tier.value == "High"  # would be a High-tier risk...
-        graph = build_graph(scene.objects, ego, self.ICFG)
-        refined = refine_objects(scene.objects, assessments, graph, ego, UCFG)
+        graph = build_graph(scene.objects, ego, self.ICFG, CFG.static_speed)
+        refined = refine_objects(scene.objects, assessments, graph, ego, UCFG, CFG)
         factors = extract_risk_factors(scene, assessments, refined, CFG, UCFG)
         # ...but the corridor gate keeps CollisionRisk out
         assert not any(f.kind is FactorKind.COLLISION_RISK for f in factors)
@@ -239,8 +245,8 @@ class TestExtractFactors:
         scene = type(scene)(scene.timestamp, ego, cloud, (obj,), None)
         assessments = assess(scene.objects, ego, cloud)
         assert assessments[0].flagged
-        graph = build_graph(scene.objects, ego, self.ICFG)
-        refined = refine_objects(scene.objects, assessments, graph, ego, UCFG)
+        graph = build_graph(scene.objects, ego, self.ICFG, CFG.static_speed)
+        refined = refine_objects(scene.objects, assessments, graph, ego, UCFG, CFG)
         factors = extract_risk_factors(scene, assessments, refined, CFG, UCFG)
         unp = [f for f in factors if f.kind is FactorKind.UNPREDICTABLE_OBJECT]
         assert len(unp) == 1
@@ -254,8 +260,9 @@ class TestExtractFactors:
                 make_object(2, (5, -3, 0), yaw=1.0)]
         factors = [collision(0.9, object_id=0), occlusion(),
                    unpredictable(object_id=1), unpredictable(object_id=2)]
-        out = risk_factors_with_graph_refs(factors, build_graph(objs, ego, self.ICFG))
-        ref = scalar_build_graph(objs, ego, self.ICFG)
+        graph = build_graph(objs, ego, self.ICFG, CFG.static_speed)
+        out = risk_factors_with_graph_refs(factors, graph)
+        ref = scalar_build_graph(objs, ego, self.ICFG, CFG.static_speed)
         assert out[1] == factors[1] and out[2] == factors[2]
         for f, new in ((factors[0], out[0]), (factors[3], out[3])):
             e = next(e for e in ref.edges if e.src == f.object_id and e.dst == EGO_ID)
@@ -308,3 +315,24 @@ class TestTraceOutput:
         for rule in ("brake", "occlusion", "speed_limit"):
             assert rule in text
         assert "SpeedLimit" in text
+
+
+class TestReasonerConfigReach:
+    """The corridor and the moving-speed threshold of ReasonerConfig reach
+    the interaction labels as well as the decision rules."""
+
+    def run(self, obj, **reasoner):
+        scene = Scene(timestamp=0.0, ego=EgoState(speed=8.0), cloud=PointCloud(),
+                      objects=(obj,))
+        return run_scene(scene, config_from_dict({"reasoner": reasoner}))
+
+    def test_wide_corridor_lead_is_followed(self):
+        result = self.run(make_object(0, (15, 3, 0), velocity=(8, 0, 0)), corridor_width=8.0)
+        assert result.trace.speed is SpeedDecision.FOLLOW_AHEAD
+        assert result.refined[0].interaction_label is InteractionLabel.FOLLOW
+
+    def test_static_speed_threshold_labels_yield(self):
+        obj = make_object(0, (15, 0, 0), velocity=(7.6, 0, 0))  # closing at 0.4 m/s
+        assert self.run(obj).refined[0].interaction_label is InteractionLabel.FOLLOW
+        result = self.run(obj, static_speed=0.2)
+        assert result.refined[0].interaction_label is InteractionLabel.YIELD

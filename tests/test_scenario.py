@@ -7,6 +7,7 @@ import pytest
 
 from drivetrace.detector import points_in_box
 from drivetrace.interaction import InteractionLabel
+from drivetrace.reasoner import ReasonerConfig
 from drivetrace.scenario import (
     RANGE_LIMIT,
     ScenarioSpec,
@@ -15,8 +16,11 @@ from drivetrace.scenario import (
     generate,
     label_interactions,
 )
-from drivetrace.scene import ObjectClass, OrientedBox, in_corridor
+from drivetrace.scene import GroundTruthObject, ObjectClass, OrientedBox, in_corridor
 from drivetrace.scene_io import save_scene
+from conftest import tiny_scene
+
+RCFG = ReasonerConfig()
 
 
 class TestGenerate:
@@ -52,7 +56,8 @@ class TestGenerate:
             scene = generate(ScenarioSpec(template=Template.PEDESTRIAN_CROSSING, seed=seed))
             box = scene.ground_truth[0].box
             assert scene.ground_truth[0].label is ObjectClass.PEDESTRIAN
-            assert in_corridor(box.center[0], box.center[1], scene.ego)
+            assert in_corridor(box.center[0], box.center[1], scene.ego,
+                               RCFG.corridor_width, RCFG.corridor_length)
             assert 5.0 <= box.center[0] <= 15.0
 
     def test_surface_adherence_noiseless(self):
@@ -113,9 +118,11 @@ class TestGenerate:
         scene = generate(ScenarioSpec(template=Template.DENSE_TRAFFIC, seed=4, n_objects=4))
         assert len(scene.ground_truth) == 5  # lead + 4
         lead = scene.ground_truth[0]
-        assert in_corridor(lead.box.center[0], lead.box.center[1], scene.ego)
+        assert in_corridor(lead.box.center[0], lead.box.center[1], scene.ego,
+                           RCFG.corridor_width, RCFG.corridor_length)
         for g in scene.ground_truth[1:]:
-            assert not in_corridor(g.box.center[0], g.box.center[1], scene.ego)
+            assert not in_corridor(g.box.center[0], g.box.center[1], scene.ego,
+                                   RCFG.corridor_width, RCFG.corridor_length)
 
     def test_cloud_has_intensity(self):
         scene = generate(ScenarioSpec(template=Template.LEAD_VEHICLE, seed=1))
@@ -126,31 +133,43 @@ class TestGenerate:
 class TestLabelInteractions:
     def test_empty_road(self):
         scene = generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=0))
-        assert label_interactions(scene) == []
+        assert label_interactions(scene, RCFG) == []
 
     def test_lead_vehicle_follow(self):
         scene = generate(ScenarioSpec(template=Template.LEAD_VEHICLE, seed=6))
-        labels = label_interactions(scene)
+        labels = label_interactions(scene, RCFG)
         assert labels == [(0, InteractionLabel.FOLLOW)]
 
     def test_pedestrian_yield(self):
         scene = generate(ScenarioSpec(template=Template.PEDESTRIAN_CROSSING, seed=6))
-        assert label_interactions(scene) == [(0, InteractionLabel.YIELD)]
+        assert label_interactions(scene, RCFG) == [(0, InteractionLabel.YIELD)]
 
     def test_static_vehicle_yield(self):
         # ego closes on a static corridor vehicle at 8 m/s
         scene = generate(ScenarioSpec(template=Template.STATIC_VEHICLE_AHEAD, seed=6))
-        assert label_interactions(scene) == [(0, InteractionLabel.YIELD)]
+        assert label_interactions(scene, RCFG) == [(0, InteractionLabel.YIELD)]
 
     def test_adjacent_traffic_ignored(self):
         scene = generate(ScenarioSpec(template=Template.DENSE_TRAFFIC, seed=6))
-        labels = dict(label_interactions(scene))
+        labels = dict(label_interactions(scene, RCFG))
         assert labels[0] is InteractionLabel.FOLLOW
         assert all(labels[i] is InteractionLabel.IGNORE
                    for i in range(1, len(scene.ground_truth)))
+
+    def test_corridor_and_static_speed_from_config(self):
+        # a vehicle 3 m to the side, and one closing at 0.4 m/s on the 8 m/s ego
+        scene = tiny_scene([GroundTruthObject(OrientedBox((15, 3, 0.8), 4.5, 1.9, 1.6, 0.0),
+                                              ObjectClass.VEHICLE, (8.0, 0.0, 0.0)),
+                            GroundTruthObject(OrientedBox((25, 0, 0.8), 4.5, 1.9, 1.6, 0.0),
+                                              ObjectClass.VEHICLE, (7.6, 0.0, 0.0))])
+        assert label_interactions(scene, RCFG) == [(0, InteractionLabel.IGNORE),
+                                                   (1, InteractionLabel.FOLLOW)]
+        wide = ReasonerConfig(corridor_width=8.0, static_speed=0.2)
+        assert label_interactions(scene, wide) == [(0, InteractionLabel.FOLLOW),
+                                                   (1, InteractionLabel.YIELD)]
 
     def test_requires_ground_truth(self):
         scene = generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=0))
         scene = type(scene)(scene.timestamp, scene.ego, scene.cloud, (), None)
         with pytest.raises(ValueError):
-            label_interactions(scene)
+            label_interactions(scene, RCFG)

@@ -217,18 +217,18 @@ class TestTypes:
 class TestCorridor:
     def test_straight_ahead(self):
         ego = EgoState(heading=0.0)
-        assert in_corridor(10.0, 0.0, ego)
-        assert in_corridor(10.0, 1.74, ego)
-        assert not in_corridor(10.0, 1.8, ego)
-        assert not in_corridor(41.0, 0.0, ego)
-        assert not in_corridor(-1.0, 0.0, ego)
+        assert in_corridor(10.0, 0.0, ego, 3.5, 40.0)
+        assert in_corridor(10.0, 1.74, ego, 3.5, 40.0)
+        assert not in_corridor(10.0, 1.8, ego, 3.5, 40.0)
+        assert not in_corridor(41.0, 0.0, ego, 3.5, 40.0)
+        assert not in_corridor(-1.0, 0.0, ego, 3.5, 40.0)
 
     def test_rotated_heading(self):
         ego = EgoState(heading=math.pi / 2)
-        assert in_corridor(0.0, 10.0, ego)
-        assert not in_corridor(10.0, 0.0, ego)
+        assert in_corridor(0.0, 10.0, ego, 3.5, 40.0)
+        assert not in_corridor(10.0, 0.0, ego, 3.5, 40.0)
 
     def test_lateral_offset_adjacent_lane(self):
         ego = EgoState(heading=0.0)
-        assert in_corridor(10.0, 3.5, ego, lateral_offset=3.5)
-        assert not in_corridor(10.0, 0.0, ego, lateral_offset=3.5)
+        assert in_corridor(10.0, 3.5, ego, 3.5, 40.0, lateral_offset=3.5)
+        assert not in_corridor(10.0, 0.0, ego, 3.5, 40.0, lateral_offset=3.5)
