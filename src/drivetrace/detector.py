@@ -27,6 +27,8 @@ from .scene import (
     OrientedBox,
     Scene,
     TrackedObject,
+    box_iou_pairs,
+    box_rows,
     wrap_angle,
 )
 
@@ -384,15 +386,14 @@ DETECTORS: dict[str, Callable[[Scene, "PipelineConfig"], list[TrackedObject]]] =
 }
 
 
-def _may_overlap(a: Sequence[OrientedBox], b: Sequence[OrientedBox]) -> np.ndarray:
-    """Mask [i, j] that is False only where boxes a[i] and b[j] cannot
-    overlap, so their IoU is 0: the xy circles around their footprints
-    (radius half the footprint diagonal) are apart, or their z-extents do
-    not overlap (tested as in :func:`box_iou`)."""
+def _may_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask [i, j] over (N, 7) and (M, 7) box rows that is False only where
+    boxes a[i] and b[j] cannot overlap, so their IoU is 0: the xy circles
+    around their footprints (radius half the footprint diagonal) are apart,
+    or their z-extents do not overlap (tested as in :func:`box_iou_pairs`)."""
 
-    def bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, ...]:
-        rows = np.array([(*x.center, x.length, x.width, x.height) for x in boxes])
-        cx, cy, cz, length, width, height = rows.reshape(-1, 6).T
+    def bounds(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        cx, cy, cz, length, width, height = rows[:, :6].T
         return cx, cy, 0.5 * np.hypot(length, width), cz - height / 2.0, cz + height / 2.0
 
     ax, ay, ar, az0, az1 = (v[:, np.newaxis] for v in bounds(a))
@@ -414,16 +415,14 @@ def match_boxes(
     threshold are never matched.  Ties break on indices so the matching is
     deterministic.
     """
-    from .scene import box_iou
-
+    a, b = box_rows(predicted), box_rows(truth)
     # pairs that cannot overlap have IoU 0, which only a threshold <= 0 accepts
-    candidates = (_may_overlap(predicted, truth) if iou_threshold > 0
-                  else np.ones((len(predicted), len(truth)), dtype=bool))
-    pairs = []
-    for i, j in zip(*np.nonzero(candidates)):
-        iou = box_iou(predicted[i], truth[j])
-        if iou >= iou_threshold:
-            pairs.append((iou, int(i), int(j)))
+    candidates = (_may_overlap(a, b) if iou_threshold > 0
+                  else np.ones((len(a), len(b)), dtype=bool))
+    ia, ib = np.nonzero(candidates)
+    ious = box_iou_pairs(a, b, ia, ib).tolist()
+    pairs = [(iou, i, j) for iou, i, j in zip(ious, ia.tolist(), ib.tolist())
+             if iou >= iou_threshold]
     pairs.sort(key=lambda x: (-x[0], x[1], x[2]))
     used_p: set[int] = set()
     used_t: set[int] = set()

@@ -824,9 +824,12 @@ def save_model(model: BgnnModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> BgnnModel:
     """Read a model written by :func:`save_model`.
 
-    A file whose size differs from the size its header implies, and a
-    sidecar with missing, unknown or invalid config keys, raise ValueError
-    with the offending file's path in front of the reason.
+    A file whose size differs from the size its header implies, a
+    sidecar with missing, unknown or invalid config keys, an ``in_dim``
+    other than :data:`FEATURE_DIM`, and layer dims that disagree with the
+    sidecar's ``in_dim``, ``out_dim``, ``config.layers`` and
+    ``config.embed_dim`` raise ValueError with the offending file's path in
+    front of the reason.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -860,8 +863,25 @@ def load_model(path: str | Path) -> BgnnModel:
     try:
         sidecar = json.loads(sidecar_path.read_text())
         cfg = InteractionConfig(**sidecar["config"])
-        return BgnnModel(cfg, sidecar["in_dim"], sidecar["out_dim"], layers)
+        model = BgnnModel(cfg, sidecar["in_dim"], sidecar["out_dim"], layers)
     except KeyError as exc:
         raise ValueError(f"{sidecar_path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{sidecar_path}: {exc}") from exc
+    if model.in_dim != FEATURE_DIM:
+        raise ValueError(f"{sidecar_path}: in_dim is {model.in_dim}, but graph nodes have "
+                         f"{FEATURE_DIM} features")
+    # [self_0, nbr_0, ..., self_{L-1}, nbr_{L-1}, head] as (out, in)
+    chain = [(cfg.embed_dim, model.in_dim if r == 0 else cfg.embed_dim)
+             for r in range(cfg.layers) for _ in ("self", "nbr")]
+    chain.append((model.out_dim, cfg.embed_dim))
+    if len(layers) != len(chain):
+        raise ValueError(f"{path}: has {len(layers)} layers, but config.layers "
+                         f"{cfg.layers} in {sidecar_path} needs {len(chain)}")
+    for k, (layer, (out_dim, in_dim)) in enumerate(zip(layers, chain)):
+        if (layer.out_dim, layer.in_dim) != (out_dim, in_dim):
+            raise ValueError(
+                f"{path}: layer {k} is {layer.out_dim} x {layer.in_dim} (out x in), but "
+                f"in_dim {model.in_dim}, out_dim {model.out_dim} and config.embed_dim "
+                f"{cfg.embed_dim} in {sidecar_path} need {out_dim} x {in_dim}")
+    return model

@@ -1,8 +1,10 @@
 """Scene and point-cloud file formats.
 
 Scene files are JSON with top-level keys ``timestamp``, ``ego``,
-``objects``, ``ground_truth`` and ``cloud_file`` (path to the point cloud,
-relative to the scene file).  Point clouds come in two flavors:
+``objects``, ``ground_truth``, ``cloud_file`` (path to the point cloud,
+relative to the scene file) and ``frame_id`` (the frame of the scene and
+its cloud; a file without it loads as ``ego``).  Point clouds come in two
+flavors:
 
 * ASCII: one point per line, ``x y z intensity`` whitespace-separated,
   ``#``-prefixed comment lines allowed.
@@ -122,6 +124,7 @@ def scene_to_dict(scene: Scene, cloud_file: str) -> dict[str, Any]:
         "objects": [object_to_dict(o) for o in scene.objects],
         "ground_truth": None,
         "cloud_file": cloud_file,
+        "frame_id": scene.frame_id,
     }
     if scene.ground_truth is not None:
         d["ground_truth"] = [
@@ -143,6 +146,14 @@ def _support_points(obj: dict[str, Any], n_points: int) -> tuple[int, ...]:
         raise ValueError(f"object {obj['id']}: support_points must lie in [0, {n_points}), "
                          f"got indices from {min(support)} to {max(support)}")
     return support
+
+
+def _frame_id(d: dict[str, Any]) -> str:
+    """The scene's ``frame_id``; ``ego`` for files written without one."""
+    frame_id = d.get("frame_id", "ego")
+    if not isinstance(frame_id, str):
+        raise ValueError(f"frame_id must be a string, got {frame_id!r}")
+    return frame_id
 
 
 def scene_from_dict(d: dict[str, Any], cloud: PointCloud) -> Scene:
@@ -175,6 +186,7 @@ def scene_from_dict(d: dict[str, Any], cloud: PointCloud) -> Scene:
             for o in d["objects"]
         ),
         ground_truth=gt,
+        frame_id=_frame_id(d),
     )
 
 
@@ -198,7 +210,7 @@ def load_scene(scene_path: str | Path) -> Scene:
     scene_path = Path(scene_path)
     try:
         d = json.loads(scene_path.read_text())
-        cloud = read_cloud(scene_path.parent / d["cloud_file"])
+        cloud = read_cloud(scene_path.parent / d["cloud_file"], _frame_id(d))
         return scene_from_dict(d, cloud)
     except KeyError as exc:
         raise ValueError(f"{scene_path}: missing key {exc}") from exc

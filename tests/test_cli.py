@@ -209,6 +209,14 @@ class TestTrainEvaluate:
                    "--model", str(model), "--out", str(tmp_path / "eval")) == 1
         assert f"error: ValueError: {model}: " in capsys.readouterr().err
 
+    def test_graph_model_with_wrong_dims_exit_1(self, ped_scene, tmp_path, capsys):
+        model = tmp_path / "model.bin"
+        save_model(BgnnModel.initialize(InteractionConfig(layers=1, embed_dim=4), in_dim=10),
+                   model)
+        assert run("graph", "--scene", str(ped_scene), "--model", str(model),
+                   "--out", str(tmp_path / "graph")) == 1
+        assert f"error: ValueError: {model}.json: in_dim is 10" in capsys.readouterr().err
+
     def test_evaluate_error_exit_code(self, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(

@@ -24,9 +24,11 @@ from drivetrace.pipeline import detect
 from drivetrace.risk import shannon_entropy
 from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import (GroundTruthObject, ObjectClass, OrientedBox, PointCloud, Scene,
-                              EgoState, box_iou)
+                              EgoState, _clip_footprints, _footprints, box_corners, box_iou,
+                              box_iou_pairs, box_rows)
 from conftest import tiny_scene
 from detector_oracle import bfs_grid_clusters, scan_support_points
+from iou_oracle import clip_polygon, scalar_box_iou
 
 
 def gt_vehicle(x, y=0.0, yaw=0.0, velocity=(0.0, 0.0, 0.0)):
@@ -456,6 +458,120 @@ class TestMatchingPrefilter:
             pred.append(a)
             truth.append(b)
         assert match_boxes(pred, truth, threshold) == full_scan_matching(pred, truth, threshold)
+
+
+def _shifted(box, forward, left, up=0.0, **changes):
+    """``box`` moved by (forward, left) in its own frame and ``up`` in z,
+    with some of its fields replaced."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    x, y, z = box.center
+    fields = dict(length=box.length, width=box.width, height=box.height, yaw=box.yaw)
+    fields.update(changes)
+    return OrientedBox((x + c * forward - s * left, y + s * forward + c * left, z + up),
+                       fields["length"], fields["width"], fields["height"], fields["yaw"])
+
+
+@st.composite
+def _special_pairs(draw):
+    """(a, b, IoU) for pairs with a known IoU: identical, nested, turned by
+    a multiple of pi/2 (square footprints), half-overlapping along a shared
+    edge line, and touching at an edge, a corner or a face in z."""
+    a = draw(_box)
+    length, width, height = a.length, a.width, a.height
+    kind = draw(st.sampled_from(["identical", "nested", "quarter_turn", "collinear_half",
+                                 "edge_touch", "corner_touch", "stacked"]))
+    if kind == "identical":
+        return a, a, 1.0
+    if kind == "nested":
+        return a, _shifted(a, 0.0, 0.0, length=length / 2, width=width / 2,
+                           height=height / 2), 1.0 / 8.0
+    if kind == "quarter_turn":
+        square = _shifted(a, 0.0, 0.0, width=length)
+        turns = draw(st.integers(-2, 2))
+        return square, _shifted(square, 0.0, 0.0, yaw=a.yaw + turns * math.pi / 2), 1.0
+    if kind == "collinear_half":
+        # intersection l/2 of a length-l box, union 3l/2
+        return a, _shifted(a, length / 2, 0.0), 1.0 / 3.0
+    if kind == "edge_touch":
+        return a, _shifted(a, 0.0, width), 0.0
+    if kind == "corner_touch":
+        return a, _shifted(a, length, width), 0.0
+    return a, _shifted(a, 0.0, 0.0, up=height), 0.0
+
+
+def _oracle_tolerance(*boxes):
+    """1e-12 while every centre lies within 6 m of the origin; 1e-8 beyond,
+    where both shoelace sums lose digits to cancellation."""
+    near = all(abs(v) <= 6.0 for b in boxes for v in b.center[:2])
+    return 1e-12 if near else 1e-8
+
+
+class TestIouKernel:
+    """The batched IoU kernel against the per-pair scalar clipper."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.tuples(_box, _box), _neighbours().map(tuple)))
+    def test_matches_scalar_oracle(self, pair):
+        a, b = pair
+        assert abs(box_iou(a, b) - scalar_box_iou(a, b)) <= _oracle_tolerance(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_special_pairs())
+    def test_special_pairs(self, case):
+        a, b, want = case
+        got = box_iou(a, b)
+        assert abs(got - scalar_box_iou(a, b)) <= _oracle_tolerance(a, b)
+        assert got == pytest.approx(want, abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_box, max_size=6), st.lists(_box, max_size=6),
+           st.lists(st.one_of(_neighbours(), _special_pairs().map(lambda c: c[:2])),
+                    max_size=3))
+    def test_batch_equals_single_pairs(self, pred, truth, extra):
+        for a, b in extra:
+            pred.append(a)
+            truth.append(b)
+        ia, ib = np.nonzero(np.ones((len(pred), len(truth)), dtype=bool))
+        batched = box_iou_pairs(box_rows(pred), box_rows(truth), ia, ib)
+        single = [box_iou(pred[i], truth[j]) for i, j in zip(ia.tolist(), ib.tolist())]
+        assert batched.tolist() == single
+
+    def test_no_pairs(self):
+        rows = box_rows([OrientedBox((0, 0, 0), 1, 1, 1, 0.0)])
+        assert box_iou_pairs(rows, rows, [], []).shape == (0,)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_box, min_size=1, max_size=8))
+    def test_footprints_are_box_corner_bits(self, boxes):
+        footprints = _footprints(box_rows(boxes))
+        for box, fp in zip(boxes, footprints):
+            assert np.array_equal(fp, box_corners(box)[:4, :2])
+
+    #: a self-crossing subject and clip quadrilateral whose clip keeps 9 vertices
+    NINE_VERTICES = (
+        [[-0.988161627321579, 0.5352891062622658], [-0.7207660317481197, 0.8879250482989005],
+         [-0.9114097898205831, 0.41637159947369917], [0.5371710860532641, 0.0832753612044248]],
+        [[-0.4519319215718065, 0.3563941481750472], [0.2798405011505405, 0.1253149722974436],
+         [0.39851245908612043, 0.9319844808777915], [-0.8809970832741094, 0.8261858005380984]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(arrays(np.float64, (4, 2), elements=st.floats(-1, 1)),
+                              arrays(np.float64, (4, 2), elements=st.floats(-1, 1))),
+                    min_size=1, max_size=4),
+           st.booleans())
+    def test_clip_vertices_are_scalar_bits(self, quads, widen):
+        """Any quadrilaterals, convex or not; with ``widen`` the batch also
+        holds a row of 9 clipped vertices, so every row takes the widened
+        buffers."""
+        if widen:
+            quads.append(tuple(np.array(q) for q in self.NINE_VERTICES))
+        subject, clip = (np.stack(side) for side in zip(*quads))
+        pts, count = _clip_footprints(subject, clip)
+        assert pts.shape[1] == 16 or not widen
+        for row, (s, c) in enumerate(quads):
+            want = clip_polygon(s, c).reshape(-1, 2)
+            assert count[row] == len(want)
+            assert np.array_equal(pts[row, :count[row]], want)
 
 
 _YAWS = st.one_of(st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi / 4, math.pi]),

@@ -612,3 +612,45 @@ class TestSerialization:
         with pytest.raises(ValueError, match="embed_size") as info:
             load_model(path)
         assert str(info.value).startswith(f"{sidecar}: ")
+
+    def edit_sidecar(self, path, **changes):
+        sidecar = path.with_suffix(".bin.json")
+        data = json.loads(sidecar.read_text())
+        for key, value in changes.items():
+            section, _, field = key.rpartition("__")
+            (data[section] if section else data)[field] = value
+        sidecar.write_text(json.dumps(data))
+        return sidecar
+
+    def test_in_dim_other_than_features_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(BgnnModel.initialize(SMALL, in_dim=10), path)
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path.with_suffix('.bin.json')}: in_dim is 10, "
+                                   f"but graph nodes have {FEATURE_DIM} features")
+
+    def test_sidecar_layers_disagree_with_body(self, tmp_path):
+        path, _ = self.save_small(tmp_path)
+        sidecar = self.edit_sidecar(path, config__layers=1)
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}: has 5 layers, but config.layers 1 in {sidecar} "
+                                   f"needs 3")
+
+    def test_sidecar_embed_dim_disagrees_with_body(self, tmp_path):
+        path, _ = self.save_small(tmp_path)
+        sidecar = self.edit_sidecar(path, config__embed_dim=64)
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == (
+            f"{path}: layer 0 is 8 x {FEATURE_DIM} (out x in), but in_dim {FEATURE_DIM}, "
+            f"out_dim 3 and config.embed_dim 64 in {sidecar} need 64 x {FEATURE_DIM}")
+
+    def test_sidecar_out_dim_disagrees_with_body(self, tmp_path):
+        path, _ = self.save_small(tmp_path)
+        self.edit_sidecar(path, out_dim=4)
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: layer 4 is 3 x 8 (out x in), ")
+        assert "out_dim 4" in str(info.value)

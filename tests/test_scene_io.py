@@ -85,12 +85,46 @@ def test_scene_round_trip_binary_cloud(tmp_path):
     assert len(back.cloud) == len(scene.cloud)
 
 
+@pytest.mark.parametrize("cloud_format", ["ascii", "binary"])
+def test_frame_id_round_trip(tmp_path, cloud_format):
+    scene = generate(ScenarioSpec(template=Template.PEDESTRIAN_CROSSING, seed=3))
+    assert scene.frame_id == scene.cloud.frame_id == "pedestrian-crossing-3"
+    path = tmp_path / "scene.json"
+    save_scene(scene, path, cloud_format=cloud_format)
+    back = load_scene(path)
+    assert back.frame_id == back.cloud.frame_id == "pedestrian-crossing-3"
+    if cloud_format == "ascii":
+        assert back == scene
+
+
+def test_scene_without_frame_id_loads_as_ego(tmp_path):
+    path = tmp_path / "scene.json"
+    save_scene(generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=1)), path)
+    d = json.loads(path.read_text())
+    del d["frame_id"]
+    path.write_text(json.dumps(d))
+    back = load_scene(path)
+    assert back.frame_id == back.cloud.frame_id == "ego"
+
+
+def test_non_string_frame_id_rejected(tmp_path):
+    path = tmp_path / "scene.json"
+    save_scene(generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=1)), path)
+    d = json.loads(path.read_text())
+    d["frame_id"] = 7
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError) as exc:
+        load_scene(path)
+    assert str(exc.value) == f"{path}: frame_id must be a string, got 7"
+
+
 def test_scene_json_schema_keys(tmp_path):
     scene = generate(ScenarioSpec(template=Template.PEDESTRIAN_CROSSING, seed=1))
     path = tmp_path / "scene.json"
     save_scene(scene, path)
     d = json.loads(path.read_text())
-    assert set(d) == {"timestamp", "ego", "objects", "ground_truth", "cloud_file"}
+    assert set(d) == {"timestamp", "ego", "objects", "ground_truth", "cloud_file",
+                      "frame_id"}
     assert set(d["ego"]) == {"position", "heading", "speed", "lane_heading", "intent"}
     gt = d["ground_truth"][0]
     assert set(gt) == {"box", "class", "velocity"}
