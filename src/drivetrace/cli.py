@@ -103,7 +103,7 @@ def cmd_scene(args) -> int:
     out = _out_dir(args)
     config = _load(args)
     scene = load_scene(args.scene)
-    model = load_model(args.model) if args.model else None
+    model = load_model(args.model, config.interaction) if args.model else None
     name, payload_of, line = SCENE_COMMANDS[args.command]
     payload = payload_of(run_scene(scene, config, model))
     if isinstance(payload, str):
@@ -133,7 +133,7 @@ def cmd_train_bgnn(args) -> int:
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     config = _load(args)
-    model = load_model(args.model) if args.model else None
+    model = load_model(args.model, config.interaction) if args.model else None
     result, records = evaluate_suite(args.manifest, config, model=model)
     write_report(result, out)
     _dump(result_to_dict(result), out / "result.json")

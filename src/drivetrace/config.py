@@ -1,15 +1,16 @@
 """Pipeline configuration: one JSON document covering every stage.
 
-Unknown keys are rejected at load time and every sub-config validates its
-own invariants, so a bad config fails fast rather than mid-run.  The
-environment variable ``PRIME_CONFIG`` names a fallback config file used
-when no ``--config`` flag is given.
+Unknown keys and non-finite numbers are rejected at load time and every
+sub-config validates its own invariants, so a bad config fails fast
+rather than mid-run.  The environment variable ``PRIME_CONFIG`` names a
+fallback config file used when no ``--config`` flag is given.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,15 +49,24 @@ class PipelineConfig:
             raise ValueError(f"detector must be one of {sorted(DETECTORS)}, got {self.detector!r}")
 
 
-def _section_from_dict(cls: type, data: dict[str, Any], section: str) -> Any:
+def _section_from_dict(cls: type, data: Any, section: str) -> Any:
+    if not isinstance(data, dict):
+        raise ValueError(f"config section {section!r} must be an object, got {data!r}")
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
     if unknown:
         raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
-    return cls(**data)
+    # built first, so a section's own finiteness check keeps its message
+    sub = cls(**data)
+    for key, value in data.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{section}.{key} must be finite, got {value!r}")
+    return sub
 
 
-def config_from_dict(data: dict[str, Any]) -> PipelineConfig:
+def config_from_dict(data: Any) -> PipelineConfig:
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be an object, got {data!r}")
     known = set(_SECTIONS) | {"detector", "seed"}
     unknown = set(data) - known
     if unknown:
@@ -92,7 +102,8 @@ def load_config(path: Optional[str | Path] = None, seed: Optional[int] = None) -
     """Load a config file, or defaults when none is given.
 
     Resolution order: explicit path, then $PRIME_CONFIG, then built-in
-    defaults.  ``seed`` overrides the file's seed when provided.
+    defaults.  ``seed`` overrides the file's seed when provided.  A bad
+    file raises ValueError with its path in front of the reason.
     """
     if path is None:
         env = os.environ.get(ENV_CONFIG)
@@ -100,7 +111,10 @@ def load_config(path: Optional[str | Path] = None, seed: Optional[int] = None) -
     if path is None:
         config = PipelineConfig()
     else:
-        config = config_from_dict(json.loads(Path(path).read_text()))
+        try:
+            config = config_from_dict(json.loads(Path(path).read_text()))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
     return config

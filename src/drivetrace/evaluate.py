@@ -111,7 +111,6 @@ class SceneRecord:
     predicted_speed: Optional[str] = None
     predicted_path: Optional[str] = None
     error: Optional[str] = None
-    mean_iou: Optional[float] = None
     n_gt: int = 0
     n_detections: int = 0
     n_matched: int = 0
@@ -123,15 +122,14 @@ class SceneRecord:
     n_flagged: int = 0
 
 
-def _evaluate_one(path: str, template: str, config: PipelineConfig,
+def _evaluate_one(path: str, template: Template, config: PipelineConfig,
                   model: Optional[BgnnModel], base: Path) -> SceneRecord:
-    tpl = Template(template)
-    expected_speed, expected_path = TEMPLATE_EXPECTED[tpl]
+    expected_speed, expected_path = TEMPLATE_EXPECTED[template]
     try:
         scene = load_scene(base / path)
         result = run_scene(scene, config, model)
     except Exception as exc:  # per-scene failure must not kill the suite
-        return SceneRecord(path=path, template=template,
+        return SceneRecord(path=path, template=template.value,
                            expected_speed=expected_speed.value,
                            expected_path=expected_path.value,
                            error=f"{type(exc).__name__}: {exc}")
@@ -153,7 +151,7 @@ def _evaluate_one(path: str, template: str, config: PipelineConfig,
         tiers[a.tier.value] = tiers.get(a.tier.value, 0) + 1
     return SceneRecord(
         path=path,
-        template=template,
+        template=template.value,
         expected_speed=expected_speed.value,
         expected_path=expected_path.value,
         predicted_speed=result.trace.speed.value,
@@ -177,14 +175,24 @@ def evaluate_suite(
 ) -> tuple[SuiteResult, list[SceneRecord]]:
     """Evaluate every scene in the manifest.
 
-    Unreadable or failing scenes are recorded with their error and skipped
-    from the metrics; aggregation runs in a canonical order (sorted by
-    scene path) so the result does not depend on manifest ordering.
+    Every manifest entry is checked before any scene runs.  Unreadable or
+    failing scenes are recorded with their error and skipped from the
+    metrics; aggregation runs in a canonical order (sorted by scene path)
+    so the result does not depend on manifest ordering.
     """
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
+    entries = []
+    for k, e in enumerate(json.loads(manifest_path.read_text())["scenes"]):
+        if not isinstance(e, dict):
+            raise ValueError(f"{manifest_path}: scenes[{k}]: must be an object, got {e!r}")
+        try:
+            entries.append((e["path"], Template(e["template"])))
+        except KeyError as exc:
+            raise ValueError(f"{manifest_path}: scenes[{k}]: missing key {exc}") from None
+        except ValueError:
+            raise ValueError(f"{manifest_path}: scenes[{k}]: unknown template "
+                             f"{e['template']!r}") from None
     base = manifest_path.parent
-    entries = [(e["path"], e["template"]) for e in manifest["scenes"]]
     records = sorted((_evaluate_one(p, t, config, model, base) for p, t in entries),
                      key=lambda r: r.path)
     return _aggregate(records), records

@@ -17,10 +17,9 @@ agreeing evidence.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -357,26 +356,19 @@ class BgnnModel:
     [self_0, nbr_0, self_1, nbr_1, ..., head]."""
 
     config: InteractionConfig
-    in_dim: int
-    out_dim: int
     params: list[BayesianLayer]
 
     @staticmethod
-    def initialize(cfg: InteractionConfig, in_dim: int = FEATURE_DIM,
-                   out_dim: int = len(InteractionLabel), seed: int = 0) -> "BgnnModel":
+    def initialize(cfg: InteractionConfig, seed: int = 0) -> "BgnnModel":
         rng = np.random.default_rng(seed)
         params: list[BayesianLayer] = []
-        d_in = in_dim
+        d_in = FEATURE_DIM
         for _ in range(cfg.layers):
             params.append(BayesianLayer.initialize(cfg.embed_dim, d_in, rng))
             params.append(BayesianLayer.initialize(cfg.embed_dim, d_in, rng))
             d_in = cfg.embed_dim
-        params.append(BayesianLayer.initialize(out_dim, d_in, rng))
-        return BgnnModel(cfg, in_dim, out_dim, params)
-
-    @property
-    def n_rounds(self) -> int:
-        return (len(self.params) - 1) // 2
+        params.append(BayesianLayer.initialize(len(InteractionLabel), d_in, rng))
+        return BgnnModel(cfg, params)
 
 
 def _sample_layers(params: Sequence[BayesianLayer], rng: np.random.Generator
@@ -801,12 +793,13 @@ def synthetic_yield_ignore_dataset(
 
 
 def save_model(model: BgnnModel, path: str | Path) -> None:
-    """Write parameters to the flat binary format plus a JSON sidecar.
+    """Write parameters to the flat binary format.
 
     Binary layout: 8-byte magic, uint32 layer count, then per layer two
     uint32 dims (out, in), then all layer tensors as little-endian float64
     row-major in order (weight means, weight log-stds, bias means, bias
-    log-stds per layer).
+    log-stds per layer).  The file holds no config: the reader checks the
+    dims against the pipeline's.
     """
     path = Path(path)
     header = MODEL_MAGIC + struct.pack("<I", len(model.params))
@@ -815,21 +808,17 @@ def save_model(model: BgnnModel, path: str | Path) -> None:
     body = b"".join(a.astype("<f8").tobytes() for layer in model.params
                     for a in layer.arrays())
     path.write_bytes(header + body)
-    sidecar = {"in_dim": model.in_dim, "out_dim": model.out_dim,
-               "config": asdict(model.config)}
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
-def load_model(path: str | Path) -> BgnnModel:
-    """Read a model written by :func:`save_model`.
+def load_model(path: str | Path, cfg: InteractionConfig = InteractionConfig()) -> BgnnModel:
+    """Read a model written by :func:`save_model` for the pipeline's
+    ``interaction`` config ``cfg``, which the returned model carries.
 
-    A file whose size differs from the size its header implies, a
-    sidecar with missing, unknown or invalid config keys, an ``in_dim``
-    other than :data:`FEATURE_DIM`, and layer dims that disagree with the
-    sidecar's ``in_dim``, ``out_dim``, ``config.layers`` and
-    ``config.embed_dim`` raise ValueError with the offending file's path in
-    front of the reason.
+    A file whose size differs from the size its header implies, and layer
+    dims other than the chain that :data:`FEATURE_DIM` inputs,
+    ``cfg.layers`` rounds of ``cfg.embed_dim`` units and one output per
+    :class:`InteractionLabel` give, raise ValueError with the file's path
+    in front of the reason.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -850,6 +839,19 @@ def load_model(path: str | Path) -> BgnnModel:
     expected = pos + sum(16 * out_dim * (in_dim + 1) for out_dim, in_dim in dims)
     if len(raw) != expected:
         raise size_error(f"the header and {n_layers} layers", expected)
+    # [self_0, nbr_0, ..., self_{L-1}, nbr_{L-1}, head] as (out, in)
+    chain = [(cfg.embed_dim, FEATURE_DIM if r == 0 else cfg.embed_dim)
+             for r in range(cfg.layers) for _ in ("self", "nbr")]
+    chain.append((len(InteractionLabel), cfg.embed_dim))
+    if n_layers != len(chain):
+        raise ValueError(f"{path}: has {n_layers} layers, but interaction.layers "
+                         f"{cfg.layers} needs {len(chain)}")
+    for k, (dim, need) in enumerate(zip(dims, chain)):
+        if dim != need:
+            raise ValueError(
+                f"{path}: layer {k} is {dim[0]} x {dim[1]} (out x in), but "
+                f"interaction.embed_dim {cfg.embed_dim}, {FEATURE_DIM} node features "
+                f"and {len(InteractionLabel)} labels need {need[0]} x {need[1]}")
     layers = []
     for out_dim, in_dim in dims:
         arrays = []
@@ -859,29 +861,4 @@ def load_model(path: str | Path) -> BgnnModel:
             arrays.append(arr.astype(np.float64))
             pos += count * 8
         layers.append(BayesianLayer(*arrays))
-    sidecar_path = path.with_suffix(path.suffix + ".json")
-    try:
-        sidecar = json.loads(sidecar_path.read_text())
-        cfg = InteractionConfig(**sidecar["config"])
-        model = BgnnModel(cfg, sidecar["in_dim"], sidecar["out_dim"], layers)
-    except KeyError as exc:
-        raise ValueError(f"{sidecar_path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{sidecar_path}: {exc}") from exc
-    if model.in_dim != FEATURE_DIM:
-        raise ValueError(f"{sidecar_path}: in_dim is {model.in_dim}, but graph nodes have "
-                         f"{FEATURE_DIM} features")
-    # [self_0, nbr_0, ..., self_{L-1}, nbr_{L-1}, head] as (out, in)
-    chain = [(cfg.embed_dim, model.in_dim if r == 0 else cfg.embed_dim)
-             for r in range(cfg.layers) for _ in ("self", "nbr")]
-    chain.append((model.out_dim, cfg.embed_dim))
-    if len(layers) != len(chain):
-        raise ValueError(f"{path}: has {len(layers)} layers, but config.layers "
-                         f"{cfg.layers} in {sidecar_path} needs {len(chain)}")
-    for k, (layer, (out_dim, in_dim)) in enumerate(zip(layers, chain)):
-        if (layer.out_dim, layer.in_dim) != (out_dim, in_dim):
-            raise ValueError(
-                f"{path}: layer {k} is {layer.out_dim} x {layer.in_dim} (out x in), but "
-                f"in_dim {model.in_dim}, out_dim {model.out_dim} and config.embed_dim "
-                f"{cfg.embed_dim} in {sidecar_path} need {out_dim} x {in_dim}")
-    return model
+    return BgnnModel(cfg, layers)

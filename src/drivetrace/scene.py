@@ -406,8 +406,8 @@ class Scene:
     frame_id: str = field(default="ego")
 
     def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be >= 0, got {self.timestamp}")
+        if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
+            raise ValueError(f"Scene.timestamp must be finite and >= 0, got {self.timestamp!r}")
         object.__setattr__(self, "objects", tuple(self.objects))
         ids = [o.id for o in self.objects]
         if len(set(ids)) != len(ids):

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from drivetrace.config import (
     save_config,
 )
 from drivetrace.detector import DETECTORS
-from drivetrace.interaction import BgnnModel, InteractionConfig, save_model
+from drivetrace.interaction import BgnnModel, InteractionConfig, load_model, save_model
 from drivetrace.pipeline import run_scene
 from drivetrace.scene_io import load_scene
 from interaction_oracle import scalar_build_graph
@@ -148,8 +149,7 @@ class TestTrainEvaluate:
         out = tmp_path / "train"
         assert run("train-bgnn", "--steps", "30", "--samples", "32",
                    "--config", str(small_embed), "--out", str(out)) == 0
-        assert (out / "model.bin").exists()
-        assert (out / "model.bin.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["model.bin", "training.json"]
         history = json.loads((out / "training.json").read_text())
         assert history["accuracy"] >= 0.5
 
@@ -211,11 +211,33 @@ class TestTrainEvaluate:
 
     def test_graph_model_with_wrong_dims_exit_1(self, ped_scene, tmp_path, capsys):
         model = tmp_path / "model.bin"
-        save_model(BgnnModel.initialize(InteractionConfig(layers=1, embed_dim=4), in_dim=10),
-                   model)
+        save_model(BgnnModel.initialize(InteractionConfig(embed_dim=16)), model)
         assert run("graph", "--scene", str(ped_scene), "--model", str(model),
                    "--out", str(tmp_path / "graph")) == 1
-        assert f"error: ValueError: {model}.json: in_dim is 10" in capsys.readouterr().err
+        assert (f"error: ValueError: {model}: layer 0 is 16 x 16 (out x in), but "
+                f"interaction.embed_dim 128, ") in capsys.readouterr().err
+
+    def test_graph_model_reads_config_mc_samples(self, ped_scene, tmp_path):
+        """``interaction.mc_samples`` of the pipeline config sets the number
+        of weight draws of a ``--model`` run."""
+        small = InteractionConfig(embed_dim=8)
+        model = tmp_path / "model.bin"
+        save_model(BgnnModel.initialize(small, seed=4), model)
+        stds = {}
+        for mc in (None, 2):
+            section = {"embed_dim": 8} if mc is None else {"embed_dim": 8, "mc_samples": mc}
+            config = tmp_path / f"config_{mc}.json"
+            config.write_text(json.dumps({"interaction": section}))
+            out = tmp_path / f"graph_{mc}"
+            assert run("graph", "--scene", str(ped_scene), "--model", str(model),
+                       "--config", str(config), "--out", str(out)) == 0
+            refined = json.loads((out / "graph.json").read_text())["refined"]
+            stds[mc] = [r["epistemic_std"] for r in refined]
+        assert stds[2] != stds[None]
+        two_draws = replace(small, mc_samples=2)
+        result = run_scene(load_scene(ped_scene), PipelineConfig(interaction=two_draws),
+                           BgnnModel(two_draws, load_model(model, small).params))
+        assert stds[2] == [list(r.epistemic_std) for r in result.refined]
 
     def test_evaluate_error_exit_code(self, tmp_path):
         manifest = tmp_path / "manifest.json"
@@ -313,6 +335,39 @@ class TestArgsAndConfig:
         assert run("generate", "--template", "empty-road",
                    "--config", str(bad), "--out", str(tmp_path / "o")) == 1
         assert f"ClusterParams.{name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize(("section", "key"),
+                             [("reasoner", "follow_gap"), ("uncertainty", "threshold")])
+    def test_non_finite_config_value_names_file_and_key(self, tmp_path, section, key, value):
+        """Values that pass every range check of their section (a NaN fails
+        no comparison) are still rejected."""
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"%s": {"%s": %s}}' % (section, key, value))
+        with pytest.raises(ValueError) as exc:
+            load_config(bad)
+        got = {"NaN": "nan", "Infinity": "inf"}[value]
+        assert str(exc.value) == f"{bad}: {section}.{key} must be finite, got {got}"
+
+    @pytest.mark.parametrize(("text", "reason"), [
+        ('{"risk": 3}', "config section 'risk' must be an object, got 3"),
+        ('[1]', "config must be an object, got [1]"),
+        ('{"risk": {"typo": 1}}', "unknown keys in config section 'risk': ['typo']"),
+        ('{"bogus": {}}', "unknown top-level config keys: ['bogus']"),
+        ('{"risk": {', "Expecting property name enclosed in double quotes: "
+                       "line 1 column 11 (char 10)"),
+        ('{"risk": {"decay_length": -5}}', "decay_length must be > 0"),
+    ], ids=["section-not-object", "top-not-object", "unknown-key", "unknown-section",
+            "json-syntax", "invalid-value"])
+    def test_bad_config_file_error_names_file(self, tmp_path, capsys, text, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_config(bad)
+        assert str(exc.value) == f"{bad}: {reason}"
+        assert run("generate", "--template", "empty-road",
+                   "--config", str(bad), "--out", str(tmp_path / "o")) == 1
+        assert f"error: ValueError: {bad}: {reason}" in capsys.readouterr().err
 
     def test_invalid_config_file_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import drivetrace.evaluate as evaluate
 from drivetrace.cli import main
 from drivetrace.config import PipelineConfig
 from drivetrace.evaluate import (
@@ -154,3 +155,28 @@ class TestEvaluateSuite:
         assert result.counts["scenes"] == 2
         errs = [r for r in records if r.error is not None]
         assert len(errs) == 1 and "missing" in errs[0].path
+
+
+class TestManifest:
+    @pytest.mark.parametrize(("entry", "reason"), [
+        ({"path": "a.json"}, "missing key 'template'"),
+        ({"template": "empty-road"}, "missing key 'path'"),
+        ({"path": "a.json", "template": "no-such"}, "unknown template 'no-such'"),
+        ("a.json", "must be an object, got 'a.json'"),
+    ], ids=["no-template", "no-path", "unknown-template", "not-object"])
+    def test_bad_entry_names_manifest_and_entry(self, suite_dir, tmp_path, monkeypatch,
+                                                 capsys, entry, reason):
+        loaded = []
+        monkeypatch.setattr(evaluate, "load_scene", loaded.append)
+        good = {"path": str(suite_dir / "scene_empty-road_0000.json"),
+                "template": "empty-road"}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"scenes": [good, entry]}))
+        with pytest.raises(ValueError) as exc:
+            evaluate_suite(path, PipelineConfig())
+        assert str(exc.value) == f"{path}: scenes[1]: {reason}"
+        assert main(["evaluate", "--manifest", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"error: ValueError: {path}: scenes[1]: {reason}" in capsys.readouterr().err
+        # the manifest is checked before any scene is read
+        assert loaded == []

@@ -1,6 +1,5 @@
 """Interaction graph, Bayesian GNN, fusion, and variational training."""
 
-import json
 import math
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from drivetrace.interaction import (
     EGO_ID,
     FEATURE_DIM,
+    BayesianLayer,
     BgnnModel,
     InteractionConfig,
     InteractionLabel,
@@ -555,21 +555,28 @@ class TestSerialization:
         model = BgnnModel.initialize(SMALL, seed=9)
         path = tmp_path / "model.bin"
         save_model(model, path)
-        assert path.exists() and path.with_suffix(".bin.json").exists()
-        back = load_model(path)
-        assert back.in_dim == model.in_dim and back.out_dim == model.out_dim
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        back = load_model(path, SMALL)
         assert back.config == model.config
         assert len(back.params) == len(model.params)
         for a, b in zip(model.params, back.params):
             for x, y in zip(a.arrays(), b.arrays()):
                 np.testing.assert_array_equal(x, y)
+        save_model(back, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    def test_loaded_model_carries_the_given_config(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(BgnnModel.initialize(SMALL, seed=9), path)
+        cfg = InteractionConfig(layers=2, embed_dim=8, mc_samples=5, edge_radius=12.0)
+        assert load_model(path, cfg).config is cfg
 
     def test_forward_identical_after_reload(self, tmp_path):
         model = BgnnModel.initialize(SMALL, seed=9)
         data = synthetic_yield_ignore_dataset(1, 0, SMALL, STATIC)
         graph, feats, _ = data[0]
         save_model(model, tmp_path / "m.bin")
-        back = load_model(tmp_path / "m.bin")
+        back = load_model(tmp_path / "m.bin", SMALL)
         a, _ = forward_mc(graph, feats, model.params, 4, seed=2)
         b, _ = forward_mc(graph, feats, back.params, 4, seed=2)
         np.testing.assert_array_equal(a, b)
@@ -603,54 +610,41 @@ class TestSerialization:
         assert str(info.value) == (f"{path}: the header and 5 layers take {len(raw)} bytes, "
                                    f"but the file has {len(raw) + 8}")
 
-    def test_unknown_sidecar_key_rejected(self, tmp_path):
-        path, _ = self.save_small(tmp_path)
-        sidecar = path.with_suffix(".bin.json")
-        data = json.loads(sidecar.read_text())
-        data["config"]["embed_size"] = 8
-        sidecar.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="embed_size") as info:
-            load_model(path)
-        assert str(info.value).startswith(f"{sidecar}: ")
-
-    def edit_sidecar(self, path, **changes):
-        sidecar = path.with_suffix(".bin.json")
-        data = json.loads(sidecar.read_text())
-        for key, value in changes.items():
-            section, _, field = key.rpartition("__")
-            (data[section] if section else data)[field] = value
-        sidecar.write_text(json.dumps(data))
-        return sidecar
+    def save_layers(self, tmp_path, dims):
+        """Write a model whose layers have the given (out, in) dims."""
+        rng = np.random.default_rng(0)
+        path = tmp_path / "model.bin"
+        save_model(BgnnModel(SMALL, [BayesianLayer.initialize(o, i, rng) for o, i in dims]),
+                   path)
+        return path
 
     def test_in_dim_other_than_features_rejected(self, tmp_path):
-        path = tmp_path / "model.bin"
-        save_model(BgnnModel.initialize(SMALL, in_dim=10), path)
+        path = self.save_layers(tmp_path, [(8, 10), (8, 10), (8, 8), (8, 8), (3, 8)])
         with pytest.raises(ValueError) as info:
-            load_model(path)
-        assert str(info.value) == (f"{path.with_suffix('.bin.json')}: in_dim is 10, "
-                                   f"but graph nodes have {FEATURE_DIM} features")
-
-    def test_sidecar_layers_disagree_with_body(self, tmp_path):
-        path, _ = self.save_small(tmp_path)
-        sidecar = self.edit_sidecar(path, config__layers=1)
-        with pytest.raises(ValueError) as info:
-            load_model(path)
-        assert str(info.value) == (f"{path}: has 5 layers, but config.layers 1 in {sidecar} "
-                                   f"needs 3")
-
-    def test_sidecar_embed_dim_disagrees_with_body(self, tmp_path):
-        path, _ = self.save_small(tmp_path)
-        sidecar = self.edit_sidecar(path, config__embed_dim=64)
-        with pytest.raises(ValueError) as info:
-            load_model(path)
+            load_model(path, SMALL)
         assert str(info.value) == (
-            f"{path}: layer 0 is 8 x {FEATURE_DIM} (out x in), but in_dim {FEATURE_DIM}, "
-            f"out_dim 3 and config.embed_dim 64 in {sidecar} need 64 x {FEATURE_DIM}")
+            f"{path}: layer 0 is 8 x 10 (out x in), but interaction.embed_dim 8, "
+            f"{FEATURE_DIM} node features and 3 labels need 8 x {FEATURE_DIM}")
 
-    def test_sidecar_out_dim_disagrees_with_body(self, tmp_path):
+    def test_config_layers_disagree_with_body(self, tmp_path):
         path, _ = self.save_small(tmp_path)
-        self.edit_sidecar(path, out_dim=4)
         with pytest.raises(ValueError) as info:
-            load_model(path)
-        assert str(info.value).startswith(f"{path}: layer 4 is 3 x 8 (out x in), ")
-        assert "out_dim 4" in str(info.value)
+            load_model(path, InteractionConfig(layers=1, embed_dim=8))
+        assert str(info.value) == f"{path}: has 5 layers, but interaction.layers 1 needs 3"
+
+    def test_config_embed_dim_disagrees_with_body(self, tmp_path):
+        path, _ = self.save_small(tmp_path)
+        with pytest.raises(ValueError) as info:
+            load_model(path, InteractionConfig(layers=2, embed_dim=64))
+        assert str(info.value) == (
+            f"{path}: layer 0 is 8 x {FEATURE_DIM} (out x in), but interaction.embed_dim 64, "
+            f"{FEATURE_DIM} node features and 3 labels need 64 x {FEATURE_DIM}")
+
+    def test_head_out_dim_other_than_labels_rejected(self, tmp_path):
+        path = self.save_layers(tmp_path, [(8, FEATURE_DIM), (8, FEATURE_DIM), (8, 8), (8, 8),
+                                           (4, 8)])
+        with pytest.raises(ValueError) as info:
+            load_model(path, SMALL)
+        assert str(info.value) == (
+            f"{path}: layer 4 is 4 x 8 (out x in), but interaction.embed_dim 8, "
+            f"{FEATURE_DIM} node features and 3 labels need 3 x 8")

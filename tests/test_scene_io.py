@@ -157,6 +157,18 @@ def test_nan_ego_speed_rejected_at_load(tmp_path):
         load_scene(path)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_timestamp_rejected_at_load(tmp_path, bad):
+    path = tmp_path / "scene.json"
+    save_scene(generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=1)), path)
+    d = json.loads(path.read_text())
+    d["timestamp"] = bad
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError) as exc:
+        load_scene(path)
+    assert str(exc.value) == f"{path}: Scene.timestamp must be finite and >= 0, got {bad!r}"
+
+
 def test_detected_objects_serialize_like_scene_objects(tmp_path):
     from drivetrace.cli import main
     from drivetrace.config import PipelineConfig

@@ -1,8 +1,10 @@
 """Contract between the package and the benchmark's span recorder.
 
 ``perfbench/tracer.py`` wraps pipeline entry points by name, counts edges
-with ``len(graph.edges)`` and binds ``match_boxes``'s arguments by name.
-This runs one scene, and a two-scene evaluation, under the recorder, so a
+with ``len(graph.edges)``, binds ``match_boxes``'s arguments by name and
+counts Monte Carlo draws from ``model.config.mc_samples``.  This runs one
+scene, a ``--model`` scene command and a two-scene evaluation under the
+recorder, so a
 rename or a change of type that breaks the tracer fails here rather than
 only in the slow ``perfbench/test_smoke.py``.  The
 recorder is only imported and installed; ``perfbench/`` is not changed.
@@ -17,6 +19,7 @@ import drivetrace.cli as cli
 import drivetrace.evaluate as evaluate
 import drivetrace.pipeline as pipeline
 from drivetrace.config import PipelineConfig
+from drivetrace.interaction import BgnnModel, InteractionConfig, save_model
 from drivetrace.scenario import ScenarioSpec, Template, generate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -60,3 +63,26 @@ def test_traced_evaluate_counts_match_boxes_arguments(tmp_path):
         assert record.n_matched > 0
         assert span.counts == {"iou_pairs": record.n_detections * record.n_gt,
                                "matched": record.n_matched}
+
+
+def test_traced_model_run_counts_config_mc_samples(tmp_path):
+    """``mc_draws`` of a ``--model`` run is the pipeline config's
+    ``interaction.mc_samples``, not the value the model was built with."""
+    gen = tmp_path / "gen"
+    assert cli.main(["generate", "--template", "pedestrian-crossing", "--out", str(gen)]) == 0
+    model = tmp_path / "model.bin"
+    save_model(BgnnModel.initialize(InteractionConfig(embed_dim=8, mc_samples=8)), model)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"interaction": {"embed_dim": 8, "mc_samples": 3}}))
+    recorder = tracer.Recorder()
+    recorder.install()
+    try:
+        assert cli.main(["graph", "--scene", str(gen / "scene_pedestrian-crossing_0000.json"),
+                         "--model", str(model), "--config", str(config),
+                         "--out", str(tmp_path / "graph")]) == 0
+    finally:
+        recorder.uninstall()
+    (span,) = [s for s in recorder.spans if s.name == "interaction.refine_objects"]
+    # three rounds of a self and a neighbour layer, 8 wide, then a 3-label head
+    per_draw = sum(8 * (n_in + 1) for n_in in (16, 16, 8, 8, 8, 8)) + 3 * (8 + 1)
+    assert span.counts == {"mc_draws": 3, "mc_weights_sampled": 3 * per_draw}
