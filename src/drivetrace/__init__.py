@@ -53,7 +53,6 @@ from .reasoner import (
     RiskFactor,
     SpeedDecision,
     decide,
-    explain,
     extract_risk_factors,
 )
 from .scenario import ScenarioSpec, Template, generate, label_interactions

@@ -47,6 +47,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.detector not in DETECTORS:
             raise ValueError(f"detector must be one of {sorted(DETECTORS)}, got {self.detector!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _section_from_dict(cls: type, data: Any, section: str) -> Any:
@@ -56,12 +58,10 @@ def _section_from_dict(cls: type, data: Any, section: str) -> Any:
     unknown = set(data) - names
     if unknown:
         raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
-    # built first, so a section's own finiteness check keeps its message
-    sub = cls(**data)
     for key, value in data.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{section}.{key} must be finite, got {value!r}")
-    return sub
+    return cls(**data)
 
 
 def config_from_dict(data: Any) -> PipelineConfig:

@@ -181,8 +181,18 @@ def evaluate_suite(
     so the result does not depend on manifest ordering.
     """
     manifest_path = Path(manifest_path)
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: manifest must be an object, got {manifest!r}")
+    if "scenes" not in manifest:
+        raise ValueError(f"{manifest_path}: missing key 'scenes'")
+    if not isinstance(manifest["scenes"], list):
+        raise ValueError(f"{manifest_path}: scenes must be a list, got {manifest['scenes']!r}")
     entries = []
-    for k, e in enumerate(json.loads(manifest_path.read_text())["scenes"]):
+    for k, e in enumerate(manifest["scenes"]):
         if not isinstance(e, dict):
             raise ValueError(f"{manifest_path}: scenes[{k}]: must be an object, got {e!r}")
         try:

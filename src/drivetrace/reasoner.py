@@ -42,10 +42,6 @@ class PathDecision(Enum):
     TURN = "Turn"
     LANE_CHANGE = "LaneChange"
 
-    @staticmethod
-    def from_intent(intent: Intent) -> "PathDecision":
-        return PathDecision(intent.value)
-
 
 @dataclass(frozen=True)
 class ReasonerConfig:
@@ -273,16 +269,16 @@ def find_lead(objects: Sequence[TrackedObject], ego: EgoState,
     return best
 
 
-# (rule id, action clause used by the explanation templates)
-_RULES = (
-    ("brake", "braking"),
-    ("lane_change", "changing lane and slowing down"),
-    ("occlusion", "approaching slowly"),
-    ("unpredictable", "slowing down"),
-    ("cautious_turn", "proceeding with caution"),
-    ("follow", "following at safe distance"),
-    ("speed_limit", "proceeding at speed limit"),
-)
+def _strongest(factors: list[RiskFactor]) -> Optional[RiskFactor]:
+    """The factor of largest magnitude, the first of equal ones; None if none."""
+    return max(factors, key=lambda f: f.magnitude) if factors else None
+
+
+def _factor_ref(f: RiskFactor) -> tuple[tuple[str, Any], ...]:
+    """Evidence of a step passed by ``f``: its kind, object and magnitude,
+    then its own evidence."""
+    return (("factor", f.kind.value), ("object_id", f.object_id),
+            ("magnitude", f.magnitude)) + f.evidence
 
 
 def decide(factors: Sequence[RiskFactor], ego: EgoState,
@@ -294,162 +290,102 @@ def decide(factors: Sequence[RiskFactor], ego: EgoState,
     obstacle with a clear adjacent lane; (3) slow approach on occlusion;
     (4) slow down for unpredictable objects; (5) cautious turn when the
     ego intends to turn; (6) follow a lead vehicle within the follow gap;
-    (7) default to the speed limit.  The first passing rule decides; every
-    rule is still evaluated and recorded.  Path is LaneChange only via
-    rule 2, otherwise the ego intent.
+    (7) default to the speed limit.  Every rule is evaluated and recorded,
+    and the first that passes decides.  Path is LaneChange only via rule
+    2, otherwise the ego intent.
     """
     collisions = [f for f in factors if f.kind is FactorKind.COLLISION_RISK]
-    occlusions = [f for f in factors if f.kind is FactorKind.OCCLUSION]
-    unpredictables = [f for f in factors if f.kind is FactorKind.UNPREDICTABLE_OBJECT]
-
-    brake_hits = [f for f in collisions if f.magnitude >= cfg.brake_level]
-    lane_hits = [
-        f for f in collisions
-        if cfg.slow_level < f.magnitude < cfg.brake_level
-        and f.get("speed", 0.0) <= cfg.static_speed
-        and f.get("adjacent_clear", False)
-    ]
-
+    # the strongest collision is also the strongest at or above brake_level
+    strongest_collision = _strongest(collisions)
+    max_collision_risk = 0.0 if strongest_collision is None else strongest_collision.magnitude
+    intent = ego.intent.value
+    intent_path = PathDecision(intent)
+    # One row per rule of (1)-(6): rule id, speed and path it decides, what
+    # passes it (its strongest factor, else its evidence; None when skipped),
+    # its conclusion from that, and its evidence and conclusion when skipped.
+    rows = (
+        ("brake", SpeedDecision.BRAKE, intent_path,
+         strongest_collision if max_collision_risk >= cfg.brake_level else None,
+         lambda f: f"collision risk {f.magnitude:.3f} >= {cfg.brake_level}: Brake",
+         (("max_collision_risk", max_collision_risk),),
+         f"no collision risk >= {cfg.brake_level}"),
+        ("lane_change", SpeedDecision.SLOW_DOWN, PathDecision.LANE_CHANGE,
+         _strongest([f for f in collisions
+                     if cfg.slow_level < f.magnitude < cfg.brake_level
+                     and f.get("speed", 0.0) <= cfg.static_speed
+                     and f.get("adjacent_clear", False)]),
+         lambda f: (f"static obstacle risk {f.magnitude:.3f} in "
+                    f"({cfg.slow_level}, {cfg.brake_level}), adjacent lane clear: "
+                    "SlowDown, path LaneChange"),
+         (("n_collision_factors", len(collisions)),),
+         "no moderate static corridor obstacle with clear adjacent lane"),
+        ("occlusion", SpeedDecision.SLOW_APPROACH, intent_path,
+         _strongest([f for f in factors if f.kind is FactorKind.OCCLUSION]),
+         lambda f: (f"corridor sector {f.get('sector')} density ratio "
+                    f"{f.get('density_ratio'):.3f} below {cfg.occlusion_density_ratio}: "
+                    "SlowApproach"),
+         (("n_occlusion_factors", 0),), "no occluded corridor sector"),
+        ("unpredictable", SpeedDecision.SLOW_DOWN, intent_path,
+         _strongest([f for f in factors if f.kind is FactorKind.UNPREDICTABLE_OBJECT]),
+         lambda f: f"object {f.object_id} uncertainty above threshold: SlowDown",
+         (("n_unpredictable_factors", 0),), "no unpredictable objects"),
+        ("cautious_turn", SpeedDecision.CAUTIOUS_TURN, intent_path,
+         (("intent", intent),) if ego.intent is Intent.TURN else None,
+         lambda _: "ego intends to turn: CautiousTurn",
+         (("intent", intent),), "ego not turning"),
+        ("follow", SpeedDecision.FOLLOW_AHEAD, intent_path,
+         (("object_id", lead.object_id), ("distance", lead.distance), ("speed", lead.speed))
+         if lead is not None and lead.distance <= cfg.follow_gap else None,
+         lambda _: f"lead vehicle at {lead.distance:.1f} m within follow gap: FollowAhead",
+         (("lead_distance", None if lead is None else lead.distance),),
+         "no lead vehicle within follow gap"),
+    )
     steps: list[TraceStep] = []
     decision: Optional[tuple[SpeedDecision, PathDecision]] = None
-    intent_path = PathDecision.from_intent(ego.intent)
-
-    def record(rule_id: str, passed: bool, evidence: tuple[tuple[str, Any], ...],
-               conclusion: str) -> None:
-        steps.append(TraceStep(len(steps) + 1, rule_id, passed, evidence, conclusion))
-
-    def factor_ref(f: RiskFactor) -> tuple[tuple[str, Any], ...]:
-        return (("factor", f.kind.value), ("object_id", f.object_id),
-                ("magnitude", f.magnitude)) + f.evidence
-
-    # 1: brake
-    if brake_hits:
-        f = max(brake_hits, key=lambda f: f.magnitude)
-        record("brake", True, factor_ref(f),
-               f"collision risk {f.magnitude:.3f} >= {cfg.brake_level}: Brake")
-        decision = (SpeedDecision.BRAKE, intent_path)
-    else:
-        record("brake", False, (("max_collision_risk",
-                                 max((f.magnitude for f in collisions), default=0.0)),),
-               f"no collision risk >= {cfg.brake_level}")
-
-    # 2: lane change around a static obstacle
-    if lane_hits:
-        f = max(lane_hits, key=lambda f: f.magnitude)
-        record("lane_change", True, factor_ref(f),
-               f"static obstacle risk {f.magnitude:.3f} in "
-               f"({cfg.slow_level}, {cfg.brake_level}), adjacent lane clear: "
-               "SlowDown, path LaneChange")
+    for index, (rule_id, speed, path, hit, conclude, skip_evidence,
+                skip_conclusion) in enumerate(rows, 1):
+        if hit is None:
+            steps.append(TraceStep(index, rule_id, False, skip_evidence, skip_conclusion))
+            continue
+        evidence = _factor_ref(hit) if isinstance(hit, RiskFactor) else hit
+        steps.append(TraceStep(index, rule_id, True, evidence, conclude(hit)))
         if decision is None:
-            decision = (SpeedDecision.SLOW_DOWN, PathDecision.LANE_CHANGE)
-    else:
-        record("lane_change", False, (("n_collision_factors", len(collisions)),),
-               "no moderate static corridor obstacle with clear adjacent lane")
+            decision = (speed, path)
 
-    # 3: occlusion
-    if occlusions:
-        f = max(occlusions, key=lambda f: f.magnitude)
-        record("occlusion", True, factor_ref(f),
-               f"corridor sector {f.get('sector')} density ratio "
-               f"{f.get('density_ratio'):.3f} below {cfg.occlusion_density_ratio}: "
-               "SlowApproach")
-        if decision is None:
-            decision = (SpeedDecision.SLOW_APPROACH, intent_path)
-    else:
-        record("occlusion", False, (("n_occlusion_factors", 0),),
-               "no occluded corridor sector")
-
-    # 4: unpredictable objects
-    if unpredictables:
-        f = max(unpredictables, key=lambda f: f.magnitude)
-        record("unpredictable", True, factor_ref(f),
-               f"object {f.object_id} uncertainty above threshold: SlowDown")
-        if decision is None:
-            decision = (SpeedDecision.SLOW_DOWN, intent_path)
-    else:
-        record("unpredictable", False, (("n_unpredictable_factors", 0),),
-               "no unpredictable objects")
-
-    # 5: turning intent
-    if ego.intent is Intent.TURN:
-        record("cautious_turn", True, (("intent", ego.intent.value),),
-               "ego intends to turn: CautiousTurn")
-        if decision is None:
-            decision = (SpeedDecision.CAUTIOUS_TURN, intent_path)
-    else:
-        record("cautious_turn", False, (("intent", ego.intent.value),),
-               "ego not turning")
-
-    # 6: lead vehicle
-    if lead is not None and lead.distance <= cfg.follow_gap:
-        record("follow", True,
-               (("object_id", lead.object_id), ("distance", lead.distance),
-                ("speed", lead.speed)),
-               f"lead vehicle at {lead.distance:.1f} m within follow gap: FollowAhead")
-        if decision is None:
-            decision = (SpeedDecision.FOLLOW_AHEAD, intent_path)
-    else:
-        record("follow", False,
-               (("lead_distance", None if lead is None else lead.distance),),
-               "no lead vehicle within follow gap")
-
-    # 7: default
-    if decision is None:
-        record("speed_limit", True, (("n_factors", len(factors)),),
-               "no hazards detected: SpeedLimit")
-        decision = (SpeedDecision.SPEED_LIMIT, intent_path)
-    else:
-        record("speed_limit", False, (("n_factors", len(factors)),),
-               "higher-priority rule already decided")
-
-    speed, path = decision
-    record("decision", True,
-           (("speed", speed.value), ("path", path.value)),
-           f"Decision: {speed.value} / {path.value}")
-    explanation = _render_explanation(steps)
-    return DecisionTrace(tuple(steps), speed, path, explanation)
+    default = decision is None
+    speed, path = (SpeedDecision.SPEED_LIMIT, intent_path) if default else decision
+    steps.append(TraceStep(len(steps) + 1, "speed_limit", default,
+                           (("n_factors", len(factors)),),
+                           "no hazards detected: SpeedLimit" if default
+                           else "higher-priority rule already decided"))
+    speed_value, path_value = speed.value, path.value
+    steps.append(TraceStep(len(steps) + 1, "decision", True,
+                           (("speed", speed_value), ("path", path_value)),
+                           f"Decision: {speed_value} / {path_value}"))
+    return DecisionTrace(tuple(steps), speed, path, _render_explanation(steps))
 
 
-def _sentence(step: TraceStep) -> Optional[str]:
-    """Explanation sentence for a passed rule: 'evidence; action.'"""
-    ev = dict(step.evidence)
-    action = dict(_RULES).get(step.rule_id)
-    if step.rule_id == "brake":
-        return (f"High risk due to nearby {ev['class'].lower()} at "
-                f"{ev['min_distance']:.1f} m; {action}.")
-    if step.rule_id == "lane_change":
-        return (f"Moderate risk from static {ev['class'].lower()} at "
-                f"{ev['min_distance']:.1f} m; {action}.")
-    if step.rule_id == "occlusion":
-        return (f"Low visibility in corridor between {ev['range_start']:.0f} and "
-                f"{ev['range_end']:.0f} m; {action}.")
-    if step.rule_id == "unpredictable":
-        return (f"Unpredictable {ev['class'].lower()} with uncertainty "
-                f"{ev['uncertainty']:.2f}; {action}.")
-    if step.rule_id == "cautious_turn":
-        return f"Turning ahead; {action}."
-    if step.rule_id == "follow":
-        return f"Lead vehicle at {ev['distance']:.1f} m; {action}."
-    if step.rule_id == "speed_limit":
-        return f"No hazards detected; {action}."
-    return None
+#: Explanation sentence of each rule, from the evidence of its passed step;
+#: each ends with the rule's action clause.
+_SENTENCES = {
+    "brake": lambda ev: (f"High risk due to nearby {ev['class'].lower()} at "
+                         f"{ev['min_distance']:.1f} m; braking."),
+    "lane_change": lambda ev: (f"Moderate risk from static {ev['class'].lower()} at "
+                               f"{ev['min_distance']:.1f} m; changing lane and slowing down."),
+    "occlusion": lambda ev: (f"Low visibility in corridor between {ev['range_start']:.0f} "
+                             f"and {ev['range_end']:.0f} m; approaching slowly."),
+    "unpredictable": lambda ev: (f"Unpredictable {ev['class'].lower()} with uncertainty "
+                                 f"{ev['uncertainty']:.2f}; slowing down."),
+    "cautious_turn": lambda ev: "Turning ahead; proceeding with caution.",
+    "follow": lambda ev: f"Lead vehicle at {ev['distance']:.1f} m; following at safe distance.",
+    "speed_limit": lambda ev: "No hazards detected; proceeding at speed limit.",
+}
 
 
 def _render_explanation(steps: Sequence[TraceStep]) -> str:
-    sentences = []
-    for step in steps:
-        if not step.passed or step.rule_id == "decision":
-            continue
-        text = _sentence(step)
-        if text:
-            sentences.append(text)
-    return " ".join(sentences)
-
-
-def explain(trace: DecisionTrace) -> str:
-    """Deterministic textual explanation: one sentence per fired rule, in
-    trace order, each ending with that rule's action clause."""
-    return _render_explanation(trace.steps)
+    """One sentence per passed rule, in trace order."""
+    return " ".join(_SENTENCES[s.rule_id](dict(s.evidence))
+                    for s in steps if s.passed and s.rule_id != "decision")
 
 
 def trace_to_dict(trace: DecisionTrace) -> dict:

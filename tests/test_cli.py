@@ -2,13 +2,14 @@
 
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from drivetrace.cli import main
 from drivetrace.config import (
+    _SECTIONS,
     PipelineConfig,
     config_from_dict,
     config_to_dict,
@@ -20,6 +21,11 @@ from drivetrace.interaction import BgnnModel, InteractionConfig, load_model, sav
 from drivetrace.pipeline import run_scene
 from drivetrace.scene_io import load_scene
 from interaction_oracle import scalar_build_graph
+
+
+#: (section, key) of every float config field
+FLOAT_FIELDS = [(section, f.name) for section, cls in _SECTIONS.items()
+                for f in fields(cls) if f.type in (float, "float")]
 
 
 def run(*argv) -> int:
@@ -330,23 +336,23 @@ class TestArgsAndConfig:
     def test_non_finite_cluster_config_exit_1(self, tmp_path, capsys, name):
         bad = tmp_path / "bad.json"
         bad.write_text('{"cluster": {"%s": NaN}, "detector": "geometric"}' % name)
-        with pytest.raises(ValueError, match=f"ClusterParams.{name} must be finite"):
+        with pytest.raises(ValueError, match=f"cluster.{name} must be finite"):
             load_config(bad)
         assert run("generate", "--template", "empty-road",
                    "--config", str(bad), "--out", str(tmp_path / "o")) == 1
-        assert f"ClusterParams.{name}" in capsys.readouterr().err
+        assert f"cluster.{name}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
-    @pytest.mark.parametrize(("section", "key"),
-                             [("reasoner", "follow_gap"), ("uncertainty", "threshold")])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(("section", "key"), FLOAT_FIELDS)
     def test_non_finite_config_value_names_file_and_key(self, tmp_path, section, key, value):
-        """Values that pass every range check of their section (a NaN fails
-        no comparison) are still rejected."""
+        """Every float field of every section, including values that pass
+        the section's range checks (a NaN fails no comparison) and values
+        that fail them."""
         bad = tmp_path / "bad.json"
         bad.write_text('{"%s": {"%s": %s}}' % (section, key, value))
         with pytest.raises(ValueError) as exc:
             load_config(bad)
-        got = {"NaN": "nan", "Infinity": "inf"}[value]
+        got = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}[value]
         assert str(exc.value) == f"{bad}: {section}.{key} must be finite, got {got}"
 
     @pytest.mark.parametrize(("text", "reason"), [
@@ -357,8 +363,13 @@ class TestArgsAndConfig:
         ('{"risk": {', "Expecting property name enclosed in double quotes: "
                        "line 1 column 11 (char 10)"),
         ('{"risk": {"decay_length": -5}}', "decay_length must be > 0"),
+        ('{"seed": 1.5}', "seed must be a non-negative integer, got 1.5"),
+        ('{"seed": -1}', "seed must be a non-negative integer, got -1"),
+        ('{"seed": true}', "seed must be a non-negative integer, got True"),
+        ('{"seed": "3"}', "seed must be a non-negative integer, got '3'"),
     ], ids=["section-not-object", "top-not-object", "unknown-key", "unknown-section",
-            "json-syntax", "invalid-value"])
+            "json-syntax", "invalid-value", "seed-float", "seed-negative", "seed-bool",
+            "seed-string"])
     def test_bad_config_file_error_names_file(self, tmp_path, capsys, text, reason):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -368,6 +379,12 @@ class TestArgsAndConfig:
         assert run("generate", "--template", "empty-road",
                    "--config", str(bad), "--out", str(tmp_path / "o")) == 1
         assert f"error: ValueError: {bad}: {reason}" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_1(self, tmp_path, capsys):
+        assert run("generate", "--template", "empty-road", "--seed", "-1",
+                   "--out", str(tmp_path / "o")) == 1
+        assert ("error: ValueError: seed must be a non-negative integer, got -1"
+                in capsys.readouterr().err)
 
     def test_invalid_config_file_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"

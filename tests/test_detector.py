@@ -224,6 +224,12 @@ def test_cluster_params_rejects_invalid(name, value):
         ClusterParams(**{name: value})
 
 
+def test_cluster_params_non_finite_message_names_class():
+    with pytest.raises(ValueError) as exc:
+        ClusterParams(neighbor_radius=float("nan"))
+    assert str(exc.value) == "ClusterParams.neighbor_radius must be finite, got nan"
+
+
 def assert_same_clusters(xyz, radius):
     """The array-based clustering returns the oracle BFS's partition, in its
     order: sorted index arrays, ordered by smallest index."""

@@ -180,3 +180,19 @@ class TestManifest:
         assert f"error: ValueError: {path}: scenes[1]: {reason}" in capsys.readouterr().err
         # the manifest is checked before any scene is read
         assert loaded == []
+
+    @pytest.mark.parametrize(("text", "reason"), [
+        ('{"scenes": [', "Expecting value: line 1 column 13 (char 12)"),
+        ('[]', "manifest must be an object, got []"),
+        ('{}', "missing key 'scenes'"),
+        ('{"scenes": 3}', "scenes must be a list, got 3"),
+    ], ids=["json-syntax", "not-object", "no-scenes", "scenes-not-list"])
+    def test_bad_manifest_names_manifest(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            evaluate_suite(path, PipelineConfig())
+        assert str(exc.value) == f"{path}: {reason}"
+        assert main(["evaluate", "--manifest", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"error: ValueError: {path}: {reason}" in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Source layout guards: every top-level function and class is used, and
-every config knob has one owner that the code reads.
+"""Source layout guards: every top-level function and class is used,
+every config knob has one owner that the code reads, and the README
+documents an explanation template for every decision rule.
 
 A top-level ``def`` or ``class`` in ``src/drivetrace`` whose name appears
 nowhere else in the package (as a whole word, outside its own definition
@@ -15,8 +16,11 @@ from pathlib import Path
 import pytest
 
 from drivetrace.config import _SECTIONS
+from drivetrace.reasoner import ReasonerConfig, decide
+from drivetrace.scene import EgoState
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "drivetrace"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "drivetrace"
 SOURCES = {path: path.read_text().splitlines() for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -69,3 +73,13 @@ def test_no_constant_shadows_a_config_field():
             copies += [f"{path.name}:{node.lineno}: {t.id} copies {knobs[t.id]}"
                        for t in targets if isinstance(t, ast.Name) and t.id in knobs]
     assert not copies, "\n".join(copies)
+
+
+def test_readme_documents_every_rule_template():
+    """README's "Explanation templates" table lists exactly the rules that
+    decide records (all but the closing decision step), in trace order."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Explanation templates\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| (\w+) \| `", section, flags=re.M)
+    trace = decide([], EgoState(), None, ReasonerConfig())
+    assert documented == [s.rule_id for s in trace.steps if s.rule_id != "decision"]

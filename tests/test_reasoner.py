@@ -1,9 +1,11 @@
 """Risk-factor extraction, the decision cascade, and explanations."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drivetrace.config import PipelineConfig, config_from_dict
 from drivetrace.interaction import (
@@ -23,7 +25,6 @@ from drivetrace.reasoner import (
     RiskFactor,
     SpeedDecision,
     decide,
-    explain,
     extract_risk_factors,
     find_lead,
     format_trace,
@@ -35,6 +36,7 @@ from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import EgoState, Intent, PointCloud, Scene
 from conftest import make_object
 from interaction_oracle import scalar_build_graph
+from reasoner_oracle import reference_decide
 
 CFG = ReasonerConfig()
 UCFG = UncertaintyConfig()
@@ -163,11 +165,79 @@ class TestCascade:
         assert all(len(s.evidence) >= 1 for s in trace.steps)
 
 
+def _near(value, lo=0.0, hi=1.0):
+    """``value`` and its two float neighbours that lie in [lo, hi]."""
+    return [v for v in (math.nextafter(value, -math.inf), value,
+                        math.nextafter(value, math.inf)) if lo <= v <= hi]
+
+
+@st.composite
+def cascade_inputs(draw):
+    """Factors, ego, lead and config for one decide call.  Magnitudes,
+    speeds and lead distances are often exactly at (or one float from) the
+    config's thresholds, and are drawn from a few values so that ties are
+    common."""
+    slow = draw(st.floats(0.05, 0.9))
+    brake = draw(st.floats(slow, 1.0, exclude_min=True))
+    cfg = ReasonerConfig(
+        slow_level=slow, brake_level=brake,
+        follow_gap=draw(st.sampled_from([0.0, 10.0, 25.0])),
+        static_speed=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        occlusion_density_ratio=draw(st.sampled_from([0.1, 0.3, 0.9])))
+    magnitude = st.one_of(
+        st.sampled_from(sum((_near(v) for v in (0.0, slow, brake, 1.0)), [])),
+        st.floats(0.0, 1.0))
+    speed = st.one_of(st.sampled_from(_near(cfg.static_speed, hi=30.0)), st.floats(0.0, 30.0))
+    value = st.floats(0.0, 60.0)
+    cls = st.sampled_from(["Vehicle", "Pedestrian", "Cyclist", "Unknown"])
+    graph_refs = st.one_of(st.just(()), st.builds(
+        lambda a, e: (("ego_edge_attention", a), ("ego_edge_energy", e)),
+        st.floats(0.0, 1.0), st.floats(-5.0, 5.0)))
+    object_id = st.integers(0, 5)
+
+    collision = st.builds(
+        lambda m, i, c, d, v, clear, refs: RiskFactor(
+            FactorKind.COLLISION_RISK, m, i,
+            (("class", c), ("min_distance", d), ("risk", m), ("tier", "High"),
+             ("speed", v), ("adjacent_clear", clear)) + refs),
+        magnitude, object_id, cls, value, speed, st.booleans(), graph_refs)
+    occlusion = st.builds(
+        lambda m, k, start, ratio: RiskFactor(
+            FactorKind.OCCLUSION, m, None,
+            (("sector", k), ("range_start", start), ("range_end", start + 10.0),
+             ("density_ratio", ratio))),
+        magnitude, st.integers(0, 3), value, st.floats(0.0, 1.0))
+    unpredictable = st.builds(
+        lambda m, i, c, u, flagged, d, refs: RiskFactor(
+            FactorKind.UNPREDICTABLE_OBJECT, m, i,
+            (("class", c), ("uncertainty", u), ("flagged", flagged),
+             ("high_epistemic", not flagged), ("min_distance", d)) + refs),
+        magnitude, object_id, cls, st.floats(0.0, 2.0), st.booleans(), value, graph_refs)
+
+    factors = draw(st.lists(st.one_of(collision, occlusion, unpredictable), max_size=6))
+    ego = EgoState(heading=0.0, speed=8.0, intent=draw(st.sampled_from(Intent)))
+    lead = draw(st.one_of(st.none(), st.builds(
+        LeadInfo, object_id, st.one_of(st.sampled_from(_near(cfg.follow_gap, hi=60.0)), value),
+        speed)))
+    return factors, ego, lead, cfg
+
+
+class TestReferenceCascade:
+    """The rule table against the hand-unrolled cascade it replaced, kept in
+    ``tests/reasoner_oracle.py``: the same JSON and text, byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(cascade_inputs())
+    def test_same_trace_as_reference(self, inputs):
+        got, want = decide(*inputs), reference_decide(*inputs)
+        assert json.dumps(trace_to_dict(got)) == json.dumps(trace_to_dict(want))
+        assert format_trace(got) == format_trace(want)
+
+
 class TestExplain:
     def test_brake_template_exact(self):
         trace = decide([collision(0.9, cls="Pedestrian", d=5.0)], EGO, None, CFG)
         assert trace.explanation == "High risk due to nearby pedestrian at 5.0 m; braking."
-        assert explain(trace) == trace.explanation
 
     def test_speed_limit_template_exact(self):
         trace = decide([], EGO, None, CFG)
