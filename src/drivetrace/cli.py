@@ -61,7 +61,7 @@ def cmd_generate(args) -> int:
     entries = []
     for template in templates:
         for k in range(args.count):
-            seed = (args.seed or 0) + k
+            seed = config.seed + k
             spec = ScenarioSpec(template=template, seed=seed,
                                 n_objects=args.n_objects,
                                 noise_std=args.noise_std,

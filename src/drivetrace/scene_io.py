@@ -7,7 +7,8 @@ its cloud; a file without it loads as ``ego``).  Point clouds come in two
 flavors:
 
 * ASCII: one point per line, ``x y z intensity`` whitespace-separated,
-  ``#``-prefixed comment lines allowed.
+  ``#``-prefixed comment lines allowed.  The writer's first line
+  ``# point cloud frame=<id> count=<n>`` is checked against the points read.
 * Binary: 16-byte header (8-byte magic ``PCBIN001`` + uint64 little-endian
   point count) followed by 4 float32 little-endian values per point.
 
@@ -17,6 +18,7 @@ Writers are byte-deterministic: identical inputs produce identical files.
 from __future__ import annotations
 
 import json
+import re
 import struct
 from pathlib import Path
 from typing import Any
@@ -36,6 +38,8 @@ from .scene import (
 )
 
 CLOUD_MAGIC = b"PCBIN001"
+#: The first line ``write_cloud_ascii`` writes; group 1 is the point count.
+_ASCII_HEADER = re.compile(r"# point cloud frame=.* count=([0-9]+)")
 
 
 def write_cloud_ascii(cloud: PointCloud, path: str | Path) -> None:
@@ -49,6 +53,75 @@ def write_cloud_binary(cloud: PointCloud, path: str | Path) -> None:
     header = CLOUD_MAGIC + struct.pack("<Q", len(cloud))
     body = cloud.data.astype("<f4").tobytes()
     Path(path).write_bytes(header + body)
+
+
+def _scan_points(path: str | Path, lines: list[str]) -> np.ndarray:
+    """The (n, 4) points on an ASCII cloud's lines, parsed one line at a
+    time.  A bad line raises ValueError naming the file and the line."""
+    rows = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise ValueError(f"{path}:{lineno}: bad point line {line!r}, "
+                             f"expected 4 values")
+        try:
+            rows.append([float(v) for v in parts])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
+def _comments_start_lines(text: str) -> bool:
+    """Whether every ``#`` in ``text`` is its first character or follows
+    a newline, so that it starts a comment line."""
+    i = text.find("#", 1)
+    while i != -1:
+        if text[i - 1] != "\n":
+            return False
+        i = text.find("#", i + 1)
+    return True
+
+
+def _loadtxt_points(text: str, lines: list[str]) -> np.ndarray | None:
+    """The points ``_scan_points`` parses from ``lines`` (which is
+    ``text.splitlines()``), parsed by numpy's C reader; None where that
+    reader could differ from the line scan.
+
+    ``np.loadtxt`` gets the same lines, so line breaks agree.  On ASCII
+    text it splits fields at the same whitespace as ``str.split`` and
+    parses each with the same ``PyOS_string_to_double`` as ``float``, so it
+    rejects every value ``float`` rejects.  What is left gives None:
+    non-ASCII text, a ``#`` that does not start a line (loadtxt drops an
+    inline comment), a body without a point line (loadtxt warns), anything
+    loadtxt rejects (``1_000`` is a float) and a column count other than 4
+    (loadtxt reads any count).
+    """
+    if not (text.isascii() and _comments_start_lines(text)
+            and any(line.strip() and not line.strip().startswith("#") for line in lines)):
+        return None
+    try:
+        data = np.loadtxt(lines, dtype=np.float64, comments="#", ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape[1] == 4 else None
+
+
+def _read_ascii(path: str | Path, raw: bytes) -> np.ndarray:
+    """The (n, 4) points of an ASCII cloud file's bytes.  When the first
+    line is the writer's header, its count must match the points read."""
+    text = raw.decode("utf-8")
+    lines = text.splitlines()
+    data = _loadtxt_points(text, lines)
+    if data is None:
+        data = _scan_points(path, lines)
+    header = _ASCII_HEADER.fullmatch(lines[0].strip()) if lines else None
+    if header and int(header[1]) != len(data):
+        raise ValueError(f"point cloud {path} has header count {header[1]}, "
+                         f"but {len(data)} points were read")
+    return data
 
 
 def read_cloud(path: str | Path, frame_id: str = "ego") -> PointCloud:
@@ -67,20 +140,7 @@ def read_cloud(path: str | Path, frame_id: str = "ego") -> PointCloud:
         data = np.frombuffer(raw, dtype="<f4", offset=16, count=count * 4)
         data = data.reshape(count, 4).astype(np.float64)
     else:
-        rows = []
-        for lineno, line in enumerate(raw.decode("utf-8").splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: bad point line {line!r}, "
-                                 f"expected 4 values")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        data = np.array(rows, dtype=np.float64).reshape(-1, 4)
+        data = _read_ascii(path, raw)
     try:
         return PointCloud(data, frame_id)
     except ValueError as exc:

@@ -62,6 +62,19 @@ class TestGenerate:
         assert run("generate", "--template", "flying-cars",
                    "--out", str(tmp_path / "x")) == 1
 
+    def test_config_seed_without_flag(self, tmp_path):
+        config = tmp_path / "seed7.json"
+        config.write_text('{"seed": 7}')
+        from_file, from_flag = tmp_path / "file", tmp_path / "flag"
+        assert run("generate", "--template", "empty-road", "--count", "2",
+                   "--config", str(config), "--out", str(from_file)) == 0
+        assert run("generate", "--template", "empty-road", "--count", "2",
+                   "--seed", "7", "--out", str(from_flag)) == 0
+        manifest = json.loads((from_file / "manifest.json").read_text())
+        assert [e["seed"] for e in manifest["scenes"]] == [7, 8]
+        for name in sorted(os.listdir(from_flag)):
+            assert (from_file / name).read_bytes() == (from_flag / name).read_bytes(), name
+
 
 class TestPipelineCommands:
     def test_detect_writes_detections(self, ped_scene, tmp_path):

@@ -5,11 +5,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import PointCloud
 from drivetrace.scene_io import (
     CLOUD_MAGIC,
+    _loadtxt_points,
+    _read_ascii,
+    _scan_points,
     load_scene,
     read_cloud,
     save_scene,
@@ -272,3 +276,122 @@ def test_support_points_outside_cloud_rejected_at_load(tmp_path, index):
         load_scene(path)
     assert str(index) in str(exc.value)
     assert str(path) in str(exc.value)
+
+
+def _outcome(parse):
+    """What a parse gives: its array's shape and bytes, or its error."""
+    try:
+        data = parse()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return data.shape, data.tobytes()
+
+
+def _line_scan(path):
+    return _scan_points(path, path.read_bytes().decode("utf-8").splitlines())
+
+
+#: Bodies on which np.loadtxt on its own differs from the line scan, or
+#: that sit at the edge of the syntax.
+TRAP_BODIES = {
+    "inline-comment": b"1 2 3 4 # note\n",
+    "inline-comment-3-values": b"1 2 3 #4\n",
+    **{f"break-{b:#04x}": b"1 2" + bytes([b]) + b"3 4\n5 6 7 8\n"
+       for b in (0x0B, 0x0C, 0x1C, 0x1D, 0x1E)},
+    "break-before-comment": b"1 2 3 4\x0c# note\n",
+    "indented-comment": b"  # note\n1 2 3 4\n",
+    "cr-only": b"# head\r1 2 3 4\r5 6 7 8\r",
+    "crlf": b"# head\r\n1 2 3 4\r\n5 6 7 8\r\n",
+    "nbsp": "1\u00a02\u00a03\u00a04\n".encode(),
+    "nel": "1 2 3 4\u00855 6 7 8\n".encode(),
+    "arabic-digits": "\u0661 2 3 4\n".encode(),
+    "not-utf8": b"\xff 2 3 4\n",
+    "underscore": b"1_000 2 3 4\n",
+    "plus-exponent": b"+1e3 2 3 4\n",
+    "infinity": b"Infinity 2 3 4\n",
+    "nan": b"nan 2 3 4\n",
+    "overflow": b"1e400 2 3 4\n",
+    "hex": b"0x10 2 3 4\n",
+    "nul": b"1 2 3 4\x00\n",
+    "3-values": b"1 2 3\n4 5 6\n",
+    "5-values": b"1 2 3 4 5\n",
+    "1-value-4-lines": b"1\n2\n3\n4\n",
+    "ragged": b"1 2 3 4\n5 6 7\n",
+    "empty": b"",
+    "header-only": b"# point cloud frame=ego count=0\n",
+    "comment-only": b"# note\n",
+    "blank-lines-only": b"\n  \n\t\n",
+    "no-final-newline": b"# h\n1 2 3 4\n5 6 7 8",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body", TRAP_BODIES.values(), ids=TRAP_BODIES.keys())
+def test_ascii_parse_matches_line_scan(tmp_path, body):
+    """Each trap loads to the line scan's bytes or fails with its message."""
+    path = tmp_path / "cloud.pts"
+    path.write_bytes(body)
+    assert _outcome(lambda: _read_ascii(path, body)) == _outcome(lambda: _line_scan(path))
+
+
+@pytest.mark.filterwarnings("error")
+def test_ascii_parse_matches_line_scan_for_every_ascii_char(tmp_path):
+    """np.loadtxt's whitespace, on the lines it is given, is str.split's."""
+    path = tmp_path / "cloud.pts"
+    for code in range(128):
+        c = chr(code)
+        for body in (f"1{c}2 3 4\n", f"1 2 3 4{c}\n", f"{c}1 2 3 4\n", f"# h\n{c}\n1 2 3 4\n"):
+            raw = body.encode()
+            path.write_bytes(raw)
+            assert (_outcome(lambda: _read_ascii(path, raw))
+                    == _outcome(lambda: _line_scan(path))), repr(body)
+
+
+_coord = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1e-300, 0.1, 1 / 3, 123456789.12345679]),
+)
+_intensity = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308, 255.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_coord, _coord, _coord, _intensity), min_size=1, max_size=40))
+def test_ascii_read_bit_identical_to_line_scan(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("cloud") / "cloud.pts"
+    written = PointCloud(np.array(rows, dtype=np.float64))
+    write_cloud_ascii(written, path)
+    text = path.read_text()
+    assert _loadtxt_points(text, text.splitlines()) is not None
+    expected = _line_scan(path).tobytes()
+    assert read_cloud(path).data.tobytes() == expected == written.data.tobytes()
+
+
+def test_truncated_ascii_cloud_names_header_count(tmp_path):
+    scene = generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=1))
+    path = tmp_path / "cloud.pts"
+    write_cloud_ascii(scene.cloud, path)
+    lines = path.read_text().splitlines(keepends=True)
+    n = len(scene.cloud)
+    path.write_text("".join(lines[: 1 + n // 2]))
+    with pytest.raises(ValueError) as exc:
+        read_cloud(path)
+    assert str(exc.value) == (f"point cloud {path} has header count {n}, "
+                              f"but {n // 2} points were read")
+
+
+@pytest.mark.parametrize("header", ["# point cloud frame=x count=3", "# count=5", "# note"])
+def test_ascii_header_count_checked_only_on_writer_header(tmp_path, header):
+    path = tmp_path / "cloud.pts"
+    path.write_text(f"{header}\n1 2 3 4\n5 6 7 8\n9 10 11 12\n")
+    assert len(read_cloud(path)) == 3
+
+
+def test_ascii_header_count_checked_on_line_scan_path(tmp_path):
+    path = tmp_path / "cloud.pts"
+    path.write_text("# point cloud frame=x count=3\r\n1 2 3 4\r\n1_0 2 3 4\r\n")
+    with pytest.raises(ValueError, match="has header count 3, but 2 points were read"):
+        read_cloud(path)
