@@ -41,8 +41,6 @@ from .interaction import (
     InteractionGraph,
     InteractionLabel,
     build_graph,
-    forward_mc,
-    fuse_refine,
     interaction_energy,
     refine_objects,
 )

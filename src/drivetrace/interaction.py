@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .risk import (
     shannon_entropy,
 )
 from .scene import (
-    NUM_CLASSES,
     ClassDistribution,
     EgoState,
     ObjectClass,
@@ -353,10 +352,27 @@ class BayesianLayer:
 class BgnnModel:
     """Message-passing BGNN: per round a self layer and a neighbor layer,
     then a class head.  ``params`` is flat:
-    [self_0, nbr_0, self_1, nbr_1, ..., head]."""
+    [self_0, nbr_0, self_1, nbr_1, ..., head].
+
+    ``_draws`` memoises :meth:`weight_draws` for one ``(seed, mc_samples)``
+    key; :func:`train_bgnn`, which changes ``params`` in place, drops it."""
 
     config: InteractionConfig
     params: list[BayesianLayer]
+    _draws: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def weight_draws(self, seed: int) -> tuple[list[list[np.ndarray]], ...]:
+        """The ``config.mc_samples`` weight draws, each one read-only
+        [W, b] pair per layer; draw s comes from the PCG64 stream seeded
+        with (seed, s).  Drawn on the first call for ``seed`` and reused
+        until another seed is asked for.  Two threads that draw at once
+        store equal draws, so no lock is needed."""
+        key = (seed, self.config.mc_samples)
+        memo = self._draws
+        if memo is None or memo[0] != key:
+            memo = (key, _draw_weights(self.params, *key))
+            self._draws = memo
+        return memo[1]
 
     @staticmethod
     def initialize(cfg: InteractionConfig, seed: int = 0) -> "BgnnModel":
@@ -386,6 +402,28 @@ def _sample_layers(params: Sequence[BayesianLayer], rng: np.random.Generator
     return values, epsilons
 
 
+def _draw_weights(params: Sequence[BayesianLayer], seed: int, mc_samples: int
+                  ) -> tuple[list[list[np.ndarray]], ...]:
+    """The values of :func:`_sample_layers` for the streams (seed, 0) to
+    (seed, mc_samples - 1), bit for bit, filled in place and read-only."""
+    stds = [(np.exp(layer.weight_log_stds), np.exp(layer.bias_log_stds)) for layer in params]
+    draws = []
+    for s in range(mc_samples):
+        rng = np.random.default_rng([seed, s])
+        values = []
+        for layer, layer_stds in zip(params, stds):
+            pair = []
+            for mean, std in zip((layer.weight_means, layer.bias_means), layer_stds):
+                w = rng.standard_normal(mean.shape)
+                w *= std
+                w += mean
+                w.flags.writeable = False
+                pair.append(w)
+            values.append(pair)
+        draws.append(values)
+    return tuple(draws)
+
+
 def _forward(values: Sequence[Sequence[np.ndarray]], attention: np.ndarray,
              feats: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run message passing; returns logits and per-round activations
@@ -403,33 +441,6 @@ def _forward(values: Sequence[Sequence[np.ndarray]], attention: np.ndarray,
     w_head, b_head = values[-1]
     logits = h @ w_head.T + b_head
     return logits, activations
-
-
-def _mc_logits(graph: InteractionGraph, feats: np.ndarray,
-               params: Sequence[BayesianLayer], mc_samples: int, seed: int) -> np.ndarray:
-    """Logits of ``mc_samples`` weight draws, shape (samples, nodes, out);
-    sample s uses the PCG64 stream seeded with (seed, s)."""
-    attention = graph.attention_matrix()
-    samples = []
-    for s in range(mc_samples):
-        values, _ = _sample_layers(params, np.random.default_rng([seed, s]))
-        logits, _ = _forward(values, attention, feats)
-        samples.append(logits)
-    return np.stack(samples)
-
-
-def forward_mc(graph: InteractionGraph, feats: np.ndarray,
-               params: Sequence[BayesianLayer], mc_samples: int, seed: int = 0
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo forward pass: mean and std of the logits over
-    ``mc_samples`` weight draws.  Bit-reproducible for a given seed; sample
-    s uses the PCG64 stream seeded with (seed, s)."""
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
-    if feats.shape[0] != graph.n_nodes:
-        raise ValueError(f"feature rows {feats.shape[0]} != nodes {graph.n_nodes}")
-    stack = _mc_logits(graph, feats, params, mc_samples, seed)
-    return stack.mean(axis=0), stack.std(axis=0)
 
 
 def forward_mean(graph: InteractionGraph, feats: np.ndarray,
@@ -558,20 +569,6 @@ def _pool_beliefs(log_raw: np.ndarray, attention: np.ndarray,
     return np.exp(log_q - log_q.max(axis=-1, keepdims=True))
 
 
-def fuse_refine(raw: ClassDistribution,
-                neighbor_evidence: Iterable[tuple[ClassDistribution, float]]
-                ) -> ClassDistribution:
-    """Log-linear pooling of the raw belief with attention-weighted
-    neighbor beliefs: log q = log raw + sum_j a_j log p_j, renormalized.
-    Probabilities are floored at 1e-9 before taking logs.  With agreeing
-    evidence this never increases entropy."""
-    evidence = list(neighbor_evidence)
-    attention = np.array([[a for _, a in evidence]], dtype=np.float64).reshape(1, -1)
-    neighbors = np.array([d.probs for d, _ in evidence]).reshape(-1, NUM_CLASSES)
-    q = _pool_beliefs(_log_beliefs(raw.as_array()), attention, _log_beliefs(neighbors))
-    return ClassDistribution.from_array(q[0])
-
-
 def refine_uncertainty(
     fused: ClassDistribution,
     deviation: float,
@@ -659,8 +656,9 @@ def refine_objects(
     labels = list(InteractionLabel)
     if model is not None:
         feats = graph_features(objects, assessments, ego)
-        probs = _softmax(_mc_logits(graph, feats, model.params,
-                                    model.config.mc_samples, seed))
+        attention = graph.attention_matrix()
+        probs = _softmax(np.stack([_forward(values, attention, feats)[0]
+                                   for values in model.weight_draws(seed)]))
         prob_std = probs.std(axis=0)
         pred_labels = probs.mean(axis=0).argmax(axis=1)
     refined: list[RefinedEstimate] = []
@@ -740,6 +738,7 @@ def train_bgnn(
     """Full-batch Adam training; returns the per-step loss history."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    model._draws = None  # drawn from the parameters that adam_step changes
     state = AdamState()
     history = []
     for step in range(steps):

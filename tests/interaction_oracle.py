@@ -7,6 +7,11 @@ edge table: one ``ScalarEdge`` record per directed pair within the edge
 radius, keyed by node ids, a softmax over each node's in-edges, in-edge
 lookups by scanning every edge, and sequential log-linear pooling per
 object.
+
+It also keeps the Monte Carlo forward pass that draws fresh weights on
+every call (``mc_logits``, ``forward_mc``), the oracle for the draws that
+``BgnnModel.weight_draws`` makes once per seed, and ``fuse_refine``, the
+one-object form of the package's log-linear pooling.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from drivetrace.interaction import (
     InteractionLabel,
     RefinedEstimate,
     _forward,
+    _log_beliefs,
+    _pool_beliefs,
     _sample_layers,
     _softmax,
     classify_interaction,
@@ -34,7 +41,56 @@ from drivetrace.interaction import (
 )
 from drivetrace.reasoner import ReasonerConfig
 from drivetrace.risk import ObjectAssessment, UncertaintyConfig
-from drivetrace.scene import ClassDistribution, EgoState, ObjectClass, TrackedObject
+from drivetrace.scene import (
+    NUM_CLASSES,
+    ClassDistribution,
+    EgoState,
+    ObjectClass,
+    TrackedObject,
+)
+
+
+def mc_logits(graph, feats: np.ndarray, params, mc_samples: int, seed: int) -> np.ndarray:
+    """Logits of ``mc_samples`` weight draws, shape (samples, nodes, out);
+    sample s draws fresh weights from the PCG64 stream seeded with (seed, s)."""
+    samples = []
+    for s in range(mc_samples):
+        values, _ = _sample_layers(params, np.random.default_rng([seed, s]))
+        logits, _ = _forward(values, graph.attention_matrix(), feats)
+        samples.append(logits)
+    return np.stack(samples)
+
+
+def forward_mc(graph, feats: np.ndarray, params, mc_samples: int, seed: int = 0
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and std of the logits over ``mc_samples`` fresh weight draws."""
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
+    if feats.shape[0] != graph.n_nodes:
+        raise ValueError(f"feature rows {feats.shape[0]} != nodes {graph.n_nodes}")
+    stack = mc_logits(graph, feats, params, mc_samples, seed)
+    return stack.mean(axis=0), stack.std(axis=0)
+
+
+def mc_estimates(graph, feats: np.ndarray, model: BgnnModel, seed: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node class-probability std and argmax label index over the
+    model's ``mc_samples`` fresh draws, as ``refine_objects`` reports them."""
+    probs = _softmax(mc_logits(graph, feats, model.params, model.config.mc_samples, seed))
+    return probs.std(axis=0), probs.mean(axis=0).argmax(axis=1)
+
+
+def fuse_refine(raw: ClassDistribution,
+                neighbor_evidence: Iterable[tuple[ClassDistribution, float]]
+                ) -> ClassDistribution:
+    """Log-linear pooling of one raw belief with attention-weighted
+    neighbor beliefs through the package's ``_pool_beliefs``:
+    log q = log raw + sum_j a_j log p_j, renormalized."""
+    evidence = list(neighbor_evidence)
+    attention = np.array([[a for _, a in evidence]], dtype=np.float64).reshape(1, -1)
+    neighbors = np.array([d.probs for d, _ in evidence]).reshape(-1, NUM_CLASSES)
+    q = _pool_beliefs(_log_beliefs(raw.as_array()), attention, _log_beliefs(neighbors))
+    return ClassDistribution.from_array(q[0])
 
 
 @dataclass(frozen=True)
@@ -151,15 +207,7 @@ def scalar_refine_objects(
     prob_std = pred_labels = None
     if model is not None and objects:
         feats = graph_features(objects, assessments, ego)
-        samples = []
-        for s in range(model.config.mc_samples):
-            rng = np.random.default_rng([seed, s])
-            values, _ = _sample_layers(model.params, rng)
-            logits, _ = _forward(values, graph.attention_matrix(), feats)
-            samples.append(_softmax(logits))
-        stack = np.stack(samples)
-        prob_std = stack.std(axis=0)
-        pred_labels = stack.mean(axis=0).argmax(axis=1)
+        prob_std, pred_labels = mc_estimates(graph, feats, model, seed)
     refined = []
     for row, obj in enumerate(objects):
         evidence = [(by_id[e.src].class_dist, e.attention)

@@ -21,8 +21,6 @@ from drivetrace.interaction import (
     InteractionConfig,
     build_graph,
     elbo_loss,
-    forward_mc,
-    fuse_refine,
     interaction_energy,
     refine_objects,
     synthetic_yield_ignore_dataset,
@@ -36,6 +34,7 @@ from drivetrace.risk import RiskConfig
 from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import ClassDistribution, box_iou
 from conftest import mc_box_iou, random_box
+from interaction_oracle import forward_mc, fuse_refine
 
 STATIC = ReasonerConfig().static_speed
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import drivetrace.evaluate as evaluate
+import drivetrace.interaction as interaction
 from drivetrace.cli import main
 from drivetrace.config import PipelineConfig
 from drivetrace.evaluate import (
@@ -18,6 +19,7 @@ from drivetrace.evaluate import (
     render_text,
     write_report,
 )
+from drivetrace.interaction import BgnnModel, InteractionConfig
 
 
 class TestF1:
@@ -155,6 +157,32 @@ class TestEvaluateSuite:
         assert result.counts["scenes"] == 2
         errs = [r for r in records if r.error is not None]
         assert len(errs) == 1 and "missing" in errs[0].path
+
+
+class TestModelDraws:
+    def test_weights_drawn_once_per_model_and_seed(self, suite_dir, monkeypatch):
+        """A suite run with a model draws its ``mc_samples`` weight streams
+        once per (model, seed), not once per scene."""
+        streams = []
+        draw = interaction._draw_weights
+
+        def spy(params, seed, mc_samples):
+            streams.extend((id(params), seed, s) for s in range(mc_samples))
+            return draw(params, seed, mc_samples)
+
+        monkeypatch.setattr(interaction, "_draw_weights", spy)
+        cfg = InteractionConfig(layers=1, embed_dim=8, mc_samples=3)
+        model, other = BgnnModel.initialize(cfg, seed=0), BgnnModel.initialize(cfg, seed=1)
+        _, records = evaluate_suite(suite_dir / "manifest.json", PipelineConfig(seed=4), model)
+        assert sum(1 for r in records if r.n_detections) >= 2
+        expected = [(id(model.params), 4, s) for s in range(3)]
+        assert streams == expected
+        evaluate_suite(suite_dir / "manifest.json", PipelineConfig(seed=4), model)
+        assert streams == expected
+        evaluate_suite(suite_dir / "manifest.json", PipelineConfig(seed=9), model)
+        evaluate_suite(suite_dir / "manifest.json", PipelineConfig(seed=9), other)
+        assert streams == expected + [(id(model.params), 9, s) for s in range(3)] + [
+            (id(other.params), 9, s) for s in range(3)]
 
 
 class TestManifest:

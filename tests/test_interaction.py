@@ -1,6 +1,8 @@
 """Interaction graph, Bayesian GNN, fusion, and variational training."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,9 +19,7 @@ from drivetrace.interaction import (
     classify_interaction,
     elbo_loss,
     ego_features,
-    forward_mc,
     forward_mean,
-    fuse_refine,
     graph_features,
     interaction_energy,
     kl_to_prior,
@@ -36,7 +36,13 @@ from drivetrace.reasoner import ReasonerConfig
 from drivetrace.risk import UncertaintyConfig, assess, shannon_entropy
 from drivetrace.scene import ClassDistribution, EgoState, ObjectClass, PointCloud
 from conftest import make_object
-from interaction_oracle import scalar_build_graph, scalar_refine_objects
+from interaction_oracle import (
+    forward_mc,
+    fuse_refine,
+    mc_estimates,
+    scalar_build_graph,
+    scalar_refine_objects,
+)
 
 CFG = InteractionConfig()
 SMALL = InteractionConfig(layers=2, embed_dim=8, mc_samples=3)
@@ -272,6 +278,102 @@ class TestScalarEquivalence:
                                     scalar_build_graph(objs, ego, cfg, rcfg.static_speed),
                                     ego, ucfg, rcfg, model=model, seed=seed)
         assert_refined_close(new, old)
+
+
+def refine_with(model, objs, ego, cfg, rcfg, seed):
+    ucfg = UncertaintyConfig()
+    assessments = assess(objs, ego, PointCloud(), ucfg)
+    graph = build_graph(objs, ego, cfg, rcfg.static_speed)
+    refined = refine_objects(objs, assessments, graph, ego, ucfg, rcfg, model=model, seed=seed)
+    return refined, graph, graph_features(objs, assessments, ego)
+
+
+class TestWeightDraws:
+    """``refine_objects`` reuses a model's weight draws across calls; every
+    result must equal the fresh-draw oracle in tests/interaction_oracle.py."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(graph_inputs(max_objects=4), min_size=5, max_size=8),
+           st.lists(st.integers(0, 2**16), min_size=2, max_size=2, unique=True))
+    def test_reused_draws_equal_fresh_draws(self, calls, seeds):
+        model = BgnnModel.initialize(SMALL, seed=1)
+        labels = list(InteractionLabel)
+        for k, (objs, ego, cfg, rcfg) in enumerate(calls):
+            # seeds a, a, b, b, a, ...: each seed is reused, then replaced
+            seed = seeds[(k // 2) % 2]
+            refined, graph, feats = refine_with(model, objs, ego, cfg, rcfg, seed)
+            without, _, _ = refine_with(None, objs, ego, cfg, rcfg, seed)
+            if not objs:
+                assert refined == []
+                continue
+            std, label_index = mc_estimates(graph, feats, model, seed)
+            for row, (r, plain) in enumerate(zip(refined, without)):
+                assert r.epistemic_std == tuple(std[row].tolist())
+                assert r.interaction_label == labels[int(label_index[row])]
+                assert r.refined_class_dist == plain.refined_class_dist
+                assert r.refined_uncertainty == plain.refined_uncertainty
+
+    def test_draws_are_read_only_and_reused_per_seed(self):
+        model = BgnnModel.initialize(SMALL, seed=1)
+        draws = model.weight_draws(4)
+        assert len(draws) == SMALL.mc_samples
+        assert model.weight_draws(4) is draws
+        assert all(not a.flags.writeable for values in draws for pair in values for a in pair)
+        assert model.weight_draws(5) is not draws
+        # the memo takes no part in equality or repr
+        assert model == BgnnModel(SMALL, model.params)
+        assert "_draws" not in repr(model)
+
+    def test_threads_sharing_a_model(self):
+        """Threads that refine with one model under alternating seeds race to
+        fill and replace its draws; every result still equals that of a model
+        whose draws were made for its seed alone."""
+        objs = [make_object(0, (8, 0.5, 0), velocity=(-3, 0, 0)), make_object(1, (14, -2, 0))]
+        ego = EgoState(speed=8.0)
+        model = BgnnModel.initialize(SMALL, seed=3)
+        expected = {seed: refine_with(BgnnModel(SMALL, model.params), objs, ego, SMALL, RCFG,
+                                      seed)[0] for seed in (0, 1)}
+        results, errors = [], []
+
+        def work(k):
+            try:
+                for i in range(20):
+                    seed = (k + i) % 2
+                    results.append((seed, refine_with(model, objs, ego, SMALL, RCFG, seed)[0]))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(results) == 80
+        assert all(r == expected[seed] for seed, r in results)
+
+    def test_training_drops_the_draws(self, tmp_path):
+        """Inference, then training, then inference gives what a freshly
+        loaded copy of the trained model gives, not the draws of before."""
+        objs = [make_object(0, (8, 0.5, 0), velocity=(-3, 0, 0)),
+                make_object(1, (14, -2, 0), velocity=(2, 0, 0), label=ObjectClass.PEDESTRIAN),
+                make_object(2, (20, 3, 0))]
+        ego = EgoState(speed=8.0)
+        model = BgnnModel.initialize(SMALL, seed=2)
+        before, _, _ = refine_with(model, objs, ego, SMALL, RCFG, seed=7)
+        train_bgnn(model, synthetic_yield_ignore_dataset(4, 0, SMALL, STATIC), steps=3,
+                   lr=0.05, seed=1)
+        save_model(model, tmp_path / "model.bin")
+        after, _, _ = refine_with(model, objs, ego, SMALL, RCFG, seed=7)
+        fresh, _, _ = refine_with(load_model(tmp_path / "model.bin", SMALL), objs, ego,
+                                  SMALL, RCFG, seed=7)
+        assert after == fresh
+        assert after != before
 
 
 class TestNodeFeatures:
