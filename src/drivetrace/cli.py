@@ -118,8 +118,7 @@ def cmd_train_bgnn(args) -> int:
     out = _out_dir(args)
     config = _load(args)
     model = BgnnModel.initialize(config.interaction, seed=config.seed)
-    dataset = synthetic_yield_ignore_dataset(args.samples, config.seed, config.interaction,
-                                             config.reasoner.static_speed)
+    dataset = synthetic_yield_ignore_dataset(args.samples, config.seed, config)
     history = train_bgnn(model, dataset, steps=args.steps, lr=args.lr,
                          seed=config.seed)
     accuracy = training_accuracy(model, dataset)

@@ -16,7 +16,7 @@ Both return TrackedObjects whose support points index into the scene cloud.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -50,7 +50,6 @@ class NoiseModel:
     yaw_std: float = 0.0
     class_temperature: float = 1e-9
     dropout_prob: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if min(self.pos_std, self.dim_std, self.yaw_std) < 0:
@@ -105,21 +104,21 @@ def points_in_box(xyz: np.ndarray, box: OrientedBox, margin: float = 0.0) -> np.
     )
 
 
-def oracle_detect(scene: Scene, noise: NoiseModel) -> list[TrackedObject]:
+def oracle_detect(scene: Scene, noise: NoiseModel, seed: int) -> list[TrackedObject]:
     """Detect by perturbing ground truth with the configured noise model.
 
     One detection per non-dropped ground-truth object, in ground-truth
     order.  Box center/dims/yaw receive zero-mean Gaussian noise (dims
     clamped positive); the class distribution is the temperature-smoothed
-    one-hot label; velocity is passed through.  Bit-reproducible for a
-    given seed.
+    one-hot label; velocity is passed through.  The noise stream is seeded
+    with ``seed`` alone, so the result is bit-reproducible for a given seed.
 
     Raises:
         ValueError: if the scene has no ground truth.
     """
     if scene.ground_truth is None:
         raise ValueError("oracle_detect requires scene.ground_truth")
-    rng = np.random.default_rng(noise.seed)
+    rng = np.random.default_rng(seed)
     xyz = scene.cloud.xyz
     x, y = np.ascontiguousarray(xyz[:, 0]), np.ascontiguousarray(xyz[:, 1])
     class_dists: dict[ObjectClass, ClassDistribution] = {}
@@ -377,11 +376,10 @@ def geometric_detect(scene: Scene, params: ClusterParams) -> list[TrackedObject]
 
 
 #: Detector name (the ``detector`` config key) -> detect(scene, config).
-#: The oracle offsets its noise seed by the run seed, so --seed affects
+#: The oracle's noise stream is seeded with the run seed, so --seed affects
 #: detection.
 DETECTORS: dict[str, Callable[[Scene, "PipelineConfig"], list[TrackedObject]]] = {
-    "oracle": lambda scene, config: oracle_detect(
-        scene, replace(config.noise, seed=config.noise.seed + config.seed)),
+    "oracle": lambda scene, config: oracle_detect(scene, config.noise, config.seed),
     "geometric": lambda scene, config: geometric_detect(scene, config.cluster),
 }
 
@@ -404,25 +402,26 @@ def _may_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return near_xy & (np.minimum(az1, bz1) - np.maximum(az0, bz0) > 0)
 
 
+#: The IoU a predicted box needs with a ground-truth box to be matched.
+MATCH_IOU = 0.1
+
+
 def match_boxes(
     predicted: Sequence[OrientedBox],
     truth: Sequence[OrientedBox],
-    iou_threshold: float = 0.1,
 ) -> list[tuple[int, int, float]]:
     """Greedy one-to-one matching by descending IoU.
 
-    Returns (pred_index, truth_index, iou) triples; pairs below the
-    threshold are never matched.  Ties break on indices so the matching is
-    deterministic.
+    Returns (pred_index, truth_index, iou) triples; pairs below
+    :data:`MATCH_IOU` are never matched, so only the pairs that
+    :func:`_may_overlap` keeps are scored.  Ties break on indices so the
+    matching is deterministic.
     """
     a, b = box_rows(predicted), box_rows(truth)
-    # pairs that cannot overlap have IoU 0, which only a threshold <= 0 accepts
-    candidates = (_may_overlap(a, b) if iou_threshold > 0
-                  else np.ones((len(a), len(b)), dtype=bool))
-    ia, ib = np.nonzero(candidates)
+    ia, ib = np.nonzero(_may_overlap(a, b))
     ious = box_iou_pairs(a, b, ia, ib).tolist()
     pairs = [(iou, i, j) for iou, i, j in zip(ious, ia.tolist(), ib.tolist())
-             if iou >= iou_threshold]
+             if iou >= MATCH_IOU]
     pairs.sort(key=lambda x: (-x[0], x[1], x[2]))
     used_p: set[int] = set()
     used_t: set[int] = set()

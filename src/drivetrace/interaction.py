@@ -3,7 +3,7 @@
 Objects (plus the ego vehicle) form a directed graph; each edge carries a
 linear interaction energy over relative distance, speed difference and a
 contextual intensity term, and attention weights are the per-node softmax
-of the (negated, by default) edge energies.  A Bayesian GNN with Gaussian
+of the negated edge energies.  A Bayesian GNN with Gaussian
 weight posteriors runs message passing over this graph; Monte Carlo
 sampling of the weights yields mean predictions plus an epistemic spread.
 Training maximizes the ELBO: Monte Carlo cross-entropy plus a closed-form
@@ -28,7 +28,6 @@ import numpy as np
 
 from .risk import (
     ObjectAssessment,
-    RiskConfig,
     UncertaintyConfig,
     assess,
     combined_uncertainty,
@@ -45,6 +44,7 @@ from .scene import (
 )
 
 if TYPE_CHECKING:
+    from .config import PipelineConfig
     from .reasoner import ReasonerConfig
 
 EGO_ID = -1
@@ -77,9 +77,6 @@ class InteractionConfig:
     embed_dim: int = 128
     mc_samples: int = 8
     prior_std: float = 1.0
-    # default reads low energy as strong coupling (attention ~ exp(-e));
-    # set True to flip the sign
-    attention_positive_energy: bool = False
 
     def __post_init__(self) -> None:
         if self.edge_radius <= 0:
@@ -247,8 +244,8 @@ def build_graph(objects: Sequence[TrackedObject], ego: EgoState,
     in_degree = np.bincount(dst, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(in_degree, out=indptr[1:])
-    edges["attention"] = _segment_softmax(energy if cfg.attention_positive_energy else -energy,
-                                          indptr[:-1], in_degree)
+    # low energy is strong coupling: attention ~ exp(-e)
+    edges["attention"] = _segment_softmax(-energy, indptr[:-1], in_degree)
     return InteractionGraph(tuple(o.id for o in objects) + (EGO_ID,), edges, indptr)
 
 
@@ -405,21 +402,13 @@ def _sample_layers(params: Sequence[BayesianLayer], rng: np.random.Generator
 def _draw_weights(params: Sequence[BayesianLayer], seed: int, mc_samples: int
                   ) -> tuple[list[list[np.ndarray]], ...]:
     """The values of :func:`_sample_layers` for the streams (seed, 0) to
-    (seed, mc_samples - 1), bit for bit, filled in place and read-only."""
-    stds = [(np.exp(layer.weight_log_stds), np.exp(layer.bias_log_stds)) for layer in params]
+    (seed, mc_samples - 1), made read-only."""
     draws = []
     for s in range(mc_samples):
-        rng = np.random.default_rng([seed, s])
-        values = []
-        for layer, layer_stds in zip(params, stds):
-            pair = []
-            for mean, std in zip((layer.weight_means, layer.bias_means), layer_stds):
-                w = rng.standard_normal(mean.shape)
-                w *= std
-                w += mean
-                w.flags.writeable = False
-                pair.append(w)
-            values.append(pair)
+        values = _sample_layers(params, np.random.default_rng([seed, s]))[0]
+        for pair in values:
+            for arr in pair:
+                arr.flags.writeable = False
         draws.append(values)
     return tuple(draws)
 
@@ -726,16 +715,21 @@ def training_accuracy(model: BgnnModel,
     return correct / total if total else 0.0
 
 
+#: Weight draws per training step: the Monte Carlo samples of each
+#: :func:`elbo_loss` that :func:`train_bgnn` takes.
+TRAIN_MC_SAMPLES = 2
+
+
 def train_bgnn(
     model: BgnnModel,
     dataset: Sequence[tuple[InteractionGraph, np.ndarray, np.ndarray]],
     steps: int = 200,
     lr: float = 0.01,
     seed: int = 0,
-    mc_samples: int = 2,
     kl_weight: Optional[float] = None,
 ) -> list[float]:
-    """Full-batch Adam training; returns the per-step loss history."""
+    """Full-batch Adam training with :data:`TRAIN_MC_SAMPLES` weight draws
+    per step; returns the per-step loss history."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     model._draws = None  # drawn from the parameters that adam_step changes
@@ -744,7 +738,7 @@ def train_bgnn(
     for step in range(steps):
         loss, grads = elbo_loss(model.params, dataset, seed=seed * 100003 + step,
                                 prior_std=model.config.prior_std,
-                                mc_samples=mc_samples, kl_weight=kl_weight)
+                                mc_samples=TRAIN_MC_SAMPLES, kl_weight=kl_weight)
         adam_step(model.params, grads, state, lr=lr)
         history.append(loss)
     return history
@@ -753,11 +747,12 @@ def train_bgnn(
 def synthetic_yield_ignore_dataset(
     n_graphs: int,
     seed: int,
-    cfg: InteractionConfig,
-    static_speed: float,
+    config: "PipelineConfig",
 ) -> list[tuple[InteractionGraph, np.ndarray, np.ndarray]]:
     """Linearly separable Yield/Ignore set built from proximity and closing
-    speed: near approaching objects are Yield, far receding ones Ignore."""
+    speed: near approaching objects are Yield, far receding ones Ignore.
+    Objects are assessed, and graphs built, under the pipeline ``config``
+    as in :func:`drivetrace.pipeline.run_scene`."""
     rng = np.random.default_rng(seed)
     ego = EgoState(heading=0.0, speed=8.0)
     dataset = []
@@ -778,8 +773,8 @@ def synthetic_yield_ignore_dataset(
             velocity=(vx, 0.0, 0.0),
             class_dist=ClassDistribution.one_hot(ObjectClass.VEHICLE),
         )
-        assessments = assess([obj], ego, PointCloud(), UncertaintyConfig(), RiskConfig())
-        graph = build_graph([obj], ego, cfg, static_speed)
+        assessments = assess([obj], ego, PointCloud(), config.uncertainty, config.risk)
+        graph = build_graph([obj], ego, config.interaction, config.reasoner.static_speed)
         feats = graph_features([obj], assessments, ego)
         labels = np.array([label.index, -1])
         dataset.append((graph, feats, labels))

@@ -6,10 +6,10 @@ between predicted yaw and a reference orientation (spatial inconsistency).
 Risk decays exponentially with the minimum Euclidean distance between the
 ego origin and the object's supporting points.
 
-Entropy is measured in nats.  In the default normalized mode both
-components are rescaled to [0, 1] (entropy by ln K, deviation by pi) so
-the combined score is scale-free and the flagging threshold is meaningful
-for the default weights.
+Entropy is measured in nats.  The combined score rescales both
+components to [0, 1] (entropy by ln K, deviation by pi), so it is
+scale-free and the flagging threshold is meaningful for the default
+weights.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ MAX_ENTROPY = math.log(NUM_CLASSES)
 class UncertaintyConfig:
     w_entropy: float = 0.5
     w_deviation: float = 0.5
-    entropy_normalized: bool = True
     threshold: float = 0.8
 
     def __post_init__(self) -> None:
@@ -105,14 +104,9 @@ def deviation_angle(yaw_pred: float, yaw_ref: float) -> float:
 
 
 def combined_uncertainty(entropy: float, deviation: float, cfg: UncertaintyConfig) -> float:
-    """Weighted sum of the entropy and deviation components.
-
-    In normalized mode each component is first mapped to [0, 1]
-    (entropy / ln K, deviation / pi).
-    """
-    if cfg.entropy_normalized:
-        return cfg.w_entropy * (entropy / MAX_ENTROPY) + cfg.w_deviation * (deviation / math.pi)
-    return cfg.w_entropy * entropy + cfg.w_deviation * deviation
+    """Weighted sum of the entropy and deviation components, each first
+    mapped to [0, 1] (entropy / ln K, deviation / pi)."""
+    return cfg.w_entropy * (entropy / MAX_ENTROPY) + cfg.w_deviation * (deviation / math.pi)
 
 
 def min_distance(points: np.ndarray) -> float:

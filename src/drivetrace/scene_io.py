@@ -44,8 +44,7 @@ _ASCII_HEADER = re.compile(r"# point cloud frame=.* count=([0-9]+)")
 
 def write_cloud_ascii(cloud: PointCloud, path: str | Path) -> None:
     lines = [f"# point cloud frame={cloud.frame_id} count={len(cloud)}"]
-    for row in cloud.data:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines += [" ".join(map(repr, row)) for row in cloud.data.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

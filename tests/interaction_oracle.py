@@ -167,13 +167,12 @@ def scalar_build_graph(objects: Sequence[TrackedObject], ego: EgoState,
             inten = _intensity(s_c, d_c, s_h, s_cls, d_cls)
             e = interaction_energy(d, dv, inten, cfg)
             raw_edges.append(ScalarEdge(s_id, d_id, d, dv, inten, e))
-    sign = 1.0 if cfg.attention_positive_energy else -1.0
     edges: list[ScalarEdge] = []
     for node_id, *_ in nodes:
         incoming = [e for e in raw_edges if e.dst == node_id]
         if not incoming:
             continue
-        logits = np.array([sign * e.energy for e in incoming])
+        logits = np.array([-e.energy for e in incoming])
         w = np.exp(logits - logits.max())
         w /= w.sum()
         edges.extend(replace(e, attention=float(a)) for e, a in zip(incoming, w))

@@ -28,15 +28,12 @@ from drivetrace.interaction import (
     training_accuracy,
 )
 from drivetrace.pipeline import run_scene
-from drivetrace.reasoner import ReasonerConfig
 from drivetrace.risk import assess, deviation_angle, proximity_risk, shannon_entropy
 from drivetrace.risk import RiskConfig
 from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import ClassDistribution, box_iou
 from conftest import mc_box_iou, random_box
 from interaction_oracle import forward_mc, fuse_refine
-
-STATIC = ReasonerConfig().static_speed
 
 
 class Budget:
@@ -95,7 +92,7 @@ def test_c03_elbo_gradient_check():
         step = 1e-3
         for seed in range(5):
             model = BgnnModel.initialize(cfg, seed=seed)
-            data = synthetic_yield_ignore_dataset(2, seed + 10, cfg, STATIC)
+            data = synthetic_yield_ignore_dataset(2, seed + 10, PipelineConfig(interaction=cfg))
 
             def flatten():
                 return np.concatenate([a.ravel() for l in model.params
@@ -137,7 +134,7 @@ def test_c04_monte_carlo_convergence():
         for layer in model.params:  # meaningful posterior spread
             layer.weight_log_stds[...] = math.log(0.3)
             layer.bias_log_stds[...] = math.log(0.3)
-        graph, feats, _ = synthetic_yield_ignore_dataset(1, 99, cfg, STATIC)[0]
+        graph, feats, _ = synthetic_yield_ignore_dataset(1, 99, PipelineConfig(interaction=cfg))[0]
         stds = {}
         for samples in (10, 100):
             means = [forward_mc(graph, feats, model.params, samples, seed=run)[0]
@@ -167,7 +164,7 @@ def test_c06_bgnn_trainer_sanity():
     with Budget("6 BGNN trainer sanity", 120.0):
         cfg = InteractionConfig(layers=2, embed_dim=16, mc_samples=2)
         model = BgnnModel.initialize(cfg, seed=1)
-        data = synthetic_yield_ignore_dataset(128, 7, cfg, STATIC)
+        data = synthetic_yield_ignore_dataset(128, 7, PipelineConfig(interaction=cfg))
         train_bgnn(model, data, steps=200, lr=0.02, seed=3)
         accuracy = training_accuracy(model, data)
         assert accuracy >= 0.95, f"training accuracy {accuracy}"

@@ -172,6 +172,19 @@ class TestTrainEvaluate:
         history = json.loads((out / "training.json").read_text())
         assert history["accuracy"] >= 0.5
 
+    def test_train_bgnn_reads_the_risk_section(self, tmp_path):
+        """The node feature ``risk`` follows ``risk.decay_length``, so a
+        shorter decay trains another model."""
+        models = []
+        for name, extra in (("default", {}), ("decay5", {"risk": {"decay_length": 5.0}})):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"interaction": {"embed_dim": 8}, **extra}))
+            out = tmp_path / name
+            assert run("train-bgnn", "--steps", "5", "--samples", "8",
+                       "--config", str(config), "--out", str(out)) == 0
+            models.append((out / "model.bin").read_bytes())
+        assert models[0] != models[1]
+
     def test_train_bgnn_zero_steps_exit_1(self, tmp_path, capsys, small_embed):
         assert run("train-bgnn", "--steps", "0", "--samples", "2",
                    "--config", str(small_embed), "--out", str(tmp_path / "train")) == 1
@@ -380,9 +393,15 @@ class TestArgsAndConfig:
         ('{"seed": -1}', "seed must be a non-negative integer, got -1"),
         ('{"seed": true}', "seed must be a non-negative integer, got True"),
         ('{"seed": "3"}', "seed must be a non-negative integer, got '3'"),
+        ('{"noise": {"seed": 7}}', "unknown keys in config section 'noise': ['seed']"),
+        ('{"uncertainty": {"entropy_normalized": false}}',
+         "unknown keys in config section 'uncertainty': ['entropy_normalized']"),
+        ('{"interaction": {"attention_positive_energy": true}}',
+         "unknown keys in config section 'interaction': ['attention_positive_energy']"),
     ], ids=["section-not-object", "top-not-object", "unknown-key", "unknown-section",
             "json-syntax", "invalid-value", "seed-float", "seed-negative", "seed-bool",
-            "seed-string"])
+            "seed-string", "removed-noise-seed", "removed-entropy-normalized",
+            "removed-attention-positive-energy"])
     def test_bad_config_file_error_names_file(self, tmp_path, capsys, text, reason):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

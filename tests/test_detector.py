@@ -45,18 +45,24 @@ class TestDetectorTable:
         assert dets == DETECTORS[name](scene, config)
         assert dets and all(d.support_points for d in dets)
 
-    def test_oracle_entry_offsets_noise_seed_by_run_seed(self):
+    def test_oracle_entry_seeds_noise_with_run_seed(self):
         scene = tiny_scene([gt_vehicle(10.0)])
-        noise = NoiseModel(pos_std=0.3, seed=7)
+        noise = NoiseModel(pos_std=0.3)
         dets = detect(scene, PipelineConfig(noise=noise, seed=5))
-        assert dets == oracle_detect(scene, NoiseModel(pos_std=0.3, seed=12))
+        assert dets == oracle_detect(scene, noise, 5)
+        # the stream is default_rng(5): dropout draw, then the center offsets
+        rng = np.random.default_rng(5)
+        rng.uniform()
+        expected = np.asarray(scene.ground_truth[0].box.center) + 0.3 * rng.normal(0.0, 1.0, 3)
+        assert dets[0].box.center == tuple(expected)
+        assert detect(scene, PipelineConfig(noise=noise, seed=6)) != dets
 
 
 class TestOracleDetect:
     def test_zero_noise_identity(self):
         gts = [gt_vehicle(10.0, yaw=0.3, velocity=(5, 0, 0)), gt_vehicle(20.0, -2.0)]
         scene = tiny_scene(gts)
-        dets = oracle_detect(scene, NoiseModel(seed=1))
+        dets = oracle_detect(scene, NoiseModel(), 1)
         assert len(dets) == 2
         for det, gt in zip(dets, gts):
             assert det.box == gt.box
@@ -68,15 +74,15 @@ class TestOracleDetect:
     def test_requires_ground_truth(self):
         scene = Scene(0.0, EgoState(), PointCloud(), (), None)
         with pytest.raises(ValueError):
-            oracle_detect(scene, NoiseModel())
+            oracle_detect(scene, NoiseModel(), 0)
 
     def test_seed_reproducible(self):
         scene = tiny_scene([gt_vehicle(10.0)])
-        noise = NoiseModel(pos_std=0.3, dim_std=0.1, yaw_std=0.1, seed=7)
-        a = oracle_detect(scene, noise)
-        b = oracle_detect(scene, noise)
+        noise = NoiseModel(pos_std=0.3, dim_std=0.1, yaw_std=0.1)
+        a = oracle_detect(scene, noise, 7)
+        b = oracle_detect(scene, noise, 7)
         assert a == b
-        c = oracle_detect(scene, NoiseModel(pos_std=0.3, dim_std=0.1, yaw_std=0.1, seed=8))
+        c = oracle_detect(scene, noise, 8)
         assert a != c
 
     def test_dropout_binomial(self):
@@ -86,7 +92,7 @@ class TestOracleDetect:
         dropout = 0.7
         trials = 10_000
         kept = sum(
-            len(oracle_detect(scene, NoiseModel(dropout_prob=dropout, seed=s)))
+            len(oracle_detect(scene, NoiseModel(dropout_prob=dropout), s))
             for s in range(trials)
         )
         n = trials * len(gts)
@@ -99,7 +105,7 @@ class TestOracleDetect:
         scene = tiny_scene([gt_vehicle(10.0)])
         std = 0.1
         errs = np.array([
-            np.asarray(oracle_detect(scene, NoiseModel(pos_std=std, seed=s))[0].box.center)
+            np.asarray(oracle_detect(scene, NoiseModel(pos_std=std), s)[0].box.center)
             - np.asarray(scene.ground_truth[0].box.center)
             for s in range(10_000)
         ])
@@ -111,7 +117,7 @@ class TestOracleDetect:
     def test_temperature_raises_entropy(self):
         scene = tiny_scene([gt_vehicle(10.0)])
         h = [
-            shannon_entropy(oracle_detect(scene, NoiseModel(class_temperature=t))[0].class_dist)
+            shannon_entropy(oracle_detect(scene, NoiseModel(class_temperature=t), 0)[0].class_dist)
             for t in (0.25, 1.0, 4.0)
         ]
         assert h[0] < h[1] < h[2]
@@ -119,7 +125,7 @@ class TestOracleDetect:
     def test_support_points_inside_box(self, rng):
         pts = np.column_stack([rng.uniform(0, 20, (500, 3)), np.ones(500)])
         scene = tiny_scene([gt_vehicle(10.0, y=5.0)], cloud_points=pts)
-        det = oracle_detect(scene, NoiseModel())[0]
+        det = oracle_detect(scene, NoiseModel(), 0)[0]
         mask = points_in_box(scene.cloud.xyz, scene.ground_truth[0].box, 0.1)
         assert det.support_points == tuple(np.nonzero(mask)[0].tolist())
 
@@ -405,19 +411,16 @@ class TestMatching:
     def test_threshold(self):
         gt = [OrientedBox((0, 0, 0), 1, 1, 1, 0.0)]
         pred = [OrientedBox((0.99, 0, 0), 1, 1, 1, 0.0)]  # sliver of overlap
-        assert match_boxes(pred, gt, iou_threshold=0.1) == []
-
-    def test_zero_threshold_matches_disjoint_boxes(self):
-        pred = [OrientedBox((0, 0, 0), 1, 1, 1, 0.0)]
-        gt = [OrientedBox((50, 0, 0), 1, 1, 1, 0.0)]
-        assert match_boxes(pred, gt, iou_threshold=0.0) == [(0, 0, 0.0)]
+        assert detector.MATCH_IOU == 0.1
+        assert match_boxes(pred, gt) == []
 
 
-def full_scan_matching(predicted, truth, iou_threshold):
-    """Greedy matching over every pair: the reference for match_boxes."""
+def full_scan_matching(predicted, truth):
+    """Greedy matching over every pair at detector.MATCH_IOU: the
+    reference for match_boxes."""
     pairs = sorted(
         ((iou, i, j) for i, p in enumerate(predicted) for j, t in enumerate(truth)
-         if (iou := box_iou(p, t)) >= iou_threshold),
+         if (iou := box_iou(p, t)) >= detector.MATCH_IOU),
         key=lambda x: (-x[0], x[1], x[2]))
     used_p, used_t, matches = set(), set(), []
     for iou, i, j in pairs:
@@ -457,13 +460,12 @@ def _neighbours(draw):
 class TestMatchingPrefilter:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_box, max_size=6), st.lists(_box, max_size=6),
-           st.lists(_neighbours(), max_size=2),
-           st.one_of(st.sampled_from([0.0, 1e-9, 0.1, 0.5]), st.floats(0, 1)))
-    def test_equals_full_scan(self, pred, truth, neighbours, threshold):
+           st.lists(_neighbours(), max_size=2))
+    def test_equals_full_scan(self, pred, truth, neighbours):
         for a, b in neighbours:
             pred.append(a)
             truth.append(b)
-        assert match_boxes(pred, truth, threshold) == full_scan_matching(pred, truth, threshold)
+        assert match_boxes(pred, truth) == full_scan_matching(pred, truth)
 
 
 def _shifted(box, forward, left, up=0.0, **changes):
@@ -633,7 +635,7 @@ class TestSupportPointsOracle:
         # with no box noise a detection's centre is its ground truth's
         want = {box.center: scan_support_points(scene.cloud.xyz, box, detector.SUPPORT_MARGIN)
                 for box in boxes}
-        dets = oracle_detect(scene, NoiseModel(dropout_prob=dropout, seed=seed))
+        dets = oracle_detect(scene, NoiseModel(dropout_prob=dropout), seed)
         assert len(dets) == len(boxes) or dropout > 0
         for det in dets:
             assert det.support_points == tuple(want[det.box.center].tolist())

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drivetrace.config import PipelineConfig
 from drivetrace.interaction import (
     EGO_ID,
     FEATURE_DIM,
@@ -33,8 +34,10 @@ from drivetrace.interaction import (
     training_accuracy,
 )
 from drivetrace.reasoner import ReasonerConfig
-from drivetrace.risk import UncertaintyConfig, assess, shannon_entropy
-from drivetrace.scene import ClassDistribution, EgoState, ObjectClass, PointCloud
+from drivetrace.risk import (RiskConfig, UncertaintyConfig, assess, min_distance,
+                             proximity_risk, shannon_entropy)
+from drivetrace.scene import (ClassDistribution, EgoState, ObjectClass, OrientedBox, PointCloud,
+                              box_corners)
 from conftest import make_object
 from interaction_oracle import (
     forward_mc,
@@ -134,18 +137,6 @@ class TestBuildGraph:
         for r in rows:
             assert r == pytest.approx(1.0, abs=1e-12) or r == 0.0
 
-    def test_sign_flip_config(self):
-        objs = [make_object(0, (10, 0, 0)), make_object(1, (18, 0, 0))]
-        g_decay = build_graph(objs, EgoState(), CFG, STATIC)
-        g_grow = build_graph(objs, EgoState(),
-                             InteractionConfig(attention_positive_energy=True), STATIC)
-        # default: the lowest-energy in-edge gets the most attention;
-        # flipped: the highest-energy one does
-        for g, pick in ((g_decay, np.argmin), (g_grow, np.argmax)):
-            incoming = in_edges(g, 0)
-            expected = incoming[pick(incoming["energy"])]
-            assert incoming[np.argmax(incoming["attention"])] == expected
-
     def test_edge_fields(self):
         objs = [make_object(0, (10, 0, 0), velocity=(2, 0, 0))]
         g = build_graph(objs, EgoState(speed=8.0), CFG, STATIC)
@@ -213,8 +204,7 @@ def graph_inputs(draw, max_objects=10):
                    position=draw(st.one_of(st.just((0.0, 0.0, 0.0)),
                                            st.tuples(_coord, _coord, st.just(0.0)))))
     cfg = InteractionConfig(edge_radius=draw(st.sampled_from([0.5, 10.0, 30.0, 100.0])),
-                            w_speed=draw(st.sampled_from([0.0, 0.1, 2.0])),
-                            attention_positive_energy=draw(st.booleans()))
+                            w_speed=draw(st.sampled_from([0.0, 0.1, 2.0])))
     rcfg = ReasonerConfig(corridor_width=draw(st.floats(0.5, 20)),
                           corridor_length=draw(st.floats(1, 80)),
                           static_speed=draw(st.floats(0, 15)))
@@ -366,8 +356,8 @@ class TestWeightDraws:
         ego = EgoState(speed=8.0)
         model = BgnnModel.initialize(SMALL, seed=2)
         before, _, _ = refine_with(model, objs, ego, SMALL, RCFG, seed=7)
-        train_bgnn(model, synthetic_yield_ignore_dataset(4, 0, SMALL, STATIC), steps=3,
-                   lr=0.05, seed=1)
+        data = synthetic_yield_ignore_dataset(4, 0, PipelineConfig(interaction=SMALL))
+        train_bgnn(model, data, steps=3, lr=0.05, seed=1)
         save_model(model, tmp_path / "model.bin")
         after, _, _ = refine_with(model, objs, ego, SMALL, RCFG, seed=7)
         fresh, _, _ = refine_with(load_model(tmp_path / "model.bin", SMALL), objs, ego,
@@ -405,7 +395,7 @@ class TestNodeFeatures:
 
 class TestForwardMc:
     def graph_and_feats(self, cfg=SMALL, seed=0):
-        data = synthetic_yield_ignore_dataset(1, seed, cfg, STATIC)
+        data = synthetic_yield_ignore_dataset(1, seed, PipelineConfig(interaction=cfg))
         return data[0][0], data[0][1]
 
     def test_degenerate_stds_equal_mean_forward(self):
@@ -596,7 +586,7 @@ class TestElbo:
         # with beta = 0, a trained-to-saturation model reaches ~0 cross-entropy
         cfg = InteractionConfig(layers=1, embed_dim=8, mc_samples=1)
         model = BgnnModel.initialize(cfg, seed=0)
-        data = synthetic_yield_ignore_dataset(16, 5, cfg, STATIC)
+        data = synthetic_yield_ignore_dataset(16, 5, PipelineConfig(interaction=cfg))
         train_bgnn(model, data, steps=300, lr=0.05, seed=1, kl_weight=0.0)
         for layer in model.params:  # silence the sampling noise
             layer.weight_log_stds[...] = -60.0
@@ -608,7 +598,7 @@ class TestElbo:
     def test_gradient_matches_finite_differences(self):
         cfg = SMALL
         model = BgnnModel.initialize(cfg, seed=4)
-        data = synthetic_yield_ignore_dataset(2, 14, cfg, STATIC)
+        data = synthetic_yield_ignore_dataset(2, 14, PipelineConfig(interaction=cfg))
 
         def flatten():
             return np.concatenate([a.ravel() for l in model.params for a in l.arrays()])
@@ -646,10 +636,22 @@ class TestTraining:
     def test_loss_decreases(self):
         cfg = InteractionConfig(layers=2, embed_dim=16, mc_samples=2)
         model = BgnnModel.initialize(cfg, seed=1)
-        data = synthetic_yield_ignore_dataset(64, 7, cfg, STATIC)
+        data = synthetic_yield_ignore_dataset(64, 7, PipelineConfig(interaction=cfg))
         history = train_bgnn(model, data, steps=60, lr=0.02, seed=3)
         assert history[-1] < history[0]
         assert training_accuracy(model, data) > 0.9
+
+    def test_dataset_reads_the_risk_section(self):
+        """The node feature ``risk`` comes from the config's ``risk``
+        section, as in the pipeline."""
+        decay5 = RiskConfig(decay_length=5.0)
+        config = PipelineConfig(interaction=SMALL, risk=decay5)
+        for _, feats, _ in synthetic_yield_ignore_dataset(6, 3, config):
+            obj = feats[0]
+            box = OrientedBox(tuple(obj[0:3]), *obj[6:9], math.atan2(obj[9], obj[10]))
+            d_min = min_distance(box_corners(box))  # no cloud: the nearest corner
+            assert obj[-1] == proximity_risk(d_min, decay5)
+            assert obj[-1] != proximity_risk(d_min, RiskConfig())
 
 
 class TestSerialization:
@@ -675,7 +677,7 @@ class TestSerialization:
 
     def test_forward_identical_after_reload(self, tmp_path):
         model = BgnnModel.initialize(SMALL, seed=9)
-        data = synthetic_yield_ignore_dataset(1, 0, SMALL, STATIC)
+        data = synthetic_yield_ignore_dataset(1, 0, PipelineConfig(interaction=SMALL))
         graph, feats, _ = data[0]
         save_model(model, tmp_path / "m.bin")
         back = load_model(tmp_path / "m.bin", SMALL)

@@ -1,6 +1,7 @@
 """Source layout guards: every top-level function and class is used,
 every config knob has one owner that the code reads, and the README
-documents an explanation template for every decision rule.
+documents the config's keys and an explanation template for every
+decision rule.
 
 A top-level ``def`` or ``class`` in ``src/drivetrace`` whose name appears
 nowhere else in the package (as a whole word, outside its own definition
@@ -10,12 +11,13 @@ uses, so public API that only tests and users call stays allowed.
 
 import ast
 import dataclasses
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from drivetrace.config import _SECTIONS
+from drivetrace.config import _SECTIONS, PipelineConfig, config_to_dict
 from drivetrace.reasoner import ReasonerConfig, decide
 from drivetrace.scene import EgoState
 
@@ -83,3 +85,17 @@ def test_readme_documents_every_rule_template():
     documented = re.findall(r"^\| (\w+) \| `", section, flags=re.M)
     trace = decide([], EgoState(), None, ReasonerConfig())
     assert documented == [s.rule_id for s in trace.steps if s.rule_id != "decision"]
+
+
+def test_readme_config_block_lists_every_key():
+    """The JSON block under README's "Configuration" has exactly the
+    sections and keys of the default config."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    block = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    expected = config_to_dict(PipelineConfig())
+
+    def keys(doc):
+        return {k: sorted(v) if isinstance(v, dict) else None for k, v in doc.items()}
+
+    assert keys(block) == keys(expected)

@@ -98,10 +98,6 @@ class TestCombinedUncertainty:
         u = combined_uncertainty(math.log(2), math.pi / 2, cfg)
         assert u == pytest.approx(0.6 * 0.5 + 0.4 * 0.5, abs=1e-12)
 
-    def test_raw_mode(self):
-        cfg = UncertaintyConfig(w_entropy=1.0, w_deviation=2.0, entropy_normalized=False)
-        assert combined_uncertainty(0.5, 0.25, cfg) == pytest.approx(1.0)
-
     @given(st.floats(0, MAX_ENTROPY), st.floats(0, math.pi),
            st.floats(0, MAX_ENTROPY), st.floats(0, math.pi))
     def test_monotone(self, h1, d1, h2, d2):

@@ -37,6 +37,17 @@ def test_ascii_round_trip_exact(cloud, tmp_path):
     np.testing.assert_array_equal(back.data, cloud.data)
 
 
+def test_ascii_writer_text(tmp_path):
+    """The writer's exact text: the shortest repr of each float64."""
+    data = np.array([[-0.0, 5e-324, 1 / 3, 1e16],
+                     [1e16, -1 / 3, -5e-324, 1.7976931348623157e308]])
+    path = tmp_path / "cloud.pts"
+    write_cloud_ascii(PointCloud(data, frame_id="pin"), path)
+    assert path.read_text() == ("# point cloud frame=pin count=2\n"
+                                "-0.0 5e-324 0.3333333333333333 1e+16\n"
+                                "1e+16 -0.3333333333333333 -5e-324 1.7976931348623157e+308\n")
+
+
 def test_ascii_comments_and_blank_lines(tmp_path):
     path = tmp_path / "cloud.pts"
     path.write_text("# header comment\n\n1.0 2.0 3.0 4.0\n# mid comment\n5 6 7 8\n")
