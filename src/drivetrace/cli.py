@@ -147,7 +147,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     out = _out_dir(args)
-    result = parse_csv(Path(args.csv).read_text())
+    try:
+        result = parse_csv(Path(args.csv).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{args.csv}: {exc}") from None
     paths = write_report(result, out, prefix=args.prefix)
     print("\n".join(str(p) for p in paths))
     return 0

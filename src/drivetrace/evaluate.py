@@ -62,39 +62,25 @@ class SuiteResult:
     reg_error: Optional[float]
     counts: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def speed_accuracy(self) -> Optional[float]:
-        total = sum(sum(row.values()) for row in self.speed_confusion.values())
-        if total == 0:
-            return None
-        diag = sum(self.speed_confusion.get(c, {}).get(c, 0)
-                   for c in self.speed_confusion)
-        return diag / total
 
-
-def f1_per_class(predictions: Sequence[str], labels: Sequence[str],
-                 classes: Optional[Sequence[str]] = None) -> dict[str, ClassMetrics]:
-    """One-vs-rest precision/recall/F1 per class.
-
-    Classes with neither ground truth nor predictions are omitted.  Zero
-    denominators yield 0 for the affected metric.
+def f1_per_class(predictions: Sequence[str], labels: Sequence[str]) -> dict[str, ClassMetrics]:
+    """One-vs-rest precision/recall/F1 for each class that is predicted or
+    labelled, in :data:`SPEED_ORDER` and then sorted.  Zero denominators
+    yield 0 for the affected metric.
 
     Raises:
         ValueError: on length mismatch.
     """
     if len(predictions) != len(labels):
         raise ValueError(f"length mismatch: {len(predictions)} vs {len(labels)}")
-    if classes is None:
-        seen = set(predictions) | set(labels)
-        classes = [c for c in SPEED_ORDER if c in seen] + sorted(
-            c for c in seen if c not in SPEED_ORDER)
+    seen = set(predictions) | set(labels)
+    classes = [c for c in SPEED_ORDER if c in seen] + sorted(
+        c for c in seen if c not in SPEED_ORDER)
     out = {}
     for cls in classes:
         tp = sum(1 for p, y in zip(predictions, labels) if p == cls and y == cls)
         fp = sum(1 for p, y in zip(predictions, labels) if p == cls and y != cls)
         fn = sum(1 for p, y in zip(predictions, labels) if p != cls and y == cls)
-        if tp + fp + fn == 0:
-            continue
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -196,12 +182,16 @@ def evaluate_suite(
         if not isinstance(e, dict):
             raise ValueError(f"{manifest_path}: scenes[{k}]: must be an object, got {e!r}")
         try:
-            entries.append((e["path"], Template(e["template"])))
+            path, template = e["path"], Template(e["template"])
         except KeyError as exc:
             raise ValueError(f"{manifest_path}: scenes[{k}]: missing key {exc}") from None
         except ValueError:
             raise ValueError(f"{manifest_path}: scenes[{k}]: unknown template "
                              f"{e['template']!r}") from None
+        if not isinstance(path, str):
+            raise ValueError(f"{manifest_path}: scenes[{k}]: path must be a string, "
+                             f"got {path!r}")
+        entries.append((path, template))
     base = manifest_path.parent
     records = sorted((_evaluate_one(p, t, config, model, base) for p, t in entries),
                      key=lambda r: r.path)
@@ -314,33 +304,52 @@ def render_csv(result: SuiteResult) -> str:
     return "\n".join(rows) + "\n"
 
 
+_SPEED_SECTIONS = ("speed_precision", "speed_recall", "speed_f1")
+
+
 def parse_csv(text: str) -> SuiteResult:
-    """Inverse of :func:`render_csv`; the round-trip is lossless."""
+    """Inverse of :func:`render_csv`; the round-trip is lossless.
+
+    Raises:
+        ValueError: naming the line, on a malformed row or a speed class
+            that lacks one of its three metric rows.
+    """
     speed: dict[str, dict[str, float]] = {}
+    speed_lines: dict[str, int] = {}  # class -> line of its first row
     confusion: dict[str, dict[str, int]] = {}
     path_accuracy: dict[str, float] = {}
     scalars: dict[str, Optional[float]] = {}
     counts: dict[str, int] = {}
-    lines = [ln for ln in text.splitlines() if ln]
-    for line in lines[1:]:
-        section, key, value = line.split(",", 2)
-        if section.startswith("speed_") and section != "speed_confusion":
-            speed.setdefault(key, {})[section.removeprefix("speed_")] = float(value)
-        elif section == "speed_confusion":
-            exp, pred = key.split("|", 1)
-            confusion.setdefault(exp, {})[pred] = int(value)
-        elif section == "path_accuracy":
-            path_accuracy[key] = float(value)
-        elif section == "scalar":
-            scalars[key] = float(value) if value else None
-        elif section == "count":
-            counts[key] = int(value)
-        else:
-            raise ValueError(f"unknown CSV section {section!r}")
-    metrics = {
-        cls: ClassMetrics(d["precision"], d["recall"], d["f1"])
-        for cls, d in speed.items()
-    }
+    numbered = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln]
+    for number, line in numbered[1:]:
+        try:
+            fields = line.split(",", 2)
+            if len(fields) != 3:
+                raise ValueError(f"expected section,key,value, got {line!r}")
+            section, key, value = fields
+            if section in _SPEED_SECTIONS:
+                speed_lines.setdefault(key, number)
+                speed.setdefault(key, {})[section] = float(value)
+            elif section == "speed_confusion":
+                exp, pred = key.split("|", 1)
+                confusion.setdefault(exp, {})[pred] = int(value)
+            elif section == "path_accuracy":
+                path_accuracy[key] = float(value)
+            elif section == "scalar":
+                scalars[key] = float(value) if value else None
+            elif section == "count":
+                counts[key] = int(value)
+            else:
+                raise ValueError(f"unknown CSV section {section!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+    for cls, d in speed.items():
+        missing = [section for section in _SPEED_SECTIONS if section not in d]
+        if missing:
+            raise ValueError(f"line {speed_lines[cls]}: speed class {cls!r} "
+                             f"has no {missing[0]} row")
+    metrics = {cls: ClassMetrics(*(d[section] for section in _SPEED_SECTIONS))
+               for cls, d in speed.items()}
     return SuiteResult(
         speed_metrics=metrics,
         speed_confusion=confusion,

@@ -53,6 +53,8 @@ EGO_DIMS = (4.5, 1.9, 1.6)
 FEATURE_DIM = 16  # center 3 + velocity 3 + dims 3 + sin/cos yaw + class 4 + risk
 MODEL_MAGIC = b"BGNN0001"
 PROB_FLOOR = 1e-9
+#: log posterior std of every parameter of a new model
+INIT_LOG_STD = math.log(0.05)
 
 
 class InteractionLabel(Enum):
@@ -281,17 +283,14 @@ def node_features(obj: TrackedObject, assessment: ObjectAssessment) -> np.ndarra
 
 
 def ego_features(ego: EgoState) -> np.ndarray:
-    vel = _ego_velocity(ego)
-    one_hot = [0.0] * 4
-    one_hot[ObjectClass.VEHICLE.index] = 1.0
     return np.array(
         [
             *ego.position,
-            *vel,
+            *_ego_velocity(ego),
             *EGO_DIMS,
             math.sin(ego.heading),
             math.cos(ego.heading),
-            *one_hot,
+            *_EGO_CLASS.probs,
             1.0,  # risk at zero distance
         ]
     )
@@ -332,13 +331,12 @@ class BayesianLayer:
         return self.weight_means.shape[1]
 
     @staticmethod
-    def initialize(out_dim: int, in_dim: int, rng: np.random.Generator,
-                   init_log_std: float = math.log(0.05)) -> "BayesianLayer":
+    def initialize(out_dim: int, in_dim: int, rng: np.random.Generator) -> "BayesianLayer":
         return BayesianLayer(
             weight_means=rng.normal(0.0, 1.0 / math.sqrt(in_dim), (out_dim, in_dim)),
-            weight_log_stds=np.full((out_dim, in_dim), init_log_std),
+            weight_log_stds=np.full((out_dim, in_dim), INIT_LOG_STD),
             bias_means=np.zeros(out_dim),
-            bias_log_stds=np.full(out_dim, init_log_std),
+            bias_log_stds=np.full(out_dim, INIT_LOG_STD),
         )
 
     def arrays(self) -> list[np.ndarray]:
@@ -465,7 +463,6 @@ def elbo_loss(
     seed: int,
     prior_std: float,
     mc_samples: int,
-    kl_weight: Optional[float] = None,
 ) -> tuple[float, list[BayesianLayer]]:
     """ELBO-style loss and analytic gradients, one :class:`BayesianLayer`
     of gradient arrays per parameter layer.
@@ -473,12 +470,10 @@ def elbo_loss(
     ``batch`` holds (graph, features, labels) triples; labels are int
     class indices per node, -1 for unlabeled nodes.  The loss is the MC
     mean (over weight samples) of the batch-mean node cross-entropy, plus
-    ``kl_weight`` (default 1/len(batch)) times the closed-form KL to the
-    prior.  Gradients flow through the reparameterized draws
-    w = mu + sigma * eps.
+    1/len(batch) times the closed-form KL to the prior.  Gradients flow
+    through the reparameterized draws w = mu + sigma * eps.
     """
-    if kl_weight is None:
-        kl_weight = 1.0 / len(batch)
+    kl_weight = 1.0 / len(batch)
     grads = [BayesianLayer(*(np.zeros_like(a) for a in layer.arrays())) for layer in params]
     n_graphs = len(batch)
     ce_total = 0.0
@@ -686,8 +681,8 @@ class AdamState:
 
 
 def adam_step(params: Sequence[BayesianLayer], grads: Sequence[BayesianLayer],
-              state: AdamState, lr: float = 0.01, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
+              state: AdamState, lr: float = 0.01) -> None:
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Adam's usual decay rates and epsilon
     if not state.m:
         state.m = [[np.zeros_like(a) for a in layer.arrays()] for layer in params]
         state.v = [[np.zeros_like(a) for a in layer.arrays()] for layer in params]
@@ -726,7 +721,6 @@ def train_bgnn(
     steps: int = 200,
     lr: float = 0.01,
     seed: int = 0,
-    kl_weight: Optional[float] = None,
 ) -> list[float]:
     """Full-batch Adam training with :data:`TRAIN_MC_SAMPLES` weight draws
     per step; returns the per-step loss history."""
@@ -738,7 +732,7 @@ def train_bgnn(
     for step in range(steps):
         loss, grads = elbo_loss(model.params, dataset, seed=seed * 100003 + step,
                                 prior_std=model.config.prior_std,
-                                mc_samples=TRAIN_MC_SAMPLES, kl_weight=kl_weight)
+                                mc_samples=TRAIN_MC_SAMPLES)
         adam_step(model.params, grads, state, lr=lr)
         history.append(loss)
     return history

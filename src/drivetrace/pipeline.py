@@ -21,7 +21,6 @@ from .interaction import (
 )
 from .reasoner import (
     DecisionTrace,
-    LeadInfo,
     RiskFactor,
     decide,
     extract_risk_factors,
@@ -34,13 +33,11 @@ from .scene import Scene, TrackedObject
 
 @dataclass(frozen=True)
 class SceneResult:
-    scene: Scene
     detections: tuple[TrackedObject, ...]
     assessments: tuple[ObjectAssessment, ...]
     graph: InteractionGraph
     refined: tuple[RefinedEstimate, ...]
     factors: tuple[RiskFactor, ...]
-    lead: Optional[LeadInfo]
     trace: DecisionTrace
 
 
@@ -69,12 +66,10 @@ def run_scene(scene: Scene, config: PipelineConfig,
     lead = find_lead(scene.objects, scene.ego, config.reasoner)
     trace = decide(factors, scene.ego, lead, config.reasoner)
     return SceneResult(
-        scene=scene,
         detections=tuple(detections),
         assessments=tuple(assessments),
         graph=graph,
         refined=tuple(refined),
         factors=tuple(factors),
-        lead=lead,
         trace=trace,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -147,6 +147,18 @@ def _sector_densities(scene: Scene, cfg: ReasonerConfig) -> list[float]:
     return densities
 
 
+def _moving_in_corridor(objects: Sequence[TrackedObject], ego: EgoState,
+                        cfg: ReasonerConfig) -> Iterator[tuple[TrackedObject, float]]:
+    """Each object moving faster than ``static_speed`` with its centre in
+    the ego corridor, in input order, with the forward distance of its
+    centre along the ego heading."""
+    for o in objects:
+        cx, cy = o.box.center[0], o.box.center[1]
+        if o.speed > cfg.static_speed and in_corridor(cx, cy, ego, cfg.corridor_width,
+                                                      cfg.corridor_length):
+            yield o, forward_lateral(cx, cy, ego)[0]
+
+
 def _moving_block_distance(objects: Sequence[TrackedObject], ego: EgoState,
                            cfg: ReasonerConfig) -> Optional[float]:
     """Forward distance to the nearest moving corridor object, if any.
@@ -155,16 +167,8 @@ def _moving_block_distance(objects: Sequence[TrackedObject], ego: EgoState,
     shadowed and are excluded from occlusion analysis; static occluders do
     not get this exemption.
     """
-    dists = []
-    for o in objects:
-        if o.speed <= cfg.static_speed:
-            continue
-        if not in_corridor(o.box.center[0], o.box.center[1], ego,
-                           cfg.corridor_width, cfg.corridor_length):
-            continue
-        fwd, _ = forward_lateral(o.box.center[0], o.box.center[1], ego)
-        dists.append(fwd - o.box.length / 2.0)
-    return min(dists) if dists else None
+    return min((fwd - o.box.length / 2.0 for o, fwd in _moving_in_corridor(objects, ego, cfg)),
+               default=None)
 
 
 def extract_risk_factors(
@@ -252,18 +256,12 @@ def find_lead(objects: Sequence[TrackedObject], ego: EgoState,
               cfg: ReasonerConfig) -> Optional[LeadInfo]:
     """Nearest moving vehicle ahead in the corridor, travelling with ego."""
     best: Optional[LeadInfo] = None
-    for o in objects:
+    for o, fwd in _moving_in_corridor(objects, ego, cfg):
         if o.class_dist.top_class is not ObjectClass.VEHICLE:
-            continue
-        if o.speed <= cfg.static_speed:
-            continue
-        cx, cy = o.box.center[0], o.box.center[1]
-        if not in_corridor(cx, cy, ego, cfg.corridor_width, cfg.corridor_length):
             continue
         vel_dir = math.atan2(o.velocity[1], o.velocity[0])
         if math.cos(vel_dir - ego.heading) <= 0:
             continue  # oncoming, not a lead
-        fwd, _ = forward_lateral(cx, cy, ego)
         if best is None or fwd < best.distance:
             best = LeadInfo(object_id=o.id, distance=fwd, speed=o.speed)
     return best

@@ -169,12 +169,10 @@ def assess(
     objects: Iterable[TrackedObject],
     ego: EgoState,
     cloud: PointCloud,
-    ucfg: UncertaintyConfig | None = None,
-    rcfg: RiskConfig | None = None,
+    ucfg: UncertaintyConfig,
+    rcfg: RiskConfig,
 ) -> list[ObjectAssessment]:
     """Assess every object; output order matches input order."""
-    ucfg = ucfg or UncertaintyConfig()
-    rcfg = rcfg or RiskConfig()
     return [assess_object(o, ego, cloud, ucfg, rcfg) for o in objects]
 
 

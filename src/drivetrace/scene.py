@@ -94,10 +94,6 @@ class PointCloud:
     def xyz(self) -> np.ndarray:
         return self.data[:, :3]
 
-    @property
-    def intensity(self) -> np.ndarray:
-        return self.data[:, 3]
-
     def __len__(self) -> int:
         return self.data.shape[0]
 
@@ -126,10 +122,6 @@ class OrientedBox:
                 raise ValueError(f"OrientedBox.{name} must be > 0, got {v!r}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
-
-    @property
-    def volume(self) -> float:
-        return self.length * self.width * self.height
 
     def params(self) -> np.ndarray:
         """(x, y, z, l, w, h, yaw) as a 7-vector."""
@@ -304,10 +296,6 @@ class ClassDistribution:
         p = [0.0] * NUM_CLASSES
         p[label.index] = 1.0
         return cls(tuple(p))
-
-    @classmethod
-    def uniform(cls) -> "ClassDistribution":
-        return cls((0.25, 0.25, 0.25, 0.25))
 
     @classmethod
     def from_array(cls, arr: Sequence[float]) -> "ClassDistribution":

@@ -35,6 +35,10 @@ def mc_box_iou(a: OrientedBox, b: OrientedBox, n: int = 1_000_000, seed: int = 0
     return int(np.count_nonzero(in_a & in_b)) / union
 
 
+#: the uniform class belief
+UNIFORM = ClassDistribution((0.25,) * 4)
+
+
 def random_box(rng: np.random.Generator) -> OrientedBox:
     return OrientedBox(
         (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-1, 1)),

@@ -61,5 +61,5 @@ def scalar_box_iou(a: OrientedBox, b: OrientedBox) -> float:
     inter = area * z_overlap
     if inter <= 0:
         return 0.0
-    union = a.volume + b.volume - inter
+    union = a.length * a.width * a.height + b.length * b.width * b.height - inter
     return min(inter / union, 1.0)

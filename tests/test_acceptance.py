@@ -32,7 +32,7 @@ from drivetrace.risk import assess, deviation_angle, proximity_risk, shannon_ent
 from drivetrace.risk import RiskConfig
 from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import ClassDistribution, box_iou
-from conftest import mc_box_iou, random_box
+from conftest import UNIFORM, mc_box_iou, random_box
 from interaction_oracle import forward_mc, fuse_refine
 
 
@@ -58,8 +58,7 @@ def test_c01_formula_unit_suite():
     with Budget("1 formula unit suite", 1.0):
         # entropy
         assert shannon_entropy(ClassDistribution((1.0, 0.0, 0.0, 0.0))) == 0.0
-        assert shannon_entropy(ClassDistribution.uniform()) == pytest.approx(
-            math.log(4), abs=1e-9)
+        assert shannon_entropy(UNIFORM) == pytest.approx(math.log(4), abs=1e-9)
         # proximity risk
         rcfg = RiskConfig(decay_length=20.0)
         assert proximity_risk(0.0, rcfg) == 1.0
@@ -155,7 +154,7 @@ def test_c05_fusion_sharpening_property():
                 continue  # effectively uniform
             fused = fuse_refine(p, [(p, 1.0)])
             assert shannon_entropy(fused) < shannon_entropy(p)
-        u = ClassDistribution.uniform()
+        u = UNIFORM
         assert shannon_entropy(fuse_refine(u, [(u, 1.0)])) == pytest.approx(
             shannon_entropy(u), abs=1e-12)
 
@@ -253,12 +252,14 @@ def test_c10_metric_harness(tmp_path):
         gen = tmp_path / "gen"
         assert main(["generate", "--template", "empty-road,pedestrian-crossing",
                      "--count", "2", "--out", str(gen)]) == 0
-        result, _ = evaluate_suite(gen / "manifest.json", PipelineConfig())
+        result, records = evaluate_suite(gen / "manifest.json", PipelineConfig())
         assert parse_csv(render_csv(result)) == result
         # confusion-matrix row sums equal per-class ground-truth counts
         row_sums = {k: sum(v.values()) for k, v in result.speed_confusion.items()}
         assert row_sums == {"SpeedLimit": 2, "Brake": 2}
-        micro = result.speed_accuracy
+        # micro accuracy from the confusion matrix equals the share of scenes
+        # whose speed decision was right
         total = sum(row_sums.values())
         diag = sum(result.speed_confusion[c].get(c, 0) for c in result.speed_confusion)
-        assert micro == pytest.approx(diag / total)
+        hits = sum(r.predicted_speed == r.expected_speed for r in records)
+        assert diag / total == pytest.approx(hits / len(records))

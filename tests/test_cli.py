@@ -99,8 +99,9 @@ class TestPipelineCommands:
         assert g["refined"][0]["interaction_label"] == "Yield"
         # the edge list against the per-pair oracle on the same detections
         config = PipelineConfig()
-        scene = run_scene(load_scene(ped_scene), config).scene
-        ref = scalar_build_graph(scene.objects, scene.ego, config.interaction,
+        scene = load_scene(ped_scene)
+        detections = run_scene(scene, config).detections
+        ref = scalar_build_graph(detections, scene.ego, config.interaction,
                                  config.reasoner.static_speed)
         assert g["nodes"] == list(ref.node_ids)
         assert [(e["src"], e["dst"]) for e in g["edges"]] == [(e.src, e.dst) for e in ref.edges]
@@ -290,6 +291,20 @@ class TestTrainEvaluate:
                    "--out", str(out2)) == 0
         assert (out2 / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
         assert (out2 / "report.txt").read_bytes() == (out / "report.txt").read_bytes()
+
+    @pytest.mark.parametrize(("row", "reason"), [
+        ("scalar,mean_iou",
+         "line 3: expected section,key,value, got 'scalar,mean_iou'"),
+        ("count,scenes,x",
+         "line 3: invalid literal for int() with base 10: 'x'"),
+        ("speed_f1,Brake,0.5",
+         "line 3: speed class 'Brake' has no speed_precision row"),
+    ], ids=["two-fields", "bad-count", "lone-speed-row"])
+    def test_report_bad_csv_names_file_and_line(self, tmp_path, capsys, row, reason):
+        path = tmp_path / "report.csv"
+        path.write_text(f"section,key,value\ncount,errors,0\n{row}\n")
+        assert run("report", "--csv", str(path), "--out", str(tmp_path / "re")) == 1
+        assert f"error: ValueError: {path}: {reason}\n" in capsys.readouterr().err
 
 
 class TestArgsAndConfig:

@@ -38,7 +38,7 @@ from drivetrace.risk import (RiskConfig, UncertaintyConfig, assess, min_distance
                              proximity_risk, shannon_entropy)
 from drivetrace.scene import (ClassDistribution, EgoState, ObjectClass, OrientedBox, PointCloud,
                               box_corners)
-from conftest import make_object
+from conftest import UNIFORM, make_object
 from interaction_oracle import (
     forward_mc,
     fuse_refine,
@@ -247,7 +247,7 @@ class TestScalarEquivalence:
     def test_refine_matches_scalar(self, inputs):
         objs, ego, cfg, rcfg = inputs
         ucfg = UncertaintyConfig()
-        assessments = assess(objs, ego, PointCloud(), ucfg)
+        assessments = assess(objs, ego, PointCloud(), ucfg, RiskConfig())
         new = refine_objects(objs, assessments, build_graph(objs, ego, cfg, rcfg.static_speed),
                              ego, ucfg, rcfg)
         old = scalar_refine_objects(objs, assessments,
@@ -261,7 +261,7 @@ class TestScalarEquivalence:
         objs, ego, cfg, rcfg = inputs
         ucfg = UncertaintyConfig()
         model = BgnnModel.initialize(SMALL, seed=1)
-        assessments = assess(objs, ego, PointCloud(), ucfg)
+        assessments = assess(objs, ego, PointCloud(), ucfg, RiskConfig())
         new = refine_objects(objs, assessments, build_graph(objs, ego, cfg, rcfg.static_speed),
                              ego, ucfg, rcfg, model=model, seed=seed)
         old = scalar_refine_objects(objs, assessments,
@@ -272,7 +272,7 @@ class TestScalarEquivalence:
 
 def refine_with(model, objs, ego, cfg, rcfg, seed):
     ucfg = UncertaintyConfig()
-    assessments = assess(objs, ego, PointCloud(), ucfg)
+    assessments = assess(objs, ego, PointCloud(), ucfg, RiskConfig())
     graph = build_graph(objs, ego, cfg, rcfg.static_speed)
     refined = refine_objects(objs, assessments, graph, ego, ucfg, rcfg, model=model, seed=seed)
     return refined, graph, graph_features(objs, assessments, ego)
@@ -369,7 +369,7 @@ class TestWeightDraws:
 class TestNodeFeatures:
     def make_assessed(self, obj):
         cloud = PointCloud(np.array([[*obj.box.center, 1.0]]))
-        return assess([obj], EgoState(), cloud)[0]
+        return assess([obj], EgoState(), cloud, UncertaintyConfig(), RiskConfig())[0]
 
     def test_length(self):
         obj = make_object(0, (3, 2, 0), support=(0,))
@@ -425,7 +425,7 @@ class TestForwardMc:
                 make_object(1, (25, 0, 0), support=())]
         ego = EgoState(speed=8.0)
         cloud = PointCloud(np.array([[5.0, 0, 0, 1.0], [25.0, 0, 0, 1.0]]))
-        assessments = assess(objs, ego, cloud)
+        assessments = assess(objs, ego, cloud, UncertaintyConfig(), RiskConfig())
         graph = build_graph(objs, ego, cfg, STATIC)
         assert len(graph.edges) == 0
         feats = graph_features(objs, assessments, ego)
@@ -445,7 +445,7 @@ class TestForwardMc:
         cloud = PointCloud(np.column_stack([rng.uniform(1, 30, (4, 3)), np.ones(4)]))
         objs = [make_object(o.id, o.box.center, velocity=o.velocity, support=(i,))
                 for i, o in enumerate(objs)]
-        assessments = assess(objs, ego, cloud)
+        assessments = assess(objs, ego, cloud, UncertaintyConfig(), RiskConfig())
         model = BgnnModel.initialize(cfg, seed=3)
 
         graph = build_graph(objs, ego, cfg, STATIC)
@@ -481,7 +481,7 @@ class TestFuseRefine:
         assert shannon_entropy(fused) < shannon_entropy(d)
 
     def test_uniform_fixed_point(self):
-        u = ClassDistribution.uniform()
+        u = UNIFORM
         fused = fuse_refine(u, [(u, 1.0)])
         assert shannon_entropy(fused) == pytest.approx(shannon_entropy(u), abs=1e-12)
 
@@ -501,7 +501,7 @@ class TestFuseRefine:
         assert fused.probs == pytest.approx(d.probs, abs=1e-9)
 
     def test_bad_attention_rejected(self):
-        d = ClassDistribution.uniform()
+        d = UNIFORM
         with pytest.raises(ValueError):
             fuse_refine(d, [(d, 1.5)])
 
@@ -541,7 +541,7 @@ class TestRefine:
         cloud = PointCloud(np.column_stack(
             [np.array([o.box.center for o in objs]), np.ones(3)]))
         ucfg = UncertaintyConfig()
-        assessments = assess(objs, ego, cloud, ucfg)
+        assessments = assess(objs, ego, cloud, ucfg, RiskConfig())
         graph = build_graph(objs, ego, CFG, STATIC)
         refined = refine_objects(objs, assessments, graph, ego, ucfg, RCFG)
         for a, r in zip(assessments, refined):
@@ -551,7 +551,7 @@ class TestRefine:
     def test_graph_of_other_objects_rejected(self):
         objs = [make_object(0, (5, 0, 0)), make_object(1, (9, 2, 0))]
         ego, ucfg = EgoState(), UncertaintyConfig()
-        assessments = assess(objs, ego, PointCloud(), ucfg)
+        assessments = assess(objs, ego, PointCloud(), ucfg, RiskConfig())
         graph = build_graph(objs[::-1], ego, CFG, STATIC)
         with pytest.raises(ValueError, match="graph nodes"):
             refine_objects(objs, assessments, graph, ego, ucfg, RCFG)
@@ -583,17 +583,19 @@ class TestElbo:
         assert kl_to_prior(model.params, SMALL.prior_std) == pytest.approx(0.0, abs=1e-12)
 
     def test_perfect_predictions_zero_loss(self):
-        # with beta = 0, a trained-to-saturation model reaches ~0 cross-entropy
+        # a trained-to-saturation model reaches ~0 cross-entropy: the loss
+        # less its KL term of 1/len(data) times the KL to the prior
         cfg = InteractionConfig(layers=1, embed_dim=8, mc_samples=1)
         model = BgnnModel.initialize(cfg, seed=0)
         data = synthetic_yield_ignore_dataset(16, 5, PipelineConfig(interaction=cfg))
-        train_bgnn(model, data, steps=300, lr=0.05, seed=1, kl_weight=0.0)
+        train_bgnn(model, data, steps=300, lr=0.05, seed=1)
         for layer in model.params:  # silence the sampling noise
             layer.weight_log_stds[...] = -60.0
             layer.bias_log_stds[...] = -60.0
         loss, _ = elbo_loss(model.params, data, seed=0, prior_std=cfg.prior_std,
-                            mc_samples=1, kl_weight=0.0)
-        assert loss < 0.05
+                            mc_samples=1)
+        assert loss - kl_to_prior(model.params, cfg.prior_std) / len(data) < 0.05
+        assert training_accuracy(model, data) == 1.0
 
     def test_gradient_matches_finite_differences(self):
         cfg = SMALL

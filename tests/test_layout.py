@@ -1,12 +1,13 @@
-"""Source layout guards: every top-level function and class is used,
-every config knob has one owner that the code reads, and the README
-documents the config's keys and an explanation template for every
-decision rule.
+"""Source layout guards: every top-level function and class and every
+class member is used, every config knob has one owner that the code
+reads, and the README documents the config's keys and an explanation
+template for every decision rule.
 
 A top-level ``def`` or ``class`` in ``src/drivetrace`` whose name appears
 nowhere else in the package (as a whole word, outside its own definition
-line) is code that nothing calls.  Re-exports in ``__init__.py`` count as
-uses, so public API that only tests and users call stays allowed.
+line) is code that nothing calls, unless README names it in backticks:
+that is the public API, which users call from its module.  Tests do not
+count as uses.
 """
 
 import ast
@@ -24,6 +25,21 @@ from drivetrace.scene import EgoState
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "drivetrace"
 SOURCES = {path: path.read_text().splitlines() for path in sorted(PACKAGE.glob("*.py"))}
+#: names README documents: the last part of the dotted name that opens a
+#: backtick span, as ``box_iou`` in `box_iou(a, b)` or `scene.box_iou`
+README_NAMES = {m.group(1)
+                for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+                if (m := re.match(r"(?:\w+\.)*([A-Za-z_]\w*)", span))}
+
+
+def _found_elsewhere(pattern: re.Pattern, path: Path, lineno: int) -> bool:
+    """Whether ``pattern`` matches a package line other than ``path:lineno``."""
+    return any(
+        pattern.search(line)
+        for other, lines in SOURCES.items()
+        for i, line in enumerate(lines, 1)
+        if not (other == path and i == lineno)
+    )
 
 
 def _definitions():
@@ -36,14 +52,28 @@ def _definitions():
 
 @pytest.mark.parametrize(("path", "name", "lineno"), _definitions())
 def test_every_definition_is_used(path, name, lineno):
-    word = re.compile(rf"\b{re.escape(name)}\b")
-    used = any(
-        word.search(line)
-        for other, lines in SOURCES.items()
-        for i, line in enumerate(lines, 1)
-        if not (other == path and i == lineno)
-    )
+    if name in README_NAMES:
+        return
+    used = _found_elsewhere(re.compile(rf"\b{re.escape(name)}\b"), path, lineno)
     assert used, f"{path.name}:{lineno}: {name} is defined but nothing in the package uses it"
+
+
+def _members():
+    for path, lines in SOURCES.items():
+        for cls in ast.parse("\n".join(lines)).body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                        yield pytest.param(path, node.name, node.lineno,
+                                           id=f"{path.stem}.{cls.name}.{node.name}")
+
+
+@pytest.mark.parametrize(("path", "name", "lineno"), _members())
+def test_every_member_is_read(path, name, lineno):
+    """A method or property of a package class is read as ``.<name>``
+    somewhere in the package outside its own definition line."""
+    used = _found_elsewhere(re.compile(rf"\.{re.escape(name)}\b"), path, lineno)
+    assert used, f"{path.name}:{lineno}: {name} is a member that nothing in the package reads"
 
 
 #: (section, field) of every config knob

@@ -31,7 +31,7 @@ from drivetrace.reasoner import (
     risk_factors_with_graph_refs,
     trace_to_dict,
 )
-from drivetrace.risk import UncertaintyConfig, assess
+from drivetrace.risk import RiskConfig, UncertaintyConfig, assess
 from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import EgoState, Intent, PointCloud, Scene
 from conftest import make_object
@@ -288,7 +288,7 @@ class TestExtractFactors:
         scene = generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=0))
         scene = scene.with_objects([obj])
         scene = type(scene)(scene.timestamp, ego, cloud, scene.objects, None)
-        assessments = assess(scene.objects, ego, cloud)
+        assessments = assess(scene.objects, ego, cloud, UncertaintyConfig(), RiskConfig())
         assert assessments[0].tier.value == "High"  # would be a High-tier risk...
         graph = build_graph(scene.objects, ego, self.ICFG, CFG.static_speed)
         refined = refine_objects(scene.objects, assessments, graph, ego, UCFG, CFG)
@@ -313,7 +313,7 @@ class TestExtractFactors:
         obj = make_object(0, (12, 0, 0), yaw=3.0, probs=(0.25,) * 4, support=(0,))
         scene = generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=0))
         scene = type(scene)(scene.timestamp, ego, cloud, (obj,), None)
-        assessments = assess(scene.objects, ego, cloud)
+        assessments = assess(scene.objects, ego, cloud, UncertaintyConfig(), RiskConfig())
         assert assessments[0].flagged
         graph = build_graph(scene.objects, ego, self.ICFG, CFG.static_speed)
         refined = refine_objects(scene.objects, assessments, graph, ego, UCFG, CFG)

@@ -161,7 +161,7 @@ class TestAssess:
     def test_object_at_origin_is_high(self):
         obj = make_object(0, (0.0, 0.0, 0.0), support=(0,))
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0, 1.0]]))
-        a = assess([obj], EgoState(), cloud)[0]
+        a = assess([obj], EgoState(), cloud, UncertaintyConfig(), RiskConfig())[0]
         assert a.risk == 1.0
         assert a.tier is RiskTier.HIGH
         assert a.min_distance == 0.0
@@ -169,7 +169,8 @@ class TestAssess:
     def test_one_hot_aligned_not_flagged(self):
         cloud = PointCloud(np.array([[10.0, 0.0, 0.0, 1.0]]))
         obj = make_object(0, (10, 0, 0), support=(0,))
-        a = assess([obj], EgoState(lane_heading=0.0), cloud)[0]
+        a = assess([obj], EgoState(lane_heading=0.0), cloud, UncertaintyConfig(),
+                   RiskConfig())[0]
         assert a.uncertainty == 0.0
         assert not a.flagged
 
@@ -177,7 +178,8 @@ class TestAssess:
         cloud = PointCloud(np.array([[10.0, 0.0, 0.0, 1.0]]))
         # uniform class dist and near-maximal deviation push U above 0.8
         obj = make_object(0, (10, 0, 0), yaw=3.0, probs=(0.25,) * 4, support=(0,))
-        a = assess([obj], EgoState(lane_heading=0.0), cloud)[0]
+        a = assess([obj], EgoState(lane_heading=0.0), cloud, UncertaintyConfig(),
+                   RiskConfig())[0]
         assert a.uncertainty > 0.8
         assert a.flagged
 
@@ -185,8 +187,8 @@ class TestAssess:
         # d_min = 10, lambda = 20: risk ~ 0.6065 lands in the High tier
         cloud = PointCloud(np.array([[10.0, 0.0, 0.0, 1.0]]))
         obj = make_object(0, (10, 0, 0), support=(0,))
-        a = assess([obj], EgoState(), cloud,
-                   rcfg=RiskConfig(decay_length=20.0, tier_high=0.6, tier_moderate=0.3))[0]
+        a = assess([obj], EgoState(), cloud, UncertaintyConfig(),
+                   RiskConfig(decay_length=20.0, tier_high=0.6, tier_moderate=0.3))[0]
         assert a.risk == pytest.approx(math.exp(-0.5), abs=1e-12)
         assert a.tier is RiskTier.HIGH
 
@@ -194,8 +196,8 @@ class TestAssess:
         cloud = PointCloud(np.column_stack([rng.uniform(0, 30, (50, 3)), np.ones(50)]))
         objs = [make_object(i, (5.0 + i, i - 2, 0), support=(i,)) for i in range(5)]
         ego = EgoState()
-        fwd = assess(objs, ego, cloud)
-        rev = assess(objs[::-1], ego, cloud)
+        fwd = assess(objs, ego, cloud, UncertaintyConfig(), RiskConfig())
+        rev = assess(objs[::-1], ego, cloud, UncertaintyConfig(), RiskConfig())
         assert fwd == rev[::-1]
 
     def test_risk_ranking_matches_distance_ranking(self, rng):
@@ -203,7 +205,8 @@ class TestAssess:
         cloud = PointCloud(np.column_stack([rng.uniform(1, 60, (20, 3)), np.ones(20)]))
         objs = [make_object(i, tuple(cloud.xyz[i]), support=(i,)) for i in range(20)]
         for lam in (5.0, 20.0, 80.0):
-            res = assess(objs, EgoState(), cloud, rcfg=RiskConfig(decay_length=lam))
+            res = assess(objs, EgoState(), cloud, UncertaintyConfig(),
+                         RiskConfig(decay_length=lam))
             by_risk = sorted(res, key=lambda a: -a.risk)
             by_dist = sorted(res, key=lambda a: a.min_distance)
             assert [a.object_id for a in by_risk] == [a.object_id for a in by_dist]

@@ -126,8 +126,9 @@ class TestGenerate:
 
     def test_cloud_has_intensity(self):
         scene = generate(ScenarioSpec(template=Template.LEAD_VEHICLE, seed=1))
-        assert (scene.cloud.intensity >= 0).all()
-        assert scene.cloud.intensity.std() > 1.0
+        intensity = scene.cloud.data[:, 3]
+        assert (intensity >= 0).all()
+        assert intensity.std() > 1.0
 
 
 class TestLabelInteractions:

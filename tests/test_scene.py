@@ -20,7 +20,7 @@ from drivetrace.scene import (
     in_corridor,
     wrap_angle,
 )
-from conftest import mc_box_iou, random_box
+from conftest import UNIFORM, mc_box_iou, random_box
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -175,7 +175,7 @@ class TestTypes:
     def test_scene_unique_ids(self):
         ego = EgoState()
         obj = TrackedObject(1, OrientedBox((1, 0, 0), 1, 1, 1, 0), (0, 0, 0),
-                            ClassDistribution.uniform())
+                            UNIFORM)
         with pytest.raises(ValueError):
             Scene(0.0, ego, PointCloud(), (obj, obj))
 
@@ -194,7 +194,7 @@ class TestTypes:
             EgoState(position=(0.0, 0.0, bad))
         box = OrientedBox((1, 0, 0), 1, 1, 1, 0)
         with pytest.raises(ValueError, match="TrackedObject.velocity"):
-            TrackedObject(1, box, (0.0, bad, 0.0), ClassDistribution.uniform())
+            TrackedObject(1, box, (0.0, bad, 0.0), UNIFORM)
         with pytest.raises(ValueError, match="GroundTruthObject.velocity"):
             GroundTruthObject(box, ObjectClass.VEHICLE, (bad, 0.0, 0.0))
 
@@ -203,7 +203,7 @@ class TestTypes:
         want = (0, 2, 5, 9)
         for support in (list(want), np.array(want, dtype=np.int64),
                         np.array(want, dtype=np.int32), np.array([0.0, 2.7, 5.99, 9.5])):
-            obj = TrackedObject(1, box, (0, 0, 0), ClassDistribution.uniform(),
+            obj = TrackedObject(1, box, (0, 0, 0), UNIFORM,
                                 support_points=support)
             assert obj.support_points == want
             assert all(type(i) is int for i in obj.support_points)
