@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .config import PipelineConfig
 from .detector import box_regression_error, match_boxes
@@ -296,8 +296,7 @@ def render_csv(result: SuiteResult) -> str:
             rows.append(f"speed_confusion,{exp}|{pred},{result.speed_confusion[exp][pred]}")
     for cls in sorted(result.path_accuracy):
         rows.append(f"path_accuracy,{cls},{_csv_value(result.path_accuracy[cls])}")
-    for key in ("mean_iou", "detection_accuracy", "mean_entropy",
-                "mean_deviation_deg", "reg_error"):
+    for key in _SCALARS:
         rows.append(f"scalar,{key},{_csv_value(getattr(result, key))}")
     for k in sorted(result.counts):
         rows.append(f"count,{k},{result.counts[k]}")
@@ -305,14 +304,32 @@ def render_csv(result: SuiteResult) -> str:
 
 
 _SPEED_SECTIONS = ("speed_precision", "speed_recall", "speed_f1")
+_UNIT = (0.0, 1.0)
+#: the scalars render_csv writes, in order, each with the range parse_csv accepts
+_SCALARS = {"mean_iou": _UNIT, "detection_accuracy": _UNIT, "mean_entropy": (-math.inf, math.inf),
+            "mean_deviation_deg": (-math.inf, math.inf), "reg_error": (-math.inf, math.inf)}
+
+
+def _csv_number(value: str, what: str, low: float = -math.inf, high: float = math.inf,
+                parse: Callable[[str], float] = float) -> float:
+    """``parse(value)``; raises ValueError unless it is finite and in [low, high]."""
+    v = parse(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    if not low <= v <= high:
+        raise ValueError(f"{what} must lie in [{low:g}, {high:g}], got {value}")
+    return v
 
 
 def parse_csv(text: str) -> SuiteResult:
     """Inverse of :func:`render_csv`; the round-trip is lossless.
 
     Raises:
-        ValueError: naming the line, on a malformed row or a speed class
-            that lacks one of its three metric rows.
+        ValueError: naming the line, on a malformed row, an unknown scalar,
+            a value that is not finite, a fraction (speed metric, path
+            accuracy, ``mean_iou``, ``detection_accuracy``) outside [0, 1],
+            a negative count, or a speed class that lacks one of its three
+            metric rows.
     """
     speed: dict[str, dict[str, float]] = {}
     speed_lines: dict[str, int] = {}  # class -> line of its first row
@@ -327,18 +344,21 @@ def parse_csv(text: str) -> SuiteResult:
             if len(fields) != 3:
                 raise ValueError(f"expected section,key,value, got {line!r}")
             section, key, value = fields
+            what = f"{section} {key}"
             if section in _SPEED_SECTIONS:
                 speed_lines.setdefault(key, number)
-                speed.setdefault(key, {})[section] = float(value)
+                speed.setdefault(key, {})[section] = _csv_number(value, what, *_UNIT)
             elif section == "speed_confusion":
                 exp, pred = key.split("|", 1)
-                confusion.setdefault(exp, {})[pred] = int(value)
+                confusion.setdefault(exp, {})[pred] = _csv_number(value, what, 0, parse=int)
             elif section == "path_accuracy":
-                path_accuracy[key] = float(value)
+                path_accuracy[key] = _csv_number(value, what, *_UNIT)
             elif section == "scalar":
-                scalars[key] = float(value) if value else None
+                if key not in _SCALARS:
+                    raise ValueError(f"unknown scalar {key!r}")
+                scalars[key] = _csv_number(value, what, *_SCALARS[key]) if value else None
             elif section == "count":
-                counts[key] = int(value)
+                counts[key] = _csv_number(value, what, 0, parse=int)
             else:
                 raise ValueError(f"unknown CSV section {section!r}")
         except ValueError as exc:

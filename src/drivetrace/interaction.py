@@ -31,7 +31,7 @@ from .risk import (
     UncertaintyConfig,
     assess,
     combined_uncertainty,
-    shannon_entropy,
+    entropies,
 )
 from .scene import (
     ClassDistribution,
@@ -263,49 +263,22 @@ def _segment_softmax(logits: np.ndarray, starts: np.ndarray,
     return w / np.repeat(np.add.reduceat(w, starts), sizes)
 
 
-def node_features(obj: TrackedObject, assessment: ObjectAssessment) -> np.ndarray:
-    """Feature vector [center, velocity, dims, sin/cos yaw, class probs,
-    risk], length 16.  Ordering is part of the model format."""
-    b = obj.box
-    return np.array(
-        [
-            *b.center,
-            *obj.velocity,
-            b.length,
-            b.width,
-            b.height,
-            math.sin(b.yaw),
-            math.cos(b.yaw),
-            *obj.class_dist.probs,
-            assessment.risk,
-        ]
-    )
-
-
-def ego_features(ego: EgoState) -> np.ndarray:
-    return np.array(
-        [
-            *ego.position,
-            *_ego_velocity(ego),
-            *EGO_DIMS,
-            math.sin(ego.heading),
-            math.cos(ego.heading),
-            *_EGO_CLASS.probs,
-            1.0,  # risk at zero distance
-        ]
-    )
-
-
 def graph_features(
     objects: Sequence[TrackedObject],
     assessments: Sequence[ObjectAssessment],
     ego: EgoState,
 ) -> np.ndarray:
-    """Stack node features in graph node order (objects then ego)."""
-    by_id = {a.object_id: a for a in assessments}
-    rows = [node_features(o, by_id[o.id]) for o in objects]
-    rows.append(ego_features(ego))
-    return np.stack(rows) if rows else np.empty((0, FEATURE_DIM))
+    """Node features in graph node order (objects, then the ego), one row
+    of [center, velocity, dims, sin/cos yaw, class probs, risk] per node,
+    length 16; the ordering is part of the model format.  The ego row has
+    the nominal ego body and the risk at zero distance, 1."""
+    risk = {a.object_id: a.risk for a in assessments}
+    rows = [(*o.box.center, *o.velocity, o.box.length, o.box.width, o.box.height,
+             math.sin(o.box.yaw), math.cos(o.box.yaw), *o.class_dist.probs, risk[o.id])
+            for o in objects]
+    rows.append((*ego.position, *_ego_velocity(ego).tolist(), *EGO_DIMS, math.sin(ego.heading),
+                 math.cos(ego.heading), *_EGO_CLASS.probs, 1.0))
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -545,22 +518,14 @@ def _pool_beliefs(log_raw: np.ndarray, attention: np.ndarray,
                   log_neighbors: np.ndarray) -> np.ndarray:
     """Log-linear pooling, one row per refined belief:
     log q = log_raw + attention @ log_neighbors, shifted so each row's
-    maximum is 0 and exponentiated (not yet normalized)."""
+    maximum is 0, exponentiated and normalized (each row's sum is at least
+    its largest entry, exp(0) = 1)."""
     valid = (attention >= 0.0) & (attention <= 1.0)
     if not valid.all():
         raise ValueError(f"attention must lie in [0, 1], got {attention[~valid][0]}")
     log_q = log_raw + attention @ log_neighbors
-    return np.exp(log_q - log_q.max(axis=-1, keepdims=True))
-
-
-def refine_uncertainty(
-    fused: ClassDistribution,
-    deviation: float,
-    cfg: UncertaintyConfig,
-) -> float:
-    """Recompute the combined uncertainty from the fused class belief; the
-    deviation component is left unchanged."""
-    return combined_uncertainty(shannon_entropy(fused), deviation, cfg)
+    q = np.exp(log_q - log_q.max(axis=-1, keepdims=True))
+    return q / q.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -582,30 +547,42 @@ def refined_to_dict(r: RefinedEstimate) -> dict:
     }
 
 
+_LABELS = tuple(InteractionLabel)
+_YIELD, _FOLLOW, _IGNORE = (InteractionLabel.YIELD.index, InteractionLabel.FOLLOW.index,
+                            InteractionLabel.IGNORE.index)
+_VEHICLE, _PEDESTRIAN = ObjectClass.VEHICLE.index, ObjectClass.PEDESTRIAN.index
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of two (N, 3) arrays, through numpy's
+    vector dot, so each is the float ``a[i] @ b[i]`` gives."""
+    return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
+
+
 def classify_interaction(
-    center: Sequence[float],
-    velocity: Sequence[float],
-    top_class: ObjectClass,
+    centers: np.ndarray,
+    velocities: np.ndarray,
+    classes: np.ndarray,
     ego: EgoState,
     cfg: ReasonerConfig,
-) -> InteractionLabel:
-    """Kinematic interaction rule over the ego corridor of ``cfg``.
+) -> np.ndarray:
+    """Kinematic interaction rule over the ego corridor of ``cfg``: the
+    :class:`InteractionLabel` index of each object, from (N, 3) centers and
+    velocities and class indices.
 
     Yield for corridor objects closing faster than ``cfg.static_speed`` and
     for any pedestrian in the corridor; Follow for corridor vehicles
     receding or matching speed; Ignore otherwise.
     """
-    if not in_corridor(center[0], center[1], ego, cfg.corridor_width, cfg.corridor_length):
-        return InteractionLabel.IGNORE
-    rel_v = np.asarray(velocity, dtype=np.float64) - _ego_velocity(ego)
-    pos = np.asarray(center, dtype=np.float64)
-    dist = float(np.linalg.norm(pos))
-    closing = 0.0 if dist == 0 else float(-(pos @ rel_v) / dist)
-    if top_class is ObjectClass.PEDESTRIAN or closing > cfg.static_speed:
-        return InteractionLabel.YIELD
-    if top_class is ObjectClass.VEHICLE:
-        return InteractionLabel.FOLLOW
-    return InteractionLabel.IGNORE
+    inside = in_corridor(centers[:, 0], centers[:, 1], ego, cfg.corridor_width,
+                         cfg.corridor_length)
+    dist = np.sqrt(_row_dots(centers, centers))  # np.linalg.norm of each center
+    # an object at distance 0 is not closing
+    closing = np.divide(-_row_dots(centers, velocities - _ego_velocity(ego)), dist,
+                        out=np.zeros(len(dist)), where=dist != 0)
+    yields = (classes == _PEDESTRIAN) | (closing > cfg.static_speed)
+    in_corridor_label = np.where(yields, _YIELD, np.where(classes == _VEHICLE, _FOLLOW, _IGNORE))
+    return np.where(inside, in_corridor_label, _IGNORE)
 
 
 def refine_objects(
@@ -619,53 +596,45 @@ def refine_objects(
     seed: int = 0,
 ) -> list[RefinedEstimate]:
     """Refine each object's class belief and uncertainty from its graph
-    neighborhood.
+    neighborhood, in array passes over all objects.
 
     Class beliefs are pooled over in-edges from object neighbors (the ego
-    node carries no class belief).  When a trained model is supplied, the
-    per-class predictive std across its MC samples is reported as the
-    epistemic spread and its argmax prediction as the interaction label;
-    otherwise the label falls back to the kinematic rule and the spread
-    is zero.
+    node carries no class belief) and normalized; the refined uncertainty
+    combines the pooled belief's entropy with the object's assessed yaw
+    deviation.  When a trained model is supplied, the per-class predictive
+    std across its MC samples is reported as the epistemic spread and its
+    argmax prediction as the interaction label; otherwise the label falls
+    back to the kinematic rule and the spread is zero.
     """
     n = len(objects)
     if graph.node_ids[:n] != tuple(o.id for o in objects) or graph.n_nodes != n + 1:
         raise ValueError("graph nodes must be the objects, in order, then the ego")
     if n == 0:
         return []
-    assess_by_id = {a.object_id: a for a in assessments}
-    log_p = _log_beliefs(np.array([o.class_dist.probs for o in objects]))
+    deviation_by_id = {a.object_id: a.deviation for a in assessments}
+    probs = np.array([o.class_dist.probs for o in objects])
+    log_p = _log_beliefs(probs)
     # the ego row and column are dropped: the ego node carries no class belief
     fused = _pool_beliefs(log_p, graph.attention_matrix()[:n, :n], log_p)
-    labels = list(InteractionLabel)
     if model is not None:
         feats = graph_features(objects, assessments, ego)
         attention = graph.attention_matrix()
-        probs = _softmax(np.stack([_forward(values, attention, feats)[0]
-                                   for values in model.weight_draws(seed)]))
-        prob_std = probs.std(axis=0)
-        pred_labels = probs.mean(axis=0).argmax(axis=1)
-    refined: list[RefinedEstimate] = []
-    for row, obj in enumerate(objects):
-        dist = ClassDistribution.from_array(fused[row])
-        if model is not None:
-            eps = tuple(prob_std[row].tolist())
-            label = labels[int(pred_labels[row])]
-        else:
-            eps = (0.0,) * len(labels)
-            label = classify_interaction(obj.box.center, obj.velocity,
-                                         obj.class_dist.top_class, ego, rcfg)
-        refined.append(
-            RefinedEstimate(
-                object_id=obj.id,
-                refined_class_dist=dist,
-                refined_uncertainty=refine_uncertainty(
-                    dist, assess_by_id[obj.id].deviation, ucfg),
-                epistemic_std=eps,
-                interaction_label=label,
-            )
-        )
-    return refined
+        mc_probs = _softmax(np.stack([_forward(values, attention, feats)[0]
+                                      for values in model.weight_draws(seed)]))
+        spreads = map(tuple, mc_probs.std(axis=0).tolist())
+        label_index = mc_probs.mean(axis=0).argmax(axis=1)
+    else:
+        spreads = [(0.0,) * len(_LABELS)] * n
+        label_index = classify_interaction(
+            np.array([o.box.center for o in objects]), np.array([o.velocity for o in objects]),
+            probs.argmax(axis=1), ego, rcfg)
+    return [
+        RefinedEstimate(obj.id, ClassDistribution(q),
+                        combined_uncertainty(h, deviation_by_id[obj.id], ucfg), spread,
+                        _LABELS[k])
+        for obj, q, h, spread, k in zip(objects, map(tuple, fused.tolist()),
+                                        entropies(fused).tolist(), spreads, label_index.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

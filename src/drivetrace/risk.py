@@ -1,4 +1,5 @@
-"""Per-object uncertainty scoring and proximity risk.
+"""Uncertainty scoring and proximity risk, in array passes over a scene's
+objects.
 
 Uncertainty combines two signals: Shannon entropy of the class
 distribution (classification ambiguity) and the wrapped absolute deviation
@@ -17,19 +18,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .scene import (
     NUM_CLASSES,
-    ClassDistribution,
+    TAU,
     EgoState,
-    OrientedBox,
     PointCloud,
     TrackedObject,
-    box_corners,
-    wrap_angle,
+    _footprints,
+    box_rows,
 )
 
 MAX_ENTROPY = math.log(NUM_CLASSES)
@@ -85,95 +85,89 @@ class ObjectAssessment:
     flagged: bool
 
 
-def shannon_entropy(dist: ClassDistribution | Sequence[float]) -> float:
-    """Shannon entropy in nats, with 0 * ln 0 taken as 0.
-
-    Raises:
-        ValueError: if the probabilities do not sum to 1 within 1e-9.
-    """
-    p = dist.as_array() if isinstance(dist, ClassDistribution) else np.asarray(dist, dtype=np.float64)
-    if abs(float(p.sum()) - 1.0) > 1e-9 or np.any(p < 0):
-        raise ValueError(f"not a probability distribution: {p}")
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+def entropies(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats of each row of an (N, K) matrix of
+    probability rows, with 0 * ln 0 taken as 0.  numpy adds a row of fewer
+    than 8 values left to right, as it adds the row of one distribution
+    alone, so each entropy is the float that row alone gives."""
+    return -(probs * np.log(np.where(probs > 0, probs, 1.0))).sum(axis=1)
 
 
-def deviation_angle(yaw_pred: float, yaw_ref: float) -> float:
-    """Wrapped absolute yaw difference, in [0, pi]."""
-    return abs(wrap_angle(yaw_pred - yaw_ref))
-
-
-def combined_uncertainty(entropy: float, deviation: float, cfg: UncertaintyConfig) -> float:
+def combined_uncertainty(entropy, deviation, cfg: UncertaintyConfig):
     """Weighted sum of the entropy and deviation components, each first
-    mapped to [0, 1] (entropy / ln K, deviation / pi)."""
+    mapped to [0, 1] (entropy / ln K, deviation / pi), for one object
+    (floats) or many (arrays)."""
     return cfg.w_entropy * (entropy / MAX_ENTROPY) + cfg.w_deviation * (deviation / math.pi)
 
 
-def min_distance(points: np.ndarray) -> float:
-    """Minimum Euclidean norm over an (N, 3) point set."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        raise ValueError("empty point set")
-    return float(np.linalg.norm(pts, axis=1).min())
+def _min_distances(objects: Sequence[TrackedObject], cloud: PointCloud) -> np.ndarray:
+    """d_min per object: the least norm of its support points, or of its
+    box corners when it has none (fully occluded).
+
+    Squared norms are summed as ``(x*x + y*y) + z*z``, the order
+    ``np.linalg.norm(axis=1)`` sums them in.  Rounding is monotone, so the
+    root of the least square is the least root, and the least corner square
+    is the least footprint square plus the least height square: each d_min
+    is the float that norm gives.
+    """
+    supports = [o.support_points for o in objects]
+    squared = np.empty(len(objects))
+    nonempty = [i for i, support in enumerate(supports) if len(support)]
+    empty = [i for i, support in enumerate(supports) if not len(support)]
+    if nonempty:
+        index = np.concatenate(supports)
+        starts = np.cumsum([0] + [len(supports[i]) for i in nonempty[:-1]])
+        # square the support points, or, where overlapping supports hold more
+        # indices than the cloud has points, every point once, then gather
+        few = len(index) < len(cloud)
+        data = cloud.data.take(index, axis=0) if few else cloud.data
+        x, y, z = data[:, 0], data[:, 1], data[:, 2]
+        squares = (x * x + y * y) + z * z
+        squared[nonempty] = np.minimum.reduceat(squares if few else squares[index], starts)
+    if empty:
+        rows = box_rows([objects[i].box for i in empty])
+        footprint = _footprints(rows)  # the bottom corners' xy, as box_corners gives them
+        x, y = footprint[..., 0], footprint[..., 1]
+        half_height = rows[:, 5] / 2.0
+        bottom, top = rows[:, 2] - half_height, rows[:, 2] + half_height
+        squared[empty] = (x * x + y * y).min(axis=1) + np.minimum(bottom * bottom, top * top)
+    return np.sqrt(squared)
 
 
-def object_min_distance(obj: TrackedObject, cloud: PointCloud) -> float:
-    """d_min from the object's support points; falls back to the nearest box
-    corner when the object has no supporting returns (fully occluded)."""
-    idx = np.asarray(obj.support_points, dtype=np.int64)
-    if idx.size > 0:
-        return min_distance(cloud.xyz[idx])
-    return min_distance(box_corners(obj.box))
-
-
-def proximity_risk(d_min: float, cfg: RiskConfig) -> float:
-    """Exponentially decaying proximity risk in (0, 1]."""
-    if d_min < 0:
-        raise ValueError(f"d_min must be >= 0, got {d_min}")
-    return math.exp(-d_min / cfg.decay_length)
-
-
-def risk_tier(risk: float, cfg: RiskConfig) -> RiskTier:
-    if risk >= cfg.tier_high:
-        return RiskTier.HIGH
-    if risk >= cfg.tier_moderate:
-        return RiskTier.MODERATE
-    return RiskTier.LOW
-
-
-def assess_object(
-    obj: TrackedObject,
-    ego: EgoState,
-    cloud: PointCloud,
-    ucfg: UncertaintyConfig,
-    rcfg: RiskConfig,
-) -> ObjectAssessment:
-    entropy = shannon_entropy(obj.class_dist)
-    dev = deviation_angle(obj.box.yaw, ego.lane_heading)
-    u = combined_uncertainty(entropy, dev, ucfg)
-    d_min = object_min_distance(obj, cloud)
-    risk = proximity_risk(d_min, rcfg)
-    return ObjectAssessment(
-        object_id=obj.id,
-        entropy=entropy,
-        deviation=dev,
-        uncertainty=u,
-        min_distance=d_min,
-        risk=risk,
-        tier=risk_tier(risk, rcfg),
-        flagged=u > ucfg.threshold,
-    )
+#: risk tiers indexed by the number of tier thresholds the risk is below
+_TIERS = (RiskTier.HIGH, RiskTier.MODERATE, RiskTier.LOW)
 
 
 def assess(
-    objects: Iterable[TrackedObject],
+    objects: Sequence[TrackedObject],
     ego: EgoState,
     cloud: PointCloud,
     ucfg: UncertaintyConfig,
     rcfg: RiskConfig,
 ) -> list[ObjectAssessment]:
-    """Assess every object; output order matches input order."""
-    return [assess_object(o, ego, cloud, ucfg, rcfg) for o in objects]
+    """Assess every object; output order matches input order.  Entropy,
+    deviation, uncertainty and d_min are array passes over all objects.
+    The risk ``exp(-d_min / decay_length)``, its tier and the flag are taken
+    per object, the risk with ``math.exp``: numpy's vectorized exp does not
+    always give its bits."""
+    if not objects:
+        return []
+    entropy = entropies(np.array([o.class_dist.probs for o in objects]))
+    # abs(wrap_angle(d)) of the yaw difference d, in [-2 pi, 2 pi] as both
+    # angles lie in (-pi, pi]: beyond +-pi the wrap moves d by TAU, and then
+    # TAU - abs(d) is exact (Sterbenz) and the smaller
+    turned = np.abs(np.array([o.box.yaw for o in objects]) - ego.lane_heading)
+    deviation = np.minimum(turned, TAU - turned)
+    uncertainty = combined_uncertainty(entropy, deviation, ucfg)
+    d_min = _min_distances(objects, cloud)
+    assessments = []
+    for o, h, dev, u, d in zip(objects, entropy.tolist(), deviation.tolist(),
+                               uncertainty.tolist(), d_min.tolist()):
+        risk = math.exp(-d / rcfg.decay_length)
+        tier = _TIERS[(risk < rcfg.tier_high) + (risk < rcfg.tier_moderate)]
+        assessments.append(ObjectAssessment(o.id, h, dev, u, d, risk, tier,
+                                            u > ucfg.threshold))
+    return assessments
 
 
 def assessment_to_dict(a: ObjectAssessment) -> dict:

@@ -267,7 +267,10 @@ def label_interactions(scene: Scene,
     """
     if scene.ground_truth is None:
         raise ValueError("label_interactions requires scene.ground_truth")
-    return [
-        (i, classify_interaction(g.box.center, g.velocity, g.label, scene.ego, cfg))
-        for i, g in enumerate(scene.ground_truth)
-    ]
+    gt = scene.ground_truth
+    index = classify_interaction(
+        np.array([g.box.center for g in gt]).reshape(-1, 3),
+        np.array([g.velocity for g in gt]).reshape(-1, 3),
+        np.array([g.label.index for g in gt], dtype=np.intp), scene.ego, cfg)
+    labels = list(InteractionLabel)
+    return [(i, labels[k]) for i, k in enumerate(index.tolist())]

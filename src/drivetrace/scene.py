@@ -306,9 +306,6 @@ class ClassDistribution:
             raise ValueError("cannot normalize an all-zero distribution")
         return cls(tuple((a / s).tolist()))
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.probs, dtype=np.float64)
-
     @property
     def top_class(self) -> ObjectClass:
         return ObjectClass.from_index(int(np.argmax(self.probs)))
@@ -324,29 +321,38 @@ def _finite_vector(obj: object, name: str) -> tuple[float, ...]:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackedObject:
     """A detected/tracked object: box, velocity, class belief, and the
-    indices of the cloud points supporting the detection."""
+    indices of the cloud points supporting the detection.
+
+    ``support_points`` is stored as a read-only int64 copy of the indices
+    given; non-integer values are truncated toward zero, as ``int`` does.
+    Objects compare by value."""
 
     id: int
     box: OrientedBox
     velocity: tuple[float, float, float]
     class_dist: ClassDistribution
-    support_points: tuple[int, ...] = ()
+    support_points: np.ndarray = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "velocity", _finite_vector(self, "velocity"))
-        support = self.support_points
-        if isinstance(support, np.ndarray) and support.dtype.kind in "iu":
-            # tolist() gives Python ints; converting numpy scalars one by
-            # one costs several times more
-            support = support.tolist()
-        elif isinstance(support, np.ndarray):
-            support = map(int, support.tolist())
-        else:
-            support = map(int, support)
-        object.__setattr__(self, "support_points", tuple(support))
+        support = np.asarray(self.support_points)
+        if support.ndim != 1:
+            raise ValueError(f"TrackedObject.support_points must be 1-D, got shape {support.shape}")
+        if support.dtype.kind == "f" and not np.isfinite(support).all():
+            raise ValueError("TrackedObject.support_points must be finite")
+        support = support.astype(np.int64)  # a copy, truncated toward zero
+        support.flags.writeable = False
+        object.__setattr__(self, "support_points", support)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrackedObject):
+            return NotImplemented
+        return (self.id == other.id and self.box == other.box
+                and self.velocity == other.velocity and self.class_dist == other.class_dist
+                and np.array_equal(self.support_points, other.support_points))
 
     @property
     def speed(self) -> float:
@@ -425,10 +431,10 @@ def forward_lateral(x: float, y: float, ego: EgoState) -> tuple[float, float]:
 def in_corridor(x: float, y: float, ego: EgoState, width: float, length: float,
                 lateral_offset: float = 0.0) -> bool:
     """True if (x, y) lies in the ``width`` x ``length`` rectangular
-    corridor ahead of the ego.
+    corridor ahead of the ego; for arrays of points, a boolean array.
 
     ``lateral_offset`` shifts the corridor sideways (adjacent lanes are the
     corridors at +/- width).
     """
     fwd, lat = forward_lateral(x, y, ego)
-    return 0.0 <= fwd <= length and abs(lat - lateral_offset) <= width / 2.0
+    return (0.0 <= fwd) & (fwd <= length) & (abs(lat - lateral_offset) <= width / 2.0)

@@ -166,7 +166,7 @@ def object_to_dict(obj: TrackedObject) -> dict[str, Any]:
         "box": _box_to_dict(obj.box),
         "velocity": list(obj.velocity),
         "class_probs": list(obj.class_dist.probs),
-        "support_points": list(obj.support_points),
+        "support_points": obj.support_points.tolist(),
     }
 
 
@@ -197,14 +197,21 @@ def scene_to_dict(scene: Scene, cloud_file: str) -> dict[str, Any]:
     return d
 
 
-def _support_points(obj: dict[str, Any], n_points: int) -> tuple[int, ...]:
+def _support_points(obj: dict[str, Any], n_points: int) -> np.ndarray:
     """An object's support indices; raises ValueError naming the object
-    when one does not index the cloud (a negative index would wrap)."""
-    support = tuple(obj["support_points"])
+    unless they are a list of ints that index the cloud (a negative index
+    would wrap, and a float or a bool would be truncated to an int)."""
+    support = obj["support_points"]
+    if not isinstance(support, list):
+        raise ValueError(f"object {obj['id']}: support_points must be a list of ints, "
+                         f"got {support!r}")
+    if not set(map(type, support)) <= {int}:
+        bad = next(v for v in support if type(v) is not int)
+        raise ValueError(f"object {obj['id']}: support_points must be ints, got {bad!r}")
     if support and not (min(support) >= 0 and max(support) < n_points):
         raise ValueError(f"object {obj['id']}: support_points must lie in [0, {n_points}), "
                          f"got indices from {min(support)} to {max(support)}")
-    return support
+    return np.array(support, dtype=np.int64)
 
 
 def _frame_id(d: dict[str, Any]) -> str:

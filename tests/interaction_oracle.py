@@ -8,10 +8,15 @@ radius, keyed by node ids, a softmax over each node's in-edges, in-edge
 lookups by scanning every edge, and sequential log-linear pooling per
 object.
 
-It also keeps the Monte Carlo forward pass that draws fresh weights on
-every call (``mc_logits``, ``forward_mc``), the oracle for the draws that
-``BgnnModel.weight_draws`` makes once per seed, and ``fuse_refine``, the
-one-object form of the package's log-linear pooling.
+It also keeps the oracles for the array passes of ``classify_interaction``
+and ``refine_objects``: the per-object kinematic rule
+(``scalar_classify_interaction``), the refined uncertainty of one belief
+(``refine_uncertainty``) and the per-object refinement on the package's
+graph (``per_object_refine_objects``).  And it keeps the Monte Carlo
+forward pass that draws fresh weights on every call (``mc_logits``,
+``forward_mc``), the oracle for the draws that ``BgnnModel.weight_draws``
+makes once per seed, and ``fuse_refine``, the one-object form of the
+package's log-linear pooling.
 """
 
 from __future__ import annotations
@@ -27,27 +32,98 @@ from drivetrace.interaction import (
     PROB_FLOOR,
     BgnnModel,
     InteractionConfig,
+    InteractionGraph,
     InteractionLabel,
     RefinedEstimate,
     _forward,
     _log_beliefs,
     _pool_beliefs,
     _sample_layers,
+    _ego_velocity,
     _softmax,
-    classify_interaction,
     graph_features,
     interaction_energy,
-    refine_uncertainty,
 )
 from drivetrace.reasoner import ReasonerConfig
-from drivetrace.risk import ObjectAssessment, UncertaintyConfig
+from drivetrace.risk import ObjectAssessment, UncertaintyConfig, combined_uncertainty
 from drivetrace.scene import (
     NUM_CLASSES,
     ClassDistribution,
     EgoState,
     ObjectClass,
     TrackedObject,
+    in_corridor,
 )
+from risk_oracle import shannon_entropy
+
+
+def scalar_classify_interaction(center: Sequence[float], velocity: Sequence[float],
+                                top_class: ObjectClass, ego: EgoState,
+                                cfg: ReasonerConfig) -> InteractionLabel:
+    """Kinematic interaction rule for one object over the ego corridor."""
+    if not in_corridor(center[0], center[1], ego, cfg.corridor_width, cfg.corridor_length):
+        return InteractionLabel.IGNORE
+    rel_v = np.asarray(velocity, dtype=np.float64) - _ego_velocity(ego)
+    pos = np.asarray(center, dtype=np.float64)
+    dist = float(np.linalg.norm(pos))
+    closing = 0.0 if dist == 0 else float(-(pos @ rel_v) / dist)
+    if top_class is ObjectClass.PEDESTRIAN or closing > cfg.static_speed:
+        return InteractionLabel.YIELD
+    if top_class is ObjectClass.VEHICLE:
+        return InteractionLabel.FOLLOW
+    return InteractionLabel.IGNORE
+
+
+def refine_uncertainty(fused: ClassDistribution, deviation: float,
+                       cfg: UncertaintyConfig) -> float:
+    """The combined uncertainty of one fused belief; the deviation
+    component is left unchanged."""
+    return combined_uncertainty(shannon_entropy(fused), deviation, cfg)
+
+
+def per_object_refine_objects(
+    objects: Sequence[TrackedObject],
+    assessments: Sequence[ObjectAssessment],
+    graph: InteractionGraph,
+    ego: EgoState,
+    ucfg: UncertaintyConfig,
+    rcfg: ReasonerConfig,
+    model: Optional[BgnnModel] = None,
+    seed: int = 0,
+) -> list[RefinedEstimate]:
+    """``refine_objects`` as the package ran it before its array passes:
+    the log-linear pooling of every belief in one product, left
+    unnormalized, then per object a validated ``ClassDistribution.from_array``,
+    the scalar entropy and the scalar kinematic rule."""
+    n = len(objects)
+    if n == 0:
+        return []
+    assess_by_id = {a.object_id: a for a in assessments}
+    log_p = _log_beliefs(np.array([o.class_dist.probs for o in objects]))
+    log_q = log_p + graph.attention_matrix()[:n, :n] @ log_p
+    fused = np.exp(log_q - log_q.max(axis=-1, keepdims=True))
+    labels = list(InteractionLabel)
+    if model is not None:
+        feats = graph_features(objects, assessments, ego)
+        attention = graph.attention_matrix()
+        probs = _softmax(np.stack([_forward(values, attention, feats)[0]
+                                   for values in model.weight_draws(seed)]))
+        prob_std = probs.std(axis=0)
+        pred_labels = probs.mean(axis=0).argmax(axis=1)
+    refined = []
+    for row, obj in enumerate(objects):
+        dist = ClassDistribution.from_array(fused[row])
+        if model is not None:
+            eps = tuple(prob_std[row].tolist())
+            label = labels[int(pred_labels[row])]
+        else:
+            eps = (0.0,) * len(labels)
+            label = scalar_classify_interaction(obj.box.center, obj.velocity,
+                                                obj.class_dist.top_class, ego, rcfg)
+        refined.append(RefinedEstimate(
+            obj.id, dist, refine_uncertainty(dist, assess_by_id[obj.id].deviation, ucfg),
+            eps, label))
+    return refined
 
 
 def mc_logits(graph, feats: np.ndarray, params, mc_samples: int, seed: int) -> np.ndarray:
@@ -85,12 +161,12 @@ def fuse_refine(raw: ClassDistribution,
                 ) -> ClassDistribution:
     """Log-linear pooling of one raw belief with attention-weighted
     neighbor beliefs through the package's ``_pool_beliefs``:
-    log q = log raw + sum_j a_j log p_j, renormalized."""
+    log q = log raw + sum_j a_j log p_j, normalized."""
     evidence = list(neighbor_evidence)
     attention = np.array([[a for _, a in evidence]], dtype=np.float64).reshape(1, -1)
     neighbors = np.array([d.probs for d, _ in evidence]).reshape(-1, NUM_CLASSES)
-    q = _pool_beliefs(_log_beliefs(raw.as_array()), attention, _log_beliefs(neighbors))
-    return ClassDistribution.from_array(q[0])
+    q = _pool_beliefs(_log_beliefs(np.array(raw.probs)), attention, _log_beliefs(neighbors))
+    return ClassDistribution(tuple(q[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -182,11 +258,11 @@ def scalar_build_graph(objects: Sequence[TrackedObject], ego: EgoState,
 def scalar_fuse_refine(raw: ClassDistribution,
                        neighbor_evidence: Iterable[tuple[ClassDistribution, float]]
                        ) -> ClassDistribution:
-    log_q = np.log(np.maximum(raw.as_array(), PROB_FLOOR))
+    log_q = np.log(np.maximum(np.array(raw.probs), PROB_FLOOR))
     for dist, attention in neighbor_evidence:
         if not (0.0 <= attention <= 1.0):
             raise ValueError(f"attention must lie in [0, 1], got {attention}")
-        log_q = log_q + attention * np.log(np.maximum(dist.as_array(), PROB_FLOOR))
+        log_q = log_q + attention * np.log(np.maximum(np.array(dist.probs), PROB_FLOOR))
     q = np.exp(log_q - log_q.max())
     return ClassDistribution.from_array(q)
 
@@ -217,8 +293,8 @@ def scalar_refine_objects(
             label = list(InteractionLabel)[int(pred_labels[row])]
         else:
             eps = (0.0,) * len(InteractionLabel)
-            label = classify_interaction(obj.box.center, obj.velocity,
-                                         obj.class_dist.top_class, ego, rcfg)
+            label = scalar_classify_interaction(obj.box.center, obj.velocity,
+                                                obj.class_dist.top_class, ego, rcfg)
         refined.append(RefinedEstimate(
             obj.id, fused,
             refine_uncertainty(fused, assess_by_id[obj.id].deviation, ucfg),

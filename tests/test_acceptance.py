@@ -28,12 +28,12 @@ from drivetrace.interaction import (
     training_accuracy,
 )
 from drivetrace.pipeline import run_scene
-from drivetrace.risk import assess, deviation_angle, proximity_risk, shannon_entropy
-from drivetrace.risk import RiskConfig
+from drivetrace.risk import RiskConfig, UncertaintyConfig, assess, entropies
 from drivetrace.scenario import ScenarioSpec, Template, generate
-from drivetrace.scene import ClassDistribution, box_iou
-from conftest import UNIFORM, mc_box_iou, random_box
+from drivetrace.scene import ClassDistribution, EgoState, PointCloud, box_iou
+from conftest import UNIFORM, make_object, mc_box_iou, random_box
 from interaction_oracle import forward_mc, fuse_refine
+from risk_oracle import shannon_entropy
 
 
 class Budget:
@@ -57,14 +57,18 @@ class Budget:
 def test_c01_formula_unit_suite():
     with Budget("1 formula unit suite", 1.0):
         # entropy
-        assert shannon_entropy(ClassDistribution((1.0, 0.0, 0.0, 0.0))) == 0.0
-        assert shannon_entropy(UNIFORM) == pytest.approx(math.log(4), abs=1e-9)
-        # proximity risk
-        rcfg = RiskConfig(decay_length=20.0)
-        assert proximity_risk(0.0, rcfg) == 1.0
-        assert proximity_risk(20.0, rcfg) == pytest.approx(math.exp(-1.0), abs=1e-12)
-        # deviation wrap
-        assert deviation_angle(3.0, -3.0) == pytest.approx(2 * math.pi - 6.0, abs=1e-12)
+        one_hot, uniform = entropies(np.array([(1.0, 0.0, 0.0, 0.0), UNIFORM.probs]))
+        assert one_hot == 0.0
+        assert uniform == pytest.approx(math.log(4), abs=1e-9)
+        # proximity risk at 0 m and 20 m, and the deviation wrap of yaw 3 from -3
+        cloud = PointCloud(np.array([[0.0, 0.0, 0.0, 1.0], [20.0, 0.0, 0.0, 1.0]]))
+        near = make_object(0, (0.0, 0.0, 0.0), yaw=3.0, support=(0,))
+        far = make_object(1, (20.0, 0.0, 0.0), support=(1,))
+        a_near, a_far = assess([near, far], EgoState(lane_heading=-3.0), cloud,
+                               UncertaintyConfig(), RiskConfig(decay_length=20.0))
+        assert a_near.risk == 1.0
+        assert a_far.risk == pytest.approx(math.exp(-1.0), abs=1e-12)
+        assert a_near.deviation == pytest.approx(2 * math.pi - 6.0, abs=1e-12)
         # interaction energy linearity
         cfg = InteractionConfig(w_distance=0.05, w_speed=0.1, w_intensity=1.0)
         for alpha in (0.0, 0.5, 1.0, 2.0, 7.5):

@@ -299,7 +299,18 @@ class TestTrainEvaluate:
          "line 3: invalid literal for int() with base 10: 'x'"),
         ("speed_f1,Brake,0.5",
          "line 3: speed class 'Brake' has no speed_precision row"),
-    ], ids=["two-fields", "bad-count", "lone-speed-row"])
+        ("scalar,mean_iuo,0.5", "line 3: unknown scalar 'mean_iuo'"),
+        ("path_accuracy,Straight,1.5",
+         "line 3: path_accuracy Straight must lie in [0, 1], got 1.5"),
+        ("scalar,mean_iou,nan", "line 3: scalar mean_iou must be finite, got 'nan'"),
+        ("speed_precision,Brake,-0.1",
+         "line 3: speed_precision Brake must lie in [0, 1], got -0.1"),
+        ("count,scenes,-1", "line 3: count scenes must lie in [0, inf], got -1"),
+        ("speed_confusion,Brake|Stop,-2",
+         "line 3: speed_confusion Brake|Stop must lie in [0, inf], got -2"),
+    ], ids=["two-fields", "bad-count", "lone-speed-row", "unknown-scalar",
+            "fraction-above-1", "nan", "negative-fraction", "negative-count",
+            "negative-confusion"])
     def test_report_bad_csv_names_file_and_line(self, tmp_path, capsys, row, reason):
         path = tmp_path / "report.csv"
         path.write_text(f"section,key,value\ncount,errors,0\n{row}\n")

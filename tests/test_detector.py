@@ -21,7 +21,6 @@ from drivetrace.detector import (
     points_in_box,
 )
 from drivetrace.pipeline import detect
-from drivetrace.risk import shannon_entropy
 from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import (GroundTruthObject, ObjectClass, OrientedBox, PointCloud, Scene,
                               EgoState, _clip_footprints, _footprints, box_corners, box_iou,
@@ -29,6 +28,7 @@ from drivetrace.scene import (GroundTruthObject, ObjectClass, OrientedBox, Point
 from conftest import tiny_scene
 from detector_oracle import bfs_grid_clusters, scan_support_points
 from iou_oracle import clip_polygon, scalar_box_iou
+from risk_oracle import shannon_entropy
 
 
 def gt_vehicle(x, y=0.0, yaw=0.0, velocity=(0.0, 0.0, 0.0)):
@@ -43,7 +43,7 @@ class TestDetectorTable:
         config = PipelineConfig(detector=name, seed=3)
         dets = detect(scene, config)
         assert dets == DETECTORS[name](scene, config)
-        assert dets and all(d.support_points for d in dets)
+        assert dets and all(d.support_points.size for d in dets)
 
     def test_oracle_entry_seeds_noise_with_run_seed(self):
         scene = tiny_scene([gt_vehicle(10.0)])
@@ -127,7 +127,7 @@ class TestOracleDetect:
         scene = tiny_scene([gt_vehicle(10.0, y=5.0)], cloud_points=pts)
         det = oracle_detect(scene, NoiseModel(), 0)[0]
         mask = points_in_box(scene.cloud.xyz, scene.ground_truth[0].box, 0.1)
-        assert det.support_points == tuple(np.nonzero(mask)[0].tolist())
+        assert np.array_equal(det.support_points, np.nonzero(mask)[0])
 
 
 def sample_box_surface_grid(box: OrientedBox, step=0.1):
@@ -197,8 +197,8 @@ class TestGeometricDetect:
         np.testing.assert_allclose(da[0].box.params(), db[0].box.params(), atol=1e-9)
         assert da[0].class_dist == db[0].class_dist
         # same evidence points, as coordinates
-        pa = np.sort(scene_a.cloud.xyz[list(da[0].support_points)], axis=0)
-        pb = np.sort(scene_b.cloud.xyz[list(db[0].support_points)], axis=0)
+        pa = np.sort(scene_a.cloud.xyz[da[0].support_points], axis=0)
+        pb = np.sort(scene_b.cloud.xyz[db[0].support_points], axis=0)
         np.testing.assert_allclose(pa, pb, atol=0)
 
     def test_support_within_inflated_fit(self, rng):
@@ -207,7 +207,7 @@ class TestGeometricDetect:
         data = np.column_stack([pts, np.ones(len(pts))])
         scene = tiny_scene([], cloud_points=data)
         det = geometric_detect(scene, self.PARAMS)[0]
-        support = scene.cloud.xyz[list(det.support_points)]
+        support = scene.cloud.xyz[det.support_points]
         inside = points_in_box(support, det.box, self.PARAMS.neighbor_radius)
         assert inside.all()
 
@@ -638,5 +638,5 @@ class TestSupportPointsOracle:
         dets = oracle_detect(scene, NoiseModel(dropout_prob=dropout), seed)
         assert len(dets) == len(boxes) or dropout > 0
         for det in dets:
-            assert det.support_points == tuple(want[det.box.center].tolist())
+            assert np.array_equal(det.support_points, want[det.box.center])
 

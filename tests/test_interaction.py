@@ -19,23 +19,19 @@ from drivetrace.interaction import (
     build_graph,
     classify_interaction,
     elbo_loss,
-    ego_features,
     forward_mean,
     graph_features,
     interaction_energy,
     kl_to_prior,
     load_model,
-    node_features,
     refine_objects,
-    refine_uncertainty,
     save_model,
     synthetic_yield_ignore_dataset,
     train_bgnn,
     training_accuracy,
 )
 from drivetrace.reasoner import ReasonerConfig
-from drivetrace.risk import (RiskConfig, UncertaintyConfig, assess, min_distance,
-                             proximity_risk, shannon_entropy)
+from drivetrace.risk import RiskConfig, UncertaintyConfig, assess
 from drivetrace.scene import (ClassDistribution, EgoState, ObjectClass, OrientedBox, PointCloud,
                               box_corners)
 from conftest import UNIFORM, make_object
@@ -43,9 +39,11 @@ from interaction_oracle import (
     forward_mc,
     fuse_refine,
     mc_estimates,
+    refine_uncertainty,
     scalar_build_graph,
     scalar_refine_objects,
 )
+from risk_oracle import min_distance, proximity_risk, shannon_entropy
 
 CFG = InteractionConfig()
 SMALL = InteractionConfig(layers=2, embed_dim=8, mc_samples=3)
@@ -367,29 +365,29 @@ class TestWeightDraws:
 
 
 class TestNodeFeatures:
-    def make_assessed(self, obj):
+    def features(self, obj, ego=EgoState()):
+        """The object's and the ego's rows of graph_features."""
         cloud = PointCloud(np.array([[*obj.box.center, 1.0]]))
-        return assess([obj], EgoState(), cloud, UncertaintyConfig(), RiskConfig())[0]
+        assessments = assess([obj], ego, cloud, UncertaintyConfig(), RiskConfig())
+        return graph_features([obj], assessments, ego)
 
     def test_length(self):
-        obj = make_object(0, (3, 2, 0), support=(0,))
-        f = node_features(obj, self.make_assessed(obj))
-        assert f.shape == (FEATURE_DIM,) == (16,)
+        f = self.features(make_object(0, (3, 2, 0), support=(0,)))
+        assert f.shape == (2, FEATURE_DIM) == (2, 16)
 
     def test_stationary_origin_zeros(self):
-        obj = make_object(0, (0, 0, 0), support=(0,))
-        f = node_features(obj, self.make_assessed(obj))
+        f = self.features(make_object(0, (0, 0, 0), support=(0,)))[0]
         np.testing.assert_allclose(f[:6], 0.0)
 
     def test_yaw_encoding(self):
-        obj = make_object(0, (5, 0, 0), yaw=0.0, support=(0,))
-        f = node_features(obj, self.make_assessed(obj))
+        f = self.features(make_object(0, (5, 0, 0), yaw=0.0, support=(0,)))[0]
         assert f[9] == pytest.approx(0.0)   # sin
         assert f[10] == pytest.approx(1.0)  # cos
 
-    def test_ego_features_shape(self):
-        f = ego_features(EgoState(speed=8.0))
-        assert f.shape == (FEATURE_DIM,)
+    def test_ego_row(self):
+        f = self.features(make_object(0, (5, 0, 0), support=(0,)), EgoState(speed=8.0))[1]
+        np.testing.assert_allclose(f[3:6], (8.0, 0.0, 0.0))  # velocity along the heading
+        np.testing.assert_allclose(f[6:9], (4.5, 1.9, 1.6))  # nominal ego body
         assert f[15] == 1.0  # risk at distance zero
 
 
@@ -558,18 +556,21 @@ class TestRefine:
 
     def test_classify_interaction_rules(self):
         ego = EgoState(speed=8.0)
-        # closing static vehicle ahead: Yield
-        assert classify_interaction((10, 0, 0), (0, 0, 0), ObjectClass.VEHICLE,
-                                    ego, RCFG) is InteractionLabel.YIELD
-        # lead at matching speed: Follow
-        assert classify_interaction((15, 0, 0), (8, 0, 0), ObjectClass.VEHICLE,
-                                    ego, RCFG) is InteractionLabel.FOLLOW
-        # pedestrian in corridor: Yield regardless of motion
-        assert classify_interaction((12, 1, 0), (8.0, 0, 0), ObjectClass.PEDESTRIAN,
-                                    ego, RCFG) is InteractionLabel.YIELD
-        # outside corridor: Ignore
-        assert classify_interaction((10, 5, 0), (0, 0, 0), ObjectClass.VEHICLE,
-                                    ego, RCFG) is InteractionLabel.IGNORE
+        cases = [
+            # closing static vehicle ahead: Yield
+            ((10, 0, 0), (0, 0, 0), ObjectClass.VEHICLE, InteractionLabel.YIELD),
+            # lead at matching speed: Follow
+            ((15, 0, 0), (8, 0, 0), ObjectClass.VEHICLE, InteractionLabel.FOLLOW),
+            # pedestrian in corridor: Yield regardless of motion
+            ((12, 1, 0), (8.0, 0, 0), ObjectClass.PEDESTRIAN, InteractionLabel.YIELD),
+            # outside corridor: Ignore
+            ((10, 5, 0), (0, 0, 0), ObjectClass.VEHICLE, InteractionLabel.IGNORE),
+        ]
+        centers, velocities, classes, labels = zip(*cases)
+        got = classify_interaction(np.array(centers, dtype=float),
+                                   np.array(velocities, dtype=float),
+                                   np.array([c.index for c in classes]), ego, RCFG)
+        assert got.tolist() == [label.index for label in labels]
 
 
 class TestElbo:

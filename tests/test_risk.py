@@ -1,4 +1,8 @@
-"""Entropy, deviation, combined uncertainty, and proximity risk."""
+"""Entropy, deviation, combined uncertainty, and proximity risk.
+
+The scalar formulas are checked on the per-object oracle in
+``tests/risk_oracle.py``; ``test_array_passes.py`` checks that the
+package's array passes give exactly the oracle's floats."""
 
 import math
 
@@ -13,6 +17,10 @@ from drivetrace.risk import (
     UncertaintyConfig,
     assess,
     combined_uncertainty,
+)
+from drivetrace.scene import ClassDistribution, EgoState, PointCloud
+from conftest import make_object
+from risk_oracle import (
     deviation_angle,
     min_distance,
     object_min_distance,
@@ -20,8 +28,6 @@ from drivetrace.risk import (
     risk_tier,
     shannon_entropy,
 )
-from drivetrace.scene import ClassDistribution, EgoState, PointCloud
-from conftest import make_object
 
 UCFG = UncertaintyConfig()
 RCFG = RiskConfig()

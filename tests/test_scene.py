@@ -198,15 +198,34 @@ class TestTypes:
         with pytest.raises(ValueError, match="GroundTruthObject.velocity"):
             GroundTruthObject(box, ObjectClass.VEHICLE, (bad, 0.0, 0.0))
 
-    def test_support_points_become_python_ints(self):
+    def test_support_points_become_a_read_only_int64_array(self):
         box = OrientedBox((1, 0, 0), 1, 1, 1, 0)
-        want = (0, 2, 5, 9)
-        for support in (list(want), np.array(want, dtype=np.int64),
-                        np.array(want, dtype=np.int32), np.array([0.0, 2.7, 5.99, 9.5])):
-            obj = TrackedObject(1, box, (0, 0, 0), UNIFORM,
-                                support_points=support)
-            assert obj.support_points == want
-            assert all(type(i) is int for i in obj.support_points)
+        want = TrackedObject(1, box, (0, 0, 0), UNIFORM, support_points=(0, 2, 5, 9))
+        for support in ([0, 2, 5, 9], np.array([0, 2, 5, 9], dtype=np.int64),
+                        np.array([0, 2, 5, 9], dtype=np.int32),
+                        np.array([0.0, 2.7, 5.99, 9.5]), [0.9, 2.0, 5.5, 9.99]):
+            obj = TrackedObject(1, box, (0, 0, 0), UNIFORM, support_points=support)
+            assert obj == want  # float indices are truncated toward zero
+            assert obj.support_points.dtype == np.int64
+            assert obj.support_points.tolist() == [0, 2, 5, 9]
+            with pytest.raises(ValueError, match="read-only"):
+                obj.support_points[0] = 1
+        assert TrackedObject(1, box, (0, 0, 0), UNIFORM, support_points=[0, 2]) != want
+        assert TrackedObject(1, box, (0, 0, 0), UNIFORM).support_points.shape == (0,)
+
+    def test_support_points_copy_the_callers_array(self):
+        box = OrientedBox((1, 0, 0), 1, 1, 1, 0)
+        mine = np.array([3, 4], dtype=np.int64)
+        obj = TrackedObject(1, box, (0, 0, 0), UNIFORM, support_points=mine)
+        mine[0] = 7
+        assert mine.flags.writeable
+        assert obj.support_points.tolist() == [3, 4]
+
+    @pytest.mark.parametrize("support", [[[1, 2]], [math.nan], [1.0, math.inf]])
+    def test_malformed_support_points_rejected(self, support):
+        box = OrientedBox((1, 0, 0), 1, 1, 1, 0)
+        with pytest.raises(ValueError, match="TrackedObject.support_points"):
+            TrackedObject(1, box, (0, 0, 0), UNIFORM, support_points=support)
 
     def test_velocity_needs_three_components(self):
         box = OrientedBox((1, 0, 0), 1, 1, 1, 0)

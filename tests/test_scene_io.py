@@ -21,6 +21,7 @@ from drivetrace.scene_io import (
     write_cloud_ascii,
     write_cloud_binary,
 )
+from conftest import make_object
 
 
 @pytest.fixture
@@ -156,7 +157,8 @@ def test_objects_round_trip_preserves_support_points(tmp_path):
     save_scene(scene, path)
     back = load_scene(path)
     assert len(back.objects) == 1
-    assert back.objects[0].support_points == scene.objects[0].support_points
+    assert np.array_equal(back.objects[0].support_points, scene.objects[0].support_points)
+    assert back.objects[0] == scene.objects[0]
     assert back.objects[0].class_dist == scene.objects[0].class_dist
 
 
@@ -199,6 +201,10 @@ def test_detected_objects_serialize_like_scene_objects(tmp_path):
                             "cloud")["objects"]
     assert len(dets) == len(objects) > 1
     assert dets == json.loads(json.dumps(objects))
+    # the support arrays are written as plain JSON ints
+    assert all(d["support_points"] for d in dets)
+    for written in (objects, dets):
+        assert all(type(i) is int for d in written for i in d["support_points"])
 
 
 def test_truncated_binary_cloud_names_file(cloud, tmp_path):
@@ -287,6 +293,29 @@ def test_support_points_outside_cloud_rejected_at_load(tmp_path, index):
         load_scene(path)
     assert str(index) in str(exc.value)
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize(("support", "message"), [
+    ("abc", "must be a list of ints, got 'abc'"),
+    (None, "must be a list of ints, got None"),
+    ([[1]], "must be ints, got [1]"),
+    ([1.5], "must be ints, got 1.5"),
+    ([2, True], "must be ints, got True"),
+], ids=["string", "null", "nested", "float", "bool"])
+def test_malformed_support_points_rejected_at_load(tmp_path, support, message):
+    """Each form raises naming the scene, the object and the field; before,
+    the first three raised a bare TypeError and the last two loaded as
+    index 1."""
+    scene = generate(ScenarioSpec(template=Template.STATIC_VEHICLE_AHEAD, seed=3))
+    scene = scene.with_objects([make_object(4, (10.0, 0.0, 0.8))])
+    path = tmp_path / "scene.json"
+    save_scene(scene, path)
+    d = json.loads(path.read_text())
+    d["objects"][0]["support_points"] = support
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError) as exc:
+        load_scene(path)
+    assert str(exc.value) == f"{path}: object 4: support_points {message}"
 
 
 def _outcome(parse):

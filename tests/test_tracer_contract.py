@@ -42,6 +42,24 @@ def test_traced_scene_records_every_pipeline_span():
     assert graph_span.counts == {"edges": len(result.graph.edges)}
 
 
+def test_traced_dense_scene_matches_untraced():
+    """On a 60-object scene the traced ``run_scene`` returns what the
+    untraced one does, and ``risk.assess`` counts one object per detection."""
+    scene = generate(ScenarioSpec(template=Template.DENSE_TRAFFIC, seed=1, n_objects=60))
+    untraced = pipeline.run_scene(scene, PipelineConfig())
+    recorder = tracer.Recorder()
+    recorder.install()
+    try:
+        traced = pipeline.run_scene(scene, PipelineConfig())
+    finally:
+        recorder.uninstall()
+    assert traced == untraced
+    assert len(traced.detections) > 50
+    counts = {s.name: s.counts for s in recorder.spans if s.counts}
+    assert counts["detector.detect"] == {"detections": len(traced.detections)}
+    assert counts["risk.assess"] == {"objects": len(traced.detections)}
+
+
 def test_traced_evaluate_counts_match_boxes_arguments(tmp_path):
     """The recorder binds ``match_boxes``'s ``predicted`` and ``truth`` and
     counts the pairs they span and the matches returned."""
