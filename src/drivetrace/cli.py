@@ -1,10 +1,9 @@
 """Command-line interface wiring the pipeline stages together.
 
-Every command takes ``--config <file>`` (JSON; falls back to the
-$PRIME_CONFIG environment variable, then to built-in defaults),
-``--seed <n>`` and ``--out <dir>``, writes all artifacts under the output
-directory, and is deterministic for a fixed config and seed.  Exit codes:
-0 success, 1 runtime failure, 2 usage errors.
+Every command writes all artifacts under ``--out <dir>``.  All but ``report``
+also take ``--config <file>`` (JSON; falls back to $PRIME_CONFIG, then to
+built-in defaults) and ``--seed <n>``, and are deterministic for a fixed
+config and seed.  Exit codes: 0 success, 1 runtime failure, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -201,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="re-render reports from a result CSV")
-    common(p)
+    p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--csv", required=True, help="report.csv from a previous evaluate")
     p.add_argument("--prefix", default="report")
     p.set_defaults(func=cmd_report)

@@ -207,8 +207,8 @@ _EGO_ONLY = InteractionGraph((EGO_ID,), np.empty(0, EDGE_DTYPE), np.zeros(2, dty
 
 def build_graph(objects: Sequence[TrackedObject], ego: EgoState,
                 cfg: InteractionConfig, static_speed: float) -> InteractionGraph:
-    """Build the interaction graph: object nodes plus the ego node, with
-    directed edges between all node pairs within ``edge_radius``.
+    """Build the interaction graph: object nodes plus the ego node at the
+    origin, with directed edges between all node pairs within ``edge_radius``.
 
     An object heads along its velocity above ``static_speed`` and along its
     box yaw otherwise.  Attention is normalized over each node's in-edges.
@@ -224,7 +224,7 @@ def build_graph(objects: Sequence[TrackedObject], ego: EgoState,
     nodes = np.array(
         [(*o.box.center, *o.velocity, _object_heading(o, static_speed), *o.class_dist.probs)
          for o in objects]
-        + [(*ego.position, *_ego_velocity(ego), ego.heading, *_EGO_CLASS.probs)])
+        + [(0.0, 0.0, 0.0, *_ego_velocity(ego), ego.heading, *_EGO_CLASS.probs)])
     centers, velocities, headings = nodes[:, 0:3], nodes[:, 3:6], nodes[:, 6]
     classes = nodes[:, 7:].argmax(axis=1)
     offsets = centers[:, np.newaxis, :] - centers[np.newaxis, :, :]  # [dst, src]
@@ -271,12 +271,13 @@ def graph_features(
     """Node features in graph node order (objects, then the ego), one row
     of [center, velocity, dims, sin/cos yaw, class probs, risk] per node,
     length 16; the ordering is part of the model format.  The ego row has
-    the nominal ego body and the risk at zero distance, 1."""
+    the frame origin as its center, the nominal ego body and the risk at
+    zero distance, 1."""
     risk = {a.object_id: a.risk for a in assessments}
     rows = [(*o.box.center, *o.velocity, o.box.length, o.box.width, o.box.height,
              math.sin(o.box.yaw), math.cos(o.box.yaw), *o.class_dist.probs, risk[o.id])
             for o in objects]
-    rows.append((*ego.position, *_ego_velocity(ego).tolist(), *EGO_DIMS, math.sin(ego.heading),
+    rows.append((0.0, 0.0, 0.0, *_ego_velocity(ego).tolist(), *EGO_DIMS, math.sin(ego.heading),
                  math.cos(ego.heading), *_EGO_CLASS.probs, 1.0))
     return np.array(rows)
 

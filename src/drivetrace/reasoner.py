@@ -64,6 +64,8 @@ class ReasonerConfig:
             raise ValueError("occlusion_sectors must be >= 1")
         if not (0.0 < self.occlusion_density_ratio < 1.0):
             raise ValueError("occlusion_density_ratio must lie in (0, 1)")
+        if not self.epistemic_threshold >= 0.0:
+            raise ValueError(f"epistemic_threshold must be >= 0, got {self.epistemic_threshold!r}")
 
 
 @dataclass(frozen=True)

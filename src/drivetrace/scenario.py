@@ -151,7 +151,6 @@ def _finalize_cloud(
     object_points: list[np.ndarray],
     gt: list[GroundTruthObject],
     noise_std: float,
-    frame_id: str,
 ) -> PointCloud:
     parts = [ground] + object_points
     owners = np.concatenate(
@@ -175,7 +174,7 @@ def _finalize_cloud(
     intensity = np.maximum(base + rng.normal(0.0, 5.0, len(xyz)), 0.0) if len(xyz) else base
     in_range = np.linalg.norm(xyz, axis=1) <= RANGE_LIMIT if len(xyz) else np.ones(0, bool)
     data = np.column_stack([xyz[in_range], intensity[in_range]]) if len(xyz) else np.empty((0, 4))
-    return PointCloud(data, frame_id)
+    return PointCloud(data)
 
 
 def _vehicle_box(x: float, y: float, yaw: float) -> OrientedBox:
@@ -242,11 +241,10 @@ def generate(spec: ScenarioSpec) -> Scene:
     object_points = [
         _sample_box_surface(g.box, rng, spec.points_per_m2) for g in gt
     ]
-    frame_id = f"{spec.template.value}-{spec.seed}"
-    cloud = _finalize_cloud(rng, ground, object_points, gt, spec.noise_std, frame_id)
+    cloud = _finalize_cloud(rng, ground, object_points, gt, spec.noise_std)
     ego = EgoState(heading=0.0, speed=EGO_SPEED, lane_heading=0.0, intent=Intent.STRAIGHT)
     return Scene(timestamp=0.0, ego=ego, cloud=cloud, objects=(),
-                 ground_truth=tuple(gt), frame_id=frame_id)
+                 ground_truth=tuple(gt), frame_id=f"{spec.template.value}-{spec.seed}")
 
 
 def _template_tag(t: Template) -> int:

@@ -73,9 +73,9 @@ class PointCloud:
     as indices into this order).
     """
 
-    __slots__ = ("data", "frame_id")
+    __slots__ = ("data",)
 
-    def __init__(self, data: np.ndarray | Sequence[Sequence[float]] = (), frame_id: str = "ego"):
+    def __init__(self, data: np.ndarray | Sequence[Sequence[float]] = ()):
         arr = np.asarray(data, dtype=np.float64)
         if arr.size == 0:
             arr = np.empty((0, 4), dtype=np.float64)
@@ -88,7 +88,6 @@ class PointCloud:
         arr = arr.copy()
         arr.flags.writeable = False
         self.data = arr
-        self.frame_id = frame_id
 
     @property
     def xyz(self) -> np.ndarray:
@@ -100,7 +99,7 @@ class PointCloud:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointCloud):
             return NotImplemented
-        return self.frame_id == other.frame_id and np.array_equal(self.data, other.data)
+        return np.array_equal(self.data, other.data)
 
 
 @dataclass(frozen=True)
@@ -361,20 +360,18 @@ class TrackedObject:
 
 @dataclass(frozen=True)
 class EgoState:
-    """Ego vehicle state.  Position is the frame origin by convention."""
+    """Ego vehicle state: the ego is the frame origin and has no position."""
 
     heading: float = 0.0
     speed: float = 0.0
     lane_heading: float = 0.0
     intent: Intent = Intent.STRAIGHT
-    position: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.speed) and self.speed >= 0):
             raise ValueError(f"EgoState.speed must be finite and >= 0, got {self.speed!r}")
         object.__setattr__(self, "heading", wrap_angle(self.heading))
         object.__setattr__(self, "lane_heading", wrap_angle(self.lane_heading))
-        object.__setattr__(self, "position", _finite_vector(self, "position"))
 
 
 @dataclass(frozen=True)
@@ -390,7 +387,8 @@ class GroundTruthObject:
 @dataclass(frozen=True)
 class Scene:
     """One timestamped scene: ego state, point cloud, tracked objects, and
-    (optionally) ground truth used by the oracle detector and the evaluator."""
+    (optionally) ground truth used by the oracle detector and the evaluator.
+    ``frame_id`` names the ego frame that all of them are in."""
 
     timestamp: float
     ego: EgoState

@@ -2,13 +2,15 @@
 
 Scene files are JSON with top-level keys ``timestamp``, ``ego``,
 ``objects``, ``ground_truth``, ``cloud_file`` (path to the point cloud,
-relative to the scene file) and ``frame_id`` (the frame of the scene and
-its cloud; a file without it loads as ``ego``).  Point clouds come in two
-flavors:
+relative to the scene file) and ``frame_id`` (the ego frame of the scene
+and its cloud; a file without it loads as ``ego``).  The ego is the frame
+origin, so its ``position`` is written as zeros and must be zero if given.
+Point clouds come in two flavors:
 
 * ASCII: one point per line, ``x y z intensity`` whitespace-separated,
   ``#``-prefixed comment lines allowed.  The writer's first line
-  ``# point cloud frame=<id> count=<n>`` is checked against the points read.
+  ``# point cloud frame=<id> count=<n>`` names the scene's frame, and its
+  count is checked against the points read.
 * Binary: 16-byte header (8-byte magic ``PCBIN001`` + uint64 little-endian
   point count) followed by 4 float32 little-endian values per point.
 
@@ -42,8 +44,8 @@ CLOUD_MAGIC = b"PCBIN001"
 _ASCII_HEADER = re.compile(r"# point cloud frame=.* count=([0-9]+)")
 
 
-def write_cloud_ascii(cloud: PointCloud, path: str | Path) -> None:
-    lines = [f"# point cloud frame={cloud.frame_id} count={len(cloud)}"]
+def write_cloud_ascii(cloud: PointCloud, path: str | Path, frame_id: str) -> None:
+    lines = [f"# point cloud frame={frame_id} count={len(cloud)}"]
     lines += [" ".join(map(repr, row)) for row in cloud.data.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -123,7 +125,7 @@ def _read_ascii(path: str | Path, raw: bytes) -> np.ndarray:
     return data
 
 
-def read_cloud(path: str | Path, frame_id: str = "ego") -> PointCloud:
+def read_cloud(path: str | Path) -> PointCloud:
     """Read either cloud format; binary is detected by its magic string.
     A malformed file raises ValueError naming the file, and for an ASCII
     cloud the line."""
@@ -141,7 +143,7 @@ def read_cloud(path: str | Path, frame_id: str = "ego") -> PointCloud:
     else:
         data = _read_ascii(path, raw)
     try:
-        return PointCloud(data, frame_id)
+        return PointCloud(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -174,7 +176,7 @@ def scene_to_dict(scene: Scene, cloud_file: str) -> dict[str, Any]:
     d: dict[str, Any] = {
         "timestamp": scene.timestamp,
         "ego": {
-            "position": list(scene.ego.position),
+            "position": [0.0, 0.0, 0.0],  # the ego is the frame origin
             "heading": scene.ego.heading,
             "speed": scene.ego.speed,
             "lane_heading": scene.ego.lane_heading,
@@ -214,16 +216,15 @@ def _support_points(obj: dict[str, Any], n_points: int) -> np.ndarray:
     return np.array(support, dtype=np.int64)
 
 
-def _frame_id(d: dict[str, Any]) -> str:
-    """The scene's ``frame_id``; ``ego`` for files written without one."""
-    frame_id = d.get("frame_id", "ego")
-    if not isinstance(frame_id, str):
-        raise ValueError(f"frame_id must be a string, got {frame_id!r}")
-    return frame_id
-
-
 def scene_from_dict(d: dict[str, Any], cloud: PointCloud) -> Scene:
     ego = d["ego"]
+    position = ego.get("position", [0, 0, 0])
+    if position != [0, 0, 0] or bool in map(type, position):
+        raise ValueError(f"ego.position must be [0, 0, 0] (the ego is the frame origin), "
+                         f"got {position!r}")
+    frame_id = d.get("frame_id", "ego")  # files written without one are in "ego"
+    if not isinstance(frame_id, str):
+        raise ValueError(f"frame_id must be a string, got {frame_id!r}")
     gt = None
     if d.get("ground_truth") is not None:
         gt = tuple(
@@ -238,7 +239,6 @@ def scene_from_dict(d: dict[str, Any], cloud: PointCloud) -> Scene:
             speed=ego["speed"],
             lane_heading=ego["lane_heading"],
             intent=Intent(ego["intent"]),
-            position=tuple(ego.get("position", (0.0, 0.0, 0.0))),
         ),
         cloud=cloud,
         objects=tuple(
@@ -252,7 +252,7 @@ def scene_from_dict(d: dict[str, Any], cloud: PointCloud) -> Scene:
             for o in d["objects"]
         ),
         ground_truth=gt,
-        frame_id=_frame_id(d),
+        frame_id=frame_id,
     )
 
 
@@ -261,7 +261,7 @@ def save_scene(scene: Scene, scene_path: str | Path, cloud_format: str = "ascii"
     scene_path = Path(scene_path)
     cloud_name = scene_path.stem + (".pts" if cloud_format == "ascii" else ".pcb")
     if cloud_format == "ascii":
-        write_cloud_ascii(scene.cloud, scene_path.parent / cloud_name)
+        write_cloud_ascii(scene.cloud, scene_path.parent / cloud_name, scene.frame_id)
     elif cloud_format == "binary":
         write_cloud_binary(scene.cloud, scene_path.parent / cloud_name)
     else:
@@ -276,7 +276,7 @@ def load_scene(scene_path: str | Path) -> Scene:
     scene_path = Path(scene_path)
     try:
         d = json.loads(scene_path.read_text())
-        cloud = read_cloud(scene_path.parent / d["cloud_file"], _frame_id(d))
+        cloud = read_cloud(scene_path.parent / d["cloud_file"])
         return scene_from_dict(d, cloud)
     except KeyError as exc:
         raise ValueError(f"{scene_path}: missing key {exc}") from exc

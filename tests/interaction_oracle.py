@@ -229,7 +229,7 @@ def scalar_build_graph(objects: Sequence[TrackedObject], ego: EgoState,
         for o in objects
     ]
     ego_vel = ego.speed * np.array([math.cos(ego.heading), math.sin(ego.heading), 0.0])
-    nodes.append((EGO_ID, np.asarray(ego.position), ego_vel, ego.heading,
+    nodes.append((EGO_ID, np.zeros(3), ego_vel, ego.heading,
                   ObjectClass.VEHICLE))
     raw_edges: list[ScalarEdge] = []
     for s_id, s_c, s_v, s_h, s_cls in nodes:

@@ -126,12 +126,12 @@ class TestPipelineCommands:
 
     def test_scene_error_names_file(self, ped_scene, tmp_path, capsys):
         d = json.loads(ped_scene.read_text())
-        d["ego"]["position"] = [float("nan"), 0.0, 0.0]
-        bad = ped_scene.parent / "posnan.json"
+        d["ego"]["speed"] = float("nan")
+        bad = ped_scene.parent / "speednan.json"
         bad.write_text(json.dumps(d))
         assert run("reason", "--scene", str(bad), "--out", str(tmp_path / "r")) == 1
         err = capsys.readouterr().err
-        assert f"error: ValueError: {bad}: EgoState.position must be 3 finite values" in err
+        assert f"error: ValueError: {bad}: EgoState.speed must be finite and >= 0" in err
 
     def test_cloud_error_names_scene_and_cloud_file(self, ped_scene, tmp_path, capsys):
         cloud = ped_scene.parent / json.loads(ped_scene.read_text())["cloud_file"]
@@ -329,6 +329,13 @@ class TestArgsAndConfig:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--config", "c.json"], ["--seed", "1"]])
+    def test_report_takes_no_config_or_seed(self, tmp_path, flag):
+        """``report`` only re-renders a CSV, so it reads no config and no seed."""
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--csv", str(tmp_path / "report.csv"), *flag])
+        assert exc.value.code == 2
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--help"])
@@ -424,10 +431,12 @@ class TestArgsAndConfig:
          "unknown keys in config section 'uncertainty': ['entropy_normalized']"),
         ('{"interaction": {"attention_positive_energy": true}}',
          "unknown keys in config section 'interaction': ['attention_positive_energy']"),
+        ('{"reasoner": {"epistemic_threshold": -0.1}}',
+         "epistemic_threshold must be >= 0, got -0.1"),
     ], ids=["section-not-object", "top-not-object", "unknown-key", "unknown-section",
             "json-syntax", "invalid-value", "seed-float", "seed-negative", "seed-bool",
             "seed-string", "removed-noise-seed", "removed-entropy-normalized",
-            "removed-attention-positive-energy"])
+            "removed-attention-positive-energy", "negative-epistemic-threshold"])
     def test_bad_config_file_error_names_file(self, tmp_path, capsys, text, reason):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

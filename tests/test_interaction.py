@@ -198,9 +198,7 @@ def graph_inputs(draw, max_objects=10):
         )
         for oid in ids
     ]
-    ego = EgoState(heading=draw(st.floats(-math.pi, math.pi)), speed=draw(st.floats(0, 20)),
-                   position=draw(st.one_of(st.just((0.0, 0.0, 0.0)),
-                                           st.tuples(_coord, _coord, st.just(0.0)))))
+    ego = EgoState(heading=draw(st.floats(-math.pi, math.pi)), speed=draw(st.floats(0, 20)))
     cfg = InteractionConfig(edge_radius=draw(st.sampled_from([0.5, 10.0, 30.0, 100.0])),
                             w_speed=draw(st.sampled_from([0.0, 0.1, 2.0])))
     rcfg = ReasonerConfig(corridor_width=draw(st.floats(0.5, 20)),

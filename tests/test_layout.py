@@ -1,7 +1,7 @@
 """Source layout guards: every top-level function and class and every
 class member is used, every config knob has one owner that the code
-reads, and the README documents the config's keys and an explanation
-template for every decision rule.
+reads, every CLI option is read by its command, and the README documents
+the config's keys and an explanation template for every decision rule.
 
 A top-level ``def`` or ``class`` in ``src/drivetrace`` whose name appears
 nowhere else in the package (as a whole word, outside its own definition
@@ -10,14 +10,17 @@ that is the public API, which users call from its module.  Tests do not
 count as uses.
 """
 
+import argparse
 import ast
 import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+import drivetrace.cli as cli
 from drivetrace.config import _SECTIONS, PipelineConfig, config_to_dict
 from drivetrace.reasoner import ReasonerConfig, decide
 from drivetrace.scene import EgoState
@@ -129,3 +132,34 @@ def test_readme_config_block_lists_every_key():
         return {k: sorted(v) if isinstance(v, dict) else None for k, v in doc.items()}
 
     assert keys(block) == keys(expected)
+
+
+def _args_read(fn) -> set[str]:
+    """The ``args.<name>`` attributes that ``fn`` reads, itself or through
+    the cli.py functions it hands ``args`` to (``_load``, ``_out_dir``)."""
+    read = set()
+    for node in ast.walk(ast.parse(inspect.getsource(fn))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and inspect.isfunction(callee := getattr(cli, node.func.id, None))
+              and callee.__module__ == cli.__name__
+              and any(getattr(a, "id", None) == "args" for a in node.args)):
+            read |= _args_read(callee)
+    return read
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        yield pytest.param(p, id=name)
+
+
+@pytest.mark.parametrize("subparser", _subcommands())
+def test_every_cli_option_is_read(subparser):
+    """An option that a subcommand accepts but its command function never
+    reads is a flag the user can set to no effect."""
+    options = {a.dest for a in subparser._actions if not isinstance(a, argparse._HelpAction)}
+    unread = options - _args_read(subparser.get_default("func"))
+    assert not unread, f"{subparser.prog} accepts options it never reads: {sorted(unread)}"

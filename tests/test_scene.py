@@ -190,8 +190,6 @@ class TestTypes:
     def test_non_finite_kinematics_rejected(self, bad):
         with pytest.raises(ValueError, match="EgoState.speed"):
             EgoState(speed=bad)
-        with pytest.raises(ValueError, match="EgoState.position"):
-            EgoState(position=(0.0, 0.0, bad))
         box = OrientedBox((1, 0, 0), 1, 1, 1, 0)
         with pytest.raises(ValueError, match="TrackedObject.velocity"):
             TrackedObject(1, box, (0.0, bad, 0.0), UNIFORM)

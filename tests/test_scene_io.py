@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivetrace.scenario import ScenarioSpec, Template, generate
-from drivetrace.scene import PointCloud
+from drivetrace.scene import EgoState, PointCloud, Scene
 from drivetrace.scene_io import (
     CLOUD_MAGIC,
     _loadtxt_points,
@@ -27,12 +27,12 @@ from conftest import make_object
 @pytest.fixture
 def cloud(rng):
     data = np.column_stack([rng.uniform(-50, 50, (100, 3)), rng.uniform(0, 255, 100)])
-    return PointCloud(data, frame_id="test")
+    return PointCloud(data)
 
 
 def test_ascii_round_trip_exact(cloud, tmp_path):
     path = tmp_path / "cloud.pts"
-    write_cloud_ascii(cloud, path)
+    write_cloud_ascii(cloud, path, "test")
     back = read_cloud(path)
     # repr-based serialization reproduces every float64 exactly, in order
     np.testing.assert_array_equal(back.data, cloud.data)
@@ -43,7 +43,7 @@ def test_ascii_writer_text(tmp_path):
     data = np.array([[-0.0, 5e-324, 1 / 3, 1e16],
                      [1e16, -1 / 3, -5e-324, 1.7976931348623157e308]])
     path = tmp_path / "cloud.pts"
-    write_cloud_ascii(PointCloud(data, frame_id="pin"), path)
+    write_cloud_ascii(PointCloud(data), path, "pin")
     assert path.read_text() == ("# point cloud frame=pin count=2\n"
                                 "-0.0 5e-324 0.3333333333333333 1e+16\n"
                                 "1e+16 -0.3333333333333333 -5e-324 1.7976931348623157e+308\n")
@@ -104,13 +104,23 @@ def test_scene_round_trip_binary_cloud(tmp_path):
 @pytest.mark.parametrize("cloud_format", ["ascii", "binary"])
 def test_frame_id_round_trip(tmp_path, cloud_format):
     scene = generate(ScenarioSpec(template=Template.PEDESTRIAN_CROSSING, seed=3))
-    assert scene.frame_id == scene.cloud.frame_id == "pedestrian-crossing-3"
+    assert scene.frame_id == "pedestrian-crossing-3"
     path = tmp_path / "scene.json"
     save_scene(scene, path, cloud_format=cloud_format)
     back = load_scene(path)
-    assert back.frame_id == back.cloud.frame_id == "pedestrian-crossing-3"
+    assert back.frame_id == "pedestrian-crossing-3"
     if cloud_format == "ascii":
         assert back == scene
+
+
+def test_ascii_header_names_the_scene_frame(tmp_path):
+    """The scene owns the frame id: a hand-built scene's cloud header says
+    the scene's frame, and the scene reloads equal to itself."""
+    scene = Scene(0.0, EgoState(), PointCloud([[1.0, 2.0, 3.0, 4.0]]), frame_id="a")
+    path = tmp_path / "scene.json"
+    save_scene(scene, path)
+    assert (tmp_path / "scene.pts").read_text().startswith("# point cloud frame=a count=1\n")
+    assert load_scene(path) == scene
 
 
 def test_scene_without_frame_id_loads_as_ego(tmp_path):
@@ -119,8 +129,7 @@ def test_scene_without_frame_id_loads_as_ego(tmp_path):
     d = json.loads(path.read_text())
     del d["frame_id"]
     path.write_text(json.dumps(d))
-    back = load_scene(path)
-    assert back.frame_id == back.cloud.frame_id == "ego"
+    assert load_scene(path).frame_id == "ego"
 
 
 def test_non_string_frame_id_rejected(tmp_path):
@@ -132,6 +141,35 @@ def test_non_string_frame_id_rejected(tmp_path):
     with pytest.raises(ValueError) as exc:
         load_scene(path)
     assert str(exc.value) == f"{path}: frame_id must be a string, got 7"
+
+
+@pytest.mark.parametrize("position", [None, [0, 0, 0], [0.0, -0.0, 0.0]])
+def test_ego_position_missing_or_zero_loads(tmp_path, position):
+    path = tmp_path / "scene.json"
+    scene = generate(ScenarioSpec(template=Template.LEAD_VEHICLE, seed=1))
+    save_scene(scene, path)
+    d = json.loads(path.read_text())
+    if position is None:
+        del d["ego"]["position"]
+    else:
+        d["ego"]["position"] = position
+    path.write_text(json.dumps(d))
+    assert load_scene(path) == scene
+
+
+@pytest.mark.parametrize("position", [[5.0, 0.0, 0.0], [0.0, 0.0, 1e-300], [float("nan"), 0, 0],
+                                      [0.0, 0.0], [0, 0, 0, 0], "0 0 0", None, 0,
+                                      [False, False, False], ["0", 0, 0]])
+def test_ego_position_off_the_origin_rejected(tmp_path, position):
+    path = tmp_path / "scene.json"
+    save_scene(generate(ScenarioSpec(template=Template.LEAD_VEHICLE, seed=1)), path)
+    d = json.loads(path.read_text())
+    d["ego"]["position"] = position
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError) as exc:
+        load_scene(path)
+    assert str(exc.value) == (f"{path}: ego.position must be [0, 0, 0] "
+                              f"(the ego is the frame origin), got {position!r}")
 
 
 def test_scene_json_schema_keys(tmp_path):
@@ -403,7 +441,7 @@ _intensity = st.one_of(
 def test_ascii_read_bit_identical_to_line_scan(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("cloud") / "cloud.pts"
     written = PointCloud(np.array(rows, dtype=np.float64))
-    write_cloud_ascii(written, path)
+    write_cloud_ascii(written, path, "ego")
     text = path.read_text()
     assert _loadtxt_points(text, text.splitlines()) is not None
     expected = _line_scan(path).tobytes()
@@ -413,7 +451,7 @@ def test_ascii_read_bit_identical_to_line_scan(tmp_path_factory, rows):
 def test_truncated_ascii_cloud_names_header_count(tmp_path):
     scene = generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=1))
     path = tmp_path / "cloud.pts"
-    write_cloud_ascii(scene.cloud, path)
+    write_cloud_ascii(scene.cloud, path, scene.frame_id)
     lines = path.read_text().splitlines(keepends=True)
     n = len(scene.cloud)
     path.write_text("".join(lines[: 1 + n // 2]))
