@@ -1,9 +1,9 @@
 """Command-line interface wiring the pipeline stages together.
 
 Every command writes all artifacts under ``--out <dir>``.  All but ``report``
-also take ``--config <file>`` (JSON; falls back to $PRIME_CONFIG, then to
-built-in defaults) and ``--seed <n>``, and are deterministic for a fixed
-config and seed.  Exit codes: 0 success, 1 runtime failure, 2 usage errors.
+also take ``--config <file>`` (JSON; without it, the built-in defaults) and
+``--seed <n>``, and are deterministic for a fixed config and seed.  Exit
+codes: 0 success, 1 runtime failure, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="pipeline config JSON (default: $PRIME_CONFIG or builtin)")
+        p.add_argument("--config", help="pipeline config JSON (default: builtin)")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default="out", help="output directory")
 

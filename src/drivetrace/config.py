@@ -2,8 +2,7 @@
 
 Unknown keys and non-finite numbers are rejected at load time and every
 sub-config validates its own invariants, so a bad config fails fast
-rather than mid-run.  The environment variable ``PRIME_CONFIG`` names a
-fallback config file used when no ``--config`` flag is given.
+rather than mid-run.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -20,8 +18,6 @@ from .detector import DETECTORS, ClusterParams, NoiseModel
 from .interaction import InteractionConfig
 from .reasoner import ReasonerConfig
 from .risk import RiskConfig, UncertaintyConfig
-
-ENV_CONFIG = "PRIME_CONFIG"
 
 _SECTIONS = {
     "cluster": ClusterParams,
@@ -99,15 +95,11 @@ def _plain(v: Any) -> Any:
 
 
 def load_config(path: Optional[str | Path] = None, seed: Optional[int] = None) -> PipelineConfig:
-    """Load a config file, or defaults when none is given.
+    """Load a config file, or the built-in defaults when none is given.
 
-    Resolution order: explicit path, then $PRIME_CONFIG, then built-in
-    defaults.  ``seed`` overrides the file's seed when provided.  A bad
-    file raises ValueError with its path in front of the reason.
+    ``seed`` overrides the file's seed when provided.  A bad file raises
+    ValueError with its path in front of the reason.
     """
-    if path is None:
-        env = os.environ.get(ENV_CONFIG)
-        path = env if env else None
     if path is None:
         config = PipelineConfig()
     else:

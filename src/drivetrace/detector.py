@@ -449,8 +449,9 @@ def box_regression_error(
     if len(matching) == 0:
         return None
     total = 0.0
+    rows_p, rows_t = box_rows(predicted), box_rows(truth)
     for pi, ti in matching:
-        d = predicted[pi].params() - truth[ti].params()
+        d = rows_p[pi] - rows_t[ti]
         d[6] = wrap_angle(float(d[6]))
         total += float(d @ d)
     return total / len(matching)

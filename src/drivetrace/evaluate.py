@@ -24,22 +24,23 @@ from .config import PipelineConfig
 from .detector import box_regression_error, match_boxes
 from .interaction import BgnnModel
 from .pipeline import run_scene
-from .reasoner import PathDecision, SpeedDecision
+from .reasoner import SpeedDecision
 from .risk import RiskTier
 from .scenario import Template
+from .scene import Intent
 from .scene_io import load_scene
 
 SPEED_ORDER = [d.value for d in SpeedDecision]
-PATH_ORDER = [d.value for d in PathDecision]
+PATH_ORDER = [d.value for d in Intent]
 
 #: Decision each template is expected to produce (speed, path).
-TEMPLATE_EXPECTED: dict[Template, tuple[SpeedDecision, PathDecision]] = {
-    Template.EMPTY_ROAD: (SpeedDecision.SPEED_LIMIT, PathDecision.STRAIGHT),
-    Template.LEAD_VEHICLE: (SpeedDecision.FOLLOW_AHEAD, PathDecision.STRAIGHT),
-    Template.PEDESTRIAN_CROSSING: (SpeedDecision.BRAKE, PathDecision.STRAIGHT),
-    Template.OCCLUDED_JUNCTION: (SpeedDecision.SLOW_APPROACH, PathDecision.STRAIGHT),
-    Template.DENSE_TRAFFIC: (SpeedDecision.FOLLOW_AHEAD, PathDecision.STRAIGHT),
-    Template.STATIC_VEHICLE_AHEAD: (SpeedDecision.SLOW_DOWN, PathDecision.LANE_CHANGE),
+TEMPLATE_EXPECTED: dict[Template, tuple[SpeedDecision, Intent]] = {
+    Template.EMPTY_ROAD: (SpeedDecision.SPEED_LIMIT, Intent.STRAIGHT),
+    Template.LEAD_VEHICLE: (SpeedDecision.FOLLOW_AHEAD, Intent.STRAIGHT),
+    Template.PEDESTRIAN_CROSSING: (SpeedDecision.BRAKE, Intent.STRAIGHT),
+    Template.OCCLUDED_JUNCTION: (SpeedDecision.SLOW_APPROACH, Intent.STRAIGHT),
+    Template.DENSE_TRAFFIC: (SpeedDecision.FOLLOW_AHEAD, Intent.STRAIGHT),
+    Template.STATIC_VEHICLE_AHEAD: (SpeedDecision.SLOW_DOWN, Intent.LANE_CHANGE),
 }
 
 

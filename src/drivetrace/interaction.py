@@ -108,18 +108,15 @@ class InteractionGraph:
     is always the last node.
 
     ``edges`` is one :data:`EDGE_DTYPE` table sorted by destination, then
-    source, node index.  The in-edges of node ``k`` are the rows
-    ``indptr[k]:indptr[k + 1]`` (CSR offsets).  The table, the offsets and
+    source, node index, so the ego's in-edges are its tail.  The table and
     the dense attention matrix built on construction are read-only.
     """
 
     node_ids: tuple[int, ...]
     edges: np.ndarray
-    indptr: np.ndarray
 
     def __post_init__(self) -> None:
         self.edges.flags.writeable = False
-        self.indptr.flags.writeable = False
         dense = np.zeros((self.n_nodes, self.n_nodes))
         dense[self.edges["dst"], self.edges["src"]] = self.edges["attention"]
         dense.flags.writeable = False
@@ -128,8 +125,7 @@ class InteractionGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InteractionGraph):
             return NotImplemented
-        return (self.node_ids == other.node_ids and np.array_equal(self.edges, other.edges)
-                and np.array_equal(self.indptr, other.indptr))
+        return self.node_ids == other.node_ids and np.array_equal(self.edges, other.edges)
 
     @property
     def n_nodes(self) -> int:
@@ -202,7 +198,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 _EGO_CLASS = ClassDistribution.one_hot(ObjectClass.VEHICLE)
-_EGO_ONLY = InteractionGraph((EGO_ID,), np.empty(0, EDGE_DTYPE), np.zeros(2, dtype=np.intp))
+_EGO_ONLY = InteractionGraph((EGO_ID,), np.empty(0, EDGE_DTYPE))
 
 
 def build_graph(objects: Sequence[TrackedObject], ego: EgoState,
@@ -244,11 +240,9 @@ def build_graph(objects: Sequence[TrackedObject], ego: EgoState,
         offsets[dst, src], headings[src], classes[src], classes[dst])
     edges["energy"] = energy = interaction_energy(distance, speed_diff, intensity, cfg)
     in_degree = np.bincount(dst, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(in_degree, out=indptr[1:])
     # low energy is strong coupling: attention ~ exp(-e)
-    edges["attention"] = _segment_softmax(-energy, indptr[:-1], in_degree)
-    return InteractionGraph(tuple(o.id for o in objects) + (EGO_ID,), edges, indptr)
+    edges["attention"] = _segment_softmax(-energy, np.cumsum(in_degree) - in_degree, in_degree)
+    return InteractionGraph(tuple(o.id for o in objects) + (EGO_ID,), edges)
 
 
 def _segment_softmax(logits: np.ndarray, starts: np.ndarray,
@@ -273,10 +267,9 @@ def graph_features(
     length 16; the ordering is part of the model format.  The ego row has
     the frame origin as its center, the nominal ego body and the risk at
     zero distance, 1."""
-    risk = {a.object_id: a.risk for a in assessments}
     rows = [(*o.box.center, *o.velocity, o.box.length, o.box.width, o.box.height,
-             math.sin(o.box.yaw), math.cos(o.box.yaw), *o.class_dist.probs, risk[o.id])
-            for o in objects]
+             math.sin(o.box.yaw), math.cos(o.box.yaw), *o.class_dist.probs, a.risk)
+            for o, a in zip(objects, assessments, strict=True)]
     rows.append((0.0, 0.0, 0.0, *_ego_velocity(ego).tolist(), *EGO_DIMS, math.sin(ego.heading),
                  math.cos(ego.heading), *_EGO_CLASS.probs, 1.0))
     return np.array(rows)
@@ -404,14 +397,6 @@ def _forward(values: Sequence[Sequence[np.ndarray]], attention: np.ndarray,
     return logits, activations
 
 
-def forward_mean(graph: InteractionGraph, feats: np.ndarray,
-                 params: Sequence[BayesianLayer]) -> np.ndarray:
-    """Deterministic forward pass using the posterior means."""
-    values = [[layer.weight_means, layer.bias_means] for layer in params]
-    logits, _ = _forward(values, graph.attention_matrix(), feats)
-    return logits
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -517,22 +502,18 @@ def _log_beliefs(probs: np.ndarray) -> np.ndarray:
 
 def _pool_beliefs(log_raw: np.ndarray, attention: np.ndarray,
                   log_neighbors: np.ndarray) -> np.ndarray:
-    """Log-linear pooling, one row per refined belief:
-    log q = log_raw + attention @ log_neighbors, shifted so each row's
-    maximum is 0, exponentiated and normalized (each row's sum is at least
-    its largest entry, exp(0) = 1)."""
+    """Log-linear pooling, one row per refined belief: the softmax of
+    log_raw + attention @ log_neighbors."""
     valid = (attention >= 0.0) & (attention <= 1.0)
     if not valid.all():
         raise ValueError(f"attention must lie in [0, 1], got {attention[~valid][0]}")
-    log_q = log_raw + attention @ log_neighbors
-    q = np.exp(log_q - log_q.max(axis=-1, keepdims=True))
-    return q / q.sum(axis=-1, keepdims=True)
+    return _softmax(log_raw + attention @ log_neighbors)
 
 
 @dataclass(frozen=True)
 class RefinedEstimate:
     object_id: int
-    refined_class_dist: ClassDistribution
+    refined_class_probs: tuple[float, ...]
     refined_uncertainty: float
     epistemic_std: tuple[float, ...]
     interaction_label: InteractionLabel
@@ -541,7 +522,7 @@ class RefinedEstimate:
 def refined_to_dict(r: RefinedEstimate) -> dict:
     return {
         "object_id": r.object_id,
-        "refined_class_probs": list(r.refined_class_dist.probs),
+        "refined_class_probs": list(r.refined_class_probs),
         "refined_uncertainty": r.refined_uncertainty,
         "epistemic_std": list(r.epistemic_std),
         "interaction_label": r.interaction_label.value,
@@ -612,7 +593,6 @@ def refine_objects(
         raise ValueError("graph nodes must be the objects, in order, then the ego")
     if n == 0:
         return []
-    deviation_by_id = {a.object_id: a.deviation for a in assessments}
     probs = np.array([o.class_dist.probs for o in objects])
     log_p = _log_beliefs(probs)
     # the ego row and column are dropped: the ego node carries no class belief
@@ -622,19 +602,19 @@ def refine_objects(
         attention = graph.attention_matrix()
         mc_probs = _softmax(np.stack([_forward(values, attention, feats)[0]
                                       for values in model.weight_draws(seed)]))
-        spreads = map(tuple, mc_probs.std(axis=0).tolist())
-        label_index = mc_probs.mean(axis=0).argmax(axis=1)
+        # the last row, the ego's, is dropped
+        spreads = map(tuple, mc_probs.std(axis=0)[:n].tolist())
+        label_index = mc_probs.mean(axis=0)[:n].argmax(axis=1)
     else:
         spreads = [(0.0,) * len(_LABELS)] * n
         label_index = classify_interaction(
             np.array([o.box.center for o in objects]), np.array([o.velocity for o in objects]),
             probs.argmax(axis=1), ego, rcfg)
     return [
-        RefinedEstimate(obj.id, ClassDistribution(q),
-                        combined_uncertainty(h, deviation_by_id[obj.id], ucfg), spread,
-                        _LABELS[k])
-        for obj, q, h, spread, k in zip(objects, map(tuple, fused.tolist()),
-                                        entropies(fused).tolist(), spreads, label_index.tolist())
+        RefinedEstimate(obj.id, q, combined_uncertainty(h, a.deviation, ucfg), spread, _LABELS[k])
+        for obj, a, q, h, spread, k in zip(objects, assessments, map(tuple, fused.tolist()),
+                                           entropies(fused).tolist(), spreads,
+                                           label_index.tolist(), strict=True)
     ]
 
 
@@ -669,10 +649,12 @@ def adam_step(params: Sequence[BayesianLayer], grads: Sequence[BayesianLayer],
 def training_accuracy(model: BgnnModel,
                       dataset: Sequence[tuple[InteractionGraph, np.ndarray, np.ndarray]]
                       ) -> float:
-    """Fraction of labeled nodes predicted correctly by the mean forward pass."""
+    """Fraction of labeled nodes predicted correctly by the forward pass
+    with the posterior means."""
+    means = [[layer.weight_means, layer.bias_means] for layer in model.params]
     correct = total = 0
     for graph, feats, labels in dataset:
-        logits = forward_mean(graph, feats, model.params)
+        logits, _ = _forward(means, graph.attention_matrix(), feats)
         mask = labels >= 0
         pred = logits.argmax(axis=1)
         correct += int((pred[mask] == labels[mask]).sum())

@@ -37,12 +37,6 @@ class SpeedDecision(Enum):
     BRAKE = "Brake"
 
 
-class PathDecision(Enum):
-    STRAIGHT = "Straight"
-    TURN = "Turn"
-    LANE_CHANGE = "LaneChange"
-
-
 @dataclass(frozen=True)
 class ReasonerConfig:
     corridor_width: float = 3.5
@@ -109,7 +103,7 @@ class TraceStep:
 class DecisionTrace:
     steps: tuple[TraceStep, ...]
     speed: SpeedDecision
-    path: PathDecision
+    path: Intent
     explanation: str
 
 
@@ -187,13 +181,15 @@ def extract_risk_factors(
     sectors whose point density falls below the configured fraction of the
     densest sector.  Unpredictability fires for flagged objects and for
     objects whose epistemic spread exceeds its threshold.
+
+    ``assessments`` and ``refined`` are in the order of ``scene.objects``;
+    the object factors are ordered by object id.
     """
-    objects = {o.id: o for o in scene.objects}
-    refined_by_id = {r.object_id: r for r in refined}
+    rows = sorted(zip(scene.objects, assessments, refined, strict=True),
+                  key=lambda row: row[0].id)
     factors: list[RiskFactor] = []
 
-    for a in sorted(assessments, key=lambda x: x.object_id):
-        obj = objects[a.object_id]
+    for obj, a, _ in rows:
         cx, cy = obj.box.center[0], obj.box.center[1]
         if a.tier is RiskTier.HIGH and in_corridor(cx, cy, scene.ego,
                                                    cfg.corridor_width, cfg.corridor_length):
@@ -234,17 +230,15 @@ def extract_risk_factors(
                     ),
                 ))
 
-    for a in sorted(assessments, key=lambda x: x.object_id):
-        est = refined_by_id.get(a.object_id)
-        high_epistemic = est is not None and len(est.epistemic_std) > 0 \
-            and max(est.epistemic_std) > cfg.epistemic_threshold
+    for obj, a, est in rows:
+        high_epistemic = max(est.epistemic_std) > cfg.epistemic_threshold
         if a.flagged or high_epistemic:
             factors.append(RiskFactor(
                 kind=FactorKind.UNPREDICTABLE_OBJECT,
                 magnitude=min(1.0, a.uncertainty / ucfg.threshold),
                 object_id=a.object_id,
                 evidence=(
-                    ("class", _class_name(objects[a.object_id])),
+                    ("class", _class_name(obj)),
                     ("uncertainty", a.uncertainty),
                     ("flagged", a.flagged),
                     ("high_epistemic", high_epistemic),
@@ -299,17 +293,16 @@ def decide(factors: Sequence[RiskFactor], ego: EgoState,
     strongest_collision = _strongest(collisions)
     max_collision_risk = 0.0 if strongest_collision is None else strongest_collision.magnitude
     intent = ego.intent.value
-    intent_path = PathDecision(intent)
     # One row per rule of (1)-(6): rule id, speed and path it decides, what
     # passes it (its strongest factor, else its evidence; None when skipped),
     # its conclusion from that, and its evidence and conclusion when skipped.
     rows = (
-        ("brake", SpeedDecision.BRAKE, intent_path,
+        ("brake", SpeedDecision.BRAKE, ego.intent,
          strongest_collision if max_collision_risk >= cfg.brake_level else None,
          lambda f: f"collision risk {f.magnitude:.3f} >= {cfg.brake_level}: Brake",
          (("max_collision_risk", max_collision_risk),),
          f"no collision risk >= {cfg.brake_level}"),
-        ("lane_change", SpeedDecision.SLOW_DOWN, PathDecision.LANE_CHANGE,
+        ("lane_change", SpeedDecision.SLOW_DOWN, Intent.LANE_CHANGE,
          _strongest([f for f in collisions
                      if cfg.slow_level < f.magnitude < cfg.brake_level
                      and f.get("speed", 0.0) <= cfg.static_speed
@@ -319,21 +312,21 @@ def decide(factors: Sequence[RiskFactor], ego: EgoState,
                     "SlowDown, path LaneChange"),
          (("n_collision_factors", len(collisions)),),
          "no moderate static corridor obstacle with clear adjacent lane"),
-        ("occlusion", SpeedDecision.SLOW_APPROACH, intent_path,
+        ("occlusion", SpeedDecision.SLOW_APPROACH, ego.intent,
          _strongest([f for f in factors if f.kind is FactorKind.OCCLUSION]),
          lambda f: (f"corridor sector {f.get('sector')} density ratio "
                     f"{f.get('density_ratio'):.3f} below {cfg.occlusion_density_ratio}: "
                     "SlowApproach"),
          (("n_occlusion_factors", 0),), "no occluded corridor sector"),
-        ("unpredictable", SpeedDecision.SLOW_DOWN, intent_path,
+        ("unpredictable", SpeedDecision.SLOW_DOWN, ego.intent,
          _strongest([f for f in factors if f.kind is FactorKind.UNPREDICTABLE_OBJECT]),
          lambda f: f"object {f.object_id} uncertainty above threshold: SlowDown",
          (("n_unpredictable_factors", 0),), "no unpredictable objects"),
-        ("cautious_turn", SpeedDecision.CAUTIOUS_TURN, intent_path,
+        ("cautious_turn", SpeedDecision.CAUTIOUS_TURN, ego.intent,
          (("intent", intent),) if ego.intent is Intent.TURN else None,
          lambda _: "ego intends to turn: CautiousTurn",
          (("intent", intent),), "ego not turning"),
-        ("follow", SpeedDecision.FOLLOW_AHEAD, intent_path,
+        ("follow", SpeedDecision.FOLLOW_AHEAD, ego.intent,
          (("object_id", lead.object_id), ("distance", lead.distance), ("speed", lead.speed))
          if lead is not None and lead.distance <= cfg.follow_gap else None,
          lambda _: f"lead vehicle at {lead.distance:.1f} m within follow gap: FollowAhead",
@@ -341,7 +334,7 @@ def decide(factors: Sequence[RiskFactor], ego: EgoState,
          "no lead vehicle within follow gap"),
     )
     steps: list[TraceStep] = []
-    decision: Optional[tuple[SpeedDecision, PathDecision]] = None
+    decision: Optional[tuple[SpeedDecision, Intent]] = None
     for index, (rule_id, speed, path, hit, conclude, skip_evidence,
                 skip_conclusion) in enumerate(rows, 1):
         if hit is None:
@@ -353,7 +346,7 @@ def decide(factors: Sequence[RiskFactor], ego: EgoState,
             decision = (speed, path)
 
     default = decision is None
-    speed, path = (SpeedDecision.SPEED_LIMIT, intent_path) if default else decision
+    speed, path = (SpeedDecision.SPEED_LIMIT, ego.intent) if default else decision
     steps.append(TraceStep(len(steps) + 1, "speed_limit", default,
                            (("n_factors", len(factors)),),
                            "no hazards detected: SpeedLimit" if default
@@ -425,8 +418,9 @@ def risk_factors_with_graph_refs(factors: Sequence[RiskFactor],
     """Attach the ego-edge attention as extra evidence where available."""
     if all(f.object_id is None for f in factors):
         return list(factors)
-    ego = graph.n_nodes - 1  # the ego is always the last node
-    rows = graph.edges[graph.indptr[ego]:graph.indptr[ego + 1]]
+    # the ego is the last node and the table is sorted by dst: its
+    # in-edges are the tail
+    rows = graph.edges[np.searchsorted(graph.edges["dst"], graph.n_nodes - 1):]
     ego_edges = {graph.node_ids[s]: (a, e)
                  for s, a, e in rows[["src", "attention", "energy"]].tolist()}
     out = []

@@ -29,7 +29,8 @@ from .scene import (
     OrientedBox,
     PointCloud,
     Scene,
-    box_corners,
+    _footprints,
+    box_rows,
 )
 
 GROUND_X = (-5.0, 45.0)
@@ -133,8 +134,7 @@ def apply_azimuth_occlusion(points: np.ndarray, owners: np.ndarray,
         return keep
     az = np.arctan2(points[:, 1], points[:, 0])
     rng2d = np.hypot(points[:, 0], points[:, 1])
-    for i, box in enumerate(boxes):
-        corners = box_corners(box)[:4, :2]
+    for i, corners in enumerate(_footprints(box_rows(boxes))):
         c_az = np.arctan2(corners[:, 1], corners[:, 0])
         lo, hi = float(c_az.min()), float(c_az.max())
         if hi - lo > math.pi:

@@ -21,13 +21,12 @@ import numpy as np
 
 TAU = 2.0 * math.pi
 
-#: Object class labels, K = 4.  Order is fixed: class distributions are
-#: indexed in this order everywhere (serialization included).
-CLASS_NAMES = ("Vehicle", "Pedestrian", "Cyclist", "StaticObstacle")
-NUM_CLASSES = len(CLASS_NAMES)
-
 
 class ObjectClass(Enum):
+    """Object class labels, K = 4.  The member order is fixed: class
+    distributions are indexed in this order everywhere (serialization
+    included)."""
+
     VEHICLE = "Vehicle"
     PEDESTRIAN = "Pedestrian"
     CYCLIST = "Cyclist"
@@ -35,15 +34,18 @@ class ObjectClass(Enum):
 
     @property
     def index(self) -> int:
-        return CLASS_NAMES.index(self.value)
+        return list(ObjectClass).index(self)
 
     @staticmethod
     def from_index(i: int) -> "ObjectClass":
-        return ObjectClass(CLASS_NAMES[i])
+        return list(ObjectClass)[i]
+
+
+NUM_CLASSES = len(ObjectClass)
 
 
 class Intent(Enum):
-    """Ego path intent (also the path-decision vocabulary)."""
+    """Ego path intent, and the vocabulary of the path decision."""
 
     STRAIGHT = "Straight"
     TURN = "Turn"
@@ -122,10 +124,6 @@ class OrientedBox:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
-    def params(self) -> np.ndarray:
-        """(x, y, z, l, w, h, yaw) as a 7-vector."""
-        return np.array([*self.center, self.length, self.width, self.height, self.yaw])
-
 
 # Corner ordering: bottom face CCW seen from above, then top face in the same
 # xy order.  Signs of (l/2, w/2) per corner:
@@ -140,12 +138,8 @@ def box_corners(box: OrientedBox) -> np.ndarray:
     First four corners are the bottom face (counter-clockwise viewed from
     +z), last four the top face in the same order.
     """
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    half = _CORNER_SIGNS * np.array([box.length / 2.0, box.width / 2.0])
-    xy = half @ np.array([[c, s], [-s, c]])  # rotate by yaw
     corners = np.empty((8, 3))
-    corners[:4, :2] = xy + np.array(box.center[:2])
-    corners[4:, :2] = corners[:4, :2]
+    corners[:4, :2] = corners[4:, :2] = _footprints(box_rows([box]))[0]
     corners[:4, 2] = box.center[2] - box.height / 2.0
     corners[4:, 2] = box.center[2] + box.height / 2.0
     return corners
@@ -158,8 +152,8 @@ def box_rows(boxes: Sequence[OrientedBox]) -> np.ndarray:
 
 
 def _footprints(rows: np.ndarray) -> np.ndarray:
-    """Bottom-face xy corners of (N, 7) box rows, shape (N, 4, 2), with the
-    float operations of :func:`box_corners`, so they are the same bits."""
+    """Bottom-face xy corners of (N, 7) box rows, shape (N, 4, 2), in the
+    order of :func:`box_corners`."""
     cos_sin = [(math.cos(yaw), math.sin(yaw)) for yaw in rows[:, 6].tolist()]
     rot = np.array([((c, s), (-s, c)) for c, s in cos_sin]).reshape(-1, 2, 2)
     half = _CORNER_SIGNS * (rows[:, np.newaxis, 3:5] / 2.0)

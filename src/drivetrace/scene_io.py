@@ -271,8 +271,9 @@ def save_scene(scene: Scene, scene_path: str | Path, cloud_format: str = "ascii"
 
 
 def load_scene(scene_path: str | Path) -> Scene:
-    """Read a scene file and its cloud.  A malformed file raises
-    ValueError with the scene path in front of the reason."""
+    """Read a scene file and its cloud.  A malformed file, a value of the
+    wrong JSON type included, raises ValueError with the scene path in
+    front of the reason."""
     scene_path = Path(scene_path)
     try:
         d = json.loads(scene_path.read_text())
@@ -280,5 +281,5 @@ def load_scene(scene_path: str | Path) -> Scene:
         return scene_from_dict(d, cloud)
     except KeyError as exc:
         raise ValueError(f"{scene_path}: missing key {exc}") from exc
-    except ValueError as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{scene_path}: {exc}") from exc

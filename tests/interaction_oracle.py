@@ -121,7 +121,7 @@ def per_object_refine_objects(
             label = scalar_classify_interaction(obj.box.center, obj.velocity,
                                                 obj.class_dist.top_class, ego, rcfg)
         refined.append(RefinedEstimate(
-            obj.id, dist, refine_uncertainty(dist, assess_by_id[obj.id].deviation, ucfg),
+            obj.id, dist.probs, refine_uncertainty(dist, assess_by_id[obj.id].deviation, ucfg),
             eps, label))
     return refined
 
@@ -296,7 +296,7 @@ def scalar_refine_objects(
             label = scalar_classify_interaction(obj.box.center, obj.velocity,
                                                 obj.class_dist.top_class, ego, rcfg)
         refined.append(RefinedEstimate(
-            obj.id, fused,
+            obj.id, fused.probs,
             refine_uncertainty(fused, assess_by_id[obj.id].deviation, ucfg),
             eps, label))
     return refined

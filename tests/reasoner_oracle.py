@@ -17,7 +17,6 @@ from drivetrace.reasoner import (
     DecisionTrace,
     FactorKind,
     LeadInfo,
-    PathDecision,
     ReasonerConfig,
     RiskFactor,
     SpeedDecision,
@@ -64,8 +63,8 @@ def reference_decide(factors: Sequence[RiskFactor], ego: EgoState,
     ]
 
     steps: list[TraceStep] = []
-    decision: Optional[tuple[SpeedDecision, PathDecision]] = None
-    intent_path = PathDecision(ego.intent.value)
+    decision: Optional[tuple[SpeedDecision, Intent]] = None
+    intent_path = ego.intent
 
     def record(rule_id: str, passed: bool, evidence: tuple[tuple[str, Any], ...],
                conclusion: str) -> None:
@@ -94,7 +93,7 @@ def reference_decide(factors: Sequence[RiskFactor], ego: EgoState,
                f"({cfg.slow_level}, {cfg.brake_level}), adjacent lane clear: "
                "SlowDown, path LaneChange")
         if decision is None:
-            decision = (SpeedDecision.SLOW_DOWN, PathDecision.LANE_CHANGE)
+            decision = (SpeedDecision.SLOW_DOWN, Intent.LANE_CHANGE)
     else:
         record("lane_change", False, (("n_collision_factors", len(collisions)),),
                "no moderate static corridor obstacle with clear adjacent lane")

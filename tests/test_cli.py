@@ -40,6 +40,26 @@ def ped_scene(tmp_path):
     return out / "scene_pedestrian-crossing_0003.json"
 
 
+@pytest.fixture()
+def lead_scene(tmp_path):
+    out = tmp_path / "gen"
+    assert run("generate", "--template", "lead-vehicle", "--count", "1",
+               "--seed", "1", "--out", str(out)) == 0
+    return out / "scene_lead-vehicle_0001.json"
+
+
+#: edits of a scene's JSON that give a value the wrong type
+WRONG_TYPES = {
+    "ego-int": lambda d: d.update(ego=5),
+    "object-int": lambda d: d.update(objects=[5]),
+    "ground-truth-int": lambda d: d.update(ground_truth=[5]),
+    "objects-null": lambda d: d.update(objects=None),
+    "timestamp-str": lambda d: d.update(timestamp="x"),
+    "heading-str": lambda d: d["ego"].update(heading="x"),
+    "cloud-file-int": lambda d: d.update(cloud_file=5),
+}
+
+
 class TestGenerate:
     def test_deterministic_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -132,6 +152,15 @@ class TestPipelineCommands:
         assert run("reason", "--scene", str(bad), "--out", str(tmp_path / "r")) == 1
         err = capsys.readouterr().err
         assert f"error: ValueError: {bad}: EgoState.speed must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("edit", WRONG_TYPES.values(), ids=list(WRONG_TYPES))
+    def test_wrong_json_type_names_file(self, edit, lead_scene, tmp_path, capsys):
+        d = json.loads(lead_scene.read_text())
+        edit(d)
+        bad = lead_scene.parent / "wrong_type.json"
+        bad.write_text(json.dumps(d))
+        assert run("reason", "--scene", str(bad), "--out", str(tmp_path / "r")) == 1
+        assert capsys.readouterr().err.startswith(f"error: ValueError: {bad}: ")
 
     def test_cloud_error_names_scene_and_cloud_file(self, ped_scene, tmp_path, capsys):
         cloud = ped_scene.parent / json.loads(ped_scene.read_text())["cloud_file"]
@@ -371,15 +400,14 @@ class TestArgsAndConfig:
         assert cfg.risk.tier_high == 0.6  # untouched default
         assert cfg.seed == 7
 
-    def test_env_fallback(self, tmp_path, monkeypatch):
+    def test_env_config_is_ignored(self, tmp_path, monkeypatch):
+        # without --config the defaults hold, whatever the environment names
         d = config_to_dict(PipelineConfig())
         d["seed"] = 99
         path = tmp_path / "env_config.json"
         path.write_text(json.dumps(d))
         monkeypatch.setenv("PRIME_CONFIG", str(path))
-        assert load_config(None).seed == 99
-        monkeypatch.delenv("PRIME_CONFIG")
-        assert load_config(None).seed == 0
+        assert load_config(None) == PipelineConfig()
 
     def test_writes_stay_in_out_dir(self, tmp_path, monkeypatch):
         workdir = tmp_path / "cwd"

@@ -194,7 +194,7 @@ class TestGeometricDetect:
         da = geometric_detect(scene_a, self.PARAMS)
         db = geometric_detect(scene_b, self.PARAMS)
         assert len(da) == len(db) == 1
-        np.testing.assert_allclose(da[0].box.params(), db[0].box.params(), atol=1e-9)
+        np.testing.assert_allclose(box_rows([da[0].box]), box_rows([db[0].box]), atol=1e-9)
         assert da[0].class_dist == db[0].class_dist
         # same evidence points, as coordinates
         pa = np.sort(scene_a.cloud.xyz[da[0].support_points], axis=0)

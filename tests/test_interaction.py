@@ -16,10 +16,10 @@ from drivetrace.interaction import (
     BgnnModel,
     InteractionConfig,
     InteractionLabel,
+    _forward,
     build_graph,
     classify_interaction,
     elbo_loss,
-    forward_mean,
     graph_features,
     interaction_energy,
     kl_to_prior,
@@ -56,9 +56,8 @@ def dist(*p):
 
 
 def in_edges(g, node_id):
-    """The CSR slice of ``g.edges`` that holds the in-edges of ``node_id``."""
-    k = g.node_ids.index(node_id)
-    return g.edges[g.indptr[k]:g.indptr[k + 1]]
+    """The rows of ``g.edges`` that hold the in-edges of ``node_id``."""
+    return g.edges[g.edges["dst"] == g.node_ids.index(node_id)]
 
 
 def edge_ids(g):
@@ -210,7 +209,7 @@ def graph_inputs(draw, max_objects=10):
 def assert_refined_close(new, old):
     assert [r.object_id for r in new] == [r.object_id for r in old]
     for a, b in zip(new, old):
-        np.testing.assert_allclose(a.refined_class_dist.probs, b.refined_class_dist.probs,
+        np.testing.assert_allclose(a.refined_class_probs, b.refined_class_probs,
                                    rtol=0, atol=1e-12)
         assert a.refined_uncertainty == pytest.approx(b.refined_uncertainty, rel=0, abs=1e-12)
         np.testing.assert_allclose(a.epistemic_std, b.epistemic_std, rtol=0, atol=1e-12)
@@ -234,9 +233,9 @@ class TestScalarEquivalence:
                                        rtol=0, atol=1e-12)
         for row_sum in g.attention_matrix().sum(axis=1):
             assert row_sum == pytest.approx(1.0, abs=1e-12) or row_sum == 0.0
-        for k in range(g.n_nodes):
-            assert np.array_equal(g.edges[g.indptr[k]:g.indptr[k + 1]],
-                                  g.edges[g.edges["dst"] == k])
+        # sorted by dst, then src: the ego's in-edges, the last node's, are the tail
+        keys = g.edges[["dst", "src"]].tolist()
+        assert keys == sorted(set(keys))
 
     @settings(max_examples=200, deadline=None)
     @given(graph_inputs())
@@ -296,7 +295,7 @@ class TestWeightDraws:
             for row, (r, plain) in enumerate(zip(refined, without)):
                 assert r.epistemic_std == tuple(std[row].tolist())
                 assert r.interaction_label == labels[int(label_index[row])]
-                assert r.refined_class_dist == plain.refined_class_dist
+                assert r.refined_class_probs == plain.refined_class_probs
                 assert r.refined_uncertainty == plain.refined_uncertainty
 
     def test_draws_are_read_only_and_reused_per_seed(self):
@@ -401,7 +400,8 @@ class TestForwardMc:
             layer.bias_log_stds[...] = -60.0
         graph, feats = self.graph_and_feats()
         mean, std = forward_mc(graph, feats, model.params, mc_samples=1, seed=5)
-        np.testing.assert_allclose(mean, forward_mean(graph, feats, model.params),
+        means = [[layer.weight_means, layer.bias_means] for layer in model.params]
+        np.testing.assert_allclose(mean, _forward(means, graph.attention_matrix(), feats)[0],
                                    atol=1e-12)
         np.testing.assert_allclose(std, 0.0, atol=1e-12)
 

@@ -1,7 +1,8 @@
 """Source layout guards: every top-level function and class and every
 class member is used, every config knob has one owner that the code
-reads, every CLI option is read by its command, and the README documents
-the config's keys and an explanation template for every decision rule.
+reads, no module reads the environment, no two enums share a vocabulary,
+every CLI option is read by its command, and the README documents the
+config's keys and an explanation template for every decision rule.
 
 A top-level ``def`` or ``class`` in ``src/drivetrace`` whose name appears
 nowhere else in the package (as a whole word, outside its own definition
@@ -13,6 +14,8 @@ count as uses.
 import argparse
 import ast
 import dataclasses
+import enum
+import importlib
 import inspect
 import json
 import re
@@ -107,6 +110,32 @@ def test_no_constant_shadows_a_config_field():
                        else [node.target] if isinstance(node, ast.AnnAssign) else [])
             copies += [f"{path.name}:{node.lineno}: {t.id} copies {knobs[t.id]}"
                        for t in targets if isinstance(t, ast.Name) and t.id in knobs]
+    assert not copies, "\n".join(copies)
+
+
+def test_no_module_reads_the_environment():
+    """The config comes from ``--config`` or the built-in defaults; an
+    environment variable would be a second, hidden source."""
+    read = re.compile(r"\bos\.(environ|getenv)\b|\bfrom os import .*\b(environ|getenv)\b")
+    reads = [f"{path.name}:{i}: {line.strip()}" for path, lines in SOURCES.items()
+             for i, line in enumerate(lines, 1) if read.search(line)]
+    assert not reads, "\n".join(reads)
+
+
+def test_no_two_enums_share_their_values():
+    """Two enums with the same set of values are one vocabulary kept twice."""
+    seen: dict[frozenset, str] = {}
+    copies = []
+    for path in SOURCES:
+        module = importlib.import_module(
+            "drivetrace" if path.stem == "__init__" else f"drivetrace.{path.stem}")
+        for name, cls in vars(module).items():
+            if (inspect.isclass(cls) and issubclass(cls, enum.Enum)
+                    and cls.__module__ == module.__name__):
+                values = frozenset(m.value for m in cls)
+                if values in seen:
+                    copies.append(f"{module.__name__}.{name} repeats {seen[values]}")
+                seen.setdefault(values, f"{module.__name__}.{name}")
     assert not copies, "\n".join(copies)
 
 

@@ -20,7 +20,8 @@ from drivetrace.cli import main
 from drivetrace.config import PipelineConfig
 from drivetrace.pipeline import run_scene
 from drivetrace.scenario import ScenarioSpec, Template, generate
-from drivetrace.scene import GroundTruthObject, OrientedBox, PointCloud
+from drivetrace.scene import (ClassDistribution, GroundTruthObject, ObjectClass, OrientedBox,
+                              PointCloud, TrackedObject)
 from drivetrace.scene_io import save_scene
 
 CONFIG = PipelineConfig()
@@ -55,6 +56,52 @@ def test_ground_truth_order_changes_no_decision(template, seed):
     scene = _generated(template, seed)
     reversed_truth = replace(scene, ground_truth=scene.ground_truth[::-1])
     assert _decision(reversed_truth) == _decision(scene)
+
+
+@functools.lru_cache(maxsize=None)
+def _predetected():
+    """A pre-detected scene: the seed-1 dense-traffic scene with its oracle
+    detections as objects, plus a pedestrian in the corridor (a collision
+    risk) and two objects of uniform class belief with turned boxes
+    (unpredictable), all given distinct ids out of order."""
+    scene = _generated(Template.DENSE_TRAFFIC, 1)
+    uniform = ClassDistribution((0.25,) * 4)
+    objects = run_scene(scene, CONFIG).detections + (
+        TrackedObject(0, OrientedBox((6.0, 0.3, 0.9), 0.6, 0.6, 1.8, 1.4), (0.0, 1.2, 0.0),
+                      ClassDistribution.one_hot(ObjectClass.PEDESTRIAN)),
+        TrackedObject(0, OrientedBox((14.0, -0.5, 0.8), 4.5, 1.9, 1.6, 2.8), (0.0, 0.0, 0.0),
+                      uniform),
+        TrackedObject(0, OrientedBox((9.0, 4.0, 0.8), 4.5, 1.9, 1.6, -2.5), (1.0, 0.0, 0.0),
+                      uniform),
+    )
+    ids = np.random.default_rng(7).permutation(len(objects)) * 3 + 2
+    return scene.with_objects([replace(o, id=int(i)) for o, i in zip(objects, ids)])
+
+
+def _factor_keys(scene):
+    result = run_scene(scene, CONFIG)
+    return ((result.trace.speed, result.trace.path),
+            [(f.kind, f.object_id) for f in result.factors])
+
+
+def test_predetected_scene_is_out_of_order_with_object_factors():
+    """The check below needs ids out of order and two factors of one kind."""
+    scene = _predetected()
+    ids = [o.id for o in scene.objects]
+    kinds = [kind for kind, i in _factor_keys(scene)[1] if i is not None]
+    assert ids != sorted(ids) and len(kinds) > len(set(kinds))
+
+
+@settings(max_examples=30, deadline=None)
+@given(order=st.integers(0, 2**32 - 1))
+def test_object_order_changes_no_decision_and_no_factor(order):
+    """The stages pair objects, assessments and refined estimates by
+    position, and the factors come in object id order.  Float bits may
+    differ: the ego-edge softmax sums in node order."""
+    scene = _predetected()
+    perm = np.random.default_rng(order).permutation(len(scene.objects))
+    permuted = scene.with_objects([scene.objects[i] for i in perm])
+    assert _factor_keys(permuted) == _factor_keys(scene)
 
 
 def _rotated(scene, angle):

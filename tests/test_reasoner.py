@@ -20,7 +20,6 @@ from drivetrace.reasoner import (
     DecisionTrace,
     FactorKind,
     LeadInfo,
-    PathDecision,
     ReasonerConfig,
     RiskFactor,
     SpeedDecision,
@@ -78,7 +77,7 @@ class TestCascade:
     def test_empty_speed_limit(self):
         trace = decide([], EGO, None, CFG)
         assert trace.speed is SpeedDecision.SPEED_LIMIT
-        assert trace.path is PathDecision.STRAIGHT
+        assert trace.path is Intent.STRAIGHT
         assert trace.explanation == "No hazards detected; proceeding at speed limit."
 
     def test_brake_dominates_everything(self):
@@ -89,16 +88,16 @@ class TestCascade:
     def test_lane_change_static_moderate(self):
         trace = decide([collision(0.65, speed=0.0, adjacent_clear=True)], EGO, None, CFG)
         assert trace.speed is SpeedDecision.SLOW_DOWN
-        assert trace.path is PathDecision.LANE_CHANGE
+        assert trace.path is Intent.LANE_CHANGE
 
     def test_lane_change_requires_clear_adjacent(self):
         trace = decide([collision(0.65, adjacent_clear=False)], EGO, None, CFG)
         assert trace.speed is not SpeedDecision.SLOW_DOWN or \
-            trace.path is not PathDecision.LANE_CHANGE
+            trace.path is not Intent.LANE_CHANGE
 
     def test_lane_change_requires_static(self):
         trace = decide([collision(0.65, speed=5.0)], EGO, None, CFG)
-        assert trace.path is not PathDecision.LANE_CHANGE
+        assert trace.path is not Intent.LANE_CHANGE
 
     def test_occlusion_slow_approach(self):
         trace = decide([occlusion()], EGO, None, CFG)
@@ -111,13 +110,13 @@ class TestCascade:
     def test_unpredictable_slow_down(self):
         trace = decide([unpredictable()], EGO, None, CFG)
         assert trace.speed is SpeedDecision.SLOW_DOWN
-        assert trace.path is PathDecision.STRAIGHT
+        assert trace.path is Intent.STRAIGHT
 
     def test_cautious_turn(self):
         ego = EgoState(heading=0.0, speed=5.0, intent=Intent.TURN)
         trace = decide([], ego, None, CFG)
         assert trace.speed is SpeedDecision.CAUTIOUS_TURN
-        assert trace.path is PathDecision.TURN
+        assert trace.path is Intent.TURN
 
     def test_follow_ahead(self):
         trace = decide([], EGO, LeadInfo(4, 18.0, 8.0), CFG)
@@ -151,7 +150,7 @@ class TestCascade:
                 subset = [f for f in pool if rng.uniform() < 0.5]
                 trace = decide(subset, ego, None, CFG)
                 assert isinstance(trace.speed, SpeedDecision)
-                assert isinstance(trace.path, PathDecision)
+                assert isinstance(trace.path, Intent)
 
     def test_trace_structure(self):
         trace = decide([collision(0.9, cls="Pedestrian", d=5.0)], EGO, None, CFG)
