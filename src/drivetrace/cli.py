@@ -54,6 +54,8 @@ def _load(args) -> PipelineConfig:
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     out = _out_dir(args)
     config = _load(args)
     templates = [Template(t) for t in args.template.split(",")]
@@ -150,7 +152,7 @@ def cmd_report(args) -> int:
         result = parse_csv(Path(args.csv).read_text())
     except ValueError as exc:
         raise ValueError(f"{args.csv}: {exc}") from None
-    paths = write_report(result, out, prefix=args.prefix)
+    paths = write_report(result, out)
     print("\n".join(str(p) for p in paths))
     return 0
 
@@ -202,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="re-render reports from a result CSV")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--csv", required=True, help="report.csv from a previous evaluate")
-    p.add_argument("--prefix", default="report")
     p.set_defaults(func=cmd_report)
 
     return parser

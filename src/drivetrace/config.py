@@ -19,15 +19,6 @@ from .interaction import InteractionConfig
 from .reasoner import ReasonerConfig
 from .risk import RiskConfig, UncertaintyConfig
 
-_SECTIONS = {
-    "cluster": ClusterParams,
-    "noise": NoiseModel,
-    "uncertainty": UncertaintyConfig,
-    "risk": RiskConfig,
-    "interaction": InteractionConfig,
-    "reasoner": ReasonerConfig,
-}
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -47,6 +38,11 @@ class PipelineConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
+#: each config section's name and class
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)
+             if f.default_factory is not dataclasses.MISSING}
+
+
 def _section_from_dict(cls: type, data: Any, section: str) -> Any:
     if not isinstance(data, dict):
         raise ValueError(f"config section {section!r} must be an object, got {data!r}")
@@ -63,35 +59,15 @@ def _section_from_dict(cls: type, data: Any, section: str) -> Any:
 def config_from_dict(data: Any) -> PipelineConfig:
     if not isinstance(data, dict):
         raise ValueError(f"config must be an object, got {data!r}")
-    known = set(_SECTIONS) | {"detector", "seed"}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in dataclasses.fields(PipelineConfig)}
     if unknown:
         raise ValueError(f"unknown top-level config keys: {sorted(unknown)}")
-    kwargs: dict[str, Any] = {}
-    for section, cls in _SECTIONS.items():
-        if section in data:
-            kwargs[section] = _section_from_dict(cls, data[section], section)
-    if "detector" in data:
-        kwargs["detector"] = data["detector"]
-    if "seed" in data:
-        kwargs["seed"] = data["seed"]
-    return PipelineConfig(**kwargs)
+    return PipelineConfig(**{key: _section_from_dict(_SECTIONS[key], value, key)
+                             if key in _SECTIONS else value for key, value in data.items()})
 
 
 def config_to_dict(config: PipelineConfig) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for section, cls in _SECTIONS.items():
-        sub = getattr(config, section)
-        out[section] = {f.name: _plain(getattr(sub, f.name)) for f in dataclasses.fields(cls)}
-    out["detector"] = config.detector
-    out["seed"] = config.seed
-    return out
-
-
-def _plain(v: Any) -> Any:
-    if isinstance(v, (bool, int, float, str)) or v is None:
-        return v
-    return float(v)
+    return dataclasses.asdict(config)
 
 
 def load_config(path: Optional[str | Path] = None, seed: Optional[int] = None) -> PipelineConfig:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -266,11 +266,8 @@ def render_text(result: SuiteResult) -> str:
         if cls in result.path_accuracy:
             lines.append(f"  {cls:<14} {100.0 * result.path_accuracy[cls]:>8.2f}%")
     lines.append("Detection")
-    lines.append(f"  mean IoU            {_fmt(result.mean_iou)}")
-    lines.append(f"  detection accuracy  {_fmt(result.detection_accuracy)}")
-    lines.append(f"  mean entropy (nats) {_fmt(result.mean_entropy)}")
-    lines.append(f"  mean deviation (deg) {_fmt(result.mean_deviation_deg)}")
-    lines.append(f"  box regression error {_fmt(result.reg_error)}")
+    for key, (label, *_) in _SCALARS.items():
+        lines.append(f"  {label:<19} {_fmt(getattr(result, key))}")
     lines.append("Counts")
     for k in sorted(result.counts):
         lines.append(f"  {k:<14} {result.counts[k]}")
@@ -306,9 +303,14 @@ def render_csv(result: SuiteResult) -> str:
 
 _SPEED_SECTIONS = ("speed_precision", "speed_recall", "speed_f1")
 _UNIT = (0.0, 1.0)
-#: the scalars render_csv writes, in order, each with the range parse_csv accepts
-_SCALARS = {"mean_iou": _UNIT, "detection_accuracy": _UNIT, "mean_entropy": (-math.inf, math.inf),
-            "mean_deviation_deg": (-math.inf, math.inf), "reg_error": (-math.inf, math.inf)}
+_ANY = (-math.inf, math.inf)
+#: the scalars of a SuiteResult, in report order, each with its label in
+#: render_text and the range parse_csv accepts
+_SCALARS = {"mean_iou": ("mean IoU", *_UNIT),
+            "detection_accuracy": ("detection accuracy", *_UNIT),
+            "mean_entropy": ("mean entropy (nats)", *_ANY),
+            "mean_deviation_deg": ("mean deviation (deg)", *_ANY),
+            "reg_error": ("box regression error", *_ANY)}
 
 
 def _csv_number(value: str, what: str, low: float = -math.inf, high: float = math.inf,
@@ -357,7 +359,7 @@ def parse_csv(text: str) -> SuiteResult:
             elif section == "scalar":
                 if key not in _SCALARS:
                     raise ValueError(f"unknown scalar {key!r}")
-                scalars[key] = _csv_number(value, what, *_SCALARS[key]) if value else None
+                scalars[key] = _csv_number(value, what, *_SCALARS[key][1:]) if value else None
             elif section == "count":
                 counts[key] = _csv_number(value, what, 0, parse=int)
             else:
@@ -375,11 +377,7 @@ def parse_csv(text: str) -> SuiteResult:
         speed_metrics=metrics,
         speed_confusion=confusion,
         path_accuracy=path_accuracy,
-        mean_iou=scalars.get("mean_iou"),
-        detection_accuracy=scalars.get("detection_accuracy"),
-        mean_entropy=scalars.get("mean_entropy"),
-        mean_deviation_deg=scalars.get("mean_deviation_deg"),
-        reg_error=scalars.get("reg_error"),
+        **{key: scalars.get(key) for key in _SCALARS},
         counts=counts,
     )
 
@@ -396,12 +394,11 @@ def render_plot_json(result: SuiteResult) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_report(result: SuiteResult, out_dir: str | Path,
-                 prefix: str = "report") -> list[Path]:
+def write_report(result: SuiteResult, out_dir: str | Path) -> list[Path]:
     """Write text, CSV and plot-JSON reports; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = [out / f"{prefix}.txt", out / f"{prefix}.csv", out / f"{prefix}_plot.json"]
+    paths = [out / "report.txt", out / "report.csv", out / "report_plot.json"]
     paths[0].write_text(render_text(result))
     paths[1].write_text(render_csv(result))
     paths[2].write_text(render_plot_json(result))
@@ -409,31 +406,14 @@ def write_report(result: SuiteResult, out_dir: str | Path,
 
 
 def result_to_dict(result: SuiteResult) -> dict[str, Any]:
-    return {
-        "speed_metrics": {
-            c: {"precision": m.precision, "recall": m.recall, "f1": m.f1}
-            for c, m in sorted(result.speed_metrics.items())
-        },
-        "speed_confusion": {k: dict(sorted(v.items()))
-                            for k, v in sorted(result.speed_confusion.items())},
-        "path_accuracy": dict(sorted(result.path_accuracy.items())),
-        "mean_iou": result.mean_iou,
-        "detection_accuracy": result.detection_accuracy,
-        "mean_entropy": result.mean_entropy,
-        "mean_deviation_deg": result.mean_deviation_deg,
-        "reg_error": result.reg_error,
-        "counts": dict(sorted(result.counts.items())),
-    }
+    return asdict(result)
+
+
+#: the SceneRecord fields of a scene's entry in ``scenes.json``
+_SCENES_JSON_FIELDS = ("path", "template", "expected_speed", "predicted_speed",
+                       "expected_path", "predicted_path", "error")
 
 
 def record_to_dict(record: SceneRecord) -> dict[str, Any]:
     """One scene's entry in ``scenes.json``."""
-    return {
-        "path": record.path,
-        "template": record.template,
-        "expected_speed": record.expected_speed,
-        "predicted_speed": record.predicted_speed,
-        "expected_path": record.expected_path,
-        "predicted_path": record.predicted_path,
-        "error": record.error,
-    }
+    return {name: getattr(record, name) for name in _SCENES_JSON_FIELDS}

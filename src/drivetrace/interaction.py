@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -40,6 +40,7 @@ from .scene import (
     OrientedBox,
     PointCloud,
     TrackedObject,
+    check_object_order,
     in_corridor,
 )
 
@@ -267,6 +268,7 @@ def graph_features(
     length 16; the ordering is part of the model format.  The ego row has
     the frame origin as its center, the nominal ego body and the risk at
     zero distance, 1."""
+    check_object_order(objects, assessments, "assessments")
     rows = [(*o.box.center, *o.velocity, o.box.length, o.box.width, o.box.height,
              math.sin(o.box.yaw), math.cos(o.box.yaw), *o.class_dist.probs, a.risk)
             for o, a in zip(objects, assessments, strict=True)]
@@ -520,13 +522,7 @@ class RefinedEstimate:
 
 
 def refined_to_dict(r: RefinedEstimate) -> dict:
-    return {
-        "object_id": r.object_id,
-        "refined_class_probs": list(r.refined_class_probs),
-        "refined_uncertainty": r.refined_uncertainty,
-        "epistemic_std": list(r.epistemic_std),
-        "interaction_label": r.interaction_label.value,
-    }
+    return {**asdict(r), "interaction_label": r.interaction_label.value}
 
 
 _LABELS = tuple(InteractionLabel)
@@ -588,6 +584,7 @@ def refine_objects(
     argmax prediction as the interaction label; otherwise the label falls
     back to the kinematic rule and the spread is zero.
     """
+    check_object_order(objects, assessments, "assessments")
     n = len(objects)
     if graph.node_ids[:n] != tuple(o.id for o in objects) or graph.n_nodes != n + 1:
         raise ValueError("graph nodes must be the objects, in order, then the ego")
@@ -678,6 +675,8 @@ def train_bgnn(
     per step; returns the per-step loss history."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not dataset:
+        raise ValueError("the training set must hold at least one graph")
     model._draws = None  # drawn from the parameters that adam_step changes
     state = AdamState()
     history = []

@@ -11,7 +11,7 @@ produce byte-identical traces and text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Any, Iterator, Optional, Sequence
 
@@ -19,7 +19,16 @@ import numpy as np
 
 from .interaction import InteractionGraph, RefinedEstimate
 from .risk import ObjectAssessment, RiskTier, UncertaintyConfig
-from .scene import EgoState, Intent, ObjectClass, Scene, TrackedObject, forward_lateral, in_corridor
+from .scene import (
+    EgoState,
+    Intent,
+    ObjectClass,
+    Scene,
+    TrackedObject,
+    check_object_order,
+    forward_lateral,
+    in_corridor,
+)
 
 
 class FactorKind(Enum):
@@ -185,6 +194,8 @@ def extract_risk_factors(
     ``assessments`` and ``refined`` are in the order of ``scene.objects``;
     the object factors are ordered by object id.
     """
+    check_object_order(scene.objects, assessments, "assessments")
+    check_object_order(scene.objects, refined, "refined")
     rows = sorted(zip(scene.objects, assessments, refined, strict=True),
                   key=lambda row: row[0].id)
     factors: list[RiskFactor] = []
@@ -383,16 +394,7 @@ def _render_explanation(steps: Sequence[TraceStep]) -> str:
 
 def trace_to_dict(trace: DecisionTrace) -> dict:
     return {
-        "steps": [
-            {
-                "index": s.index,
-                "rule_id": s.rule_id,
-                "passed": s.passed,
-                "evidence": {k: v for k, v in s.evidence},
-                "conclusion": s.conclusion,
-            }
-            for s in trace.steps
-        ],
+        "steps": [{**asdict(s), "evidence": dict(s.evidence)} for s in trace.steps],
         "speed": trace.speed.value,
         "path": trace.path.value,
         "explanation": trace.explanation,

@@ -16,7 +16,7 @@ weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -171,14 +171,4 @@ def assess(
 
 
 def assessment_to_dict(a: ObjectAssessment) -> dict:
-    return {
-        "object_id": a.object_id,
-        "entropy": a.entropy,
-        "deviation": a.deviation,
-        "uncertainty": a.uncertainty,
-        "min_distance": a.min_distance,
-        "risk": a.risk,
-        "tier": a.tier.value,
-        "tier_color": a.tier.color,
-        "flagged": a.flagged,
-    }
+    return {**asdict(a), "tier": a.tier.value, "tier_color": a.tier.color}

@@ -352,6 +352,16 @@ class TrackedObject:
         return math.hypot(*self.velocity)
 
 
+def check_object_order(objects: Sequence[TrackedObject], records: Sequence, what: str) -> None:
+    """Raise ValueError unless ``records`` (named ``what``) hold one record
+    per object, in the objects' order: record i's ``object_id`` is object
+    i's id."""
+    for i, (obj, record) in enumerate(zip(objects, records, strict=True)):
+        if record.object_id != obj.id:
+            raise ValueError(f"{what}[{i}] is for object {record.object_id}, "
+                             f"but objects[{i}] has id {obj.id}")
+
+
 @dataclass(frozen=True)
 class EgoState:
     """Ego vehicle state: the ego is the frame origin and has no position."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 import struct
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
@@ -148,16 +149,6 @@ def read_cloud(path: str | Path) -> PointCloud:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _box_to_dict(box: OrientedBox) -> dict[str, Any]:
-    return {
-        "center": list(box.center),
-        "length": box.length,
-        "width": box.width,
-        "height": box.height,
-        "yaw": box.yaw,
-    }
-
-
 def _box_from_dict(d: dict[str, Any]) -> OrientedBox:
     return OrientedBox(tuple(d["center"]), d["length"], d["width"], d["height"], d["yaw"])
 
@@ -165,7 +156,7 @@ def _box_from_dict(d: dict[str, Any]) -> OrientedBox:
 def object_to_dict(obj: TrackedObject) -> dict[str, Any]:
     return {
         "id": obj.id,
-        "box": _box_to_dict(obj.box),
+        "box": asdict(obj.box),
         "velocity": list(obj.velocity),
         "class_probs": list(obj.class_dist.probs),
         "support_points": obj.support_points.tolist(),
@@ -173,30 +164,19 @@ def object_to_dict(obj: TrackedObject) -> dict[str, Any]:
 
 
 def scene_to_dict(scene: Scene, cloud_file: str) -> dict[str, Any]:
-    d: dict[str, Any] = {
+    ground_truth = None if scene.ground_truth is None else [
+        {"box": asdict(g.box), "class": g.label.value, "velocity": list(g.velocity)}
+        for g in scene.ground_truth]
+    return {
         "timestamp": scene.timestamp,
-        "ego": {
-            "position": [0.0, 0.0, 0.0],  # the ego is the frame origin
-            "heading": scene.ego.heading,
-            "speed": scene.ego.speed,
-            "lane_heading": scene.ego.lane_heading,
-            "intent": scene.ego.intent.value,
-        },
+        # the ego is the frame origin
+        "ego": {**asdict(scene.ego), "position": [0.0, 0.0, 0.0],
+                "intent": scene.ego.intent.value},
         "objects": [object_to_dict(o) for o in scene.objects],
-        "ground_truth": None,
+        "ground_truth": ground_truth,
         "cloud_file": cloud_file,
         "frame_id": scene.frame_id,
     }
-    if scene.ground_truth is not None:
-        d["ground_truth"] = [
-            {
-                "box": _box_to_dict(g.box),
-                "class": g.label.value,
-                "velocity": list(g.velocity),
-            }
-            for g in scene.ground_truth
-        ]
-    return d
 
 
 def _support_points(obj: dict[str, Any], n_points: int) -> np.ndarray:

@@ -82,6 +82,15 @@ class TestGenerate:
         assert run("generate", "--template", "flying-cars",
                    "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_exit_1(self, tmp_path, capsys, count):
+        """A suite without scenes is refused before anything is written."""
+        out = tmp_path / "gen"
+        assert run("generate", "--template", "empty-road", "--count", count,
+                   "--out", str(out)) == 1
+        assert f"error: ValueError: --count must be >= 1, got {count}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_seed_without_flag(self, tmp_path):
         config = tmp_path / "seed7.json"
         config.write_text('{"seed": 7}')
@@ -219,6 +228,13 @@ class TestTrainEvaluate:
         assert run("train-bgnn", "--steps", "0", "--samples", "2",
                    "--config", str(small_embed), "--out", str(tmp_path / "train")) == 1
         assert "ValueError: steps must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_train_bgnn_no_samples_exit_1(self, tmp_path, capsys, small_embed, samples):
+        assert run("train-bgnn", "--steps", "2", "--samples", samples,
+                   "--config", str(small_embed), "--out", str(tmp_path / "train")) == 1
+        assert ("error: ValueError: the training set must hold at least one graph\n"
+                in capsys.readouterr().err)
 
     def test_evaluate_end_to_end(self, tmp_path):
         gen = tmp_path / "gen"
@@ -363,6 +379,12 @@ class TestArgsAndConfig:
         """``report`` only re-renders a CSV, so it reads no config and no seed."""
         with pytest.raises(SystemExit) as exc:
             main(["report", "--csv", str(tmp_path / "report.csv"), *flag])
+        assert exc.value.code == 2
+
+    def test_report_has_no_prefix(self, tmp_path):
+        """``report`` always writes report.txt, report.csv and report_plot.json."""
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--csv", str(tmp_path / "report.csv"), "--prefix", "x"])
         assert exc.value.code == 2
 
     def test_help_exits_zero(self):

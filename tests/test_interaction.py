@@ -381,6 +381,15 @@ class TestNodeFeatures:
         assert f[9] == pytest.approx(0.0)   # sin
         assert f[10] == pytest.approx(1.0)  # cos
 
+    def test_assessments_in_another_order_rejected(self):
+        """Rows pair objects and assessments by position, so assessments in
+        another order are refused rather than mixed up."""
+        objs = [make_object(0, (5, 0, 0)), make_object(1, (40, 2, 0))]
+        assessments = assess(objs, EgoState(), PointCloud(), UncertaintyConfig(), RiskConfig())
+        with pytest.raises(ValueError,
+                           match=r"assessments\[0\] is for object 1, but objects\[0\] has id 0"):
+            graph_features(objs, assessments[::-1], EgoState())
+
     def test_ego_row(self):
         f = self.features(make_object(0, (5, 0, 0), support=(0,)), EgoState(speed=8.0))[1]
         np.testing.assert_allclose(f[3:6], (8.0, 0.0, 0.0))  # velocity along the heading
@@ -551,6 +560,18 @@ class TestRefine:
         graph = build_graph(objs[::-1], ego, CFG, STATIC)
         with pytest.raises(ValueError, match="graph nodes"):
             refine_objects(objs, assessments, graph, ego, ucfg, RCFG)
+
+    def test_assessments_in_another_order_rejected(self):
+        """The refined uncertainty takes each object's deviation from the
+        assessment at its position, so assessments in another order are
+        refused rather than mixed up."""
+        objs = [make_object(0, (5, 0, 0), yaw=1.0), make_object(1, (9, 2, 0))]
+        ego, ucfg = EgoState(), UncertaintyConfig()
+        assessments = assess(objs, ego, PointCloud(), ucfg, RiskConfig())
+        graph = build_graph(objs, ego, CFG, STATIC)
+        with pytest.raises(ValueError,
+                           match=r"assessments\[0\] is for object 1, but objects\[0\] has id 0"):
+            refine_objects(objs, assessments[::-1], graph, ego, ucfg, RCFG)
 
     def test_classify_interaction_rules(self):
         ego = EgoState(speed=8.0)

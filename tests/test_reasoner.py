@@ -322,6 +322,24 @@ class TestExtractFactors:
         assert unp[0].magnitude == pytest.approx(
             min(1.0, assessments[0].uncertainty / UCFG.threshold))
 
+    @pytest.mark.parametrize("reordered", ["assessments", "refined"])
+    def test_records_in_another_order_rejected(self, reordered):
+        """Factors pair each object with the assessment and the refined
+        estimate at its position, so either list in another order is
+        refused rather than mixed up."""
+        ego = EgoState(speed=8.0)
+        objs = (make_object(0, (6, 0, 0), support=(0,)),
+                make_object(1, (30, 8, 0), yaw=3.0, probs=(0.25,) * 4, support=(1,)))
+        cloud = PointCloud(np.array([[6.0, 0.0, 0.5, 1.0], [30.0, 8.0, 0.5, 1.0]]))
+        scene = Scene(0.0, ego, cloud, objs)
+        records = {"assessments": assess(objs, ego, cloud, UCFG, RiskConfig())}
+        graph = build_graph(objs, ego, self.ICFG, CFG.static_speed)
+        records["refined"] = refine_objects(objs, records["assessments"], graph, ego, UCFG, CFG)
+        records[reordered] = records[reordered][::-1]
+        with pytest.raises(ValueError, match=rf"{reordered}\[0\] is for object 1, "
+                                             r"but objects\[0\] has id 0"):
+            extract_risk_factors(scene, records["assessments"], records["refined"], CFG, UCFG)
+
     def test_ego_edge_evidence(self):
         ego = EgoState(speed=8.0)
         objs = [make_object(0, (8, 0.5, 0), velocity=(3, 0, 0)),
