@@ -15,6 +15,7 @@ Both return TrackedObjects whose support points index into the scene cloud.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -175,35 +176,55 @@ def _support_indices(xyz: np.ndarray, x: np.ndarray, y: np.ndarray,
     return cand[points_in_box(xyz[cand], box, SUPPORT_MARGIN)]
 
 
-#: Candidate point pairs that :func:`_grid_clusters` tests per batch (a
-#: batch holds whole points, so one point's candidates may overrun it).  It
-#: bounds the clustering's temporaries to a few hundred kB on clouds of any
-#: size.
+#: Candidate point pairs that :func:`_grid_clusters` tests per batch.  A
+#: batch holds whole rows (one point against every point of one sub-cell),
+#: so one row may overrun it.  Four times as many stencil lookups are made
+#: per block of sub-cells.  Together they bound the clustering's
+#: temporaries to a few hundred kB on clouds of any size.
 PAIR_CHUNK = 4096
 
-#: A cell itself and the 13 neighbour cells that follow it in lexicographic
-#: order: together they reach every pair of adjacent cells exactly once.
-_FORWARD_CELLS = np.array([(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                           for dz in (-1, 0, 1) if (dx, dy, dz) >= (0, 0, 0)])
+#: The sub-cell offsets, in half-radius steps, that can hold a pair within
+#: the radius.  Sub-cells ``d`` apart on an axis have a gap of more than
+#: ``max(|d| - 1, 0)`` half cells there, so an offset is kept when those
+#: squares sum to at most 4 (one radius squared).  Only the forward offsets
+#: are listed, those that follow (0, 0, 0) lexicographically, so every pair
+#: of sub-cells is reached once.  (0, 0, 0) comes first, then the 3 face
+#: offsets, then 86 more.
+_STENCIL = np.array(sorted(
+    (d for d in itertools.product(range(-3, 4), repeat=3)
+     if d >= (0, 0, 0) and sum(max(abs(c) - 1, 0) ** 2 for c in d) <= 4),
+    key=lambda d: min(sum(map(abs, d)), 2)))
+
+#: The stencil's stages: a sub-cell against itself (only where its pairs
+#: are tested), its face neighbours, the rest.
+_STAGES = (slice(0, 1), slice(1, 4), slice(4, None))
+
+#: ``_ADJACENT[h, o]``: offset ``o`` from a sub-cell with half bits ``h``
+#: (x, y, z as bits 4, 2, 1) lands in an r-cell adjacent to the sub-cell's
+#: own.  Three steps along an axis do so only from the half on that side.
+_ADJACENT = np.array([[all(abs(c) != 3 or (h >> (2 - axis)) & 1 == (c < 0)
+                         for axis, c in enumerate(d)) for d in _STENCIL.tolist()]
+                       for h in range(8)])
 
 
-def _cell_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One int64 code per row of integer cell keys, in the rows'
-    lexicographic order, and the code step of each axis.
+def _cell_codes(keys: np.ndarray, halves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One int64 code per row of integer cell keys and half bits, in the
+    lexicographic order of the rows' sub-cells, and the code step of each
+    axis.  A sub-cell coordinate is ``2 * compressed key + half + 1``.
 
     Each axis is first compressed: a gap of more than one cell between
     occupied keys shrinks to two cells, which keeps which cells are
     adjacent.  A code then never overflows, however far apart the points
-    are; a one-cell margin on every side keeps the codes of the neighbour
-    cells distinct.
+    are; a three-sub-cell margin on every side keeps the codes of the
+    stencil's sub-cells distinct.
     """
     columns, spans = [], []
-    for k in keys.T:
+    for k, half in zip(keys.T, halves.T):
         unique, inverse = np.unique(k, return_inverse=True)
         # a difference that wraps past int64 is negative: also a gap
         compressed = np.concatenate(([1], 1 + np.cumsum(np.where(np.diff(unique) == 1, 1, 2))))
-        columns.append(compressed[inverse])
-        spans.append(int(compressed[-1]) + 2)
+        columns.append(2 * compressed[inverse] + half + 1)
+        spans.append(2 * int(compressed[-1]) + 6)
     if spans[0] * spans[1] * spans[2] >= 2 ** 63:
         raise ValueError(f"too many distinct grid cells to cluster: spans {spans}")
     steps = np.array([spans[1] * spans[2], spans[2], 1], dtype=np.int64)
@@ -235,56 +256,118 @@ def _merge_components(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
         rounds += 1
 
 
+def _near_pairs(pts: np.ndarray, i: np.ndarray, j: np.ndarray, r2: float) -> np.ndarray:
+    """Mask of the pairs ``(pts[i[k]], pts[j[k]])`` at squared distance at
+    most ``r2``.  The batched matmul takes the same BLAS dot as a scalar
+    ``d @ d`` does, so a pair at exactly the radius is decided bit for bit
+    alike."""
+    d = pts.take(j, axis=0) - pts.take(i, axis=0)
+    return (d[:, np.newaxis, :] @ d[:, :, np.newaxis])[:, 0, 0] <= r2
+
+
+def _sub_cell_pairs(cells: np.ndarray, pattern: np.ndarray, shifts: np.ndarray,
+                    adjacent: np.ndarray):
+    """Per block of sub-cells, the pairs ``(s, t)`` of occupied sub-cells
+    (indices into the sorted codes ``cells``) with ``cells[t] - cells[s]``
+    in ``shifts`` and adjacent r-cells (``adjacent[pattern[s]]``)."""
+    block = max(1, 4 * PAIR_CHUNK // shifts.size)
+    for lo in range(0, cells.size, block):
+        query = cells[lo:lo + block, np.newaxis] + shifts
+        found = np.minimum(np.searchsorted(cells, query), cells.size - 1)
+        s, k = np.nonzero((cells[found] == query) & adjacent[pattern[lo:lo + block]])
+        yield s + lo, found[s, k]
+
+
+def _near_links(pts: np.ndarray, r2: float, starts: np.ndarray, counts: np.ndarray,
+                s: np.ndarray, t: np.ndarray, whole: bool):
+    """Test every point of sub-cell ``s[k]`` against every point of
+    sub-cell ``t[k]`` and yield the positions ``(i, j)`` of the pairs within
+    the radius, per run of whole rows (one point against one sub-cell)
+    holding about :data:`PAIR_CHUNK` pairs.  With ``whole`` only the first
+    such pair of each ``(s[k], t[k])`` is yielded.  Rows are built per run,
+    so the temporaries stay bounded however many points a sub-cell holds.
+    """
+    count_s, count_t = counts[s], counts[t]
+    row_end = np.cumsum(count_s)
+    offset, start_t = starts[s] - row_end + count_s, starts[t]
+    bounds = [0, int(row_end[-1])]
+    pair_end = np.cumsum(count_s * count_t)
+    if pair_end[-1] > PAIR_CHUNK:
+        # the row holding each PAIR_CHUNK-th pair starts a run
+        targets = np.arange(PAIR_CHUNK, pair_end[-1], PAIR_CHUNK)
+        k = np.searchsorted(pair_end, targets, side="right")
+        first_pair = pair_end[k] - count_s[k] * count_t[k]
+        bounds[1:1] = (row_end[k] - count_s[k] + (targets - first_pair) // count_t[k]).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo == hi:
+            continue
+        rows = np.arange(lo, hi)
+        k = np.searchsorted(row_end, rows, side="right")
+        count = count_t[k]
+        i = np.repeat(rows + offset[k], count)
+        j = np.arange(i.size) + np.repeat(start_t[k] - np.cumsum(count) + count, count)
+        near = np.flatnonzero(_near_pairs(pts, i, j, r2))
+        if near.size and whole:
+            pair = np.repeat(k, count)[near]
+            near = near[np.concatenate(([True], pair[1:] != pair[:-1]))]
+        if near.size:
+            yield i[near], j[near]
+
+
 def _grid_clusters(xyz: np.ndarray, radius: float) -> list[np.ndarray]:
     """Fixed-radius connected components on a uniform grid (Euclidean
     cluster extraction): two points join when their cells of side
-    ``radius`` are adjacent and their squared distance is at most
-    ``radius**2``.
+    ``radius`` (r-cells) are adjacent and their squared distance is at
+    most ``radius**2``.
 
-    Points are sorted by cell.  The candidates of a point are the later
-    points of its own cell and every point of its 13 forward cells; runs
-    of points holding about :data:`PAIR_CHUNK` candidates are tested at a
-    time, and the pairs within the radius are merged by
-    :func:`_merge_components`.  Returns each component as a sorted index
-    array, ordered by smallest index.
+    Each r-cell is split into 8 sub-cells of half its side, and points are
+    sorted by sub-cell.  The points of one sub-cell lie within
+    ``sqrt(3) / 2 * radius`` of each other, so each sub-cell starts as one
+    component, joined without a distance test (the grid-based DBSCAN of
+    Gan & Tao 2015).  Sub-cells are then linked over :data:`_STENCIL` in
+    two stages: the 3 face neighbours, then the other 86 offsets, skipping
+    pairs of sub-cells already in one component.  A linked pair of
+    sub-cells merges one edge, by :func:`_merge_components`.
+
+    Both shortcuts need floating point to resolve half a cell, and the
+    stencil's bound needs a finite square of the radius.  So a cloud with a
+    coordinate of ``2**40`` radii or more, or a radius whose square is
+    infinite or below ``2**-1000``, keeps whole r-cells as its sub-cells:
+    each is tested against itself, no pair is skipped, and every near pair
+    is merged.  Returns
+    each component as a sorted index array, ordered by smallest index.
     """
     n = xyz.shape[0]
     if n == 0:
         return []
-    codes, steps = _cell_codes(np.floor(xyz / radius).astype(np.int64))
+    y = xyz / radius
+    keys = np.floor(y).astype(np.int64)
+    r2 = radius * radius
+    # whole: each sub-cell is one component from the start
+    whole = 2.0 ** -1000 <= r2 < math.inf and bool((np.abs(y) < 2.0 ** 40).all())
+    halves = y - keys >= 0.5 if whole else np.zeros(y.shape, dtype=bool)
+    del y
+    codes, steps = _cell_codes(keys, halves)
+    del keys
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
-    new_cell = np.concatenate(([True], codes[1:] != codes[:-1]))
-    cell = np.cumsum(new_cell) - 1  # of each sorted position
-    starts = np.flatnonzero(new_cell)
-    ends = np.append(starts[1:], n)
-    # per cell and forward cell (column 0 the cell itself), the positions
-    # begin .. begin + count of the forward cell's points
-    cells = codes[starts]
-    query = cells[:, np.newaxis] + _FORWARD_CELLS @ steps
-    found = np.minimum(np.searchsorted(cells, query), cells.size - 1)
-    begin = starts[found]
-    count = np.where(cells[found] == query, ends[found] - begin, 0)
-    position = np.arange(n)
-    own_after = ends[cell] - position - 1
-    candidates = count[:, 1:].sum(axis=1)[cell] + own_after
-    runs = np.split(position, np.searchsorted(
-        np.cumsum(candidates), np.arange(PAIR_CHUNK, candidates.sum(), PAIR_CHUNK)))
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    counts = np.diff(starts, append=n)
+    cells, first = codes[starts], order[starts]  # first: the smallest index of each sub-cell
+    pattern = halves[first] @ np.array([4, 2, 1])
+    del codes, halves
     pts = xyz[order]
-    r2 = radius * radius
     parent = np.arange(n)
-    for run in runs:
-        row_begin, row_count = begin[cell[run]], count[cell[run]]
-        row_begin[:, 0], row_count[:, 0] = run + 1, own_after[run]
-        row_count = row_count.ravel()
-        i = np.repeat(np.repeat(run, row_begin.shape[1]), row_count)
-        row_shift = row_begin.ravel() - (np.cumsum(row_count) - row_count)
-        j = np.arange(row_count.sum()) + np.repeat(row_shift, row_count)
-        d = pts.take(j, axis=0) - pts.take(i, axis=0)
-        # batched matmul takes the same BLAS dot as a scalar ``d @ d`` does,
-        # so a pair at exactly the radius is decided bit for bit alike
-        near = (d[:, np.newaxis, :] @ d[:, :, np.newaxis])[:, 0, 0] <= r2
-        _merge_components(parent, order[i[near]], order[j[near]])
+    if whole:
+        parent[order] = np.repeat(first, counts)
+    for stage in _STAGES[1:] if whole else _STAGES:
+        for s, t in _sub_cell_pairs(cells, pattern, _STENCIL[stage] @ steps, _ADJACENT[:, stage]):
+            if whole:
+                apart = parent[first[s]] != parent[first[t]]
+                s, t = s[apart], t[apart]
+            if s.size:
+                for i, j in _near_links(pts, r2, starts, counts, s, t, whole):
+                    _merge_components(parent, order[i], order[j])
     members = np.argsort(parent, kind="stable")
     return np.split(members, np.flatnonzero(np.diff(parent[members])) + 1)
 
@@ -357,7 +440,7 @@ def geometric_detect(scene: Scene, params: ClusterParams) -> list[TrackedObject]
     for idx in clusters:
         if idx.size < params.min_points:
             continue
-        orig = above[idx]
+        orig = above[idx]  # ascending, as `above` and each cluster are
         pts = xyz[orig]
         box = _fit_box(pts)
         cdist = _classify_cluster(box.length, box.width, box.height, float(pts[:, 2].std()))
@@ -369,7 +452,7 @@ def geometric_detect(scene: Scene, params: ClusterParams) -> list[TrackedObject]
             box=box,
             velocity=(0.0, 0.0, 0.0),
             class_dist=cdist,
-            support_points=np.sort(orig),
+            support_points=orig,
         )
         for i, (box, cdist, orig) in enumerate(fits)
     ]

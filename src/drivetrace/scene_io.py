@@ -22,9 +22,10 @@ from __future__ import annotations
 import json
 import re
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -196,41 +197,71 @@ def _support_points(obj: dict[str, Any], n_points: int) -> np.ndarray:
     return np.array(support, dtype=np.int64)
 
 
+@contextmanager
+def _field(name: str) -> Iterator[None]:
+    """Re-raise a wrong-type error from the block as a ValueError that
+    starts with the scene field ``name``."""
+    try:
+        yield
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
+def _number(d: dict[str, Any], key: str, name: str) -> float:
+    """``d[key]``; raises ValueError naming the field ``name`` unless it is a
+    JSON number."""
+    value = d[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _ground_truth_from_dict(g: dict[str, Any], name: str) -> GroundTruthObject:
+    with _field(name):
+        return GroundTruthObject(_box_from_dict(g["box"]), ObjectClass(g["class"]),
+                                 tuple(g["velocity"]))
+
+
+def _object_from_dict(o: dict[str, Any], name: str, n_points: int) -> TrackedObject:
+    with _field(name):
+        return TrackedObject(
+            id=o["id"],
+            box=_box_from_dict(o["box"]),
+            velocity=tuple(o["velocity"]),
+            class_dist=ClassDistribution(tuple(o["class_probs"])),
+            support_points=_support_points(o, n_points),
+        )
+
+
 def scene_from_dict(d: dict[str, Any], cloud: PointCloud) -> Scene:
-    ego = d["ego"]
-    position = ego.get("position", [0, 0, 0])
-    if position != [0, 0, 0] or bool in map(type, position):
-        raise ValueError(f"ego.position must be [0, 0, 0] (the ego is the frame origin), "
-                         f"got {position!r}")
+    with _field("ego"):
+        ego = d["ego"]
+        position = ego.get("position", [0, 0, 0])
+        if position != [0, 0, 0] or bool in map(type, position):
+            raise ValueError(f"ego.position must be [0, 0, 0] (the ego is the frame origin), "
+                             f"got {position!r}")
+        ego_state = EgoState(
+            heading=_number(ego, "heading", "ego.heading"),
+            speed=_number(ego, "speed", "ego.speed"),
+            lane_heading=_number(ego, "lane_heading", "ego.lane_heading"),
+            intent=Intent(ego["intent"]),
+        )
     frame_id = d.get("frame_id", "ego")  # files written without one are in "ego"
     if not isinstance(frame_id, str):
         raise ValueError(f"frame_id must be a string, got {frame_id!r}")
     gt = None
     if d.get("ground_truth") is not None:
-        gt = tuple(
-            GroundTruthObject(_box_from_dict(g["box"]), ObjectClass(g["class"]),
-                              tuple(g["velocity"]))
-            for g in d["ground_truth"]
-        )
+        with _field("ground_truth"):
+            gt = tuple(_ground_truth_from_dict(g, f"ground_truth[{k}]")
+                       for k, g in enumerate(d["ground_truth"]))
+    with _field("objects"):
+        objects = tuple(_object_from_dict(o, f"objects[{k}]", len(cloud))
+                        for k, o in enumerate(d["objects"]))
     return Scene(
-        timestamp=d["timestamp"],
-        ego=EgoState(
-            heading=ego["heading"],
-            speed=ego["speed"],
-            lane_heading=ego["lane_heading"],
-            intent=Intent(ego["intent"]),
-        ),
+        timestamp=_number(d, "timestamp", "timestamp"),
+        ego=ego_state,
         cloud=cloud,
-        objects=tuple(
-            TrackedObject(
-                id=o["id"],
-                box=_box_from_dict(o["box"]),
-                velocity=tuple(o["velocity"]),
-                class_dist=ClassDistribution(tuple(o["class_probs"])),
-                support_points=_support_points(o, len(cloud)),
-            )
-            for o in d["objects"]
-        ),
+        objects=objects,
         ground_truth=gt,
         frame_id=frame_id,
     )
@@ -251,14 +282,16 @@ def save_scene(scene: Scene, scene_path: str | Path, cloud_format: str = "ascii"
 
 
 def load_scene(scene_path: str | Path) -> Scene:
-    """Read a scene file and its cloud.  A malformed file, a value of the
-    wrong JSON type included, raises ValueError with the scene path in
-    front of the reason."""
+    """Read a scene file and its cloud.  A malformed file raises ValueError
+    with the scene path in front of the reason; a value of the wrong JSON
+    type is named by its field (``objects[2]``, ``ego.heading``)."""
     scene_path = Path(scene_path)
     try:
         d = json.loads(scene_path.read_text())
-        cloud = read_cloud(scene_path.parent / d["cloud_file"])
-        return scene_from_dict(d, cloud)
+        cloud_file = d["cloud_file"]
+        with _field("cloud_file"):
+            cloud_path = scene_path.parent / cloud_file
+        return scene_from_dict(d, read_cloud(cloud_path))
     except KeyError as exc:
         raise ValueError(f"{scene_path}: missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:

@@ -1,6 +1,7 @@
 """CLI behavior: determinism, artifacts, exit codes, config handling."""
 
 import json
+import re
 import os
 from dataclasses import fields, replace
 
@@ -49,14 +50,16 @@ def lead_scene(tmp_path):
 
 
 #: edits of a scene's JSON that give a value the wrong type
+#: An edit of a scene file giving one value the wrong JSON type, and the
+#: field the error names.
 WRONG_TYPES = {
-    "ego-int": lambda d: d.update(ego=5),
-    "object-int": lambda d: d.update(objects=[5]),
-    "ground-truth-int": lambda d: d.update(ground_truth=[5]),
-    "objects-null": lambda d: d.update(objects=None),
-    "timestamp-str": lambda d: d.update(timestamp="x"),
-    "heading-str": lambda d: d["ego"].update(heading="x"),
-    "cloud-file-int": lambda d: d.update(cloud_file=5),
+    "ego-int": (lambda d: d.update(ego=5), "ego"),
+    "object-int": (lambda d: d.update(objects=[5]), "objects[0]"),
+    "ground-truth-int": (lambda d: d.update(ground_truth=[5]), "ground_truth[0]"),
+    "objects-null": (lambda d: d.update(objects=None), "objects"),
+    "timestamp-str": (lambda d: d.update(timestamp="x"), "timestamp"),
+    "heading-str": (lambda d: d["ego"].update(heading="x"), "ego.heading"),
+    "cloud-file-int": (lambda d: d.update(cloud_file=5), "cloud_file"),
 }
 
 
@@ -162,14 +165,15 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert f"error: ValueError: {bad}: EgoState.speed must be finite and >= 0" in err
 
-    @pytest.mark.parametrize("edit", WRONG_TYPES.values(), ids=list(WRONG_TYPES))
-    def test_wrong_json_type_names_file(self, edit, lead_scene, tmp_path, capsys):
+    @pytest.mark.parametrize(("edit", "field"), WRONG_TYPES.values(), ids=list(WRONG_TYPES))
+    def test_wrong_json_type_names_file(self, edit, field, lead_scene, tmp_path, capsys):
         d = json.loads(lead_scene.read_text())
         edit(d)
         bad = lead_scene.parent / "wrong_type.json"
         bad.write_text(json.dumps(d))
         assert run("reason", "--scene", str(bad), "--out", str(tmp_path / "r")) == 1
-        assert capsys.readouterr().err.startswith(f"error: ValueError: {bad}: ")
+        err = capsys.readouterr().err
+        assert re.match(re.escape(f"error: ValueError: {bad}: {field}") + "[: ]", err), err
 
     def test_cloud_error_names_scene_and_cloud_file(self, ped_scene, tmp_path, capsys):
         cloud = ped_scene.parent / json.loads(ped_scene.read_text())["cloud_file"]

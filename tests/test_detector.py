@@ -1,6 +1,7 @@
 """Oracle and geometric detectors, matching, and regression error."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,24 @@ def _radius_pairs(draw):
     return radius, np.array(pts)
 
 
+#: A radius whose square, 2.45 subnormal steps, rounds to 2 steps.
+_TINY_RADIUS = math.sqrt(2.45) * 2.0 ** -537
+
+
+@st.composite
+def _half_cell_lattices(draw):
+    """Points on multiples of ``radius / 2``, each coordinate then nudged up
+    to two ulps either way: they sit on the edges of sub-cells and cells."""
+    radius = draw(_RADII)
+    n = draw(st.integers(2, 40))
+    xyz = draw(arrays(np.int64, (n, 3), elements=st.integers(-4, 4))) * (radius / 2)
+    nudge = draw(arrays(np.int64, (n, 3), elements=st.integers(-2, 2)))
+    for step in (1, 2):
+        xyz = np.where(nudge >= step, np.nextafter(xyz, np.inf),
+                       np.where(nudge <= -step, np.nextafter(xyz, -np.inf), xyz))
+    return radius, xyz
+
+
 class TestGridClustersOracle:
     @settings(max_examples=100, deadline=None)
     @given(_clouds(), _RADII)
@@ -347,6 +366,89 @@ class TestGridClustersOracle:
         xyz[[3, 7, 9]] = [[1e30, 1.0, 1.0], [1e30, 1.0, 1.1], [-1e30, 1.0, 1.0]]
         with np.errstate(invalid="ignore", over="ignore"):
             assert_same_clusters(xyz, 0.7)
+
+    def test_huge_coordinates_keep_pairs_apart(self):
+        # at 2**53 radii a float step is worth more than half a cell, so x
+        # and x + 1.0 (1.43 radii apart) may round into one sub-cell
+        k = np.arange(400.0)
+        xyz = np.zeros((800, 3))
+        xyz[0::2, 0] = 2.0 ** 53 * 0.7 + 2.0 * k
+        xyz[1::2, 0] = xyz[0::2, 0] + 1.0
+        xyz[:, 1] = np.repeat(5.0 * k, 2)
+        assert len(assert_same_clusters(xyz, 0.7)) == 800
+
+    @pytest.mark.parametrize(("radius", "xyz", "joined"), [
+        # the square overflows: the oracle joins every pair of adjacent
+        # cells, also one 1.6 and 1.2 radii apart on two axes
+        (1e200, [[0.0, 0.0, 0.0], [1.6e200, 1.2e200, 0.0]], True),
+        # the square rounds to 2 subnormal steps and each axis's 0.49
+        # radii to 1 step: one sub-cell, yet 3 steps apart
+        (_TINY_RADIUS, [[0.0, 0.0, 0.0], [0.49 * _TINY_RADIUS] * 3], False),
+    ])
+    def test_radius_whose_square_is_not_normal(self, radius, xyz, joined):
+        with np.errstate(over="ignore"):
+            clusters = assert_same_clusters(np.array(xyz), radius)
+        assert len(clusters) == (1 if joined else 2)
+
+    @pytest.mark.parametrize("radius", [0.05, 1 / 3, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_pair_at_the_radius_in_cells_two_apart(self, radius, axis):
+        # -5e-324 lies in cell -1 and the radius in cell 1, yet the float
+        # distance is exactly the radius: the oracle never tests the pair
+        xyz = np.zeros((2, 3))
+        xyz[0, axis], xyz[1, axis] = -5e-324, radius
+        assert len(assert_same_clusters(xyz, radius)) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(_half_cell_lattices())
+    def test_half_cell_lattice_nudged_by_ulps(self, case):
+        radius, xyz = case
+        assert_same_clusters(xyz, radius)
+
+    @settings(max_examples=10, deadline=None)
+    @given(_seeds, st.sampled_from([0.5, 0.7]))
+    def test_box_surfaces_with_gaps_near_the_radius(self, seed, radius):
+        # dense surfaces are joined by face neighbours, so the later offsets
+        # skip most pairs; the gaps are bridged, or not, by those offsets
+        rng = np.random.default_rng(seed)
+        surfaces, x = [], 0.0
+        for _ in range(3):
+            length, width, height = rng.uniform(0.8, 2.0, 3)
+            box = OrientedBox((x + length / 2, rng.uniform(-0.5, 0.5), 1.0), length, width,
+                              height, rng.uniform(-0.2, 0.2))
+            surfaces.append(sample_box_surface_grid(box, step=0.125))
+            x += length + radius * rng.uniform(0.95, 1.25)
+        xyz = np.vstack(surfaces)
+        assert_same_clusters(xyz + rng.normal(0.0, 0.01, xyz.shape), radius)
+
+    def test_dense_traffic_tests_few_pairs(self):
+        # the seed-1 scene tested 109,161 pairs when every pair of points
+        # in adjacent cells was tested
+        scene = generate(ScenarioSpec(template=Template.DENSE_TRAFFIC, seed=1))
+        xyz = scene.cloud.xyz[scene.cloud.xyz[:, 2] > ClusterParams().ground_z_max]
+        near, tested = detector._near_pairs, []
+
+        def counted(pts, i, j, r2):
+            tested.append(i.size)
+            return near(pts, i, j, r2)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detector, "_near_pairs", counted)
+            _grid_clusters(xyz, ClusterParams().neighbor_radius)
+        assert 0 < sum(tested) <= 30_000
+
+    def test_sixty_object_cloud_memory(self):
+        # 1.7 MB when pairs were generated per point; looking up the whole
+        # stencil of every sub-cell at once would take about 6 MB
+        scene = generate(ScenarioSpec(template=Template.DENSE_TRAFFIC, seed=1, n_objects=60))
+        xyz = scene.cloud.xyz[scene.cloud.xyz[:, 2] > ClusterParams().ground_z_max]
+        tracemalloc.start()
+        try:
+            _grid_clusters(xyz, ClusterParams().neighbor_radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     @pytest.mark.parametrize("template", list(Template))
     def test_geometric_detect_matches_oracle_clustering(self, template):
