@@ -56,9 +56,12 @@ def _load(args) -> PipelineConfig:
 def cmd_generate(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    templates = [Template(t) for t in args.template.split(",")]
+    for k, template in enumerate(templates):
+        if template in templates[:k]:
+            raise ValueError(f"--template lists {template.value} twice")
     out = _out_dir(args)
     config = _load(args)
-    templates = [Template(t) for t in args.template.split(",")]
     entries = []
     for template in templates:
         for k in range(args.count):

@@ -188,16 +188,11 @@ PAIR_CHUNK = 4096
 #: ``max(|d| - 1, 0)`` half cells there, so an offset is kept when those
 #: squares sum to at most 4 (one radius squared).  Only the forward offsets
 #: are listed, those that follow (0, 0, 0) lexicographically, so every pair
-#: of sub-cells is reached once.  (0, 0, 0) comes first, then the 3 face
-#: offsets, then 86 more.
+#: of sub-cells is reached once: the 3 face offsets, then 86 more.
 _STENCIL = np.array(sorted(
     (d for d in itertools.product(range(-3, 4), repeat=3)
-     if d >= (0, 0, 0) and sum(max(abs(c) - 1, 0) ** 2 for c in d) <= 4),
-    key=lambda d: min(sum(map(abs, d)), 2)))
-
-#: The stencil's stages: a sub-cell against itself (only where its pairs
-#: are tested), its face neighbours, the rest.
-_STAGES = (slice(0, 1), slice(1, 4), slice(4, None))
+     if d > (0, 0, 0) and sum(max(abs(c) - 1, 0) ** 2 for c in d) <= 4),
+    key=lambda d: sum(map(abs, d)) > 1))
 
 #: ``_ADJACENT[h, o]``: offset ``o`` from a sub-cell with half bits ``h``
 #: (x, y, z as bits 4, 2, 1) lands in an r-cell adjacent to the sub-cell's
@@ -221,7 +216,6 @@ def _cell_codes(keys: np.ndarray, halves: np.ndarray) -> tuple[np.ndarray, np.nd
     columns, spans = [], []
     for k, half in zip(keys.T, halves.T):
         unique, inverse = np.unique(k, return_inverse=True)
-        # a difference that wraps past int64 is negative: also a gap
         compressed = np.concatenate(([1], 1 + np.cumsum(np.where(np.diff(unique) == 1, 1, 2))))
         columns.append(2 * compressed[inverse] + half + 1)
         spans.append(2 * int(compressed[-1]) + 6)
@@ -278,14 +272,13 @@ def _sub_cell_pairs(cells: np.ndarray, pattern: np.ndarray, shifts: np.ndarray,
         yield s + lo, found[s, k]
 
 
-def _near_links(pts: np.ndarray, r2: float, starts: np.ndarray, counts: np.ndarray,
-                s: np.ndarray, t: np.ndarray, whole: bool):
-    """Test every point of sub-cell ``s[k]`` against every point of
-    sub-cell ``t[k]`` and yield the positions ``(i, j)`` of the pairs within
-    the radius, per run of whole rows (one point against one sub-cell)
-    holding about :data:`PAIR_CHUNK` pairs.  With ``whole`` only the first
-    such pair of each ``(s[k], t[k])`` is yielded.  Rows are built per run,
-    so the temporaries stay bounded however many points a sub-cell holds.
+def _linked(pts: np.ndarray, r2: float, starts: np.ndarray, counts: np.ndarray,
+            s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Mask over the sub-cell pairs ``(s[k], t[k])``: does some point of
+    sub-cell ``s[k]`` lie within the radius of some point of sub-cell
+    ``t[k]``?  Point pairs are tested per run of whole rows (one point
+    against one sub-cell) holding about :data:`PAIR_CHUNK` pairs, so the
+    temporaries stay bounded however many points a sub-cell holds.
     """
     count_s, count_t = counts[s], counts[t]
     row_end = np.cumsum(count_s)
@@ -298,6 +291,7 @@ def _near_links(pts: np.ndarray, r2: float, starts: np.ndarray, counts: np.ndarr
         k = np.searchsorted(pair_end, targets, side="right")
         first_pair = pair_end[k] - count_s[k] * count_t[k]
         bounds[1:1] = (row_end[k] - count_s[k] + (targets - first_pair) // count_t[k]).tolist()
+    linked = np.zeros(s.size, dtype=bool)
     for lo, hi in zip(bounds, bounds[1:]):
         if lo == hi:
             continue
@@ -306,12 +300,8 @@ def _near_links(pts: np.ndarray, r2: float, starts: np.ndarray, counts: np.ndarr
         count = count_t[k]
         i = np.repeat(rows + offset[k], count)
         j = np.arange(i.size) + np.repeat(start_t[k] - np.cumsum(count) + count, count)
-        near = np.flatnonzero(_near_pairs(pts, i, j, r2))
-        if near.size and whole:
-            pair = np.repeat(k, count)[near]
-            near = near[np.concatenate(([True], pair[1:] != pair[:-1]))]
-        if near.size:
-            yield i[near], j[near]
+        linked[np.repeat(k, count)[_near_pairs(pts, i, j, r2)]] = True
+    return linked
 
 
 def _grid_clusters(xyz: np.ndarray, radius: float) -> list[np.ndarray]:
@@ -322,30 +312,33 @@ def _grid_clusters(xyz: np.ndarray, radius: float) -> list[np.ndarray]:
 
     Each r-cell is split into 8 sub-cells of half its side, and points are
     sorted by sub-cell.  The points of one sub-cell lie within
-    ``sqrt(3) / 2 * radius`` of each other, so each sub-cell starts as one
-    component, joined without a distance test (the grid-based DBSCAN of
-    Gan & Tao 2015).  Sub-cells are then linked over :data:`_STENCIL` in
-    two stages: the 3 face neighbours, then the other 86 offsets, skipping
-    pairs of sub-cells already in one component.  A linked pair of
-    sub-cells merges one edge, by :func:`_merge_components`.
+    ``sqrt(3) / 2 * radius`` of each other, so each sub-cell is one
+    component from the start (the grid-based DBSCAN of Gan & Tao 2015),
+    and the sub-cells are the nodes that :func:`_merge_components` joins.
+    They are linked over :data:`_STENCIL` in two stages, the 3 face
+    neighbours and then the other 86 offsets; a pair of sub-cells already
+    in one component is skipped, and any other pair is joined when one of
+    its point pairs lies within the radius.  Returns each component as a
+    sorted index array, ordered by smallest index.
 
-    Both shortcuts need floating point to resolve half a cell, and the
-    stencil's bound needs a finite square of the radius.  So a cloud with a
-    coordinate of ``2**40`` radii or more, or a radius whose square is
-    infinite or below ``2**-1000``, keeps whole r-cells as its sub-cells:
-    each is tested against itself, no pair is skipped, and every near pair
-    is merged.  Returns
-    each component as a sorted index array, ordered by smallest index.
+    Raises:
+        ValueError: for a coordinate of ``2**40`` radii or more, where
+            floating point does not resolve half a cell, or a radius whose
+            square is infinite or below ``2**-1000``.
     """
     n = xyz.shape[0]
     if n == 0:
         return []
     y = xyz / radius
-    keys = np.floor(y).astype(np.int64)
     r2 = radius * radius
-    # whole: each sub-cell is one component from the start
-    whole = 2.0 ** -1000 <= r2 < math.inf and bool((np.abs(y) < 2.0 ** 40).all())
-    halves = y - keys >= 0.5 if whole else np.zeros(y.shape, dtype=bool)
+    top = float(np.abs(y).max())
+    if not (2.0 ** -1000 <= r2 < math.inf and top < 2.0 ** 40):
+        raise ValueError(
+            f"cannot cluster at neighbor radius {radius!r}: the largest coordinate is "
+            f"{top:.4g} radii, but clustering needs every coordinate below 2**40 radii "
+            "and a radius whose square lies in [2**-1000, inf)")
+    keys = np.floor(y).astype(np.int64)
+    halves = y - keys >= 0.5
     del y
     codes, steps = _cell_codes(keys, halves)
     del keys
@@ -357,19 +350,20 @@ def _grid_clusters(xyz: np.ndarray, radius: float) -> list[np.ndarray]:
     pattern = halves[first] @ np.array([4, 2, 1])
     del codes, halves
     pts = xyz[order]
-    parent = np.arange(n)
-    if whole:
-        parent[order] = np.repeat(first, counts)
-    for stage in _STAGES[1:] if whole else _STAGES:
+    parent = np.arange(cells.size)
+    for stage in (slice(0, 3), slice(3, None)):
         for s, t in _sub_cell_pairs(cells, pattern, _STENCIL[stage] @ steps, _ADJACENT[:, stage]):
-            if whole:
-                apart = parent[first[s]] != parent[first[t]]
-                s, t = s[apart], t[apart]
+            apart = parent[s] != parent[t]
+            s, t = s[apart], t[apart]
             if s.size:
-                for i, j in _near_links(pts, r2, starts, counts, s, t, whole):
-                    _merge_components(parent, order[i], order[j])
-    members = np.argsort(parent, kind="stable")
-    return np.split(members, np.flatnonzero(np.diff(parent[members])) + 1)
+                linked = _linked(pts, r2, starts, counts, s, t)
+                _merge_components(parent, s[linked], t[linked])
+    low = np.full(cells.size, n)
+    np.minimum.at(low, parent, first)
+    label = np.empty(n, dtype=np.int64)
+    label[order] = np.repeat(low[parent], counts)
+    members = np.argsort(label, kind="stable")
+    return np.split(members, np.flatnonzero(np.diff(label[members])) + 1)
 
 
 def _classify_cluster(length: float, width: float, height: float, z_std: float) -> ClassDistribution:

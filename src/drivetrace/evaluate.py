@@ -162,10 +162,11 @@ def evaluate_suite(
 ) -> tuple[SuiteResult, list[SceneRecord]]:
     """Evaluate every scene in the manifest.
 
-    Every manifest entry is checked before any scene runs.  Unreadable or
-    failing scenes are recorded with their error and skipped from the
-    metrics; aggregation runs in a canonical order (sorted by scene path)
-    so the result does not depend on manifest ordering.
+    Every manifest entry is checked before any scene runs, and a path
+    listed twice is refused.  Unreadable or failing scenes are recorded
+    with their error and skipped from the metrics; aggregation runs in a
+    canonical order (sorted by scene path) so the result does not depend
+    on manifest ordering.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -178,7 +179,7 @@ def evaluate_suite(
         raise ValueError(f"{manifest_path}: missing key 'scenes'")
     if not isinstance(manifest["scenes"], list):
         raise ValueError(f"{manifest_path}: scenes must be a list, got {manifest['scenes']!r}")
-    entries = []
+    entries, index = [], {}  # index: Path(path) -> its entry's position
     for k, e in enumerate(manifest["scenes"]):
         if not isinstance(e, dict):
             raise ValueError(f"{manifest_path}: scenes[{k}]: must be an object, got {e!r}")
@@ -192,6 +193,10 @@ def evaluate_suite(
         if not isinstance(path, str):
             raise ValueError(f"{manifest_path}: scenes[{k}]: path must be a string, "
                              f"got {path!r}")
+        if Path(path) in index:
+            raise ValueError(f"{manifest_path}: scenes[{index[Path(path)]}] and scenes[{k}] "
+                             f"both list {path!r}")
+        index[Path(path)] = k
         entries.append((path, template))
     base = manifest_path.parent
     records = sorted((_evaluate_one(p, t, config, model, base) for p, t in entries),

@@ -675,6 +675,8 @@ def train_bgnn(
     per step; returns the per-step loss history."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr!r}")
     if not dataset:
         raise ValueError("the training set must hold at least one graph")
     model._draws = None  # drawn from the parameters that adam_step changes
@@ -757,7 +759,8 @@ def load_model(path: str | Path, cfg: InteractionConfig = InteractionConfig()) -
     dims other than the chain that :data:`FEATURE_DIM` inputs,
     ``cfg.layers`` rounds of ``cfg.embed_dim`` units and one output per
     :class:`InteractionLabel` give, raise ValueError with the file's path
-    in front of the reason.
+    in front of the reason; so does a layer holding a NaN or infinite
+    parameter, named by its index.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -792,12 +795,14 @@ def load_model(path: str | Path, cfg: InteractionConfig = InteractionConfig()) -
                 f"interaction.embed_dim {cfg.embed_dim}, {FEATURE_DIM} node features "
                 f"and {len(InteractionLabel)} labels need {need[0]} x {need[1]}")
     layers = []
-    for out_dim, in_dim in dims:
+    for k, (out_dim, in_dim) in enumerate(dims):
         arrays = []
         for shape in ((out_dim, in_dim), (out_dim, in_dim), (out_dim,), (out_dim,)):
             count = int(np.prod(shape))
             arr = np.frombuffer(raw, dtype="<f8", offset=pos, count=count).reshape(shape)
             arrays.append(arr.astype(np.float64))
             pos += count * 8
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError(f"{path}: layer {k} holds a non-finite parameter")
         layers.append(BayesianLayer(*arrays))
     return BgnnModel(cfg, layers)

@@ -7,9 +7,8 @@ point seeds a search over the 27 surrounding cells, testing the distance
 of every pair it meets.  It is the oracle for
 ``drivetrace.detector._grid_clusters``, which joins the points of a
 half-radius sub-cell without a test and links sub-cells over a stencil:
-the two must give the same partition, in the same order, for every finite
-cloud, including points on sub-cell edges and at coordinates too large
-for half a cell to be resolved.
+the two must give the same partition, in the same order, for every cloud
+the clustering accepts, including points on sub-cell edges.
 
 ``scan_support_points`` is the full-cloud scan the oracle detector used to
 collect each object's support points before it prefiltered the cloud by

@@ -94,6 +94,16 @@ class TestGenerate:
         assert f"error: ValueError: --count must be >= 1, got {count}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_template_exit_1(self, tmp_path, capsys):
+        """One template listed twice would write its scenes twice under
+        one name; the suite is refused before anything is written."""
+        out = tmp_path / "gen"
+        assert run("generate", "--template", "lead-vehicle,empty-road,lead-vehicle",
+                   "--out", str(out)) == 1
+        assert ("error: ValueError: --template lists lead-vehicle twice\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_config_seed_without_flag(self, tmp_path):
         config = tmp_path / "seed7.json"
         config.write_text('{"seed": 7}')
@@ -190,6 +200,22 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert f"error: ValueError: {ped_scene}: {cloud}:4: could not convert" in err
 
+    def test_geometric_detect_beyond_the_grid_exit_1(self, ped_scene, tmp_path, capsys):
+        """A point at 1e12 m, 1.4e12 radii out, is more than the grid
+        resolves: the geometric detector refuses the scene, which the
+        oracle, that does not cluster, still detects."""
+        cloud = ped_scene.parent / json.loads(ped_scene.read_text())["cloud_file"]
+        lines = cloud.read_text().splitlines()
+        lines[3] = "1e12 0.0 1.0 0.5"
+        cloud.write_text("\n".join(lines) + "\n")
+        geometric = tmp_path / "geometric.json"
+        geometric.write_text('{"detector": "geometric"}')
+        assert run("detect", "--scene", str(ped_scene), "--config", str(geometric),
+                   "--out", str(tmp_path / "g")) == 1
+        assert ("error: ValueError: cannot cluster at neighbor radius 0.7: the largest "
+                "coordinate is 1.429e+12 radii") in capsys.readouterr().err
+        assert run("detect", "--scene", str(ped_scene), "--out", str(tmp_path / "o")) == 0
+
     def test_trace_pretty_print(self, ped_scene, tmp_path, capsys):
         out = tmp_path / "trace"
         assert run("trace", "--scene", str(ped_scene), "--out", str(out)) == 0
@@ -232,6 +258,15 @@ class TestTrainEvaluate:
         assert run("train-bgnn", "--steps", "0", "--samples", "2",
                    "--config", str(small_embed), "--out", str(tmp_path / "train")) == 1
         assert "ValueError: steps must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.01"])
+    def test_train_bgnn_bad_lr_exit_1(self, tmp_path, capsys, small_embed, lr):
+        out = tmp_path / "train"
+        assert run("train-bgnn", "--steps", "2", "--samples", "2", "--lr", lr,
+                   "--config", str(small_embed), "--out", str(out)) == 1
+        assert (f"error: ValueError: lr must be finite and > 0, got {float(lr)!r}\n"
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_train_bgnn_no_samples_exit_1(self, tmp_path, capsys, small_embed, samples):
@@ -281,6 +316,21 @@ class TestTrainEvaluate:
         assert "EgoState.speed" in records[bad.name]["error"]
         assert records["scene_empty-road_0000.json"]["error"] is None
 
+    @pytest.mark.parametrize("prefix", ["", "./"])
+    def test_evaluate_path_listed_twice_exit_1(self, tmp_path, capsys, prefix):
+        gen = tmp_path / "gen"
+        assert run("generate", "--template", "empty-road,lead-vehicle",
+                   "--out", str(gen)) == 0
+        manifest = gen / "manifest.json"
+        scenes = json.loads(manifest.read_text())["scenes"]
+        again = {**scenes[0], "path": prefix + scenes[0]["path"]}
+        manifest.write_text(json.dumps({"scenes": scenes + [again]}))
+        out = tmp_path / "eval"
+        assert run("evaluate", "--manifest", str(manifest), "--out", str(out)) == 1
+        assert (f"error: ValueError: {manifest}: scenes[0] and scenes[2] both list "
+                f"'{prefix}scene_empty-road_0000.json'\n") in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_evaluate_truncated_model_exit_1(self, tmp_path, capsys):
         gen = tmp_path / "gen"
         assert run("generate", "--template", "empty-road", "--out", str(gen)) == 0
@@ -298,6 +348,24 @@ class TestTrainEvaluate:
                    "--out", str(tmp_path / "graph")) == 1
         assert (f"error: ValueError: {model}: layer 0 is 16 x 16 (out x in), but "
                 f"interaction.embed_dim 128, ") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_graph_model_with_non_finite_weight_exit_1(self, ped_scene, tmp_path, capsys,
+                                                       value):
+        """A NaN head weight would reach ``epistemic_std`` as a NaN, which
+        is not JSON, and no threshold test would see it."""
+        small = InteractionConfig(embed_dim=8)
+        model = BgnnModel.initialize(small)
+        model.params[-1].weight_means[1, 2] = value
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        config = tmp_path / "embed8.json"
+        config.write_text(json.dumps({"interaction": {"embed_dim": 8}}))
+        assert run("graph", "--scene", str(ped_scene), "--model", str(path),
+                   "--config", str(config), "--out", str(tmp_path / "graph")) == 1
+        head = len(model.params) - 1
+        assert (f"error: ValueError: {path}: layer {head} holds a non-finite parameter\n"
+                in capsys.readouterr().err)
 
     def test_graph_model_reads_config_mc_samples(self, ped_scene, tmp_path):
         """``interaction.mc_samples`` of the pipeline config sets the number

@@ -1,6 +1,7 @@
 """Oracle and geometric detectors, matching, and regression error."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -359,36 +360,40 @@ class TestGridClustersOracle:
         clusters = assert_same_clusters(xyz, radius)
         assert len(clusters) >= 2
 
-    def test_coordinates_beyond_int64_cells(self, rng):
+    @pytest.mark.parametrize(("radius", "xyz", "top"), [
         # float32 cloud files can hold finite coordinates whose cell index
         # does not fit in int64
-        xyz = rng.uniform(0.0, 4.0, (50, 3))
-        xyz[[3, 7, 9]] = [[1e30, 1.0, 1.0], [1e30, 1.0, 1.1], [-1e30, 1.0, 1.0]]
-        with np.errstate(invalid="ignore", over="ignore"):
-            assert_same_clusters(xyz, 0.7)
-
-    def test_huge_coordinates_keep_pairs_apart(self):
+        pytest.param(0.7, [[1.0, 1.0, 1.0], [1e30, 1.0, 1.1], [-1e30, 1.0, 1.0]],
+                     "1.429e+30", id="beyond-int64-cells"),
         # at 2**53 radii a float step is worth more than half a cell, so x
         # and x + 1.0 (1.43 radii apart) may round into one sub-cell
-        k = np.arange(400.0)
-        xyz = np.zeros((800, 3))
-        xyz[0::2, 0] = 2.0 ** 53 * 0.7 + 2.0 * k
-        xyz[1::2, 0] = xyz[0::2, 0] + 1.0
-        xyz[:, 1] = np.repeat(5.0 * k, 2)
-        assert len(assert_same_clusters(xyz, 0.7)) == 800
-
-    @pytest.mark.parametrize(("radius", "xyz", "joined"), [
-        # the square overflows: the oracle joins every pair of adjacent
-        # cells, also one 1.6 and 1.2 radii apart on two axes
-        (1e200, [[0.0, 0.0, 0.0], [1.6e200, 1.2e200, 0.0]], True),
+        pytest.param(0.7, [[2.0 ** 53 * 0.7, 0.0, 0.0], [2.0 ** 53 * 0.7 + 1.0, 0.0, 0.0]],
+                     "9.007e+15", id="half-cell-unresolved"),
+        pytest.param(1.0, [[0.0, 0.0, 0.0], [0.0, -(2.0 ** 40), 0.0]], "1.1e+12",
+                     id="at-2**40-radii"),
+        # the square overflows, so the stencil's bound is lost
+        pytest.param(1e200, [[0.0, 0.0, 0.0], [1.6e200, 1.2e200, 0.0]], "1.6",
+                     id="square-overflows"),
         # the square rounds to 2 subnormal steps and each axis's 0.49
         # radii to 1 step: one sub-cell, yet 3 steps apart
-        (_TINY_RADIUS, [[0.0, 0.0, 0.0], [0.49 * _TINY_RADIUS] * 3], False),
+        pytest.param(_TINY_RADIUS, [[0.0, 0.0, 0.0], [0.49 * _TINY_RADIUS] * 3], "0.49",
+                     id="square-subnormal"),
     ])
-    def test_radius_whose_square_is_not_normal(self, radius, xyz, joined):
-        with np.errstate(over="ignore"):
-            clusters = assert_same_clusters(np.array(xyz), radius)
-        assert len(clusters) == (1 if joined else 2)
+    def test_cloud_beyond_the_grid_raises(self, radius, xyz, top):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot cluster at neighbor radius {radius!r}: the largest "
+                f"coordinate is {top} radii, but clustering needs")):
+            _grid_clusters(np.array(xyz), radius)
+
+    @pytest.mark.parametrize(("gap", "n_clusters"), [(1.0, 800), (0.5, 400)])
+    def test_coordinates_just_inside_the_grid(self, gap, n_clusters):
+        # at 2**39 radii a float step is 2**-14 m, far below half a cell
+        k = np.arange(400.0)
+        xyz = np.zeros((800, 3))
+        xyz[0::2, 0] = 2.0 ** 39 * 0.7 + 2.0 * k
+        xyz[1::2, 0] = xyz[0::2, 0] + gap
+        xyz[:, 1] = np.repeat(5.0 * k, 2)
+        assert len(assert_same_clusters(xyz, 0.7)) == n_clusters
 
     @pytest.mark.parametrize("radius", [0.05, 1 / 3, 0.5, 0.7, 1.0])
     @pytest.mark.parametrize("axis", [0, 1, 2])
