@@ -9,38 +9,26 @@ codes: 0 success, 1 runtime failure, 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import PipelineConfig, load_config, save_config
-from .evaluate import (
-    evaluate_suite,
-    parse_csv,
-    record_to_dict,
-    result_to_dict,
-    write_report,
-)
+from .evaluate import evaluate_suite, parse_csv, record_to_dict, write_report
 from .interaction import (
     BgnnModel,
     graph_to_dict,
     load_model,
-    refined_to_dict,
     save_model,
     synthetic_yield_ignore_dataset,
     train_bgnn,
     training_accuracy,
 )
 from .pipeline import run_scene
-from .reasoner import format_trace, trace_to_dict
+from .reasoner import format_trace
 from .risk import assessment_to_dict
 from .scenario import ScenarioSpec, Template, generate
-from .scene_io import load_scene, object_to_dict, save_scene
-
-
-def _dump(payload, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+from .scene_io import load_scene, object_to_dict, save_scene, write_json
 
 
 def _out_dir(args) -> Path:
@@ -74,7 +62,7 @@ def cmd_generate(args) -> int:
             name = f"scene_{template.value}_{seed:04d}.json"
             save_scene(scene, out / name, cloud_format=args.cloud_format)
             entries.append({"path": name, "template": template.value, "seed": seed})
-    _dump({"scenes": entries}, out / "manifest.json")
+    write_json({"scenes": entries}, out / "manifest.json")
     save_config(config, out / "config.json")
     print(f"wrote {len(entries)} scenes to {out}")
     return 0
@@ -90,12 +78,11 @@ SCENE_COMMANDS = {
                lambda r: [assessment_to_dict(a) for a in r.assessments],
                lambda assessments, path: f"{len(assessments)} assessments -> {path}"),
     "graph": ("graph.json",
-              lambda r: {**graph_to_dict(r.graph),
-                         "refined": [refined_to_dict(x) for x in r.refined]},
+              lambda r: {**graph_to_dict(r.graph), "refined": r.refined},
               lambda graph, path: f"graph with {len(graph['edges'])} edges -> {path}"),
     "reason": ("trace.json",
-               lambda r: trace_to_dict(r.trace),
-               lambda trace, path: f"{trace['speed']} / {trace['path']} -> {path}"),
+               lambda r: r.trace,
+               lambda trace, path: f"{trace.speed.value} / {trace.path.value} -> {path}"),
     "trace": ("trace.txt",
               lambda r: format_trace(r.trace),
               lambda text, path: text),
@@ -113,7 +100,7 @@ def cmd_scene(args) -> int:
     if isinstance(payload, str):
         (out / name).write_text(payload + "\n")
     else:
-        _dump(payload, out / name)
+        write_json(payload, out / name)
     print(line(payload, out / name))
     return 0
 
@@ -127,8 +114,8 @@ def cmd_train_bgnn(args) -> int:
                          seed=config.seed)
     accuracy = training_accuracy(model, dataset)
     save_model(model, out / "model.bin")
-    _dump({"steps": args.steps, "final_loss": history[-1], "accuracy": accuracy},
-          out / "training.json")
+    write_json({"steps": args.steps, "final_loss": history[-1], "accuracy": accuracy},
+               out / "training.json")
     print(f"trained {args.steps} steps, accuracy {accuracy:.3f} -> {out / 'model.bin'}")
     return 0
 
@@ -139,8 +126,8 @@ def cmd_evaluate(args) -> int:
     model = load_model(args.model, config.interaction) if args.model else None
     result, records = evaluate_suite(args.manifest, config, model=model)
     write_report(result, out)
-    _dump(result_to_dict(result), out / "result.json")
-    _dump([record_to_dict(r) for r in records], out / "scenes.json")
+    write_json(result, out / "result.json")
+    write_json([record_to_dict(r) for r in records], out / "scenes.json")
     errors = result.counts.get("errors", 0)
     print((out / "report.txt").read_text())
     if errors:

@@ -8,7 +8,6 @@ rather than mid-run.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +17,7 @@ from .detector import DETECTORS, ClusterParams, NoiseModel
 from .interaction import InteractionConfig
 from .reasoner import ReasonerConfig
 from .risk import RiskConfig, UncertaintyConfig
+from .scene_io import read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,6 @@ def config_from_dict(data: Any) -> PipelineConfig:
                              if key in _SECTIONS else value for key, value in data.items()})
 
 
-def config_to_dict(config: PipelineConfig) -> dict[str, Any]:
-    return dataclasses.asdict(config)
-
-
 def load_config(path: Optional[str | Path] = None, seed: Optional[int] = None) -> PipelineConfig:
     """Load a config file, or the built-in defaults when none is given.
 
@@ -79,8 +75,9 @@ def load_config(path: Optional[str | Path] = None, seed: Optional[int] = None) -
     if path is None:
         config = PipelineConfig()
     else:
+        data = read_json(path)
         try:
-            config = config_from_dict(json.loads(Path(path).read_text()))
+            config = config_from_dict(data)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
     if seed is not None:
@@ -89,4 +86,4 @@ def load_config(path: Optional[str | Path] = None, seed: Optional[int] = None) -
 
 
 def save_config(config: PipelineConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n")
+    write_json(config, path)

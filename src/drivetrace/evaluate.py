@@ -14,9 +14,8 @@ plot-data JSON.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -28,7 +27,7 @@ from .reasoner import SpeedDecision
 from .risk import RiskTier
 from .scenario import Template
 from .scene import Intent
-from .scene_io import load_scene
+from .scene_io import json_text, load_scene, read_json
 
 SPEED_ORDER = [d.value for d in SpeedDecision]
 PATH_ORDER = [d.value for d in Intent]
@@ -169,10 +168,7 @@ def evaluate_suite(
     on manifest ordering.
     """
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{manifest_path}: {exc}") from None
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: manifest must be an object, got {manifest!r}")
     if "scenes" not in manifest:
@@ -396,7 +392,7 @@ def render_plot_json(result: SuiteResult) -> str:
         },
         "flagged": result.counts.get("flagged", 0),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def write_report(result: SuiteResult, out_dir: str | Path) -> list[Path]:
@@ -408,10 +404,6 @@ def write_report(result: SuiteResult, out_dir: str | Path) -> list[Path]:
     paths[1].write_text(render_csv(result))
     paths[2].write_text(render_plot_json(result))
     return paths
-
-
-def result_to_dict(result: SuiteResult) -> dict[str, Any]:
-    return asdict(result)
 
 
 #: the SceneRecord fields of a scene's entry in ``scenes.json``

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -56,6 +56,10 @@ MODEL_MAGIC = b"BGNN0001"
 PROB_FLOOR = 1e-9
 #: log posterior std of every parameter of a new model
 INIT_LOG_STD = math.log(0.05)
+#: the largest log posterior std a model may hold.  Its std, exp(20) or
+#: about 4.9e8, keeps a weight draw ``mean + std * eps`` and the forward
+#: pass of any sane scene far from float overflow.
+MAX_LOG_STD = 20.0
 
 
 class InteractionLabel(Enum):
@@ -521,10 +525,6 @@ class RefinedEstimate:
     interaction_label: InteractionLabel
 
 
-def refined_to_dict(r: RefinedEstimate) -> dict:
-    return {**asdict(r), "interaction_label": r.interaction_label.value}
-
-
 _LABELS = tuple(InteractionLabel)
 _YIELD, _FOLLOW, _IGNORE = (InteractionLabel.YIELD.index, InteractionLabel.FOLLOW.index,
                             InteractionLabel.IGNORE.index)
@@ -597,8 +597,13 @@ def refine_objects(
     if model is not None:
         feats = graph_features(objects, assessments, ego)
         attention = graph.attention_matrix()
-        mc_probs = _softmax(np.stack([_forward(values, attention, feats)[0]
-                                      for values in model.weight_draws(seed)]))
+        # a non-finite result is refused below, so no warning on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            mc_probs = _softmax(np.stack([_forward(values, attention, feats)[0]
+                                          for values in model.weight_draws(seed)]))
+        if not np.isfinite(mc_probs).all():
+            raise ValueError("the model's Monte Carlo interaction probabilities are not "
+                             "finite: a parameter or a node feature is too large")
         # the last row, the ego's, is dropped
         spreads = map(tuple, mc_probs.std(axis=0)[:n].tolist())
         label_index = mc_probs.mean(axis=0)[:n].argmax(axis=1)
@@ -664,6 +669,20 @@ def training_accuracy(model: BgnnModel,
 TRAIN_MC_SAMPLES = 2
 
 
+def _parameter_problem(params: Sequence[BayesianLayer]) -> Optional[str]:
+    """What makes ``params`` unusable, naming the first such layer by its
+    index: a non-finite parameter or a log-std above :data:`MAX_LOG_STD`;
+    None when there is nothing."""
+    for k, layer in enumerate(params):
+        if not all(np.isfinite(a).all() for a in layer.arrays()):
+            return f"layer {k} holds a non-finite parameter"
+        largest = max(layer.weight_log_stds.max(), layer.bias_log_stds.max())
+        if largest > MAX_LOG_STD:
+            return (f"layer {k} has a log-std of {float(largest)!r}, "
+                    f"above the bound {MAX_LOG_STD!r}")
+    return None
+
+
 def train_bgnn(
     model: BgnnModel,
     dataset: Sequence[tuple[InteractionGraph, np.ndarray, np.ndarray]],
@@ -672,7 +691,11 @@ def train_bgnn(
     seed: int = 0,
 ) -> list[float]:
     """Full-batch Adam training with :data:`TRAIN_MC_SAMPLES` weight draws
-    per step; returns the per-step loss history."""
+    per step; returns the per-step loss history.
+
+    Raises ValueError naming the step and ``lr`` once the loss or a
+    parameter is not finite, or a log-std exceeds :data:`MAX_LOG_STD`.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not (math.isfinite(lr) and lr > 0):
@@ -683,10 +706,17 @@ def train_bgnn(
     state = AdamState()
     history = []
     for step in range(steps):
-        loss, grads = elbo_loss(model.params, dataset, seed=seed * 100003 + step,
-                                prior_std=model.config.prior_std,
-                                mc_samples=TRAIN_MC_SAMPLES)
-        adam_step(model.params, grads, state, lr=lr)
+        # a non-finite result is refused below, so no warning on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads = elbo_loss(model.params, dataset, seed=seed * 100003 + step,
+                                    prior_std=model.config.prior_std,
+                                    mc_samples=TRAIN_MC_SAMPLES)
+            adam_step(model.params, grads, state, lr=lr)
+        problem = _parameter_problem(model.params)
+        if problem or not math.isfinite(loss):
+            raise ValueError(f"training diverged at step {step + 1} of {steps}: "
+                             f"{problem or 'the loss is not finite'}; "
+                             f"try a smaller --lr than {lr!r}")
         history.append(loss)
     return history
 
@@ -760,7 +790,7 @@ def load_model(path: str | Path, cfg: InteractionConfig = InteractionConfig()) -
     ``cfg.layers`` rounds of ``cfg.embed_dim`` units and one output per
     :class:`InteractionLabel` give, raise ValueError with the file's path
     in front of the reason; so does a layer holding a NaN or infinite
-    parameter, named by its index.
+    parameter or a log-std above :data:`MAX_LOG_STD`, named by its index.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -802,7 +832,8 @@ def load_model(path: str | Path, cfg: InteractionConfig = InteractionConfig()) -
             arr = np.frombuffer(raw, dtype="<f8", offset=pos, count=count).reshape(shape)
             arrays.append(arr.astype(np.float64))
             pos += count * 8
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise ValueError(f"{path}: layer {k} holds a non-finite parameter")
         layers.append(BayesianLayer(*arrays))
+    problem = _parameter_problem(layers)
+    if problem:
+        raise ValueError(f"{path}: {problem}")
     return BgnnModel(cfg, layers)

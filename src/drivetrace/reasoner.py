@@ -11,7 +11,7 @@ produce byte-identical traces and text.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterator, Optional, Sequence
 
@@ -76,7 +76,7 @@ class RiskFactor:
     kind: FactorKind
     magnitude: float
     object_id: Optional[int] = None
-    evidence: tuple[tuple[str, Any], ...] = ()
+    evidence: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.magnitude <= 1.0):
@@ -84,12 +84,6 @@ class RiskFactor:
         if self.kind in (FactorKind.COLLISION_RISK, FactorKind.UNPREDICTABLE_OBJECT) \
                 and self.object_id is None:
             raise ValueError(f"{self.kind.value} factors must carry an object_id")
-
-    def get(self, key: str, default: Any = None) -> Any:
-        for k, v in self.evidence:
-            if k == key:
-                return v
-        return default
 
 
 @dataclass(frozen=True)
@@ -104,7 +98,7 @@ class TraceStep:
     index: int
     rule_id: str
     passed: bool
-    evidence: tuple[tuple[str, Any], ...]
+    evidence: dict[str, Any]
     conclusion: str
 
 
@@ -208,15 +202,10 @@ def extract_risk_factors(
                 kind=FactorKind.COLLISION_RISK,
                 magnitude=min(a.risk, 1.0),
                 object_id=a.object_id,
-                evidence=(
-                    ("class", _class_name(obj)),
-                    ("min_distance", a.min_distance),
-                    ("risk", a.risk),
-                    ("tier", a.tier.value),
-                    ("speed", obj.speed),
-                    ("adjacent_clear", _adjacent_clear(scene.objects, obj.id,
-                                                       scene.ego, cfg)),
-                ),
+                evidence={"class": _class_name(obj), "min_distance": a.min_distance,
+                          "risk": a.risk, "tier": a.tier.value, "speed": obj.speed,
+                          "adjacent_clear": _adjacent_clear(scene.objects, obj.id,
+                                                            scene.ego, cfg)},
             ))
 
     densities = _sector_densities(scene, cfg)
@@ -233,12 +222,8 @@ def extract_risk_factors(
                 factors.append(RiskFactor(
                     kind=FactorKind.OCCLUSION,
                     magnitude=min(max(1.0 - ratio, 0.0), 1.0),
-                    evidence=(
-                        ("sector", k),
-                        ("range_start", start),
-                        ("range_end", start + sector_len),
-                        ("density_ratio", ratio),
-                    ),
+                    evidence={"sector": k, "range_start": start,
+                              "range_end": start + sector_len, "density_ratio": ratio},
                 ))
 
     for obj, a, est in rows:
@@ -248,13 +233,9 @@ def extract_risk_factors(
                 kind=FactorKind.UNPREDICTABLE_OBJECT,
                 magnitude=min(1.0, a.uncertainty / ucfg.threshold),
                 object_id=a.object_id,
-                evidence=(
-                    ("class", _class_name(obj)),
-                    ("uncertainty", a.uncertainty),
-                    ("flagged", a.flagged),
-                    ("high_epistemic", high_epistemic),
-                    ("min_distance", a.min_distance),
-                ),
+                evidence={"class": _class_name(obj), "uncertainty": a.uncertainty,
+                          "flagged": a.flagged, "high_epistemic": high_epistemic,
+                          "min_distance": a.min_distance},
             ))
     return factors
 
@@ -279,11 +260,11 @@ def _strongest(factors: list[RiskFactor]) -> Optional[RiskFactor]:
     return max(factors, key=lambda f: f.magnitude) if factors else None
 
 
-def _factor_ref(f: RiskFactor) -> tuple[tuple[str, Any], ...]:
+def _factor_ref(f: RiskFactor) -> dict[str, Any]:
     """Evidence of a step passed by ``f``: its kind, object and magnitude,
     then its own evidence."""
-    return (("factor", f.kind.value), ("object_id", f.object_id),
-            ("magnitude", f.magnitude)) + f.evidence
+    return {"factor": f.kind.value, "object_id": f.object_id, "magnitude": f.magnitude,
+            **f.evidence}
 
 
 def decide(factors: Sequence[RiskFactor], ego: EgoState,
@@ -311,37 +292,37 @@ def decide(factors: Sequence[RiskFactor], ego: EgoState,
         ("brake", SpeedDecision.BRAKE, ego.intent,
          strongest_collision if max_collision_risk >= cfg.brake_level else None,
          lambda f: f"collision risk {f.magnitude:.3f} >= {cfg.brake_level}: Brake",
-         (("max_collision_risk", max_collision_risk),),
+         {"max_collision_risk": max_collision_risk},
          f"no collision risk >= {cfg.brake_level}"),
         ("lane_change", SpeedDecision.SLOW_DOWN, Intent.LANE_CHANGE,
          _strongest([f for f in collisions
                      if cfg.slow_level < f.magnitude < cfg.brake_level
-                     and f.get("speed", 0.0) <= cfg.static_speed
-                     and f.get("adjacent_clear", False)]),
+                     and f.evidence.get("speed", 0.0) <= cfg.static_speed
+                     and f.evidence.get("adjacent_clear", False)]),
          lambda f: (f"static obstacle risk {f.magnitude:.3f} in "
                     f"({cfg.slow_level}, {cfg.brake_level}), adjacent lane clear: "
                     "SlowDown, path LaneChange"),
-         (("n_collision_factors", len(collisions)),),
+         {"n_collision_factors": len(collisions)},
          "no moderate static corridor obstacle with clear adjacent lane"),
         ("occlusion", SpeedDecision.SLOW_APPROACH, ego.intent,
          _strongest([f for f in factors if f.kind is FactorKind.OCCLUSION]),
-         lambda f: (f"corridor sector {f.get('sector')} density ratio "
-                    f"{f.get('density_ratio'):.3f} below {cfg.occlusion_density_ratio}: "
+         lambda f: (f"corridor sector {f.evidence['sector']} density ratio "
+                    f"{f.evidence['density_ratio']:.3f} below {cfg.occlusion_density_ratio}: "
                     "SlowApproach"),
-         (("n_occlusion_factors", 0),), "no occluded corridor sector"),
+         {"n_occlusion_factors": 0}, "no occluded corridor sector"),
         ("unpredictable", SpeedDecision.SLOW_DOWN, ego.intent,
          _strongest([f for f in factors if f.kind is FactorKind.UNPREDICTABLE_OBJECT]),
          lambda f: f"object {f.object_id} uncertainty above threshold: SlowDown",
-         (("n_unpredictable_factors", 0),), "no unpredictable objects"),
+         {"n_unpredictable_factors": 0}, "no unpredictable objects"),
         ("cautious_turn", SpeedDecision.CAUTIOUS_TURN, ego.intent,
-         (("intent", intent),) if ego.intent is Intent.TURN else None,
+         {"intent": intent} if ego.intent is Intent.TURN else None,
          lambda _: "ego intends to turn: CautiousTurn",
-         (("intent", intent),), "ego not turning"),
+         {"intent": intent}, "ego not turning"),
         ("follow", SpeedDecision.FOLLOW_AHEAD, ego.intent,
-         (("object_id", lead.object_id), ("distance", lead.distance), ("speed", lead.speed))
+         {"object_id": lead.object_id, "distance": lead.distance, "speed": lead.speed}
          if lead is not None and lead.distance <= cfg.follow_gap else None,
          lambda _: f"lead vehicle at {lead.distance:.1f} m within follow gap: FollowAhead",
-         (("lead_distance", None if lead is None else lead.distance),),
+         {"lead_distance": None if lead is None else lead.distance},
          "no lead vehicle within follow gap"),
     )
     steps: list[TraceStep] = []
@@ -359,12 +340,12 @@ def decide(factors: Sequence[RiskFactor], ego: EgoState,
     default = decision is None
     speed, path = (SpeedDecision.SPEED_LIMIT, ego.intent) if default else decision
     steps.append(TraceStep(len(steps) + 1, "speed_limit", default,
-                           (("n_factors", len(factors)),),
+                           {"n_factors": len(factors)},
                            "no hazards detected: SpeedLimit" if default
                            else "higher-priority rule already decided"))
     speed_value, path_value = speed.value, path.value
     steps.append(TraceStep(len(steps) + 1, "decision", True,
-                           (("speed", speed_value), ("path", path_value)),
+                           {"speed": speed_value, "path": path_value},
                            f"Decision: {speed_value} / {path_value}"))
     return DecisionTrace(tuple(steps), speed, path, _render_explanation(steps))
 
@@ -388,17 +369,8 @@ _SENTENCES = {
 
 def _render_explanation(steps: Sequence[TraceStep]) -> str:
     """One sentence per passed rule, in trace order."""
-    return " ".join(_SENTENCES[s.rule_id](dict(s.evidence))
+    return " ".join(_SENTENCES[s.rule_id](s.evidence)
                     for s in steps if s.passed and s.rule_id != "decision")
-
-
-def trace_to_dict(trace: DecisionTrace) -> dict:
-    return {
-        "steps": [{**asdict(s), "evidence": dict(s.evidence)} for s in trace.steps],
-        "speed": trace.speed.value,
-        "path": trace.path.value,
-        "explanation": trace.explanation,
-    }
 
 
 def format_trace(trace: DecisionTrace) -> str:
@@ -407,7 +379,7 @@ def format_trace(trace: DecisionTrace) -> str:
     for s in trace.steps:
         mark = "PASS" if s.passed else "skip"
         lines.append(f"{s.index:2d}. [{mark}] {s.rule_id}: {s.conclusion}")
-        for k, v in s.evidence:
+        for k, v in s.evidence.items():
             lines.append(f"      - {k} = {v}")
     lines.append(f"speed decision: {trace.speed.value}")
     lines.append(f"path decision:  {trace.path.value}")
@@ -431,8 +403,7 @@ def risk_factors_with_graph_refs(factors: Sequence[RiskFactor],
             attention, energy = ego_edges[f.object_id]
             out.append(RiskFactor(
                 f.kind, f.magnitude, f.object_id,
-                f.evidence + (("ego_edge_attention", attention),
-                              ("ego_edge_energy", energy)),
+                {**f.evidence, "ego_edge_attention": attention, "ego_edge_energy": energy},
             ))
         else:
             out.append(f)

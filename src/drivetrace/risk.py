@@ -171,4 +171,4 @@ def assess(
 
 
 def assessment_to_dict(a: ObjectAssessment) -> dict:
-    return {**asdict(a), "tier": a.tier.value, "tier_color": a.tier.color}
+    return {**asdict(a), "tier_color": a.tier.color}

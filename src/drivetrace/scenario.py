@@ -168,9 +168,8 @@ def _finalize_cloud(
         noise = rng.normal(0.0, noise_std, len(xyz))
         xyz = xyz + np.where(safe, noise / np.maximum(r, 1e-9), 0.0)[:, None] * xyz
     # intensity per owner class
-    base = np.array([
-        _BASE_INTENSITY[None if o < 0 else gt[o].label] for o in owners
-    ]) if len(owners) else np.empty(0)
+    base = np.array([_BASE_INTENSITY[None]]
+                    + [_BASE_INTENSITY[g.label] for g in gt])[owners + 1]
     intensity = np.maximum(base + rng.normal(0.0, 5.0, len(xyz)), 0.0) if len(xyz) else base
     in_range = np.linalg.norm(xyz, axis=1) <= RANGE_LIMIT if len(xyz) else np.ones(0, bool)
     data = np.column_stack([xyz[in_range], intensity[in_range]]) if len(xyz) else np.empty((0, 4))

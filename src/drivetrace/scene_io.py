@@ -15,6 +15,8 @@ Point clouds come in two flavors:
   point count) followed by 4 float32 little-endian values per point.
 
 Writers are byte-deterministic: identical inputs produce identical files.
+:func:`write_json` writes every JSON artifact of the package, scene files
+included, and :func:`read_json` reads every JSON input.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import json
 import re
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -44,6 +47,44 @@ from .scene import (
 CLOUD_MAGIC = b"PCBIN001"
 #: The first line ``write_cloud_ascii`` writes; group 1 is the point count.
 _ASCII_HEADER = re.compile(r"# point cloud frame=.* count=([0-9]+)")
+
+
+def _jsonable(value: Any) -> Any:
+    """What ``json`` cannot write, as what it can: a dataclass as its
+    fields, an enum as its value and a numpy array as a list."""
+    if is_dataclass(value):
+        return asdict(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def json_text(payload: Any) -> str:
+    """``payload`` as JSON with sorted keys, a two-space indent and a final
+    newline.  A NaN or infinite number raises ValueError: JSON has none."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                      default=_jsonable) + "\n"
+
+
+def write_json(payload: Any, path: str | Path) -> None:
+    """Write :func:`json_text` of ``payload`` to ``path``; a payload it
+    refuses raises ValueError naming the file, and the file is not written."""
+    try:
+        text = json_text(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    Path(path).write_text(text)
+
+
+def read_json(path: str | Path) -> Any:
+    """The JSON document in the file at ``path``; text that is not UTF-8
+    JSON raises ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_cloud_ascii(cloud: PointCloud, path: str | Path, frame_id: str) -> None:
@@ -157,22 +198,21 @@ def _box_from_dict(d: dict[str, Any]) -> OrientedBox:
 def object_to_dict(obj: TrackedObject) -> dict[str, Any]:
     return {
         "id": obj.id,
-        "box": asdict(obj.box),
-        "velocity": list(obj.velocity),
-        "class_probs": list(obj.class_dist.probs),
-        "support_points": obj.support_points.tolist(),
+        "box": obj.box,
+        "velocity": obj.velocity,
+        "class_probs": obj.class_dist.probs,
+        "support_points": obj.support_points,
     }
 
 
 def scene_to_dict(scene: Scene, cloud_file: str) -> dict[str, Any]:
     ground_truth = None if scene.ground_truth is None else [
-        {"box": asdict(g.box), "class": g.label.value, "velocity": list(g.velocity)}
+        {"box": g.box, "class": g.label, "velocity": g.velocity}
         for g in scene.ground_truth]
     return {
         "timestamp": scene.timestamp,
         # the ego is the frame origin
-        "ego": {**asdict(scene.ego), "position": [0.0, 0.0, 0.0],
-                "intent": scene.ego.intent.value},
+        "ego": {**asdict(scene.ego), "position": [0.0, 0.0, 0.0]},
         "objects": [object_to_dict(o) for o in scene.objects],
         "ground_truth": ground_truth,
         "cloud_file": cloud_file,
@@ -277,8 +317,7 @@ def save_scene(scene: Scene, scene_path: str | Path, cloud_format: str = "ascii"
         write_cloud_binary(scene.cloud, scene_path.parent / cloud_name)
     else:
         raise ValueError(f"unknown cloud format {cloud_format!r}")
-    payload = scene_to_dict(scene, cloud_name)
-    scene_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(scene_to_dict(scene, cloud_name), scene_path)
 
 
 def load_scene(scene_path: str | Path) -> Scene:
@@ -286,8 +325,8 @@ def load_scene(scene_path: str | Path) -> Scene:
     with the scene path in front of the reason; a value of the wrong JSON
     type is named by its field (``objects[2]``, ``ego.heading``)."""
     scene_path = Path(scene_path)
+    d = read_json(scene_path)
     try:
-        d = json.loads(scene_path.read_text())
         cloud_file = d["cloud_file"]
         with _field("cloud_file"):
             cloud_path = scene_path.parent / cloud_file

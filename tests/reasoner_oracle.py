@@ -5,7 +5,7 @@ This is the cascade the package used before the rules moved to one table:
 one hand-written if/else block per rule, each restating "the first passing
 rule decides", an action-clause table, and an if chain of explanation
 sentences.  It shares the data types of ``drivetrace.reasoner``, so its
-traces compare with ``==`` and render with the same ``trace_to_dict`` and
+traces compare with ``==`` and render with the same ``json_text`` and
 ``format_trace``.
 """
 
@@ -58,21 +58,21 @@ def reference_decide(factors: Sequence[RiskFactor], ego: EgoState,
     lane_hits = [
         f for f in collisions
         if cfg.slow_level < f.magnitude < cfg.brake_level
-        and f.get("speed", 0.0) <= cfg.static_speed
-        and f.get("adjacent_clear", False)
+        and f.evidence.get("speed", 0.0) <= cfg.static_speed
+        and f.evidence.get("adjacent_clear", False)
     ]
 
     steps: list[TraceStep] = []
     decision: Optional[tuple[SpeedDecision, Intent]] = None
     intent_path = ego.intent
 
-    def record(rule_id: str, passed: bool, evidence: tuple[tuple[str, Any], ...],
+    def record(rule_id: str, passed: bool, evidence: dict[str, Any],
                conclusion: str) -> None:
         steps.append(TraceStep(len(steps) + 1, rule_id, passed, evidence, conclusion))
 
-    def factor_ref(f: RiskFactor) -> tuple[tuple[str, Any], ...]:
-        return (("factor", f.kind.value), ("object_id", f.object_id),
-                ("magnitude", f.magnitude)) + f.evidence
+    def factor_ref(f: RiskFactor) -> dict[str, Any]:
+        return {"factor": f.kind.value, "object_id": f.object_id,
+                "magnitude": f.magnitude, **f.evidence}
 
     # 1: brake
     if brake_hits:
@@ -81,8 +81,8 @@ def reference_decide(factors: Sequence[RiskFactor], ego: EgoState,
                f"collision risk {f.magnitude:.3f} >= {cfg.brake_level}: Brake")
         decision = (SpeedDecision.BRAKE, intent_path)
     else:
-        record("brake", False, (("max_collision_risk",
-                                 max((f.magnitude for f in collisions), default=0.0)),),
+        record("brake", False, {"max_collision_risk":
+                                max((f.magnitude for f in collisions), default=0.0)},
                f"no collision risk >= {cfg.brake_level}")
 
     # 2: lane change around a static obstacle
@@ -95,20 +95,20 @@ def reference_decide(factors: Sequence[RiskFactor], ego: EgoState,
         if decision is None:
             decision = (SpeedDecision.SLOW_DOWN, Intent.LANE_CHANGE)
     else:
-        record("lane_change", False, (("n_collision_factors", len(collisions)),),
+        record("lane_change", False, {"n_collision_factors": len(collisions)},
                "no moderate static corridor obstacle with clear adjacent lane")
 
     # 3: occlusion
     if occlusions:
         f = max(occlusions, key=lambda f: f.magnitude)
         record("occlusion", True, factor_ref(f),
-               f"corridor sector {f.get('sector')} density ratio "
-               f"{f.get('density_ratio'):.3f} below {cfg.occlusion_density_ratio}: "
+               f"corridor sector {f.evidence.get('sector')} density ratio "
+               f"{f.evidence.get('density_ratio'):.3f} below {cfg.occlusion_density_ratio}: "
                "SlowApproach")
         if decision is None:
             decision = (SpeedDecision.SLOW_APPROACH, intent_path)
     else:
-        record("occlusion", False, (("n_occlusion_factors", 0),),
+        record("occlusion", False, {"n_occlusion_factors": 0},
                "no occluded corridor sector")
 
     # 4: unpredictable objects
@@ -119,44 +119,44 @@ def reference_decide(factors: Sequence[RiskFactor], ego: EgoState,
         if decision is None:
             decision = (SpeedDecision.SLOW_DOWN, intent_path)
     else:
-        record("unpredictable", False, (("n_unpredictable_factors", 0),),
+        record("unpredictable", False, {"n_unpredictable_factors": 0},
                "no unpredictable objects")
 
     # 5: turning intent
     if ego.intent is Intent.TURN:
-        record("cautious_turn", True, (("intent", ego.intent.value),),
+        record("cautious_turn", True, {"intent": ego.intent.value},
                "ego intends to turn: CautiousTurn")
         if decision is None:
             decision = (SpeedDecision.CAUTIOUS_TURN, intent_path)
     else:
-        record("cautious_turn", False, (("intent", ego.intent.value),),
+        record("cautious_turn", False, {"intent": ego.intent.value},
                "ego not turning")
 
     # 6: lead vehicle
     if lead is not None and lead.distance <= cfg.follow_gap:
         record("follow", True,
-               (("object_id", lead.object_id), ("distance", lead.distance),
-                ("speed", lead.speed)),
+               {"object_id": lead.object_id, "distance": lead.distance,
+                "speed": lead.speed},
                f"lead vehicle at {lead.distance:.1f} m within follow gap: FollowAhead")
         if decision is None:
             decision = (SpeedDecision.FOLLOW_AHEAD, intent_path)
     else:
         record("follow", False,
-               (("lead_distance", None if lead is None else lead.distance),),
+               {"lead_distance": None if lead is None else lead.distance},
                "no lead vehicle within follow gap")
 
     # 7: default
     if decision is None:
-        record("speed_limit", True, (("n_factors", len(factors)),),
+        record("speed_limit", True, {"n_factors": len(factors)},
                "no hazards detected: SpeedLimit")
         decision = (SpeedDecision.SPEED_LIMIT, intent_path)
     else:
-        record("speed_limit", False, (("n_factors", len(factors)),),
+        record("speed_limit", False, {"n_factors": len(factors)},
                "higher-priority rule already decided")
 
     speed, path = decision
     record("decision", True,
-           (("speed", speed.value), ("path", path.value)),
+           {"speed": speed.value, "path": path.value},
            f"Decision: {speed.value} / {path.value}")
     explanation = _render_explanation(steps)
     return DecisionTrace(tuple(steps), speed, path, explanation)
@@ -164,7 +164,7 @@ def reference_decide(factors: Sequence[RiskFactor], ego: EgoState,
 
 def _sentence(step: TraceStep) -> Optional[str]:
     """Explanation sentence for a passed rule: 'evidence; action.'"""
-    ev = dict(step.evidence)
+    ev = step.evidence
     action = dict(_RULES).get(step.rule_id)
     if step.rule_id == "brake":
         return (f"High risk due to nearby {ev['class'].lower()} at "

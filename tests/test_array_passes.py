@@ -124,7 +124,7 @@ def test_kinematic_rule_at_the_closing_threshold(frame, data):
     objects, _, ego, _, _, reasoner = frame
     closing = [float(-(np.asarray(o.box.center) @ (np.asarray(o.velocity) - _ego_velocity(ego)))
                      / np.linalg.norm(o.box.center))
-               for o in objects if any(o.box.center)]
+               for o in objects if np.linalg.norm(o.box.center) != 0]
     closing = [c for c in closing if c > 0]
     if not closing:
         return

@@ -3,7 +3,8 @@
 import json
 import re
 import os
-from dataclasses import fields, replace
+import warnings
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -13,12 +14,17 @@ from drivetrace.config import (
     _SECTIONS,
     PipelineConfig,
     config_from_dict,
-    config_to_dict,
     load_config,
     save_config,
 )
 from drivetrace.detector import DETECTORS
-from drivetrace.interaction import BgnnModel, InteractionConfig, load_model, save_model
+from drivetrace.interaction import (
+    MAX_LOG_STD,
+    BgnnModel,
+    InteractionConfig,
+    load_model,
+    save_model,
+)
 from drivetrace.pipeline import run_scene
 from drivetrace.scene_io import load_scene
 from interaction_oracle import scalar_build_graph
@@ -31,6 +37,16 @@ FLOAT_FIELDS = [(section, f.name) for section, cls in _SECTIONS.items()
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def run_without_runtime_warnings(*argv) -> int:
+    """``run(*argv)``, asserting that numpy warned of no overflow or
+    invalid value on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(*argv)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return rc
 
 
 @pytest.fixture()
@@ -268,6 +284,19 @@ class TestTrainEvaluate:
                 in capsys.readouterr().err)
         assert list(out.iterdir()) == []
 
+    def test_train_bgnn_diverging_lr_exit_1(self, tmp_path, capsys):
+        """At ``--lr 1e300`` the first Adam step moves log-stds by about
+        1e300; the next step would overflow into a NaN loss and model."""
+        out = tmp_path / "train"
+        assert run_without_runtime_warnings(
+            "train-bgnn", "--steps", "2", "--samples", "2", "--lr", "1e300",
+            "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: training diverged at step 1 of 2: layer ")
+        assert err.endswith(f"above the bound {MAX_LOG_STD!r}; "
+                            f"try a smaller --lr than 1e+300\n")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_train_bgnn_no_samples_exit_1(self, tmp_path, capsys, small_embed, samples):
         assert run("train-bgnn", "--steps", "2", "--samples", samples,
@@ -367,6 +396,33 @@ class TestTrainEvaluate:
         assert (f"error: ValueError: {path}: layer {head} holds a non-finite parameter\n"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["graph", "reason"])
+    @pytest.mark.parametrize("part", ["weight_log_stds", "weight_means"])
+    def test_model_with_huge_head_exit_1(self, ped_scene, tmp_path, capsys, small_embed,
+                                         command, part):
+        """Head log-stds of 800 overflow ``exp`` in the weight draws, and head
+        means of 1e308 (finite, so they load) overflow the logits: graph
+        would write NaN into every ``epistemic_std`` and reason decide as
+        usual."""
+        model = BgnnModel.initialize(InteractionConfig(embed_dim=8))
+        getattr(model.params[-1], part)[:] = {"weight_log_stds": 800.0,
+                                              "weight_means": 1e308}[part]
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        out = tmp_path / command
+        assert run_without_runtime_warnings(
+            command, "--scene", str(ped_scene), "--model", str(path),
+            "--config", str(small_embed), "--out", str(out)) == 1
+        head = len(model.params) - 1
+        expected = {
+            "weight_log_stds": f"{path}: layer {head} has a log-std of 800.0, "
+                               f"above the bound {MAX_LOG_STD!r}\n",
+            "weight_means": "the model's Monte Carlo interaction probabilities are not "
+                            "finite: a parameter or a node feature is too large\n",
+        }[part]
+        assert f"error: ValueError: {expected}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_graph_model_reads_config_mc_samples(self, ped_scene, tmp_path):
         """``interaction.mc_samples`` of the pipeline config sets the number
         of weight draws of a ``--model`` run."""
@@ -388,6 +444,14 @@ class TestTrainEvaluate:
         result = run_scene(load_scene(ped_scene), PipelineConfig(interaction=two_draws),
                            BgnnModel(two_draws, load_model(model, small).params))
         assert stds[2] == [list(r.epistemic_std) for r in result.refined]
+
+    def test_evaluate_manifest_not_utf8_names_file(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(bytes(range(0xb3, 0xf3)))  # 64 bytes, not UTF-8
+        assert run("evaluate", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "out")) == 1
+        assert (f"error: ValueError: {manifest}: 'utf-8' codec can't decode byte 0xb3 "
+                f"in position 0: invalid start byte\n" in capsys.readouterr().err)
 
     def test_evaluate_error_exit_code(self, tmp_path):
         manifest = tmp_path / "manifest.json"
@@ -496,7 +560,7 @@ class TestArgsAndConfig:
 
     def test_env_config_is_ignored(self, tmp_path, monkeypatch):
         # without --config the defaults hold, whatever the environment names
-        d = config_to_dict(PipelineConfig())
+        d = asdict(PipelineConfig())
         d["seed"] = 99
         path = tmp_path / "env_config.json"
         path.write_text(json.dumps(d))

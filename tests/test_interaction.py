@@ -12,6 +12,7 @@ from drivetrace.config import PipelineConfig
 from drivetrace.interaction import (
     EGO_ID,
     FEATURE_DIM,
+    MAX_LOG_STD,
     BayesianLayer,
     BgnnModel,
     InteractionConfig,
@@ -592,6 +593,16 @@ class TestRefine:
         assert got.tolist() == [label.index for label in labels]
 
 
+    def test_non_finite_mc_probabilities_raise(self):
+        """Head means of 1e308 are finite, but the head's logits overflow."""
+        model = BgnnModel.initialize(SMALL, seed=2)
+        model.params[-1].weight_means[:] = 1e308
+        objs = [make_object(0, (8.0, 0.5, 0.0), velocity=(-3.0, 0.0, 0.0))]
+        with pytest.raises(ValueError, match="Monte Carlo interaction probabilities are not "
+                                             "finite"):
+            refine_with(model, objs, EgoState(speed=8.0), SMALL, RCFG, seed=0)
+
+
 class TestElbo:
     def test_kl_zero_at_prior(self):
         model = BgnnModel.initialize(SMALL, seed=0)
@@ -676,6 +687,17 @@ class TestTraining:
             assert obj[-1] != proximity_risk(d_min, RiskConfig())
 
 
+    def test_diverging_step_raises(self):
+        """Head means of 1e308 overflow the first step's logits: training
+        stops there, naming the step and the learning rate."""
+        model = BgnnModel.initialize(SMALL, seed=1)
+        model.params[-1].weight_means[:] = 1e308
+        data = synthetic_yield_ignore_dataset(4, 7, PipelineConfig(interaction=SMALL))
+        with pytest.raises(ValueError, match=r"^training diverged at step 1 of 3: .*"
+                                             r"try a smaller --lr than 0\.01$"):
+            train_bgnn(model, data, steps=3, lr=0.01, seed=3)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         model = BgnnModel.initialize(SMALL, seed=9)
@@ -706,6 +728,22 @@ class TestSerialization:
         a, _ = forward_mc(graph, feats, model.params, 4, seed=2)
         b, _ = forward_mc(graph, feats, back.params, 4, seed=2)
         np.testing.assert_array_equal(a, b)
+
+    def test_log_std_bound(self, tmp_path):
+        """A log-std of MAX_LOG_STD loads; the next float above it is named
+        with its layer."""
+        model = BgnnModel.initialize(SMALL, seed=9)
+        path = tmp_path / "model.bin"
+        model.params[-1].bias_log_stds[0] = MAX_LOG_STD
+        save_model(model, path)
+        assert load_model(path, SMALL).params[-1].bias_log_stds[0] == MAX_LOG_STD
+        above = np.nextafter(MAX_LOG_STD, math.inf)
+        model.params[2].weight_log_stds[1, 1] = above
+        save_model(model, path)
+        with pytest.raises(ValueError) as info:
+            load_model(path, SMALL)
+        assert str(info.value) == (f"{path}: layer 2 has a log-std of {float(above)!r}, "
+                                   f"above the bound {MAX_LOG_STD!r}")
 
     def save_small(self, tmp_path):
         path = tmp_path / "model.bin"

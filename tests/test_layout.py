@@ -24,9 +24,10 @@ from pathlib import Path
 import pytest
 
 import drivetrace.cli as cli
-from drivetrace.config import _SECTIONS, PipelineConfig, config_to_dict
+from drivetrace.config import _SECTIONS, PipelineConfig
 from drivetrace.reasoner import ReasonerConfig, decide
 from drivetrace.scene import EgoState
+from drivetrace.scene_io import json_text
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "drivetrace"
@@ -122,6 +123,18 @@ def test_no_module_reads_the_environment():
     assert not reads, "\n".join(reads)
 
 
+def test_one_json_writer():
+    """``json.dumps`` is called once, in ``scene_io.json_text``, which every
+    JSON artifact is written through: the format and the refusal of NaN
+    are kept in one place."""
+    lines, start = inspect.getsourcelines(json_text)
+    writer = [(PACKAGE / "scene_io.py", start + i) for i, line in enumerate(lines)
+              if "json.dumps(" in line]
+    calls = [(path, i) for path, lines in SOURCES.items()
+             for i, line in enumerate(lines, 1) if re.search(r"\bjson\.dumps?\b|\bdumps\(", line)]
+    assert len(writer) == 1 and calls == writer, calls
+
+
 def test_no_two_enums_share_their_values():
     """Two enums with the same set of values are one vocabulary kept twice."""
     seen: dict[frozenset, str] = {}
@@ -155,7 +168,7 @@ def test_readme_config_block_lists_every_key():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     block = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
-    expected = config_to_dict(PipelineConfig())
+    expected = dataclasses.asdict(PipelineConfig())
 
     def keys(doc):
         return {k: sorted(v) if isinstance(v, dict) else None for k, v in doc.items()}

@@ -28,11 +28,11 @@ from drivetrace.reasoner import (
     find_lead,
     format_trace,
     risk_factors_with_graph_refs,
-    trace_to_dict,
 )
 from drivetrace.risk import RiskConfig, UncertaintyConfig, assess
 from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import EgoState, Intent, PointCloud, Scene
+from drivetrace.scene_io import json_text
 from conftest import make_object
 from interaction_oracle import scalar_build_graph
 from reasoner_oracle import reference_decide
@@ -48,9 +48,8 @@ def collision(magnitude, object_id=0, *, speed=0.0, adjacent_clear=True,
         kind=FactorKind.COLLISION_RISK,
         magnitude=magnitude,
         object_id=object_id,
-        evidence=(("class", cls), ("min_distance", d), ("risk", magnitude),
-                  ("tier", "High"), ("speed", speed),
-                  ("adjacent_clear", adjacent_clear)),
+        evidence={"class": cls, "min_distance": d, "risk": magnitude,
+                  "tier": "High", "speed": speed, "adjacent_clear": adjacent_clear},
     )
 
 
@@ -58,8 +57,8 @@ def occlusion(ratio=0.1, sector=2):
     return RiskFactor(
         kind=FactorKind.OCCLUSION,
         magnitude=1.0 - ratio,
-        evidence=(("sector", sector), ("range_start", 20.0), ("range_end", 30.0),
-                  ("density_ratio", ratio)),
+        evidence={"sector": sector, "range_start": 20.0, "range_end": 30.0,
+                  "density_ratio": ratio},
     )
 
 
@@ -68,8 +67,8 @@ def unpredictable(u=0.9, object_id=1, cls="Cyclist"):
         kind=FactorKind.UNPREDICTABLE_OBJECT,
         magnitude=min(1.0, u / 0.8),
         object_id=object_id,
-        evidence=(("class", cls), ("uncertainty", u), ("flagged", True),
-                  ("high_epistemic", False), ("min_distance", 12.0)),
+        evidence={"class": cls, "uncertainty": u, "flagged": True,
+                  "high_epistemic": False, "min_distance": 12.0},
     )
 
 
@@ -189,28 +188,28 @@ def cascade_inputs(draw):
     speed = st.one_of(st.sampled_from(_near(cfg.static_speed, hi=30.0)), st.floats(0.0, 30.0))
     value = st.floats(0.0, 60.0)
     cls = st.sampled_from(["Vehicle", "Pedestrian", "Cyclist", "Unknown"])
-    graph_refs = st.one_of(st.just(()), st.builds(
-        lambda a, e: (("ego_edge_attention", a), ("ego_edge_energy", e)),
+    graph_refs = st.one_of(st.just({}), st.builds(
+        lambda a, e: {"ego_edge_attention": a, "ego_edge_energy": e},
         st.floats(0.0, 1.0), st.floats(-5.0, 5.0)))
     object_id = st.integers(0, 5)
 
     collision = st.builds(
         lambda m, i, c, d, v, clear, refs: RiskFactor(
             FactorKind.COLLISION_RISK, m, i,
-            (("class", c), ("min_distance", d), ("risk", m), ("tier", "High"),
-             ("speed", v), ("adjacent_clear", clear)) + refs),
+            {"class": c, "min_distance": d, "risk": m, "tier": "High",
+             "speed": v, "adjacent_clear": clear, **refs}),
         magnitude, object_id, cls, value, speed, st.booleans(), graph_refs)
     occlusion = st.builds(
         lambda m, k, start, ratio: RiskFactor(
             FactorKind.OCCLUSION, m, None,
-            (("sector", k), ("range_start", start), ("range_end", start + 10.0),
-             ("density_ratio", ratio))),
+            {"sector": k, "range_start": start, "range_end": start + 10.0,
+             "density_ratio": ratio}),
         magnitude, st.integers(0, 3), value, st.floats(0.0, 1.0))
     unpredictable = st.builds(
         lambda m, i, c, u, flagged, d, refs: RiskFactor(
             FactorKind.UNPREDICTABLE_OBJECT, m, i,
-            (("class", c), ("uncertainty", u), ("flagged", flagged),
-             ("high_epistemic", not flagged), ("min_distance", d)) + refs),
+            {"class": c, "uncertainty": u, "flagged": flagged,
+             "high_epistemic": not flagged, "min_distance": d, **refs}),
         magnitude, object_id, cls, st.floats(0.0, 2.0), st.booleans(), value, graph_refs)
 
     factors = draw(st.lists(st.one_of(collision, occlusion, unpredictable), max_size=6))
@@ -229,7 +228,7 @@ class TestReferenceCascade:
     @given(cascade_inputs())
     def test_same_trace_as_reference(self, inputs):
         got, want = decide(*inputs), reference_decide(*inputs)
-        assert json.dumps(trace_to_dict(got)) == json.dumps(trace_to_dict(want))
+        assert json_text(got) == json_text(want)
         assert format_trace(got) == format_trace(want)
 
 
@@ -300,7 +299,7 @@ class TestExtractFactors:
         occ = [f for f in result.factors if f.kind is FactorKind.OCCLUSION]
         assert occ, "occluded sectors behind the static obstacle must fire"
         for f in occ:
-            assert f.get("density_ratio") < CFG.occlusion_density_ratio
+            assert f.evidence["density_ratio"] < CFG.occlusion_density_ratio
 
     def test_lead_shadow_not_occlusion(self):
         result = self.scene_factors(Template.LEAD_VEHICLE, seed=2)
@@ -353,12 +352,12 @@ class TestExtractFactors:
         assert out[1] == factors[1] and out[2] == factors[2]
         for f, new in ((factors[0], out[0]), (factors[3], out[3])):
             e = next(e for e in ref.edges if e.src == f.object_id and e.dst == EGO_ID)
-            assert new.evidence[:-2] == f.evidence
-            assert [k for k, _ in new.evidence[-2:]] == ["ego_edge_attention", "ego_edge_energy"]
+            assert list(new.evidence.items())[:-2] == list(f.evidence.items())
+            assert list(new.evidence)[-2:] == ["ego_edge_attention", "ego_edge_energy"]
             for key, expected in (("ego_edge_attention", e.attention),
                                   ("ego_edge_energy", e.energy)):
-                assert type(new.get(key)) is float
-                assert new.get(key) == pytest.approx(expected, rel=0, abs=1e-12)
+                assert type(new.evidence[key]) is float
+                assert new.evidence[key] == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 class TestLead:
@@ -389,7 +388,7 @@ class TestLead:
 class TestTraceOutput:
     def test_json_round_trip_fields(self):
         trace = decide([collision(0.9, cls="Pedestrian", d=5.0)], EGO, None, CFG)
-        d = trace_to_dict(trace)
+        d = json.loads(json_text(trace))
         assert d["speed"] == "Brake"
         assert d["path"] == "Straight"
         assert d["explanation"] == trace.explanation
@@ -402,6 +401,18 @@ class TestTraceOutput:
         for rule in ("brake", "occlusion", "speed_limit"):
             assert rule in text
         assert "SpeedLimit" in text
+
+
+    def test_format_trace_keeps_evidence_order(self):
+        """A passed step lists the factor's kind, object and magnitude, then
+        its evidence in the order the rule recorded it."""
+        trace = decide([collision(0.9, cls="Pedestrian", d=5.0)], EGO, None, CFG)
+        lines = format_trace(trace).splitlines()
+        assert lines[0].startswith(" 1. [PASS] brake: ")
+        assert [line.split(" = ")[0].strip(" -") for line in lines[1:11]] == [
+            "factor", "object_id", "magnitude", "class", "min_distance", "risk", "tier",
+            "speed", "adjacent_clear", "2. [skip] lane_change: no moderate static corridor "
+            "obstacle with clear adjacent lane"]
 
 
 class TestReasonerConfigReach:

@@ -31,6 +31,20 @@ class TestGenerate:
         # only ground points: all near z = 0
         assert float(np.abs(scene.cloud.xyz[:, 2]).max()) < 0.2
 
+    @pytest.mark.parametrize(("template", "base"), [(Template.LEAD_VEHICLE, 80.0),
+                                                    (Template.PEDESTRIAN_CROSSING, 50.0)])
+    def test_intensity_follows_the_owner_class(self, template, base):
+        """Each point's intensity is drawn with std 5 around its owner's
+        base: 30 for the ground, the class's own for an object."""
+        scene = generate(ScenarioSpec(template=template, seed=1))
+        xyz, intensity = scene.cloud.xyz, scene.cloud.data[:, 3]
+        box = scene.ground_truth[0].box
+        on_object = points_in_box(xyz, box, margin=0.1) & (xyz[:, 2] > 0.3)
+        ground = ~points_in_box(xyz, box, margin=0.5)
+        assert on_object.sum() > 30 and ground.sum() > 8000
+        assert intensity[on_object].mean() == pytest.approx(base, abs=3.0)
+        assert intensity[ground].mean() == pytest.approx(30.0, abs=0.5)
+
     def test_deterministic_bytes(self, tmp_path):
         spec = ScenarioSpec(template=Template.DENSE_TRAFFIC, seed=11)
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,7 @@
 """Scene JSON and point-cloud file format round-trips."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -8,18 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivetrace.scenario import ScenarioSpec, Template, generate
-from drivetrace.scene import EgoState, PointCloud, Scene
+from drivetrace.scene import EgoState, Intent, OrientedBox, PointCloud, Scene
 from drivetrace.scene_io import (
     CLOUD_MAGIC,
     _loadtxt_points,
     _read_ascii,
     _scan_points,
+    json_text,
     load_scene,
     read_cloud,
     save_scene,
     scene_to_dict,
     write_cloud_ascii,
     write_cloud_binary,
+    write_json,
 )
 from conftest import make_object
 
@@ -237,11 +240,12 @@ def test_detected_objects_serialize_like_scene_objects(tmp_path):
     loaded = load_scene(path)
     objects = scene_to_dict(loaded.with_objects(detect(loaded, PipelineConfig())),
                             "cloud")["objects"]
-    assert len(dets) == len(objects) > 1
-    assert dets == json.loads(json.dumps(objects))
+    written = json.loads(json_text(objects))
+    assert len(dets) == len(written) > 1
+    assert dets == written
     # the support arrays are written as plain JSON ints
     assert all(d["support_points"] for d in dets)
-    for written in (objects, dets):
+    for written in (written, dets):
         assert all(type(i) is int for d in written for i in d["support_points"])
 
 
@@ -473,3 +477,24 @@ def test_ascii_header_count_checked_on_line_scan_path(tmp_path):
     path.write_text("# point cloud frame=x count=3\r\n1 2 3 4\r\n1_0 2 3 4\r\n")
     with pytest.raises(ValueError, match="has header count 3, but 2 points were read"):
         read_cloud(path)
+
+
+def test_json_text_writes_dataclasses_enums_and_arrays():
+    payload = {"box": OrientedBox((1.0, 2.0, 0.5), 4.5, 1.9, 1.6, 0.25),
+               "intent": Intent.TURN, "ids": np.array([3, 1]), "a": None}
+    assert json_text(payload) == (
+        '{\n  "a": null,\n  "box": {\n    "center": [\n      1.0,\n      2.0,\n      0.5\n'
+        '    ],\n    "height": 1.6,\n    "length": 4.5,\n    "width": 1.9,\n'
+        '    "yaw": 0.25\n  },\n  "ids": [\n    3,\n    1\n  ],\n  "intent": "Turn"\n}\n')
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    """JSON has no NaN or Infinity: the writer names the file and writes
+    nothing."""
+    path = tmp_path / "training.json"
+    with pytest.raises(ValueError) as exc:
+        write_json({"steps": 2, "final_loss": value}, path)
+    assert str(exc.value).startswith(
+        f"{path}: Out of range float values are not JSON compliant")
+    assert not path.exists()
