@@ -114,8 +114,10 @@ def cmd_train_bgnn(args) -> int:
                          seed=config.seed)
     accuracy = training_accuracy(model, dataset)
     save_model(model, out / "model.bin")
-    write_json({"steps": args.steps, "final_loss": history[-1], "accuracy": accuracy},
-               out / "training.json")
+    final = history[-1]
+    write_json({"steps": args.steps, "final_loss": final.loss,
+                "final_cross_entropy": final.cross_entropy, "final_kl": final.kl,
+                "accuracy": accuracy}, out / "training.json")
     print(f"trained {args.steps} steps, accuracy {accuracy:.3f} -> {out / 'model.bin'}")
     return 0
 

@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -329,12 +329,12 @@ class BgnnModel:
     params: list[BayesianLayer]
     _draws: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    def weight_draws(self, seed: int) -> tuple[list[list[np.ndarray]], ...]:
-        """The ``config.mc_samples`` weight draws, each one read-only
-        [W, b] pair per layer; draw s comes from the PCG64 stream seeded
-        with (seed, s).  Drawn on the first call for ``seed`` and reused
-        until another seed is asked for.  Two threads that draw at once
-        store equal draws, so no lock is needed."""
+    def weight_draws(self, seed: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The ``config.mc_samples`` weight draws, one read-only (W, b) pair
+        per layer stacked on a leading sample axis; row s comes from the
+        PCG64 stream seeded with (seed, s).  Drawn on the first call for
+        ``seed`` and reused until another seed is asked for.  Two threads
+        that draw at once store equal draws, so no lock is needed."""
         key = (seed, self.config.mc_samples)
         memo = self._draws
         if memo is None or memo[0] != key:
@@ -371,35 +371,36 @@ def _sample_layers(params: Sequence[BayesianLayer], rng: np.random.Generator
 
 
 def _draw_weights(params: Sequence[BayesianLayer], seed: int, mc_samples: int
-                  ) -> tuple[list[list[np.ndarray]], ...]:
+                  ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The values of :func:`_sample_layers` for the streams (seed, 0) to
-    (seed, mc_samples - 1), made read-only."""
-    draws = []
-    for s in range(mc_samples):
-        values = _sample_layers(params, np.random.default_rng([seed, s]))[0]
-        for pair in values:
-            for arr in pair:
-                arr.flags.writeable = False
-        draws.append(values)
-    return tuple(draws)
+    (seed, mc_samples - 1), stacked on a leading sample axis, read-only."""
+    rngs = [np.random.default_rng([seed, s]) for s in range(mc_samples)]
+    stacks = []
+    for layer in params:
+        for mean, log_std in (layer.arrays()[:2], layer.arrays()[2:]):
+            std, stack = np.exp(log_std), np.empty((mc_samples, *mean.shape))
+            for rng, row in zip(rngs, stack):  # row = mean + std * eps, in place
+                np.add(mean, np.multiply(std, rng.standard_normal(out=row), out=row), out=row)
+            stack.flags.writeable = False
+            stacks.append(stack)
+    return tuple(zip(stacks[::2], stacks[1::2]))
 
 
 def _forward(values: Sequence[Sequence[np.ndarray]], attention: np.ndarray,
              feats: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run message passing; returns logits and per-round activations
-    [H_0, H_1, ..., H_L] (H_0 = inputs)."""
+    """Run message passing on one draw or on a stack of them (leading axis);
+    returns logits and per-round activations [H_0, ..., H_L] (H_0 = inputs)."""
     h = feats
     activations = [h]
-    n_rounds = (len(values) - 1) // 2
-    for r in range(n_rounds):
+    for r in range((len(values) - 1) // 2):
         w_self, b_self = values[2 * r]
         w_nbr, b_nbr = values[2 * r + 1]
-        msg = h @ w_nbr.T + b_nbr
-        z = h @ w_self.T + b_self + attention @ msg
+        msg = h @ np.swapaxes(w_nbr, -1, -2) + b_nbr[..., None, :]
+        z = h @ np.swapaxes(w_self, -1, -2) + b_self[..., None, :] + attention @ msg
         h = np.tanh(z)
         activations.append(h)
     w_head, b_head = values[-1]
-    logits = h @ w_head.T + b_head
+    logits = h @ np.swapaxes(w_head, -1, -2) + b_head[..., None, :]
     return logits, activations
 
 
@@ -422,21 +423,29 @@ def kl_to_prior(params: Sequence[BayesianLayer], prior_std: float) -> float:
     return total
 
 
+class ElboTerms(NamedTuple):
+    """An :func:`elbo_loss` value and the two terms it is the sum of."""
+
+    loss: float
+    cross_entropy: float
+    kl: float
+
+
 def elbo_loss(
     params: Sequence[BayesianLayer],
     batch: Sequence[tuple[InteractionGraph, np.ndarray, np.ndarray]],
     seed: int,
     prior_std: float,
     mc_samples: int,
-) -> tuple[float, list[BayesianLayer]]:
-    """ELBO-style loss and analytic gradients, one :class:`BayesianLayer`
-    of gradient arrays per parameter layer.
+) -> tuple[ElboTerms, list[BayesianLayer]]:
+    """ELBO-style loss with its terms, and analytic gradients, one
+    :class:`BayesianLayer` of gradient arrays per parameter layer.
 
     ``batch`` holds (graph, features, labels) triples; labels are int
     class indices per node, -1 for unlabeled nodes.  The loss is the MC
     mean (over weight samples) of the batch-mean node cross-entropy, plus
-    1/len(batch) times the closed-form KL to the prior.  Gradients flow
-    through the reparameterized draws w = mu + sigma * eps.
+    the KL term: 1/len(batch) times the closed-form KL to the prior.
+    Gradients flow through the reparameterized draws w = mu + sigma * eps.
     """
     kl_weight = 1.0 / len(batch)
     grads = [BayesianLayer(*(np.zeros_like(a) for a in layer.arrays())) for layer in params]
@@ -486,7 +495,8 @@ def elbo_loss(
             g.bias_means += d_b / mc_samples
             g.weight_log_stds += d_w * eps_w * np.exp(layer.weight_log_stds) / mc_samples
             g.bias_log_stds += d_b * eps_b * np.exp(layer.bias_log_stds) / mc_samples
-    loss = ce_total / mc_samples + kl_weight * kl_to_prior(params, prior_std)
+    cross_entropy = ce_total / mc_samples
+    kl = kl_weight * kl_to_prior(params, prior_std)
     for layer, g in zip(params, grads):
         var_w = np.exp(2.0 * layer.weight_log_stds)
         var_b = np.exp(2.0 * layer.bias_log_stds)
@@ -494,7 +504,7 @@ def elbo_loss(
         g.bias_means += kl_weight * layer.bias_means / prior_std ** 2
         g.weight_log_stds += kl_weight * (var_w / prior_std ** 2 - 1.0)
         g.bias_log_stds += kl_weight * (var_b / prior_std ** 2 - 1.0)
-    return loss, grads
+    return ElboTerms(cross_entropy + kl, cross_entropy, kl), grads
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +609,7 @@ def refine_objects(
         attention = graph.attention_matrix()
         # a non-finite result is refused below, so no warning on the way
         with np.errstate(over="ignore", invalid="ignore"):
-            mc_probs = _softmax(np.stack([_forward(values, attention, feats)[0]
-                                          for values in model.weight_draws(seed)]))
+            mc_probs = _softmax(_forward(model.weight_draws(seed), attention, feats)[0])
         if not np.isfinite(mc_probs).all():
             raise ValueError("the model's Monte Carlo interaction probabilities are not "
                              "finite: a parameter or a node feature is too large")
@@ -689,9 +698,9 @@ def train_bgnn(
     steps: int = 200,
     lr: float = 0.01,
     seed: int = 0,
-) -> list[float]:
+) -> list[ElboTerms]:
     """Full-batch Adam training with :data:`TRAIN_MC_SAMPLES` weight draws
-    per step; returns the per-step loss history.
+    per step; returns the per-step loss history, with its terms.
 
     Raises ValueError naming the step and ``lr`` once the loss or a
     parameter is not finite, or a log-std exceeds :data:`MAX_LOG_STD`.
@@ -708,16 +717,16 @@ def train_bgnn(
     for step in range(steps):
         # a non-finite result is refused below, so no warning on the way
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads = elbo_loss(model.params, dataset, seed=seed * 100003 + step,
-                                    prior_std=model.config.prior_std,
-                                    mc_samples=TRAIN_MC_SAMPLES)
+            terms, grads = elbo_loss(model.params, dataset, seed=seed * 100003 + step,
+                                     prior_std=model.config.prior_std,
+                                     mc_samples=TRAIN_MC_SAMPLES)
             adam_step(model.params, grads, state, lr=lr)
         problem = _parameter_problem(model.params)
-        if problem or not math.isfinite(loss):
+        if problem or not math.isfinite(terms.loss):
             raise ValueError(f"training diverged at step {step + 1} of {steps}: "
                              f"{problem or 'the loss is not finite'}; "
                              f"try a smaller --lr than {lr!r}")
-        history.append(loss)
+        history.append(terms)
     return history
 
 

@@ -13,10 +13,12 @@ and ``refine_objects``: the per-object kinematic rule
 (``scalar_classify_interaction``), the refined uncertainty of one belief
 (``refine_uncertainty``) and the per-object refinement on the package's
 graph (``per_object_refine_objects``).  And it keeps the Monte Carlo
-forward pass that draws fresh weights on every call (``mc_logits``,
-``forward_mc``), the oracle for the draws that ``BgnnModel.weight_draws``
-makes once per seed, and ``fuse_refine``, the one-object form of the
-package's log-linear pooling.
+forward pass as the package ran it before its weight draws were stacked:
+one 2-D forward per draw (``per_draw_forward``) on weights drawn fresh
+on every call (``mc_logits``, ``forward_mc``), the oracle for the
+stacked draws that ``BgnnModel.weight_draws`` makes once per seed and
+the one batched forward that ``refine_objects`` runs on them; and
+``fuse_refine``, the one-object form of the package's log-linear pooling.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from drivetrace.interaction import (
     InteractionGraph,
     InteractionLabel,
     RefinedEstimate,
-    _forward,
     _log_beliefs,
     _pool_beliefs,
     _sample_layers,
@@ -104,12 +105,8 @@ def per_object_refine_objects(
     fused = np.exp(log_q - log_q.max(axis=-1, keepdims=True))
     labels = list(InteractionLabel)
     if model is not None:
-        feats = graph_features(objects, assessments, ego)
-        attention = graph.attention_matrix()
-        probs = _softmax(np.stack([_forward(values, attention, feats)[0]
-                                   for values in model.weight_draws(seed)]))
-        prob_std = probs.std(axis=0)
-        pred_labels = probs.mean(axis=0).argmax(axis=1)
+        prob_std, pred_labels = mc_estimates(
+            graph, graph_features(objects, assessments, ego), model, seed)
     refined = []
     for row, obj in enumerate(objects):
         dist = ClassDistribution.from_array(fused[row])
@@ -126,14 +123,29 @@ def per_object_refine_objects(
     return refined
 
 
+def per_draw_forward(values: Sequence[Sequence[np.ndarray]], attention: np.ndarray,
+                     feats: np.ndarray) -> np.ndarray:
+    """The logits of message passing with one draw, a [W, b] pair of 2-D
+    and 1-D arrays per layer: [self_0, nbr_0, ..., head]."""
+    h = feats
+    for r in range((len(values) - 1) // 2):
+        w_self, b_self = values[2 * r]
+        w_nbr, b_nbr = values[2 * r + 1]
+        msg = h @ w_nbr.T + b_nbr
+        z = h @ w_self.T + b_self + attention @ msg
+        h = np.tanh(z)
+    w_head, b_head = values[-1]
+    return h @ w_head.T + b_head
+
+
 def mc_logits(graph, feats: np.ndarray, params, mc_samples: int, seed: int) -> np.ndarray:
     """Logits of ``mc_samples`` weight draws, shape (samples, nodes, out);
-    sample s draws fresh weights from the PCG64 stream seeded with (seed, s)."""
+    sample s draws fresh weights from the PCG64 stream seeded with (seed, s)
+    and runs its own ``per_draw_forward``."""
     samples = []
     for s in range(mc_samples):
         values, _ = _sample_layers(params, np.random.default_rng([seed, s]))
-        logits, _ = _forward(values, graph.attention_matrix(), feats)
-        samples.append(logits)
+        samples.append(per_draw_forward(values, graph.attention_matrix(), feats))
     return np.stack(samples)
 
 

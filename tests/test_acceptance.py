@@ -110,9 +110,9 @@ def test_c03_elbo_gradient_check():
 
             def loss_at(vec):
                 restore(vec)
-                loss, _ = elbo_loss(model.params, data, seed=seed,
-                                    prior_std=cfg.prior_std, mc_samples=3)
-                return loss
+                terms, _ = elbo_loss(model.params, data, seed=seed,
+                                     prior_std=cfg.prior_std, mc_samples=3)
+                return terms.loss
 
             x0 = flatten().copy()
             _, grads = elbo_loss(model.params, data, seed=seed,

@@ -45,7 +45,7 @@ CLASS_METRICS = {"precision", "recall", "f1"}
 SCENE_RECORD = {"path", "template", "expected_speed", "predicted_speed", "expected_path",
                 "predicted_path", "error"}
 PLOT = {"speed_f1", "path_accuracy", "risk_histogram", "flagged"}
-TRAINING = {"steps", "final_loss", "accuracy"}
+TRAINING = {"steps", "final_loss", "final_cross_entropy", "final_kl", "accuracy"}
 
 SCENE_NAME = "scene_pedestrian-crossing_0001.json"
 

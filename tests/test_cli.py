@@ -256,6 +256,9 @@ class TestTrainEvaluate:
         assert sorted(p.name for p in out.iterdir()) == ["model.bin", "training.json"]
         history = json.loads((out / "training.json").read_text())
         assert history["accuracy"] >= 0.5
+        # the loss is its two terms, each written on its own
+        assert history["final_loss"] == history["final_cross_entropy"] + history["final_kl"]
+        assert 0 < history["final_cross_entropy"] < history["final_kl"]
 
     def test_train_bgnn_reads_the_risk_section(self, tmp_path):
         """The node feature ``risk`` follows ``risk.decay_length``, so a
