@@ -48,20 +48,17 @@ def cmd_generate(args) -> int:
     for k, template in enumerate(templates):
         if template in templates[:k]:
             raise ValueError(f"--template lists {template.value} twice")
-    out = _out_dir(args)
     config = _load(args)
+    # every spec is checked before anything is written
+    specs = [ScenarioSpec(template=template, seed=config.seed + k, n_objects=args.n_objects,
+                          noise_std=args.noise_std, points_per_m2=args.density)
+             for template in templates for k in range(args.count)]
+    out = _out_dir(args)
     entries = []
-    for template in templates:
-        for k in range(args.count):
-            seed = config.seed + k
-            spec = ScenarioSpec(template=template, seed=seed,
-                                n_objects=args.n_objects,
-                                noise_std=args.noise_std,
-                                points_per_m2=args.density)
-            scene = generate(spec)
-            name = f"scene_{template.value}_{seed:04d}.json"
-            save_scene(scene, out / name, cloud_format=args.cloud_format)
-            entries.append({"path": name, "template": template.value, "seed": seed})
+    for spec in specs:
+        name = f"scene_{spec.template.value}_{spec.seed:04d}.json"
+        save_scene(generate(spec), out / name, cloud_format=args.cloud_format)
+        entries.append({"path": name, "template": spec.template.value, "seed": spec.seed})
     write_json({"scenes": entries}, out / "manifest.json")
     save_config(config, out / "config.json")
     print(f"wrote {len(entries)} scenes to {out}")

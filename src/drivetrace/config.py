@@ -1,8 +1,8 @@
 """Pipeline configuration: one JSON document covering every stage.
 
-Unknown keys and non-finite numbers are rejected at load time and every
-sub-config validates its own invariants, so a bad config fails fast
-rather than mid-run.
+Unknown keys, values of the wrong JSON type and non-finite numbers are
+rejected at load time and every sub-config validates its own invariants,
+so a bad config fails fast rather than mid-run.
 """
 
 from __future__ import annotations
@@ -43,14 +43,24 @@ _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfi
              if f.default_factory is not dataclasses.MISSING}
 
 
+#: the JSON values a section field of each annotation takes, and their name;
+#: a boolean is never a number
+_JSON_KINDS = {"int": ((int,), "an integer"),
+               "float": ((int, float), "a number"),
+               "Optional[float]": ((int, float, type(None)), "a number or null")}
+
+
 def _section_from_dict(cls: type, data: Any, section: str) -> Any:
     if not isinstance(data, dict):
         raise ValueError(f"config section {section!r} must be an object, got {data!r}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(annotations)
     if unknown:
         raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
     for key, value in data.items():
+        allowed, kind = _JSON_KINDS[annotations[key]]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"{section}.{key} must be {kind}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{section}.{key} must be finite, got {value!r}")
     return cls(**data)

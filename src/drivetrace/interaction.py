@@ -6,9 +6,11 @@ contextual intensity term, and attention weights are the per-node softmax
 of the negated edge energies.  A Bayesian GNN with Gaussian
 weight posteriors runs message passing over this graph; Monte Carlo
 sampling of the weights yields mean predictions plus an epistemic spread.
-Training maximizes the ELBO: Monte Carlo cross-entropy plus a closed-form
-KL penalty to a zero-mean Gaussian prior, with gradients propagated
-through the reparameterized weight draws.
+Inference and training share the weight draws, stacked on a leading
+sample axis with draw s from the PCG64 stream (seed, s), and run each
+graph's forward pass once over the stack.  Training maximizes the ELBO:
+Monte Carlo cross-entropy plus a closed-form KL penalty to a zero-mean
+Gaussian prior, with gradients propagated back through the same stack.
 
 Class beliefs are refined separately by log-linear pooling of neighbor
 distributions under the edge attention weights, which can only sharpen
@@ -316,6 +318,12 @@ class BayesianLayer:
         return [self.weight_means, self.weight_log_stds, self.bias_means, self.bias_log_stds]
 
 
+def _pairs(params: Sequence[BayesianLayer]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(mean, log-std) of every parameter array, in the order [W_0, b_0, W_1, ...]."""
+    return [pair for layer in params for pair in ((layer.weight_means, layer.weight_log_stds),
+                                                  (layer.bias_means, layer.bias_log_stds))]
+
+
 @dataclass
 class BgnnModel:
     """Message-passing BGNN: per round a self layer and a neighbor layer,
@@ -355,34 +363,29 @@ class BgnnModel:
         return BgnnModel(cfg, params)
 
 
-def _sample_layers(params: Sequence[BayesianLayer], rng: np.random.Generator
-                   ) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
-    """Draw (weights, biases) per layer via w = mu + sigma * eps.
-    Returns ([W, b] per layer, [epsW, epsb] per layer)."""
-    values, epsilons = [], []
-    for layer in params:
-        eps_w = rng.standard_normal(layer.weight_means.shape)
-        eps_b = rng.standard_normal(layer.bias_means.shape)
-        w = layer.weight_means + np.exp(layer.weight_log_stds) * eps_w
-        b = layer.bias_means + np.exp(layer.bias_log_stds) * eps_b
-        values.append([w, b])
-        epsilons.append([eps_w, eps_b])
-    return values, epsilons
+def _draw_epsilons(params: Sequence[BayesianLayer], seed: int, mc_samples: int
+                   ) -> list[np.ndarray]:
+    """The standard normal draws of w = mu + sigma * eps: one
+    ``(mc_samples, *shape)`` stack per parameter array, in the order
+    [W_0, b_0, W_1, ...].  Row s of every stack comes from the one PCG64
+    stream seeded with (seed, s), which fills its rows in that order."""
+    rngs = [np.random.default_rng([seed, s]) for s in range(mc_samples)]
+    stacks = [np.empty((mc_samples, *mean.shape)) for mean, _ in _pairs(params)]
+    for stack in stacks:
+        for rng, row in zip(rngs, stack):
+            rng.standard_normal(out=row)
+    return stacks
 
 
 def _draw_weights(params: Sequence[BayesianLayer], seed: int, mc_samples: int
                   ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The values of :func:`_sample_layers` for the streams (seed, 0) to
-    (seed, mc_samples - 1), stacked on a leading sample axis, read-only."""
-    rngs = [np.random.default_rng([seed, s]) for s in range(mc_samples)]
-    stacks = []
-    for layer in params:
-        for mean, log_std in (layer.arrays()[:2], layer.arrays()[2:]):
-            std, stack = np.exp(log_std), np.empty((mc_samples, *mean.shape))
-            for rng, row in zip(rngs, stack):  # row = mean + std * eps, in place
-                np.add(mean, np.multiply(std, rng.standard_normal(out=row), out=row), out=row)
-            stack.flags.writeable = False
-            stacks.append(stack)
+    """The draws mean + std * eps over :func:`_draw_epsilons`, made in
+    place, as one read-only (W, b) pair of stacks per layer."""
+    stacks = _draw_epsilons(params, seed, mc_samples)
+    for (mean, log_std), stack in zip(_pairs(params), stacks):
+        np.multiply(np.exp(log_std), stack, out=stack)
+        np.add(mean, stack, out=stack)
+        stack.flags.writeable = False
     return tuple(zip(stacks[::2], stacks[1::2]))
 
 
@@ -412,14 +415,12 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def kl_to_prior(params: Sequence[BayesianLayer], prior_std: float) -> float:
     """Closed-form KL(q || N(0, prior_std^2)) summed over all parameters."""
     total = 0.0
-    for layer in params:
-        for mu, log_std in ((layer.weight_means, layer.weight_log_stds),
-                            (layer.bias_means, layer.bias_log_stds)):
-            var = np.exp(2.0 * log_std)
-            total += float(np.sum(
-                math.log(prior_std) - log_std
-                + (var + mu ** 2) / (2.0 * prior_std ** 2) - 0.5
-            ))
+    for mu, log_std in _pairs(params):
+        var = np.exp(2.0 * log_std)
+        total += float(np.sum(
+            math.log(prior_std) - log_std
+            + (var + mu ** 2) / (2.0 * prior_std ** 2) - 0.5
+        ))
     return total
 
 
@@ -447,63 +448,59 @@ def elbo_loss(
     the KL term: 1/len(batch) times the closed-form KL to the prior.
     Gradients flow through the reparameterized draws w = mu + sigma * eps.
     """
-    kl_weight = 1.0 / len(batch)
-    grads = [BayesianLayer(*(np.zeros_like(a) for a in layer.arrays())) for layer in params]
     n_graphs = len(batch)
+    kl_weight = 1.0 / n_graphs
+    pairs = _pairs(params)
+    epsilons = _draw_epsilons(params, seed, mc_samples)
+    stds = [np.exp(log_std) for _, log_std in pairs]
+    draws = [mean + std * eps for (mean, _), std, eps in zip(pairs, stds, epsilons)]
+    values = list(zip(draws[::2], draws[1::2]))
+    # d loss / d draw, one stack per parameter array like ``draws``
+    raw = [np.zeros_like(d) for d in draws]
+
+    def backward(k: int, d_out: np.ndarray, h_in: np.ndarray) -> np.ndarray:
+        """Add layer k's (W, b) gradients to ``raw``; return d loss / d h_in."""
+        raw[2 * k] += np.swapaxes(d_out, -1, -2) @ h_in
+        raw[2 * k + 1] += d_out.sum(axis=1)
+        return d_out @ values[k][0]
+
+    ce_terms = []  # per labeled graph, its cross-entropy term of each draw
+    for graph, feats, labels in batch:
+        labeled = np.nonzero(labels >= 0)[0]
+        if len(labeled) == 0:
+            continue
+        attention = graph.attention_matrix()
+        logits, activations = _forward(values, attention, feats)
+        probs = _softmax(logits)
+        # contiguous, so each draw's row sums as its own 1-D array does
+        picked = np.ascontiguousarray(probs[:, labeled, labels[labeled]])
+        ce_terms.append([ce / len(labeled) / n_graphs
+                         for ce in (-np.log(np.maximum(picked, 1e-300))).sum(axis=1).tolist()])
+        d_out = probs  # d loss / d logits, in place
+        d_out[:, labeled, labels[labeled]] -= 1.0
+        d_out[:, labels < 0] = 0.0
+        d_out /= len(labeled) * n_graphs
+        # the head, then the message-passing rounds top down
+        d_h = backward(len(values) - 1, d_out, activations[-1])
+        for r in range(len(activations) - 2, -1, -1):
+            d_z = d_h * (1.0 - activations[r + 1] ** 2)
+            d_msg = attention.T @ d_z
+            d_h = backward(2 * r, d_z, activations[r]) + backward(2 * r + 1, d_msg, activations[r])
     ce_total = 0.0
-    prepared = [(g.attention_matrix(), feats, labels) for g, feats, labels in batch]
-    for s in range(mc_samples):
-        rng = np.random.default_rng([seed, s])
-        values, epsilons = _sample_layers(params, rng)
-        raw = [[np.zeros_like(w), np.zeros_like(b)] for w, b in values]
-        for attention, feats, labels in prepared:
-            logits, activations = _forward(values, attention, feats)
-            mask = labels >= 0
-            n_labeled = int(mask.sum())
-            if n_labeled == 0:
-                continue
-            probs = _softmax(logits)
-            labeled = np.nonzero(mask)[0]
-            picked = probs[labeled, labels[labeled]]
-            ce_total += float(-np.log(np.maximum(picked, 1e-300)).sum()) / n_labeled / n_graphs
-            d_logits = probs.copy()
-            d_logits[labeled, labels[labeled]] -= 1.0
-            d_logits[~mask] = 0.0
-            d_logits /= n_labeled * n_graphs
-            # head
-            w_head, _ = values[-1]
-            h_top = activations[-1]
-            raw[-1][0] += d_logits.T @ h_top
-            raw[-1][1] += d_logits.sum(axis=0)
-            d_h = d_logits @ w_head
-            # message-passing rounds, top down
-            for r in range((len(values) - 1) // 2 - 1, -1, -1):
-                h_out = activations[r + 1]
-                h_in = activations[r]
-                d_z = d_h * (1.0 - h_out ** 2)
-                d_msg = attention.T @ d_z
-                w_self, _ = values[2 * r]
-                w_nbr, _ = values[2 * r + 1]
-                raw[2 * r][0] += d_z.T @ h_in
-                raw[2 * r][1] += d_z.sum(axis=0)
-                raw[2 * r + 1][0] += d_msg.T @ h_in
-                raw[2 * r + 1][1] += d_msg.sum(axis=0)
-                d_h = d_z @ w_self + d_msg @ w_nbr
-        # map raw weight grads onto (mu, log_std) via the reparameterization
-        for layer, g, (d_w, d_b), (eps_w, eps_b) in zip(params, grads, raw, epsilons):
-            g.weight_means += d_w / mc_samples
-            g.bias_means += d_b / mc_samples
-            g.weight_log_stds += d_w * eps_w * np.exp(layer.weight_log_stds) / mc_samples
-            g.bias_log_stds += d_b * eps_b * np.exp(layer.bias_log_stds) / mc_samples
+    for s in range(mc_samples):  # draw-major, so the loss is the one a loop over draws adds
+        for terms in ce_terms:
+            ce_total += terms[s]
     cross_entropy = ce_total / mc_samples
     kl = kl_weight * kl_to_prior(params, prior_std)
-    for layer, g in zip(params, grads):
-        var_w = np.exp(2.0 * layer.weight_log_stds)
-        var_b = np.exp(2.0 * layer.bias_log_stds)
-        g.weight_means += kl_weight * layer.weight_means / prior_std ** 2
-        g.bias_means += kl_weight * layer.bias_means / prior_std ** 2
-        g.weight_log_stds += kl_weight * (var_w / prior_std ** 2 - 1.0)
-        g.bias_log_stds += kl_weight * (var_b / prior_std ** 2 - 1.0)
+    grads = [BayesianLayer(*(np.zeros_like(a) for a in layer.arrays())) for layer in params]
+    for (mean, log_std), (g_mean, g_log_std), std, eps, d_w in zip(
+            pairs, _pairs(grads), stds, epsilons, raw):
+        # map each draw's gradient onto (mu, log_std) via the reparameterization
+        for s in range(mc_samples):
+            g_mean += d_w[s] / mc_samples
+            g_log_std += d_w[s] * eps[s] * std / mc_samples
+        g_mean += kl_weight * mean / prior_std ** 2
+        g_log_std += kl_weight * (np.exp(2.0 * log_std) / prior_std ** 2 - 1.0)
     return ElboTerms(cross_entropy + kl, cross_entropy, kl), grads
 
 

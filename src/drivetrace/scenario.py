@@ -66,6 +66,9 @@ class ScenarioSpec:
     points_per_m2: float = 50.0
 
     def __post_init__(self) -> None:
+        for name in ("noise_std", "points_per_m2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_objects < 0:
             raise ValueError("n_objects must be >= 0")
         if self.points_per_m2 <= 0:

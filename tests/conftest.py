@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from drivetrace.detector import points_in_box
 from drivetrace.scene import (
@@ -17,6 +18,13 @@ from drivetrace.scene import (
     TrackedObject,
     box_corners,
 )
+
+#: The profile CI runs (``--hypothesis-profile=ci``): Hypothesis's own CI
+#: defaults, spelled out so that they hold on every Hypothesis version, with
+#: ``print_blob``, so that a failure found in CI, which keeps no example
+#: database, prints the ``@reproduce_failure`` line that replays it.
+settings.register_profile("ci", derandomize=True, deadline=None, database=None,
+                          print_blob=True, suppress_health_check=[HealthCheck.too_slow])
 
 
 def mc_box_iou(a: OrientedBox, b: OrientedBox, n: int = 1_000_000, seed: int = 0) -> float:

@@ -14,11 +14,15 @@ and ``refine_objects``: the per-object kinematic rule
 (``refine_uncertainty``) and the per-object refinement on the package's
 graph (``per_object_refine_objects``).  And it keeps the Monte Carlo
 forward pass as the package ran it before its weight draws were stacked:
-one 2-D forward per draw (``per_draw_forward``) on weights drawn fresh
-on every call (``mc_logits``, ``forward_mc``), the oracle for the
-stacked draws that ``BgnnModel.weight_draws`` makes once per seed and
-the one batched forward that ``refine_objects`` runs on them; and
-``fuse_refine``, the one-object form of the package's log-linear pooling.
+one 2-D forward per draw (``per_draw_forward``) on weights drawn fresh,
+one draw at a time, from each draw's stream (``sample_layers``), on
+every call (``mc_logits``, ``forward_mc``), the oracle for the stacked
+draws that ``BgnnModel.weight_draws`` makes once per seed and the one
+batched forward that ``refine_objects`` runs on them.  The ELBO as the
+package computed it on those per-draw weights, with a forward and a
+backward pass per draw and graph (``per_draw_elbo_loss``), is the oracle
+for the one stacked pass per graph of ``elbo_loss``.  Last,
+``fuse_refine`` is the one-object form of the package's log-linear pooling.
 """
 
 from __future__ import annotations
@@ -32,14 +36,15 @@ import numpy as np
 from drivetrace.interaction import (
     EGO_ID,
     PROB_FLOOR,
+    BayesianLayer,
     BgnnModel,
+    ElboTerms,
     InteractionConfig,
     InteractionGraph,
     InteractionLabel,
     RefinedEstimate,
     _log_beliefs,
     _pool_beliefs,
-    _sample_layers,
     _ego_velocity,
     _softmax,
     graph_features,
@@ -123,19 +128,37 @@ def per_object_refine_objects(
     return refined
 
 
+def sample_layers(params: Sequence[BayesianLayer], rng: np.random.Generator
+                  ) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
+    """Draw (weights, biases) per layer via w = mu + sigma * eps.
+    Returns ([W, b] per layer, [epsW, epsb] per layer)."""
+    values, epsilons = [], []
+    for layer in params:
+        eps_w = rng.standard_normal(layer.weight_means.shape)
+        eps_b = rng.standard_normal(layer.bias_means.shape)
+        w = layer.weight_means + np.exp(layer.weight_log_stds) * eps_w
+        b = layer.bias_means + np.exp(layer.bias_log_stds) * eps_b
+        values.append([w, b])
+        epsilons.append([eps_w, eps_b])
+    return values, epsilons
+
+
 def per_draw_forward(values: Sequence[Sequence[np.ndarray]], attention: np.ndarray,
-                     feats: np.ndarray) -> np.ndarray:
+                     feats: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """The logits of message passing with one draw, a [W, b] pair of 2-D
-    and 1-D arrays per layer: [self_0, nbr_0, ..., head]."""
+    and 1-D arrays per layer: [self_0, nbr_0, ..., head], and the
+    per-round activations [H_0, ..., H_L] (H_0 = inputs)."""
     h = feats
+    activations = [h]
     for r in range((len(values) - 1) // 2):
         w_self, b_self = values[2 * r]
         w_nbr, b_nbr = values[2 * r + 1]
         msg = h @ w_nbr.T + b_nbr
         z = h @ w_self.T + b_self + attention @ msg
         h = np.tanh(z)
+        activations.append(h)
     w_head, b_head = values[-1]
-    return h @ w_head.T + b_head
+    return h @ w_head.T + b_head, activations
 
 
 def mc_logits(graph, feats: np.ndarray, params, mc_samples: int, seed: int) -> np.ndarray:
@@ -144,9 +167,95 @@ def mc_logits(graph, feats: np.ndarray, params, mc_samples: int, seed: int) -> n
     and runs its own ``per_draw_forward``."""
     samples = []
     for s in range(mc_samples):
-        values, _ = _sample_layers(params, np.random.default_rng([seed, s]))
-        samples.append(per_draw_forward(values, graph.attention_matrix(), feats))
+        values, _ = sample_layers(params, np.random.default_rng([seed, s]))
+        samples.append(per_draw_forward(values, graph.attention_matrix(), feats)[0])
     return np.stack(samples)
+
+
+def layer_kl_to_prior(params: Sequence[BayesianLayer], prior_std: float) -> float:
+    """Closed-form KL(q || N(0, prior_std^2)) summed over all parameters,
+    layer by layer, weights before biases."""
+    total = 0.0
+    for layer in params:
+        for mu, log_std in ((layer.weight_means, layer.weight_log_stds),
+                            (layer.bias_means, layer.bias_log_stds)):
+            var = np.exp(2.0 * log_std)
+            total += float(np.sum(
+                math.log(prior_std) - log_std
+                + (var + mu ** 2) / (2.0 * prior_std ** 2) - 0.5
+            ))
+    return total
+
+
+def per_draw_elbo_loss(
+    params: Sequence[BayesianLayer],
+    batch: Sequence[tuple[InteractionGraph, np.ndarray, np.ndarray]],
+    seed: int,
+    prior_std: float,
+    mc_samples: int,
+) -> tuple[ElboTerms, list[BayesianLayer]]:
+    """``elbo_loss`` as the package ran it before its draws were stacked:
+    per draw s, fresh weights from the stream (seed, s), then a 2-D forward
+    and backward pass per graph, and the draw's gradients mapped onto
+    (mu, log_std) before the next draw."""
+    kl_weight = 1.0 / len(batch)
+    grads = [BayesianLayer(*(np.zeros_like(a) for a in layer.arrays())) for layer in params]
+    n_graphs = len(batch)
+    ce_total = 0.0
+    prepared = [(g.attention_matrix(), feats, labels) for g, feats, labels in batch]
+    for s in range(mc_samples):
+        rng = np.random.default_rng([seed, s])
+        values, epsilons = sample_layers(params, rng)
+        raw = [[np.zeros_like(w), np.zeros_like(b)] for w, b in values]
+        for attention, feats, labels in prepared:
+            logits, activations = per_draw_forward(values, attention, feats)
+            mask = labels >= 0
+            n_labeled = int(mask.sum())
+            if n_labeled == 0:
+                continue
+            probs = _softmax(logits)
+            labeled = np.nonzero(mask)[0]
+            picked = probs[labeled, labels[labeled]]
+            ce_total += float(-np.log(np.maximum(picked, 1e-300)).sum()) / n_labeled / n_graphs
+            d_logits = probs.copy()
+            d_logits[labeled, labels[labeled]] -= 1.0
+            d_logits[~mask] = 0.0
+            d_logits /= n_labeled * n_graphs
+            # head
+            w_head, _ = values[-1]
+            h_top = activations[-1]
+            raw[-1][0] += d_logits.T @ h_top
+            raw[-1][1] += d_logits.sum(axis=0)
+            d_h = d_logits @ w_head
+            # message-passing rounds, top down
+            for r in range((len(values) - 1) // 2 - 1, -1, -1):
+                h_out = activations[r + 1]
+                h_in = activations[r]
+                d_z = d_h * (1.0 - h_out ** 2)
+                d_msg = attention.T @ d_z
+                w_self, _ = values[2 * r]
+                w_nbr, _ = values[2 * r + 1]
+                raw[2 * r][0] += d_z.T @ h_in
+                raw[2 * r][1] += d_z.sum(axis=0)
+                raw[2 * r + 1][0] += d_msg.T @ h_in
+                raw[2 * r + 1][1] += d_msg.sum(axis=0)
+                d_h = d_z @ w_self + d_msg @ w_nbr
+        # map raw weight grads onto (mu, log_std) via the reparameterization
+        for layer, g, (d_w, d_b), (eps_w, eps_b) in zip(params, grads, raw, epsilons):
+            g.weight_means += d_w / mc_samples
+            g.bias_means += d_b / mc_samples
+            g.weight_log_stds += d_w * eps_w * np.exp(layer.weight_log_stds) / mc_samples
+            g.bias_log_stds += d_b * eps_b * np.exp(layer.bias_log_stds) / mc_samples
+    cross_entropy = ce_total / mc_samples
+    kl = kl_weight * layer_kl_to_prior(params, prior_std)
+    for layer, g in zip(params, grads):
+        var_w = np.exp(2.0 * layer.weight_log_stds)
+        var_b = np.exp(2.0 * layer.bias_log_stds)
+        g.weight_means += kl_weight * layer.weight_means / prior_std ** 2
+        g.bias_means += kl_weight * layer.bias_means / prior_std ** 2
+        g.weight_log_stds += kl_weight * (var_w / prior_std ** 2 - 1.0)
+        g.bias_log_stds += kl_weight * (var_b / prior_std ** 2 - 1.0)
+    return ElboTerms(cross_entropy + kl, cross_entropy, kl), grads
 
 
 def forward_mc(graph, feats: np.ndarray, params, mc_samples: int, seed: int = 0

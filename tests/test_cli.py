@@ -120,6 +120,20 @@ class TestGenerate:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize(("flag", "value", "field"), [
+        ("--noise-std", "nan", "noise_std"), ("--noise-std", "inf", "noise_std"),
+        ("--density", "nan", "points_per_m2"), ("--density", "inf", "points_per_m2"),
+    ])
+    def test_non_finite_spec_flag_exit_1(self, tmp_path, capsys, flag, value, field):
+        """A NaN or infinite noise std or density is refused, naming the
+        spec field, before anything is written."""
+        out = tmp_path / "gen"
+        assert run_without_runtime_warnings("generate", "--template", "lead-vehicle", flag, value,
+                                            "--out", str(out)) == 1
+        assert (f"error: ValueError: {field} must be finite, got {value}\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_config_seed_without_flag(self, tmp_path):
         config = tmp_path / "seed7.json"
         config.write_text('{"seed": 7}')
@@ -259,6 +273,25 @@ class TestTrainEvaluate:
         # the loss is its two terms, each written on its own
         assert history["final_loss"] == history["final_cross_entropy"] + history["final_kl"]
         assert 0 < history["final_cross_entropy"] < history["final_kl"]
+
+    def test_train_bgnn_deterministic(self, tmp_path):
+        """Two runs with the same seed write the same bytes."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert run("train-bgnn", "--steps", "5", "--samples", "16", "--seed", "3",
+                       "--out", str(out)) == 0
+        for name in ("model.bin", "training.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_train_bgnn_float_mc_samples_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"interaction": {"mc_samples": 2.5}}')
+        out = tmp_path / "train"
+        assert run("train-bgnn", "--steps", "1", "--samples", "2", "--config", str(bad),
+                   "--out", str(out)) == 1
+        assert (f"error: ValueError: {bad}: interaction.mc_samples must be an integer, "
+                f"got 2.5\n" in capsys.readouterr().err)
+        assert not (out / "model.bin").exists()
 
     def test_train_bgnn_reads_the_risk_section(self, tmp_path):
         """The node feature ``risk`` follows ``risk.decay_length``, so a
@@ -635,6 +668,52 @@ class TestArgsAndConfig:
         assert run("generate", "--template", "empty-road",
                    "--config", str(bad), "--out", str(tmp_path / "o")) == 1
         assert f"error: ValueError: {bad}: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("text", "reason"), [
+        ('{"reasoner": {"occlusion_sectors": true}}',
+         "reasoner.occlusion_sectors must be an integer, got True"),
+        ('{"reasoner": {"occlusion_sectors": 2.5}}',
+         "reasoner.occlusion_sectors must be an integer, got 2.5"),
+        ('{"cluster": {"min_points": 2.5}}', "cluster.min_points must be an integer, got 2.5"),
+        ('{"interaction": {"mc_samples": 2.5}}',
+         "interaction.mc_samples must be an integer, got 2.5"),
+        ('{"interaction": {"edge_radius": "30"}}',
+         "interaction.edge_radius must be a number, got '30'"),
+        ('{"interaction": {"w_distance": "0.1"}}',
+         "interaction.w_distance must be a number or null, got '0.1'"),
+        ('{"risk": {"decay_length": false}}', "risk.decay_length must be a number, got False"),
+    ], ids=["int-bool", "int-float", "min-points-float", "mc-samples-float", "float-string",
+            "optional-string", "float-bool"])
+    def test_wrong_json_type_config_exit_1(self, lead_scene, tmp_path, capsys, text, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run("reason", "--scene", str(lead_scene), "--config", str(bad),
+                   "--out", str(tmp_path / "r")) == 1
+        assert f"error: ValueError: {bad}: {reason}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("section", "key"), [(section, f.name)
+                                                  for section, cls in _SECTIONS.items()
+                                                  for f in fields(cls)])
+    def test_every_section_field_refuses_a_string(self, tmp_path, section, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: {key: "1"}}))
+        with pytest.raises(ValueError) as exc:
+            load_config(bad)
+        assert re.fullmatch(re.escape(f"{bad}: {section}.{key} must be ")
+                            + "(an integer|a number|a number or null), got '1'", str(exc.value))
+
+    def test_json_values_kept_as_given(self, tmp_path):
+        """A float field keeps a JSON integer as an integer, so the config a
+        command writes keeps its bytes, and ``w_distance`` takes null."""
+        path = tmp_path / "given.json"
+        path.write_text('{"risk": {"decay_length": 20}, "interaction": {"w_distance": null}}')
+        config = load_config(path)
+        assert type(config.risk.decay_length) is int
+        assert config.interaction.w_distance == 1.0 / config.interaction.edge_radius
+        out = tmp_path / "gen"
+        assert run("generate", "--template", "empty-road", "--config", str(path),
+                   "--out", str(out)) == 0
+        assert '"decay_length": 20,' in (out / "config.json").read_text()
 
     def test_negative_seed_flag_exit_1(self, tmp_path, capsys):
         assert run("generate", "--template", "empty-road", "--seed", "-1",

@@ -44,6 +44,7 @@ from interaction_oracle import (
     fuse_refine,
     mc_estimates,
     mc_logits,
+    per_draw_elbo_loss,
     refine_uncertainty,
     scalar_build_graph,
     scalar_refine_objects,
@@ -420,6 +421,50 @@ class TestStackedForward:
         stds = np.array([r.epistemic_std for r in refined]).reshape(n, len(InteractionLabel))
         assert stds.tobytes() == std[:n].tobytes()
         assert [r.interaction_label.index for r in refined] == label_index[:n].tolist()
+
+
+def labeled_graph(n, seed, labels):
+    """A (graph, features, labels) triple of :func:`dense_inputs`' ``n``
+    objects, ``labels`` naming a class index or -1 per node, the ego's too."""
+    objs, ego, cfg, rcfg = dense_inputs(n, seed)
+    assessments = assess(objs, ego, PointCloud(), UncertaintyConfig(), RiskConfig())
+    graph = build_graph(objs, ego, cfg, rcfg.static_speed)
+    return graph, graph_features(objs, assessments, ego), np.array(labels, dtype=np.intp)
+
+
+@st.composite
+def labeled_graphs(draw):
+    n = draw(st.integers(0, 61))
+    labels = draw(st.lists(st.sampled_from((-1, 0, 1, 2)), min_size=n + 1, max_size=n + 1))
+    return labeled_graph(n, draw(st.integers(0, 2**16)), labels)
+
+
+#: four 61-object graphs whose labels pick probabilities out of the stacked
+#: softmax as a strided array; summed without a copy first, a row's
+#: cross-entropy can differ from its 1-D sum in the last bit
+DENSE_BATCH = [labeled_graph(61, k, np.random.default_rng(k).integers(-1, 3, 62))
+               for k in range(4)]
+
+
+class TestBatchedElbo:
+    """``elbo_loss``'s one stacked pass per graph against the per-draw
+    ELBO, the oracle in tests/interaction_oracle.py, compared to the bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 16), st.integers(1, 8),
+           st.lists(labeled_graphs(), min_size=1, max_size=4), st.integers(0, 2**16))
+    @example(layers=3, embed_dim=128, mc_samples=2, batch=DENSE_BATCH, seed=0)
+    @example(layers=2, embed_dim=4, mc_samples=3,
+             batch=[labeled_graph(5, 1, [-1] * 6), labeled_graph(3, 2, [0, 1, 2, -1])], seed=9)
+    def test_equals_per_draw_oracle(self, layers, embed_dim, mc_samples, batch, seed):
+        cfg = InteractionConfig(layers=layers, embed_dim=embed_dim)
+        model = BgnnModel.initialize(cfg, seed=seed % 5)
+        terms, grads = elbo_loss(model.params, batch, seed, cfg.prior_std, mc_samples)
+        want_terms, want_grads = per_draw_elbo_loss(model.params, batch, seed, cfg.prior_std,
+                                                    mc_samples)
+        assert terms == want_terms
+        assert ([a.tobytes() for g in grads for a in g.arrays()]
+                == [a.tobytes() for g in want_grads for a in g.arrays()])
 
 
 class TestNodeFeatures:
