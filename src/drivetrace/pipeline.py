@@ -1,7 +1,8 @@
 """End-to-end per-scene pipeline: detect, assess, graph, refine, reason.
 
 This is the shared engine behind the CLI commands and the evaluation
-harness.  All stages are pure given (scene, config, model), so scenes can
+harness.  Detections come only from the detector ``config.detector``
+names.  All stages are pure given (scene, config, model), so scenes can
 be processed concurrently.
 """
 
@@ -42,28 +43,24 @@ class SceneResult:
 
 
 def detect(scene: Scene, config: PipelineConfig) -> list[TrackedObject]:
-    """Run the configured detector; a scene that already carries tracked
-    objects is returned as-is (pre-detected input)."""
-    if scene.objects:
-        return list(scene.objects)
+    """Run the detector that ``config.detector`` names."""
     return DETECTORS[config.detector](scene, config)
 
 
 def run_scene(scene: Scene, config: PipelineConfig,
               model: Optional[BgnnModel] = None) -> SceneResult:
     detections = detect(scene, config)
-    scene = scene.with_objects(detections)
-    assessments = assess(scene.objects, scene.ego, scene.cloud,
+    assessments = assess(detections, scene.ego, scene.cloud,
                          config.uncertainty, config.risk)
-    graph = build_graph(scene.objects, scene.ego, config.interaction,
+    graph = build_graph(detections, scene.ego, config.interaction,
                         config.reasoner.static_speed)
-    refined = refine_objects(scene.objects, assessments, graph, scene.ego,
+    refined = refine_objects(detections, assessments, graph, scene.ego,
                              config.uncertainty, config.reasoner, model=model,
                              seed=config.seed)
-    factors = extract_risk_factors(scene, assessments, refined,
+    factors = extract_risk_factors(scene, detections, assessments, refined,
                                    config.reasoner, config.uncertainty)
     factors = risk_factors_with_graph_refs(factors, graph)
-    lead = find_lead(scene.objects, scene.ego, config.reasoner)
+    lead = find_lead(detections, scene.ego, config.reasoner)
     trace = decide(factors, scene.ego, lead, config.reasoner)
     return SceneResult(
         detections=tuple(detections),

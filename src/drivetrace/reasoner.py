@@ -172,6 +172,7 @@ def _moving_block_distance(objects: Sequence[TrackedObject], ego: EgoState,
 
 def extract_risk_factors(
     scene: Scene,
+    objects: Sequence[TrackedObject],
     assessments: Sequence[ObjectAssessment],
     refined: Sequence[RefinedEstimate],
     cfg: ReasonerConfig,
@@ -185,12 +186,12 @@ def extract_risk_factors(
     densest sector.  Unpredictability fires for flagged objects and for
     objects whose epistemic spread exceeds its threshold.
 
-    ``assessments`` and ``refined`` are in the order of ``scene.objects``;
-    the object factors are ordered by object id.
+    ``assessments`` and ``refined`` are in the order of ``objects``; the
+    object factors are ordered by object id.
     """
-    check_object_order(scene.objects, assessments, "assessments")
-    check_object_order(scene.objects, refined, "refined")
-    rows = sorted(zip(scene.objects, assessments, refined, strict=True),
+    check_object_order(objects, assessments, "assessments")
+    check_object_order(objects, refined, "refined")
+    rows = sorted(zip(objects, assessments, refined, strict=True),
                   key=lambda row: row[0].id)
     factors: list[RiskFactor] = []
 
@@ -204,13 +205,12 @@ def extract_risk_factors(
                 object_id=a.object_id,
                 evidence={"class": _class_name(obj), "min_distance": a.min_distance,
                           "risk": a.risk, "tier": a.tier.value, "speed": obj.speed,
-                          "adjacent_clear": _adjacent_clear(scene.objects, obj.id,
-                                                            scene.ego, cfg)},
+                          "adjacent_clear": _adjacent_clear(objects, obj.id, scene.ego, cfg)},
             ))
 
     densities = _sector_densities(scene, cfg)
     ambient = max(densities)
-    block = _moving_block_distance(scene.objects, scene.ego, cfg)
+    block = _moving_block_distance(objects, scene.ego, cfg)
     sector_len = cfg.corridor_length / cfg.occlusion_sectors
     if ambient > 0:
         for k, density in enumerate(densities):

@@ -245,8 +245,8 @@ def generate(spec: ScenarioSpec) -> Scene:
     ]
     cloud = _finalize_cloud(rng, ground, object_points, gt, spec.noise_std)
     ego = EgoState(heading=0.0, speed=EGO_SPEED, lane_heading=0.0, intent=Intent.STRAIGHT)
-    return Scene(timestamp=0.0, ego=ego, cloud=cloud, objects=(),
-                 ground_truth=tuple(gt), frame_id=f"{spec.template.value}-{spec.seed}")
+    return Scene(timestamp=0.0, ego=ego, cloud=cloud, ground_truth=tuple(gt),
+                 frame_id=f"{spec.template.value}-{spec.seed}")
 
 
 def _template_tag(t: Template) -> int:

@@ -71,8 +71,8 @@ class PointCloud:
     """Ordered collection of LiDAR points, stored as an (N, 4) float64 array.
 
     Columns are x, y, z, intensity.  Point order is significant and is
-    preserved by serialization round-trips (object support points are stored
-    as indices into this order).
+    preserved by serialization round-trips (a detection's support points
+    are indices into this order).
     """
 
     __slots__ = ("data",)
@@ -390,24 +390,19 @@ class GroundTruthObject:
 
 @dataclass(frozen=True)
 class Scene:
-    """One timestamped scene: ego state, point cloud, tracked objects, and
-    (optionally) ground truth used by the oracle detector and the evaluator.
+    """One timestamped frame of sensor input: ego state, point cloud and
+    (optionally) ground truth for the oracle detector and the evaluator.
     ``frame_id`` names the ego frame that all of them are in."""
 
     timestamp: float
     ego: EgoState
     cloud: PointCloud
-    objects: tuple[TrackedObject, ...] = ()
     ground_truth: Optional[tuple[GroundTruthObject, ...]] = None
     frame_id: str = field(default="ego")
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
             raise ValueError(f"Scene.timestamp must be finite and >= 0, got {self.timestamp!r}")
-        object.__setattr__(self, "objects", tuple(self.objects))
-        ids = [o.id for o in self.objects]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"object ids must be unique within a scene, got {ids}")
         if self.ground_truth is not None:
             gt = tuple(self.ground_truth)
             seen = set()
@@ -417,10 +412,6 @@ class Scene:
                     raise ValueError("duplicate ground-truth box")
                 seen.add(key)
             object.__setattr__(self, "ground_truth", gt)
-
-    def with_objects(self, objects: Sequence[TrackedObject]) -> "Scene":
-        return Scene(self.timestamp, self.ego, self.cloud, tuple(objects),
-                     self.ground_truth, self.frame_id)
 
 
 def forward_lateral(x: float, y: float, ego: EgoState) -> tuple[float, float]:

@@ -5,6 +5,8 @@ Scene files are JSON with top-level keys ``timestamp``, ``ego``,
 relative to the scene file) and ``frame_id`` (the ego frame of the scene
 and its cloud; a file without it loads as ``ego``).  The ego is the frame
 origin, so its ``position`` is written as zeros and must be zero if given.
+Detections come from the detector, so ``objects`` is written as ``[]``
+and must be ``[]`` if given.
 Point clouds come in two flavors:
 
 * ASCII: one point per line, ``x y z intensity`` whitespace-separated,
@@ -33,7 +35,6 @@ from typing import Any, Iterator
 import numpy as np
 
 from .scene import (
-    ClassDistribution,
     EgoState,
     GroundTruthObject,
     Intent,
@@ -213,28 +214,11 @@ def scene_to_dict(scene: Scene, cloud_file: str) -> dict[str, Any]:
         "timestamp": scene.timestamp,
         # the ego is the frame origin
         "ego": {**asdict(scene.ego), "position": [0.0, 0.0, 0.0]},
-        "objects": [object_to_dict(o) for o in scene.objects],
+        "objects": [],
         "ground_truth": ground_truth,
         "cloud_file": cloud_file,
         "frame_id": scene.frame_id,
     }
-
-
-def _support_points(obj: dict[str, Any], n_points: int) -> np.ndarray:
-    """An object's support indices; raises ValueError naming the object
-    unless they are a list of ints that index the cloud (a negative index
-    would wrap, and a float or a bool would be truncated to an int)."""
-    support = obj["support_points"]
-    if not isinstance(support, list):
-        raise ValueError(f"object {obj['id']}: support_points must be a list of ints, "
-                         f"got {support!r}")
-    if not set(map(type, support)) <= {int}:
-        bad = next(v for v in support if type(v) is not int)
-        raise ValueError(f"object {obj['id']}: support_points must be ints, got {bad!r}")
-    if support and not (min(support) >= 0 and max(support) < n_points):
-        raise ValueError(f"object {obj['id']}: support_points must lie in [0, {n_points}), "
-                         f"got indices from {min(support)} to {max(support)}")
-    return np.array(support, dtype=np.int64)
 
 
 @contextmanager
@@ -262,17 +246,6 @@ def _ground_truth_from_dict(g: dict[str, Any], name: str) -> GroundTruthObject:
                                  tuple(g["velocity"]))
 
 
-def _object_from_dict(o: dict[str, Any], name: str, n_points: int) -> TrackedObject:
-    with _field(name):
-        return TrackedObject(
-            id=o["id"],
-            box=_box_from_dict(o["box"]),
-            velocity=tuple(o["velocity"]),
-            class_dist=ClassDistribution(tuple(o["class_probs"])),
-            support_points=_support_points(o, n_points),
-        )
-
-
 def scene_from_dict(d: dict[str, Any], cloud: PointCloud) -> Scene:
     with _field("ego"):
         ego = d["ego"]
@@ -294,14 +267,14 @@ def scene_from_dict(d: dict[str, Any], cloud: PointCloud) -> Scene:
         with _field("ground_truth"):
             gt = tuple(_ground_truth_from_dict(g, f"ground_truth[{k}]")
                        for k, g in enumerate(d["ground_truth"]))
-    with _field("objects"):
-        objects = tuple(_object_from_dict(o, f"objects[{k}]", len(cloud))
-                        for k, o in enumerate(d["objects"]))
+    objects = d.get("objects", [])
+    if objects != []:
+        raise ValueError(f"objects must be [] (detections come from the detector that "
+                         f"config.detector names), got {objects!r}")
     return Scene(
         timestamp=_number(d, "timestamp", "timestamp"),
         ego=ego_state,
         cloud=cloud,
-        objects=objects,
         ground_truth=gt,
         frame_id=frame_id,
     )
@@ -323,7 +296,7 @@ def save_scene(scene: Scene, scene_path: str | Path, cloud_format: str = "ascii"
 def load_scene(scene_path: str | Path) -> Scene:
     """Read a scene file and its cloud.  A malformed file raises ValueError
     with the scene path in front of the reason; a value of the wrong JSON
-    type is named by its field (``objects[2]``, ``ego.heading``)."""
+    type is named by its field (``ground_truth[2]``, ``ego.heading``)."""
     scene_path = Path(scene_path)
     d = read_json(scene_path)
     try:

@@ -80,7 +80,6 @@ def tiny_scene(ground_truth: list[GroundTruthObject], cloud_points=None,
         timestamp=0.0,
         ego=ego or EgoState(heading=0.0, speed=8.0),
         cloud=PointCloud(np.asarray(cloud_points, dtype=np.float64)),
-        objects=(),
         ground_truth=tuple(ground_truth),
     )
 

@@ -70,7 +70,7 @@ def lead_scene(tmp_path):
 #: field the error names.
 WRONG_TYPES = {
     "ego-int": (lambda d: d.update(ego=5), "ego"),
-    "object-int": (lambda d: d.update(objects=[5]), "objects[0]"),
+    "object-int": (lambda d: d.update(objects=[5]), "objects"),
     "ground-truth-int": (lambda d: d.update(ground_truth=[5]), "ground_truth[0]"),
     "objects-null": (lambda d: d.update(objects=None), "objects"),
     "timestamp-str": (lambda d: d.update(timestamp="x"), "timestamp"),

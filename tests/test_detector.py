@@ -74,7 +74,7 @@ class TestOracleDetect:
             assert shannon_entropy(det.class_dist) == pytest.approx(0.0, abs=1e-8)
 
     def test_requires_ground_truth(self):
-        scene = Scene(0.0, EgoState(), PointCloud(), (), None)
+        scene = Scene(0.0, EgoState(), PointCloud())
         with pytest.raises(ValueError):
             oracle_detect(scene, NoiseModel(), 0)
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from drivetrace.cli import main
 from drivetrace.config import PipelineConfig
+from drivetrace.detector import DETECTORS
 from drivetrace.pipeline import run_scene
 from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import (ClassDistribution, GroundTruthObject, ObjectClass, OrientedBox,
@@ -60,10 +61,10 @@ def test_ground_truth_order_changes_no_decision(template, seed):
 
 @functools.lru_cache(maxsize=None)
 def _predetected():
-    """A pre-detected scene: the seed-1 dense-traffic scene with its oracle
-    detections as objects, plus a pedestrian in the corridor (a collision
-    risk) and two objects of uniform class belief with turned boxes
-    (unpredictable), all given distinct ids out of order."""
+    """Detections for the seed-1 dense-traffic scene: its oracle detections,
+    plus a pedestrian in the corridor (a collision risk) and two objects of
+    uniform class belief with turned boxes (unpredictable), all given
+    distinct ids out of order."""
     scene = _generated(Template.DENSE_TRAFFIC, 1)
     uniform = ClassDistribution((0.25,) * 4)
     objects = run_scene(scene, CONFIG).detections + (
@@ -75,20 +76,27 @@ def _predetected():
                       uniform),
     )
     ids = np.random.default_rng(7).permutation(len(objects)) * 3 + 2
-    return scene.with_objects([replace(o, id=int(i)) for o, i in zip(objects, ids)])
+    return tuple(replace(o, id=int(i)) for o, i in zip(objects, ids))
 
 
-def _factor_keys(scene):
-    result = run_scene(scene, CONFIG)
+def _factor_keys(objects):
+    """The decision and the factors of the seed-1 dense-traffic scene when
+    its detector returns ``objects``.  The fake detector goes through the
+    ``DETECTORS`` table, the one seam for picking a detector; Hypothesis
+    tests cannot take the function-scoped ``monkeypatch`` fixture."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(DETECTORS, "given", lambda scene, config: list(objects))
+        result = run_scene(_generated(Template.DENSE_TRAFFIC, 1),
+                           replace(CONFIG, detector="given"))
     return ((result.trace.speed, result.trace.path),
             [(f.kind, f.object_id) for f in result.factors])
 
 
-def test_predetected_scene_is_out_of_order_with_object_factors():
+def test_predetected_objects_are_out_of_order_with_object_factors():
     """The check below needs ids out of order and two factors of one kind."""
-    scene = _predetected()
-    ids = [o.id for o in scene.objects]
-    kinds = [kind for kind, i in _factor_keys(scene)[1] if i is not None]
+    objects = _predetected()
+    ids = [o.id for o in objects]
+    kinds = [kind for kind, i in _factor_keys(objects)[1] if i is not None]
     assert ids != sorted(ids) and len(kinds) > len(set(kinds))
 
 
@@ -98,10 +106,9 @@ def test_object_order_changes_no_decision_and_no_factor(order):
     """The stages pair objects, assessments and refined estimates by
     position, and the factors come in object id order.  Float bits may
     differ: the ego-edge softmax sums in node order."""
-    scene = _predetected()
-    perm = np.random.default_rng(order).permutation(len(scene.objects))
-    permuted = scene.with_objects([scene.objects[i] for i in perm])
-    assert _factor_keys(permuted) == _factor_keys(scene)
+    objects = _predetected()
+    perm = np.random.default_rng(order).permutation(len(objects))
+    assert _factor_keys([objects[i] for i in perm]) == _factor_keys(objects)
 
 
 def _rotated(scene, angle):

@@ -31,9 +31,9 @@ from drivetrace.reasoner import (
 )
 from drivetrace.risk import RiskConfig, UncertaintyConfig, assess
 from drivetrace.scenario import ScenarioSpec, Template, generate
-from drivetrace.scene import EgoState, Intent, PointCloud, Scene
+from drivetrace.scene import EgoState, GroundTruthObject, Intent, PointCloud, Scene
 from drivetrace.scene_io import json_text
-from conftest import make_object
+from conftest import make_object, tiny_scene
 from interaction_oracle import scalar_build_graph
 from reasoner_oracle import reference_decide
 
@@ -283,14 +283,12 @@ class TestExtractFactors:
         obj = make_object(0, (0.5, 3.0, 0.0), dims=(0.5, 0.5, 1.7), support=(0,))
         cloud = PointCloud(np.array([[0.5, 3.0, 0.5, 1.0]]))
         ego = EgoState(speed=8.0)
-        scene = generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=0))
-        scene = scene.with_objects([obj])
-        scene = type(scene)(scene.timestamp, ego, cloud, scene.objects, None)
-        assessments = assess(scene.objects, ego, cloud, UncertaintyConfig(), RiskConfig())
+        assessments = assess([obj], ego, cloud, UncertaintyConfig(), RiskConfig())
         assert assessments[0].tier.value == "High"  # would be a High-tier risk...
-        graph = build_graph(scene.objects, ego, self.ICFG, CFG.static_speed)
-        refined = refine_objects(scene.objects, assessments, graph, ego, UCFG, CFG)
-        factors = extract_risk_factors(scene, assessments, refined, CFG, UCFG)
+        graph = build_graph([obj], ego, self.ICFG, CFG.static_speed)
+        refined = refine_objects([obj], assessments, graph, ego, UCFG, CFG)
+        factors = extract_risk_factors(Scene(0.0, ego, cloud), [obj], assessments, refined,
+                                       CFG, UCFG)
         # ...but the corridor gate keeps CollisionRisk out
         assert not any(f.kind is FactorKind.COLLISION_RISK for f in factors)
 
@@ -309,13 +307,12 @@ class TestExtractFactors:
         cloud = PointCloud(np.array([[12.0, 0.0, 0.5, 1.0]]))
         ego = EgoState(speed=8.0)
         obj = make_object(0, (12, 0, 0), yaw=3.0, probs=(0.25,) * 4, support=(0,))
-        scene = generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=0))
-        scene = type(scene)(scene.timestamp, ego, cloud, (obj,), None)
-        assessments = assess(scene.objects, ego, cloud, UncertaintyConfig(), RiskConfig())
+        assessments = assess([obj], ego, cloud, UncertaintyConfig(), RiskConfig())
         assert assessments[0].flagged
-        graph = build_graph(scene.objects, ego, self.ICFG, CFG.static_speed)
-        refined = refine_objects(scene.objects, assessments, graph, ego, UCFG, CFG)
-        factors = extract_risk_factors(scene, assessments, refined, CFG, UCFG)
+        graph = build_graph([obj], ego, self.ICFG, CFG.static_speed)
+        refined = refine_objects([obj], assessments, graph, ego, UCFG, CFG)
+        factors = extract_risk_factors(Scene(0.0, ego, cloud), [obj], assessments, refined,
+                                       CFG, UCFG)
         unp = [f for f in factors if f.kind is FactorKind.UNPREDICTABLE_OBJECT]
         assert len(unp) == 1
         assert unp[0].magnitude == pytest.approx(
@@ -330,14 +327,15 @@ class TestExtractFactors:
         objs = (make_object(0, (6, 0, 0), support=(0,)),
                 make_object(1, (30, 8, 0), yaw=3.0, probs=(0.25,) * 4, support=(1,)))
         cloud = PointCloud(np.array([[6.0, 0.0, 0.5, 1.0], [30.0, 8.0, 0.5, 1.0]]))
-        scene = Scene(0.0, ego, cloud, objs)
+        scene = Scene(0.0, ego, cloud)
         records = {"assessments": assess(objs, ego, cloud, UCFG, RiskConfig())}
         graph = build_graph(objs, ego, self.ICFG, CFG.static_speed)
         records["refined"] = refine_objects(objs, records["assessments"], graph, ego, UCFG, CFG)
         records[reordered] = records[reordered][::-1]
         with pytest.raises(ValueError, match=rf"{reordered}\[0\] is for object 1, "
                                              r"but objects\[0\] has id 0"):
-            extract_risk_factors(scene, records["assessments"], records["refined"], CFG, UCFG)
+            extract_risk_factors(scene, objs, records["assessments"], records["refined"],
+                                 CFG, UCFG)
 
     def test_ego_edge_evidence(self):
         ego = EgoState(speed=8.0)
@@ -420,9 +418,10 @@ class TestReasonerConfigReach:
     the interaction labels as well as the decision rules."""
 
     def run(self, obj, **reasoner):
-        scene = Scene(timestamp=0.0, ego=EgoState(speed=8.0), cloud=PointCloud(),
-                      objects=(obj,))
-        return run_scene(scene, config_from_dict({"reasoner": reasoner}))
+        """The pipeline on a scene whose one truth the oracle detects as
+        ``obj``."""
+        truth = GroundTruthObject(obj.box, obj.class_dist.top_class, obj.velocity)
+        return run_scene(tiny_scene([truth]), config_from_dict({"reasoner": reasoner}))
 
     def test_wide_corridor_lead_is_followed(self):
         result = self.run(make_object(0, (15, 3, 0), velocity=(8, 0, 0)), corridor_width=8.0)

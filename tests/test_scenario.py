@@ -185,6 +185,6 @@ class TestLabelInteractions:
 
     def test_requires_ground_truth(self):
         scene = generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=0))
-        scene = type(scene)(scene.timestamp, scene.ego, scene.cloud, (), None)
+        scene = type(scene)(scene.timestamp, scene.ego, scene.cloud)
         with pytest.raises(ValueError):
             label_interactions(scene, RCFG)

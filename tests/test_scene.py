@@ -172,13 +172,6 @@ class TestTypes:
             PointCloud(np.array([[1.0, 2.0, 3.0, -1.0]]))
         assert not cloud.data.flags.writeable
 
-    def test_scene_unique_ids(self):
-        ego = EgoState()
-        obj = TrackedObject(1, OrientedBox((1, 0, 0), 1, 1, 1, 0), (0, 0, 0),
-                            UNIFORM)
-        with pytest.raises(ValueError):
-            Scene(0.0, ego, PointCloud(), (obj, obj))
-
     def test_ego_normalizes_headings(self):
         ego = EgoState(heading=3 * math.pi, lane_heading=-3 * math.pi)
         assert ego.heading == pytest.approx(math.pi)

@@ -17,14 +17,13 @@ from drivetrace.scene_io import (
     _scan_points,
     json_text,
     load_scene,
+    object_to_dict,
     read_cloud,
     save_scene,
-    scene_to_dict,
     write_cloud_ascii,
     write_cloud_binary,
     write_json,
 )
-from conftest import make_object
 
 
 @pytest.fixture
@@ -188,21 +187,6 @@ def test_scene_json_schema_keys(tmp_path):
     assert set(gt["box"]) == {"center", "length", "width", "height", "yaw"}
 
 
-def test_objects_round_trip_preserves_support_points(tmp_path):
-    from drivetrace.config import PipelineConfig
-    from drivetrace.pipeline import detect
-
-    scene = generate(ScenarioSpec(template=Template.STATIC_VEHICLE_AHEAD, seed=3))
-    scene = scene.with_objects(detect(scene, PipelineConfig()))
-    path = tmp_path / "scene.json"
-    save_scene(scene, path)
-    back = load_scene(path)
-    assert len(back.objects) == 1
-    assert np.array_equal(back.objects[0].support_points, scene.objects[0].support_points)
-    assert back.objects[0] == scene.objects[0]
-    assert back.objects[0].class_dist == scene.objects[0].class_dist
-
-
 def test_nan_ego_speed_rejected_at_load(tmp_path):
     scene = generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=1))
     path = tmp_path / "scene.json"
@@ -227,7 +211,7 @@ def test_non_finite_timestamp_rejected_at_load(tmp_path, bad):
     assert str(exc.value) == f"{path}: Scene.timestamp must be finite and >= 0, got {bad!r}"
 
 
-def test_detected_objects_serialize_like_scene_objects(tmp_path):
+def test_detections_file_is_the_detector_output(tmp_path):
     from drivetrace.cli import main
     from drivetrace.config import PipelineConfig
     from drivetrace.pipeline import detect
@@ -237,16 +221,52 @@ def test_detected_objects_serialize_like_scene_objects(tmp_path):
     save_scene(scene, path)
     assert main(["detect", "--scene", str(path), "--out", str(tmp_path / "det")]) == 0
     dets = json.loads((tmp_path / "det" / "detections.json").read_text())
-    loaded = load_scene(path)
-    objects = scene_to_dict(loaded.with_objects(detect(loaded, PipelineConfig())),
-                            "cloud")["objects"]
-    written = json.loads(json_text(objects))
+    written = json.loads(json_text([object_to_dict(o)
+                                    for o in detect(load_scene(path), PipelineConfig())]))
     assert len(dets) == len(written) > 1
     assert dets == written
     # the support arrays are written as plain JSON ints
     assert all(d["support_points"] for d in dets)
-    for written in (written, dets):
-        assert all(type(i) is int for d in written for i in d["support_points"])
+    assert all(type(i) is int for d in dets for i in d["support_points"])
+
+
+@pytest.mark.parametrize("objects", ["missing", []])
+def test_objects_missing_or_empty_loads(tmp_path, objects):
+    path = tmp_path / "scene.json"
+    scene = generate(ScenarioSpec(template=Template.LEAD_VEHICLE, seed=1))
+    save_scene(scene, path)
+    d = json.loads(path.read_text())
+    assert d["objects"] == []
+    if objects == "missing":
+        del d["objects"]
+    path.write_text(json.dumps(d))
+    assert load_scene(path) == scene
+
+
+def _own_detections():
+    """The seed-1 lead-vehicle scene's detections as ``detections.json``
+    holds them."""
+    from drivetrace.config import PipelineConfig
+    from drivetrace.pipeline import detect
+
+    scene = generate(ScenarioSpec(template=Template.LEAD_VEHICLE, seed=1))
+    return json.loads(json_text([object_to_dict(o) for o in detect(scene, PipelineConfig())]))
+
+
+@pytest.mark.parametrize("objects", [_own_detections(), [5], [[]], None, {}, "[]", 0],
+                         ids=["detections", "int", "nested", "null", "object", "string", "zero"])
+def test_objects_other_than_empty_rejected(tmp_path, objects):
+    """Detections come only from the configured detector: a scene file that
+    carries its own is refused, not used in the detector's place."""
+    path = tmp_path / "scene.json"
+    save_scene(generate(ScenarioSpec(template=Template.LEAD_VEHICLE, seed=1)), path)
+    d = json.loads(path.read_text())
+    d["objects"] = objects
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError) as exc:
+        load_scene(path)
+    assert str(exc.value) == (f"{path}: objects must be [] (detections come from the detector "
+                              f"that config.detector names), got {objects!r}")
 
 
 def test_truncated_binary_cloud_names_file(cloud, tmp_path):
@@ -317,47 +337,6 @@ def test_scene_load_error_names_scene_file(tmp_path):
     with pytest.raises(ValueError) as exc:
         load_scene(path)
     assert str(exc.value).startswith(f"{path}: {cloud_path}:2: could not convert")
-
-
-@pytest.mark.parametrize("index", [-1, 10 ** 9])
-def test_support_points_outside_cloud_rejected_at_load(tmp_path, index):
-    from drivetrace.config import PipelineConfig
-    from drivetrace.pipeline import detect
-
-    scene = generate(ScenarioSpec(template=Template.STATIC_VEHICLE_AHEAD, seed=3))
-    scene = scene.with_objects(detect(scene, PipelineConfig()))
-    path = tmp_path / "scene.json"
-    save_scene(scene, path)
-    d = json.loads(path.read_text())
-    d["objects"][0]["support_points"].append(index)
-    path.write_text(json.dumps(d))
-    with pytest.raises(ValueError, match=r"object 0: support_points must lie in \[0, ") as exc:
-        load_scene(path)
-    assert str(index) in str(exc.value)
-    assert str(path) in str(exc.value)
-
-
-@pytest.mark.parametrize(("support", "message"), [
-    ("abc", "must be a list of ints, got 'abc'"),
-    (None, "must be a list of ints, got None"),
-    ([[1]], "must be ints, got [1]"),
-    ([1.5], "must be ints, got 1.5"),
-    ([2, True], "must be ints, got True"),
-], ids=["string", "null", "nested", "float", "bool"])
-def test_malformed_support_points_rejected_at_load(tmp_path, support, message):
-    """Each form raises naming the scene, the object and the field; before,
-    the first three raised a bare TypeError and the last two loaded as
-    index 1."""
-    scene = generate(ScenarioSpec(template=Template.STATIC_VEHICLE_AHEAD, seed=3))
-    scene = scene.with_objects([make_object(4, (10.0, 0.0, 0.8))])
-    path = tmp_path / "scene.json"
-    save_scene(scene, path)
-    d = json.loads(path.read_text())
-    d["objects"][0]["support_points"] = support
-    path.write_text(json.dumps(d))
-    with pytest.raises(ValueError) as exc:
-        load_scene(path)
-    assert str(exc.value) == f"{path}: object 4: support_points {message}"
 
 
 def _outcome(parse):
