@@ -50,6 +50,15 @@ _JSON_KINDS = {"int": ((int,), "an integer"),
                "Optional[float]": ((int, float, type(None)), "a number or null")}
 
 
+def _fits_float(value: int) -> bool:
+    """Whether the integer converts to a (finite) float."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _section_from_dict(cls: type, data: Any, section: str) -> Any:
     if not isinstance(data, dict):
         raise ValueError(f"config section {section!r} must be an object, got {data!r}")
@@ -63,6 +72,9 @@ def _section_from_dict(cls: type, data: Any, section: str) -> Any:
             raise ValueError(f"{section}.{key} must be {kind}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{section}.{key} must be finite, got {value!r}")
+        if isinstance(value, int) and annotations[key] != "int" and not _fits_float(value):
+            raise ValueError(f"{section}.{key} must be finite, got an integer of "
+                             f"{len(str(abs(value)))} digits")
     return cls(**data)
 
 

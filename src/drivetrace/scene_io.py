@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict, is_dataclass
@@ -223,20 +224,23 @@ def scene_to_dict(scene: Scene, cloud_file: str) -> dict[str, Any]:
 
 @contextmanager
 def _field(name: str) -> Iterator[None]:
-    """Re-raise a wrong-type error from the block as a ValueError that
-    starts with the scene field ``name``."""
+    """Re-raise a wrong-type or bad-value error from the block as a
+    ValueError that starts with the scene field ``name``; an integer too
+    large for a float is a bad value."""
     try:
         yield
-    except (AttributeError, TypeError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
 
 def _number(d: dict[str, Any], key: str, name: str) -> float:
     """``d[key]``; raises ValueError naming the field ``name`` unless it is a
-    JSON number."""
+    JSON number that a float holds."""
     value = d[key]
     if type(value) not in (int, float):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    with _field(name):
+        float(value)
     return value
 
 
@@ -246,31 +250,34 @@ def _ground_truth_from_dict(g: dict[str, Any], name: str) -> GroundTruthObject:
                                  tuple(g["velocity"]))
 
 
-def scene_from_dict(d: dict[str, Any], cloud: PointCloud) -> Scene:
+def _ego_from_dict(ego: dict[str, Any]) -> EgoState:
+    """The ego state; the checks that name their own ``ego.<key>`` field
+    run outside ``_field``, so that their message is not prefixed twice."""
     with _field("ego"):
-        ego = d["ego"]
         position = ego.get("position", [0, 0, 0])
-        if position != [0, 0, 0] or bool in map(type, position):
-            raise ValueError(f"ego.position must be [0, 0, 0] (the ego is the frame origin), "
-                             f"got {position!r}")
-        ego_state = EgoState(
-            heading=_number(ego, "heading", "ego.heading"),
-            speed=_number(ego, "speed", "ego.speed"),
-            lane_heading=_number(ego, "lane_heading", "ego.lane_heading"),
-            intent=Intent(ego["intent"]),
-        )
+    if position != [0, 0, 0] or bool in map(type, position):
+        raise ValueError(f"ego.position must be [0, 0, 0] (the ego is the frame origin), "
+                         f"got {position!r}")
+    heading, speed, lane_heading = (_number(ego, key, f"ego.{key}")
+                                    for key in ("heading", "speed", "lane_heading"))
+    with _field("ego"):
+        return EgoState(heading, speed, lane_heading, Intent(ego["intent"]))
+
+
+def scene_from_dict(d: dict[str, Any], cloud: PointCloud) -> Scene:
+    ego_state = _ego_from_dict(d["ego"])
     frame_id = d.get("frame_id", "ego")  # files written without one are in "ego"
     if not isinstance(frame_id, str):
         raise ValueError(f"frame_id must be a string, got {frame_id!r}")
-    gt = None
-    if d.get("ground_truth") is not None:
+    gt = d.get("ground_truth")
+    if gt is not None:
         with _field("ground_truth"):
-            gt = tuple(_ground_truth_from_dict(g, f"ground_truth[{k}]")
-                       for k, g in enumerate(d["ground_truth"]))
+            entries = enumerate(gt)
+        gt = tuple(_ground_truth_from_dict(g, f"ground_truth[{k}]") for k, g in entries)
     objects = d.get("objects", [])
     if objects != []:
         raise ValueError(f"objects must be [] (detections come from the detector that "
-                         f"config.detector names), got {objects!r}")
+                         f"config.detector names), got {reprlib.repr(objects)}")
     return Scene(
         timestamp=_number(d, "timestamp", "timestamp"),
         ego=ego_state,
@@ -296,7 +303,8 @@ def save_scene(scene: Scene, scene_path: str | Path, cloud_format: str = "ascii"
 def load_scene(scene_path: str | Path) -> Scene:
     """Read a scene file and its cloud.  A malformed file raises ValueError
     with the scene path in front of the reason; a value of the wrong JSON
-    type is named by its field (``ground_truth[2]``, ``ego.heading``)."""
+    type or a bad value is named by its field (``ground_truth[2]``,
+    ``ego.heading``)."""
     scene_path = Path(scene_path)
     d = read_json(scene_path)
     try:

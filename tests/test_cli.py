@@ -1,8 +1,10 @@
 """CLI behavior: determinism, artifacts, exit codes, config handling."""
 
 import json
+import math
 import re
 import os
+import sys
 import warnings
 from dataclasses import asdict, fields, replace
 
@@ -76,6 +78,26 @@ WRONG_TYPES = {
     "timestamp-str": (lambda d: d.update(timestamp="x"), "timestamp"),
     "heading-str": (lambda d: d["ego"].update(heading="x"), "ego.heading"),
     "cloud-file-int": (lambda d: d.update(cloud_file=5), "cloud_file"),
+}
+
+#: An edit of a scene file giving one value of the right type a bad value,
+#: and the error that names the entry holding it.
+BAD_VALUES = {
+    "ego-heading-nan": (lambda d: d["ego"].update(heading=math.nan),
+                        "ego: angle must be finite, got nan"),
+    "truth-yaw-nan": (lambda d: d["ground_truth"][0]["box"].update(yaw=math.nan),
+                      "ground_truth[0]: angle must be finite, got nan"),
+    "truth-center-inf": (lambda d: d["ground_truth"][0]["box"].update(center=[math.inf, 0, 0]),
+                         "ground_truth[0]: center must be 3 finite values, got (inf, 0, 0)"),
+    "truth-class-truck": (lambda d: d["ground_truth"][0].update({"class": "Truck"}),
+                          "ground_truth[0]: 'Truck' is not a valid ObjectClass"),
+    # 1 followed by 400 zeros: a JSON integer that no float holds
+    "ego-heading-huge": (lambda d: d["ego"].update(heading=10 ** 400),
+                         "ego.heading: int too large to convert to float"),
+    "timestamp-huge": (lambda d: d.update(timestamp=10 ** 400),
+                       "timestamp: int too large to convert to float"),
+    "truth-velocity-huge": (lambda d: d["ground_truth"][0].update(velocity=[10 ** 400, 0, 0]),
+                            "ground_truth[0]: int too large to convert to float"),
 }
 
 
@@ -203,7 +225,7 @@ class TestPipelineCommands:
         bad.write_text(json.dumps(d))
         assert run("reason", "--scene", str(bad), "--out", str(tmp_path / "r")) == 1
         err = capsys.readouterr().err
-        assert f"error: ValueError: {bad}: EgoState.speed must be finite and >= 0" in err
+        assert f"error: ValueError: {bad}: ego: EgoState.speed must be finite and >= 0" in err
 
     @pytest.mark.parametrize(("edit", "field"), WRONG_TYPES.values(), ids=list(WRONG_TYPES))
     def test_wrong_json_type_names_file(self, edit, field, lead_scene, tmp_path, capsys):
@@ -214,6 +236,15 @@ class TestPipelineCommands:
         assert run("reason", "--scene", str(bad), "--out", str(tmp_path / "r")) == 1
         err = capsys.readouterr().err
         assert re.match(re.escape(f"error: ValueError: {bad}: {field}") + "[: ]", err), err
+
+    @pytest.mark.parametrize(("edit", "message"), BAD_VALUES.values(), ids=list(BAD_VALUES))
+    def test_bad_value_names_its_entry(self, edit, message, lead_scene, tmp_path, capsys):
+        d = json.loads(lead_scene.read_text())
+        edit(d)
+        bad = lead_scene.parent / "bad_value.json"
+        bad.write_text(json.dumps(d))
+        assert run("reason", "--scene", str(bad), "--out", str(tmp_path / "r")) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {bad}: {message}\n"
 
     def test_cloud_error_names_scene_and_cloud_file(self, ped_scene, tmp_path, capsys):
         cloud = ped_scene.parent / json.loads(ped_scene.read_text())["cloud_file"]
@@ -690,6 +721,34 @@ class TestArgsAndConfig:
         assert run("reason", "--scene", str(lead_scene), "--config", str(bad),
                    "--out", str(tmp_path / "r")) == 1
         assert f"error: ValueError: {bad}: {reason}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["risk.decay_length", "interaction.w_distance"])
+    def test_integer_too_large_for_a_float_exit_1(self, lead_scene, tmp_path, capsys, key):
+        """1 followed by 400 zeros is a JSON integer that no float holds."""
+        section, name = key.split(".")
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"%s": {"%s": 1%s}}' % (section, name, "0" * 400))
+        assert run("reason", "--scene", str(lead_scene), "--config", str(bad),
+                   "--out", str(tmp_path / "r")) == 1
+        assert capsys.readouterr().err == (f"error: ValueError: {bad}: {key} must be finite, "
+                                           f"got an integer of 401 digits\n")
+
+    @pytest.mark.parametrize(("section", "key"), FLOAT_FIELDS + [("interaction", "w_distance")])
+    def test_float_field_refuses_an_integer_no_float_holds(self, tmp_path, section, key):
+        """Ten times the largest float's integer, of either sign, is refused
+        before any range check of the section."""
+        path = tmp_path / "config.json"
+        for value in (-10 * int(sys.float_info.max), 10 * int(sys.float_info.max)):
+            path.write_text(json.dumps({section: {key: value}}))
+            with pytest.raises(ValueError) as exc:
+                load_config(path)
+            assert str(exc.value) == (f"{path}: {section}.{key} must be finite, "
+                                      f"got an integer of 310 digits")
+
+    def test_largest_float_integer_kept_as_given(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"risk": {"decay_length": int(sys.float_info.max)}}))
+        assert load_config(path).risk.decay_length == int(sys.float_info.max)
 
     @pytest.mark.parametrize(("section", "key"), [(section, f.name)
                                                   for section, cls in _SECTIONS.items()

@@ -1,8 +1,9 @@
 """Source layout guards: every top-level function and class and every
 class member is used, every config knob has one owner that the code
-reads, no module reads the environment, no two enums share a vocabulary,
-every CLI option is read by its command, and the README documents the
-config's keys and an explanation template for every decision rule.
+reads, no module reads the environment or imports a name it does not
+use, no two enums share a vocabulary, every CLI option is read by its
+command, and the README documents the config's keys and an explanation
+template for every decision rule.
 
 A top-level ``def`` or ``class`` in ``src/drivetrace`` whose name appears
 nowhere else in the package (as a whole word, outside its own definition
@@ -81,6 +82,39 @@ def test_every_member_is_read(path, name, lineno):
     somewhere in the package outside its own definition line."""
     used = _found_elsewhere(re.compile(rf"\.{re.escape(name)}\b"), path, lineno)
     assert used, f"{path.name}:{lineno}: {name} is a member that nothing in the package reads"
+
+
+def _imported_names(tree: ast.Module):
+    """(line, name) of every name an import binds in ``tree``, at any depth,
+    ``TYPE_CHECKING`` blocks included; ``import a.b`` binds ``a``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """The names ``tree`` reads, in code and in string annotations such as
+    ``"PipelineConfig"``."""
+    annotations = [a for node in ast.walk(tree)
+                   for a in (getattr(node, "annotation", None), getattr(node, "returns", None))
+                   if a is not None]
+    quoted = [ast.parse(node.value, mode="eval") for a in annotations for node in ast.walk(a)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    return {node.id for part in (tree, *quoted) for node in ast.walk(part)
+            if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.stem) for p in SOURCES])
+def test_every_import_is_used(path):
+    """A name a module imports is read somewhere in that module: an unused
+    import is a dependency on code the module no longer needs."""
+    tree = ast.parse("\n".join(SOURCES[path]))
+    read = _names_read(tree)
+    unused = [f"{path.name}:{line}: {name}" for line, name in _imported_names(tree)
+              if name not in read]
+    assert not unused, f"imported but never used: {unused}"
 
 
 #: (section, field) of every config knob

@@ -2,6 +2,7 @@
 
 import json
 import math
+import reprlib
 import struct
 
 import numpy as np
@@ -266,7 +267,7 @@ def test_objects_other_than_empty_rejected(tmp_path, objects):
     with pytest.raises(ValueError) as exc:
         load_scene(path)
     assert str(exc.value) == (f"{path}: objects must be [] (detections come from the detector "
-                              f"that config.detector names), got {objects!r}")
+                              f"that config.detector names), got {reprlib.repr(objects)}")
 
 
 def test_truncated_binary_cloud_names_file(cloud, tmp_path):
