@@ -32,7 +32,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.detector not in DETECTORS:
+        if not isinstance(self.detector, str) or self.detector not in DETECTORS:
             raise ValueError(f"detector must be one of {sorted(DETECTORS)}, got {self.detector!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")

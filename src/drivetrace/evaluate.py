@@ -284,7 +284,7 @@ def _csv_value(v: Any) -> str:
 
 
 def render_csv(result: SuiteResult) -> str:
-    rows = ["section,key,value"]
+    rows = [_CSV_HEADER]
     for cls in sorted(result.speed_metrics):
         m = result.speed_metrics[cls]
         rows.append(f"speed_precision,{cls},{_csv_value(m.precision)}")
@@ -302,6 +302,7 @@ def render_csv(result: SuiteResult) -> str:
     return "\n".join(rows) + "\n"
 
 
+_CSV_HEADER = "section,key,value"
 _SPEED_SECTIONS = ("speed_precision", "speed_recall", "speed_f1")
 _UNIT = (0.0, 1.0)
 _ANY = (-math.inf, math.inf)
@@ -329,19 +330,22 @@ def parse_csv(text: str) -> SuiteResult:
     """Inverse of :func:`render_csv`; the round-trip is lossless.
 
     Raises:
-        ValueError: naming the line, on a malformed row, an unknown scalar,
-            a value that is not finite, a fraction (speed metric, path
-            accuracy, ``mean_iou``, ``detection_accuracy``) outside [0, 1],
-            a negative count, or a speed class that lacks one of its three
-            metric rows.
+        ValueError: naming the line, on a missing header, a malformed or
+            repeated row, an unknown scalar, a value that is not finite, a
+            fraction (speed metric, path accuracy, ``mean_iou``,
+            ``detection_accuracy``) outside [0, 1], a negative count, or a
+            speed class that lacks one of its three metric rows.
     """
     speed: dict[str, dict[str, float]] = {}
-    speed_lines: dict[str, int] = {}  # class -> line of its first row
     confusion: dict[str, dict[str, int]] = {}
     path_accuracy: dict[str, float] = {}
     scalars: dict[str, Optional[float]] = {}
     counts: dict[str, int] = {}
+    row_lines: dict[tuple[str, str], int] = {}  # (section, key) -> its line
     numbered = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln]
+    number, header = numbered[0] if numbered else (1, "")
+    if header != _CSV_HEADER:
+        raise ValueError(f"line {number}: expected the header {_CSV_HEADER!r}, got {header!r}")
     for number, line in numbered[1:]:
         try:
             fields = line.split(",", 2)
@@ -349,8 +353,10 @@ def parse_csv(text: str) -> SuiteResult:
                 raise ValueError(f"expected section,key,value, got {line!r}")
             section, key, value = fields
             what = f"{section} {key}"
+            first = row_lines.setdefault((section, key), number)
+            if first != number:
+                raise ValueError(f"{what} repeats line {first}")
             if section in _SPEED_SECTIONS:
-                speed_lines.setdefault(key, number)
                 speed.setdefault(key, {})[section] = _csv_number(value, what, *_UNIT)
             elif section == "speed_confusion":
                 exp, pred = key.split("|", 1)
@@ -370,8 +376,8 @@ def parse_csv(text: str) -> SuiteResult:
     for cls, d in speed.items():
         missing = [section for section in _SPEED_SECTIONS if section not in d]
         if missing:
-            raise ValueError(f"line {speed_lines[cls]}: speed class {cls!r} "
-                             f"has no {missing[0]} row")
+            first = min(row_lines[section, cls] for section in d)
+            raise ValueError(f"line {first}: speed class {cls!r} has no {missing[0]} row")
     metrics = {cls: ClassMetrics(*(d[section] for section in _SPEED_SECTIONS))
                for cls, d in speed.items()}
     return SuiteResult(

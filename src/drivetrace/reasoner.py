@@ -3,9 +3,9 @@
 Risk factors (collision risk, occlusion, unpredictable objects) are
 extracted from the assessed scene, then a fixed-priority cascade selects a
 speed and path decision.  Every rule evaluation is recorded as a trace
-step with its evidence, and a deterministic template renders the trace as
-a short textual explanation.  The whole module is pure: identical inputs
-produce byte-identical traces and text.
+step with its evidence, and each rule that passes adds its fixed-template
+sentence to a short textual explanation.  The whole module is pure:
+identical inputs produce byte-identical traces and text.
 """
 
 from __future__ import annotations
@@ -276,22 +276,26 @@ def decide(factors: Sequence[RiskFactor], ego: EgoState,
     obstacle with a clear adjacent lane; (3) slow approach on occlusion;
     (4) slow down for unpredictable objects; (5) cautious turn when the
     ego intends to turn; (6) follow a lead vehicle within the follow gap;
-    (7) default to the speed limit.  Every rule is evaluated and recorded,
-    and the first that passes decides.  Path is LaneChange only via rule
-    2, otherwise the ego intent.
+    (7) keep to the speed limit when no earlier rule passes.  Every rule is
+    evaluated and recorded, each that passes adds its sentence to the
+    explanation, and the first that passes decides.  Path is LaneChange
+    only via rule 2, otherwise the ego intent.
     """
     collisions = [f for f in factors if f.kind is FactorKind.COLLISION_RISK]
     # the strongest collision is also the strongest at or above brake_level
     strongest_collision = _strongest(collisions)
     max_collision_risk = 0.0 if strongest_collision is None else strongest_collision.magnitude
     intent = ego.intent.value
-    # One row per rule of (1)-(6): rule id, speed and path it decides, what
-    # passes it (its strongest factor, else its evidence; None when skipped),
-    # its conclusion from that, and its evidence and conclusion when skipped.
+    # One row per rule: rule id, speed and path it decides, what passes it
+    # (its strongest factor, else its evidence; None when skipped), its
+    # conclusion from that, its sentence (ending with its action) from the
+    # passed step's evidence, and its evidence and conclusion when skipped.
     rows = (
         ("brake", SpeedDecision.BRAKE, ego.intent,
          strongest_collision if max_collision_risk >= cfg.brake_level else None,
          lambda f: f"collision risk {f.magnitude:.3f} >= {cfg.brake_level}: Brake",
+         lambda ev: (f"High risk due to nearby {ev['class'].lower()} at "
+                     f"{ev['min_distance']:.1f} m; braking."),
          {"max_collision_risk": max_collision_risk},
          f"no collision risk >= {cfg.brake_level}"),
         ("lane_change", SpeedDecision.SLOW_DOWN, Intent.LANE_CHANGE,
@@ -302,6 +306,8 @@ def decide(factors: Sequence[RiskFactor], ego: EgoState,
          lambda f: (f"static obstacle risk {f.magnitude:.3f} in "
                     f"({cfg.slow_level}, {cfg.brake_level}), adjacent lane clear: "
                     "SlowDown, path LaneChange"),
+         lambda ev: (f"Moderate risk from static {ev['class'].lower()} at "
+                     f"{ev['min_distance']:.1f} m; changing lane and slowing down."),
          {"n_collision_factors": len(collisions)},
          "no moderate static corridor obstacle with clear adjacent lane"),
         ("occlusion", SpeedDecision.SLOW_APPROACH, ego.intent,
@@ -309,68 +315,54 @@ def decide(factors: Sequence[RiskFactor], ego: EgoState,
          lambda f: (f"corridor sector {f.evidence['sector']} density ratio "
                     f"{f.evidence['density_ratio']:.3f} below {cfg.occlusion_density_ratio}: "
                     "SlowApproach"),
+         lambda ev: (f"Low visibility in corridor between {ev['range_start']:.0f} "
+                     f"and {ev['range_end']:.0f} m; approaching slowly."),
          {"n_occlusion_factors": 0}, "no occluded corridor sector"),
         ("unpredictable", SpeedDecision.SLOW_DOWN, ego.intent,
          _strongest([f for f in factors if f.kind is FactorKind.UNPREDICTABLE_OBJECT]),
          lambda f: f"object {f.object_id} uncertainty above threshold: SlowDown",
+         lambda ev: (f"Unpredictable {ev['class'].lower()} with uncertainty "
+                     f"{ev['uncertainty']:.2f}; slowing down."),
          {"n_unpredictable_factors": 0}, "no unpredictable objects"),
         ("cautious_turn", SpeedDecision.CAUTIOUS_TURN, ego.intent,
          {"intent": intent} if ego.intent is Intent.TURN else None,
          lambda _: "ego intends to turn: CautiousTurn",
+         lambda _: "Turning ahead; proceeding with caution.",
          {"intent": intent}, "ego not turning"),
         ("follow", SpeedDecision.FOLLOW_AHEAD, ego.intent,
          {"object_id": lead.object_id, "distance": lead.distance, "speed": lead.speed}
          if lead is not None and lead.distance <= cfg.follow_gap else None,
          lambda _: f"lead vehicle at {lead.distance:.1f} m within follow gap: FollowAhead",
+         lambda ev: f"Lead vehicle at {ev['distance']:.1f} m; following at safe distance.",
          {"lead_distance": None if lead is None else lead.distance},
          "no lead vehicle within follow gap"),
     )
+    n_factors = {"n_factors": len(factors)}
+    rows += (("speed_limit", SpeedDecision.SPEED_LIMIT, ego.intent,
+              None if any(row[3] is not None for row in rows) else n_factors,
+              lambda _: "no hazards detected: SpeedLimit",
+              lambda _: "No hazards detected; proceeding at speed limit.",
+              n_factors, "higher-priority rule already decided"),)
     steps: list[TraceStep] = []
-    decision: Optional[tuple[SpeedDecision, Intent]] = None
-    for index, (rule_id, speed, path, hit, conclude, skip_evidence,
+    sentences: list[str] = []
+    decision = None
+    for index, (rule_id, speed, path, hit, conclude, explain, skip_evidence,
                 skip_conclusion) in enumerate(rows, 1):
         if hit is None:
             steps.append(TraceStep(index, rule_id, False, skip_evidence, skip_conclusion))
             continue
         evidence = _factor_ref(hit) if isinstance(hit, RiskFactor) else hit
         steps.append(TraceStep(index, rule_id, True, evidence, conclude(hit)))
+        sentences.append(explain(evidence))
         if decision is None:
             decision = (speed, path)
 
-    default = decision is None
-    speed, path = (SpeedDecision.SPEED_LIMIT, ego.intent) if default else decision
-    steps.append(TraceStep(len(steps) + 1, "speed_limit", default,
-                           {"n_factors": len(factors)},
-                           "no hazards detected: SpeedLimit" if default
-                           else "higher-priority rule already decided"))
+    speed, path = decision
     speed_value, path_value = speed.value, path.value
     steps.append(TraceStep(len(steps) + 1, "decision", True,
                            {"speed": speed_value, "path": path_value},
                            f"Decision: {speed_value} / {path_value}"))
-    return DecisionTrace(tuple(steps), speed, path, _render_explanation(steps))
-
-
-#: Explanation sentence of each rule, from the evidence of its passed step;
-#: each ends with the rule's action clause.
-_SENTENCES = {
-    "brake": lambda ev: (f"High risk due to nearby {ev['class'].lower()} at "
-                         f"{ev['min_distance']:.1f} m; braking."),
-    "lane_change": lambda ev: (f"Moderate risk from static {ev['class'].lower()} at "
-                               f"{ev['min_distance']:.1f} m; changing lane and slowing down."),
-    "occlusion": lambda ev: (f"Low visibility in corridor between {ev['range_start']:.0f} "
-                             f"and {ev['range_end']:.0f} m; approaching slowly."),
-    "unpredictable": lambda ev: (f"Unpredictable {ev['class'].lower()} with uncertainty "
-                                 f"{ev['uncertainty']:.2f}; slowing down."),
-    "cautious_turn": lambda ev: "Turning ahead; proceeding with caution.",
-    "follow": lambda ev: f"Lead vehicle at {ev['distance']:.1f} m; following at safe distance.",
-    "speed_limit": lambda ev: "No hazards detected; proceeding at speed limit.",
-}
-
-
-def _render_explanation(steps: Sequence[TraceStep]) -> str:
-    """One sentence per passed rule, in trace order."""
-    return " ".join(_SENTENCES[s.rule_id](s.evidence)
-                    for s in steps if s.passed and s.rule_id != "decision")
+    return DecisionTrace(tuple(steps), speed, path, " ".join(sentences))
 
 
 def format_trace(trace: DecisionTrace) -> str:

@@ -556,14 +556,35 @@ class TestTrainEvaluate:
         ("count,scenes,-1", "line 3: count scenes must lie in [0, inf], got -1"),
         ("speed_confusion,Brake|Stop,-2",
          "line 3: speed_confusion Brake|Stop must lie in [0, inf], got -2"),
+        ("count,errors,1", "line 3: count errors repeats line 2"),
     ], ids=["two-fields", "bad-count", "lone-speed-row", "unknown-scalar",
             "fraction-above-1", "nan", "negative-fraction", "negative-count",
-            "negative-confusion"])
+            "negative-confusion", "repeated-row"])
     def test_report_bad_csv_names_file_and_line(self, tmp_path, capsys, row, reason):
         path = tmp_path / "report.csv"
         path.write_text(f"section,key,value\ncount,errors,0\n{row}\n")
         assert run("report", "--csv", str(path), "--out", str(tmp_path / "re")) == 1
         assert f"error: ValueError: {path}: {reason}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("text", "reason"), [
+        ("count,scenes,30\ncount,errors,0\n",
+         "line 1: expected the header 'section,key,value', got 'count,scenes,30'"),
+        ("\n\ncount,scenes,30\n",
+         "line 3: expected the header 'section,key,value', got 'count,scenes,30'"),
+        ("", "line 1: expected the header 'section,key,value', got ''"),
+    ], ids=["no-header", "no-header-after-blank-lines", "empty"])
+    def test_report_csv_requires_header(self, tmp_path, capsys, text, reason):
+        """A CSV whose first non-empty line is not the header is refused."""
+        path = tmp_path / "report.csv"
+        path.write_text(text)
+        assert run("report", "--csv", str(path), "--out", str(tmp_path / "re")) == 1
+        assert f"error: ValueError: {path}: {reason}\n" in capsys.readouterr().err
+
+    def test_report_csv_leading_blank_lines_allowed(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("\n\nsection,key,value\ncount,scenes,30\n")
+        assert run("report", "--csv", str(path), "--out", str(tmp_path / "re")) == 0
+        assert (tmp_path / "re" / "report.csv").read_text().endswith("count,scenes,30\n")
 
 
 class TestArgsAndConfig:
@@ -686,10 +707,14 @@ class TestArgsAndConfig:
          "unknown keys in config section 'interaction': ['attention_positive_energy']"),
         ('{"reasoner": {"epistemic_threshold": -0.1}}',
          "epistemic_threshold must be >= 0, got -0.1"),
+        ('{"detector": ["oracle"]}',
+         "detector must be one of ['geometric', 'oracle'], got ['oracle']"),
+        ('{"detector": {}}', "detector must be one of ['geometric', 'oracle'], got {}"),
     ], ids=["section-not-object", "top-not-object", "unknown-key", "unknown-section",
             "json-syntax", "invalid-value", "seed-float", "seed-negative", "seed-bool",
             "seed-string", "removed-noise-seed", "removed-entropy-normalized",
-            "removed-attention-positive-energy", "negative-epistemic-threshold"])
+            "removed-attention-positive-energy", "negative-epistemic-threshold",
+            "detector-list", "detector-object"])
     def test_bad_config_file_error_names_file(self, tmp_path, capsys, text, reason):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drivetrace.config import PipelineConfig, config_from_dict
 from drivetrace.interaction import (
@@ -226,6 +226,14 @@ class TestReferenceCascade:
 
     @settings(max_examples=400, deadline=None)
     @given(cascade_inputs())
+    # no factors and no lead: only speed_limit passes
+    @example(([], EGO, None, CFG))
+    # every rule passes at once, speed_limit then skipped, six sentences
+    @example(([collision(CFG.brake_level, cls="Pedestrian", d=5.0),
+               collision(0.6, object_id=3, speed=0.0, adjacent_clear=True),
+               occlusion(), unpredictable()],
+              EgoState(heading=0.0, speed=8.0, intent=Intent.TURN),
+              LeadInfo(4, 18.0, 8.0), CFG))
     def test_same_trace_as_reference(self, inputs):
         got, want = decide(*inputs), reference_decide(*inputs)
         assert json_text(got) == json_text(want)
