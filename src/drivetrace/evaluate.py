@@ -15,7 +15,7 @@ plot-data JSON.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -27,7 +27,7 @@ from .reasoner import SpeedDecision
 from .risk import RiskTier
 from .scenario import Template
 from .scene import Intent
-from .scene_io import json_text, load_scene, read_json
+from .scene_io import from_json, json_text, load_scene, read_json
 
 SPEED_ORDER = [d.value for d in SpeedDecision]
 PATH_ORDER = [d.value for d in Intent]
@@ -168,27 +168,14 @@ def evaluate_suite(
     on manifest ordering.
     """
     manifest_path = Path(manifest_path)
-    manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{manifest_path}: manifest must be an object, got {manifest!r}")
-    if "scenes" not in manifest:
-        raise ValueError(f"{manifest_path}: missing key 'scenes'")
-    if not isinstance(manifest["scenes"], list):
-        raise ValueError(f"{manifest_path}: scenes must be a list, got {manifest['scenes']!r}")
+    manifest = from_json(dict[str, Any], read_json(manifest_path), manifest_path)
+    scenes = from_json(tuple[dict[str, Any], ...], manifest.get("scenes", MISSING),
+                       manifest_path, "scenes")
     entries, index = [], {}  # index: Path(path) -> its entry's position
-    for k, e in enumerate(manifest["scenes"]):
-        if not isinstance(e, dict):
-            raise ValueError(f"{manifest_path}: scenes[{k}]: must be an object, got {e!r}")
-        try:
-            path, template = e["path"], Template(e["template"])
-        except KeyError as exc:
-            raise ValueError(f"{manifest_path}: scenes[{k}]: missing key {exc}") from None
-        except ValueError:
-            raise ValueError(f"{manifest_path}: scenes[{k}]: unknown template "
-                             f"{e['template']!r}") from None
-        if not isinstance(path, str):
-            raise ValueError(f"{manifest_path}: scenes[{k}]: path must be a string, "
-                             f"got {path!r}")
+    for k, e in enumerate(scenes):
+        path = from_json(str, e.get("path", MISSING), manifest_path, f"scenes[{k}].path")
+        template = from_json(Template, e.get("template", MISSING), manifest_path,
+                             f"scenes[{k}].template")
         if Path(path) in index:
             raise ValueError(f"{manifest_path}: scenes[{index[Path(path)]}] and scenes[{k}] "
                              f"both list {path!r}")
@@ -326,12 +313,20 @@ def _csv_number(value: str, what: str, low: float = -math.inf, high: float = mat
     return v
 
 
+def _csv_class(name: str, section: str, classes: list[str]) -> str:
+    """``name``, if it is one of ``classes``, the rows ``render_text`` shows."""
+    if name not in classes:
+        raise ValueError(f"{section} class must be one of {classes}, got {name!r}")
+    return name
+
+
 def parse_csv(text: str) -> SuiteResult:
     """Inverse of :func:`render_csv`; the round-trip is lossless.
 
     Raises:
         ValueError: naming the line, on a missing header, a malformed or
-            repeated row, an unknown scalar, a value that is not finite, a
+            repeated row, a speed or path class that ``render_text`` does
+            not show, an unknown scalar, a value that is not finite, a
             fraction (speed metric, path accuracy, ``mean_iou``,
             ``detection_accuracy``) outside [0, 1], a negative count, or a
             speed class that lacks one of its three metric rows.
@@ -357,12 +352,17 @@ def parse_csv(text: str) -> SuiteResult:
             if first != number:
                 raise ValueError(f"{what} repeats line {first}")
             if section in _SPEED_SECTIONS:
-                speed.setdefault(key, {})[section] = _csv_number(value, what, *_UNIT)
+                speed.setdefault(_csv_class(key, section, SPEED_ORDER), {})[section] = (
+                    _csv_number(value, what, *_UNIT))
             elif section == "speed_confusion":
-                exp, pred = key.split("|", 1)
-                confusion.setdefault(exp, {})[pred] = _csv_number(value, what, 0, parse=int)
+                exp, bar, pred = key.partition("|")
+                if not bar:
+                    raise ValueError(f"{section} key must be expected|predicted, got {key!r}")
+                confusion.setdefault(_csv_class(exp, section, SPEED_ORDER), {})[
+                    _csv_class(pred, section, SPEED_ORDER)] = _csv_number(value, what, 0, parse=int)
             elif section == "path_accuracy":
-                path_accuracy[key] = _csv_number(value, what, *_UNIT)
+                path_accuracy[_csv_class(key, section, PATH_ORDER)] = (
+                    _csv_number(value, what, *_UNIT))
             elif section == "scalar":
                 if key not in _SCALARS:
                     raise ValueError(f"unknown scalar {key!r}")

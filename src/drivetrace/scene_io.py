@@ -17,34 +17,27 @@ Point clouds come in two flavors:
   point count) followed by 4 float32 little-endian values per point.
 
 Writers are byte-deterministic: identical inputs produce identical files.
-:func:`write_json` writes every JSON artifact of the package, scene files
-included, and :func:`read_json` reads every JSON input.
+:func:`write_json` writes every JSON artifact, scene files included;
+:func:`read_json` reads every JSON input and :func:`from_json` builds its
+typed values, refusing a bad value or key with the file and the field.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import reprlib
 import struct
-from contextlib import contextmanager
-from dataclasses import asdict, is_dataclass
+import sys
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .scene import (
-    EgoState,
-    GroundTruthObject,
-    Intent,
-    ObjectClass,
-    OrientedBox,
-    PointCloud,
-    Scene,
-    TrackedObject,
-)
+from .scene import EgoState, GroundTruthObject, PointCloud, Scene, TrackedObject
 
 CLOUD_MAGIC = b"PCBIN001"
 #: The first line ``write_cloud_ascii`` writes; group 1 is the point count.
@@ -87,6 +80,122 @@ def read_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_text())
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ValueError(f"{path}: {exc}") from None
+
+
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
+
+
+def _kind(tp: Any) -> str:
+    """What a JSON value read as annotation ``tp`` must be."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:
+        return f"{_kind(args[0])} or null"
+    if origin is tuple:
+        return "a list" if args[-1] is ... else f"a list of length {len(args)}"
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return f"one of {[m.value for m in tp]}"
+    return _KINDS.get(tp, "an object")
+
+
+def _dotted(path: Any) -> str:
+    """``path`` as text, such as ``ground_truth[2].box``: a reader hands each
+    item a (container's path, key or index) pair, which costs less."""
+    if isinstance(path, str):
+        return path
+    parent, key = _dotted(path[0]), path[1]
+    return f"{parent}[{key}]" if isinstance(key, int) else f"{parent}.{key}" if parent else key
+
+
+def _at(path: Any, reason: str) -> str:
+    return f"{_dotted(path)}: {reason}" if _dotted(path) else reason
+
+
+@functools.cache
+def _reader(tp: Any, kind: str = "") -> Callable[[Any, Any], Any]:
+    """The function of a JSON value and its path that reads the value as
+    annotation ``tp`` or refuses it as not ``kind`` (``tp``'s by default);
+    built once, as resolving a dataclass's annotations takes about 0.1 ms."""
+    kind = kind or _kind(tp)
+    origin, args = get_origin(tp), get_args(tp)
+
+    def refuse(value: Any, path: Any) -> Any:
+        raise ValueError(f"{_dotted(path) or 'top level'} must be {kind}, "
+                         f"got {reprlib.repr(value)}")
+
+    if origin is Union:  # Optional[args[0]]
+        read = _reader(args[0], kind)
+        return lambda value, path: None if value is None else read(value, path)
+    if tp is float:
+        def read_number(value: Any, path: Any) -> Any:
+            if type(value) not in (int, float):  # a boolean is never a number
+                refuse(value, path)
+            if not abs(value) <= sys.float_info.max:
+                digits = f"an integer of {len(str(abs(value)))} digits"
+                raise ValueError(f"{_dotted(path)} must be finite, "
+                                 f"got {value if type(value) is float else digits}")
+            return value
+        return read_number
+    if tp in _KINDS or tp is Any:
+        return lambda value, path: value if type(value) is tp or tp is Any else refuse(value, path)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        members = {m.value: m for m in tp}
+        return lambda value, path: (members[value] if type(value) in (str, int)
+                                    and value in members else refuse(value, path))
+    if origin is tuple:
+        items = [_reader(a) for a in args if a is not ...]
+        return lambda value, path: (
+            tuple([read(v, (path, i))
+                   for i, (read, v) in enumerate(zip(items * len(value), value))])
+            if type(value) is list and (args[-1] is ... or len(value) == len(args))
+            else refuse(value, path))
+    if origin is dict:
+        item = _reader(args[1])
+        return lambda value, path: ({k: item(v, (path, k)) for k, v in value.items()}
+                                    if type(value) is dict else refuse(value, path))
+    hints = get_type_hints(tp)
+    # format v1 writes a ground-truth label as "class"; errors name that key
+    keys = {"class" if (tp, f.name) == (GroundTruthObject, "label") else f.name:
+            (f.name, _reader(hints[f.name]), f.default is f.default_factory is MISSING)
+            for f in fields(tp)}
+
+    def read_object(value: Any, path: Any) -> Any:
+        if type(value) is not dict:
+            refuse(value, path)
+        if not value.keys() <= keys.keys():
+            raise ValueError(_at(path, f"unknown key {min(value.keys() - keys.keys())!r}"))
+        missing = [key for key, (_, _, required) in keys.items() if required and key not in value]
+        if missing:
+            raise ValueError(_at(path, f"missing key {missing[0]!r}"))
+        given = {name: read(value[key], (path, key))
+                 for key, (name, read, _) in keys.items() if key in value}
+        try:
+            return tp(**given)
+        except ValueError as exc:
+            raise ValueError(_at(path, str(exc))) from None
+    return read_object
+
+
+def from_json(tp: Any, value: Any, where: str | Path, path: str = "") -> Any:
+    """``value``, as ``json.loads`` gives it, read as type annotation ``tp``:
+    int, float, str, bool, ``Any``, an enum (by value), ``Optional``, a
+    fixed-length or ``...`` tuple (a list), ``dict[str, X]`` or a dataclass
+    (an object; unknown keys and missing keys without a default are
+    refused, and ``__post_init__`` checks the fields).  A number is kept as
+    given, but it must be finite and fit a float; a boolean is never a
+    number.  ``dataclasses.MISSING`` stands for a key the file lacks.
+
+    Raises:
+        ValueError: ``<where>: <path> must be <kind>, got <value>`` or
+            ``<where>: <path>: <reason>``; ``path`` is the value's dotted
+            place in the file ``where``, such as ``ground_truth[2].box``.
+    """
+    try:
+        if value is MISSING:
+            parent, _, key = path.rpartition(".")
+            raise ValueError(_at(parent, f"missing key {key!r}"))
+        return _reader(tp)(value, path)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def write_cloud_ascii(cloud: PointCloud, path: str | Path, frame_id: str) -> None:
@@ -175,6 +284,8 @@ def read_cloud(path: str | Path) -> PointCloud:
     A malformed file raises ValueError naming the file, and for an ASCII
     cloud the line."""
     raw = Path(path).read_bytes()
+    if not raw:  # every writer writes a header, so the file was cut short
+        raise ValueError(f"point cloud {path} has 0 bytes, but a cloud file starts with a header")
     if raw[: len(CLOUD_MAGIC)] == CLOUD_MAGIC:
         if len(raw) < 16:
             raise ValueError(f"point cloud {path} has {len(raw)} bytes, "
@@ -186,15 +297,14 @@ def read_cloud(path: str | Path) -> PointCloud:
         data = np.frombuffer(raw, dtype="<f4", offset=16, count=count * 4)
         data = data.reshape(count, 4).astype(np.float64)
     else:
-        data = _read_ascii(path, raw)
+        try:
+            data = _read_ascii(path, raw)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     try:
         return PointCloud(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _box_from_dict(d: dict[str, Any]) -> OrientedBox:
-    return OrientedBox(tuple(d["center"]), d["length"], d["width"], d["height"], d["yaw"])
 
 
 def object_to_dict(obj: TrackedObject) -> dict[str, Any]:
@@ -222,71 +332,6 @@ def scene_to_dict(scene: Scene, cloud_file: str) -> dict[str, Any]:
     }
 
 
-@contextmanager
-def _field(name: str) -> Iterator[None]:
-    """Re-raise a wrong-type or bad-value error from the block as a
-    ValueError that starts with the scene field ``name``; an integer too
-    large for a float is a bad value."""
-    try:
-        yield
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name}: {exc}") from exc
-
-
-def _number(d: dict[str, Any], key: str, name: str) -> float:
-    """``d[key]``; raises ValueError naming the field ``name`` unless it is a
-    JSON number that a float holds."""
-    value = d[key]
-    if type(value) not in (int, float):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    with _field(name):
-        float(value)
-    return value
-
-
-def _ground_truth_from_dict(g: dict[str, Any], name: str) -> GroundTruthObject:
-    with _field(name):
-        return GroundTruthObject(_box_from_dict(g["box"]), ObjectClass(g["class"]),
-                                 tuple(g["velocity"]))
-
-
-def _ego_from_dict(ego: dict[str, Any]) -> EgoState:
-    """The ego state; the checks that name their own ``ego.<key>`` field
-    run outside ``_field``, so that their message is not prefixed twice."""
-    with _field("ego"):
-        position = ego.get("position", [0, 0, 0])
-    if position != [0, 0, 0] or bool in map(type, position):
-        raise ValueError(f"ego.position must be [0, 0, 0] (the ego is the frame origin), "
-                         f"got {position!r}")
-    heading, speed, lane_heading = (_number(ego, key, f"ego.{key}")
-                                    for key in ("heading", "speed", "lane_heading"))
-    with _field("ego"):
-        return EgoState(heading, speed, lane_heading, Intent(ego["intent"]))
-
-
-def scene_from_dict(d: dict[str, Any], cloud: PointCloud) -> Scene:
-    ego_state = _ego_from_dict(d["ego"])
-    frame_id = d.get("frame_id", "ego")  # files written without one are in "ego"
-    if not isinstance(frame_id, str):
-        raise ValueError(f"frame_id must be a string, got {frame_id!r}")
-    gt = d.get("ground_truth")
-    if gt is not None:
-        with _field("ground_truth"):
-            entries = enumerate(gt)
-        gt = tuple(_ground_truth_from_dict(g, f"ground_truth[{k}]") for k, g in entries)
-    objects = d.get("objects", [])
-    if objects != []:
-        raise ValueError(f"objects must be [] (detections come from the detector that "
-                         f"config.detector names), got {reprlib.repr(objects)}")
-    return Scene(
-        timestamp=_number(d, "timestamp", "timestamp"),
-        ego=ego_state,
-        cloud=cloud,
-        ground_truth=gt,
-        frame_id=frame_id,
-    )
-
-
 def save_scene(scene: Scene, scene_path: str | Path, cloud_format: str = "ascii") -> None:
     """Write scene JSON plus its point-cloud file next to it."""
     scene_path = Path(scene_path)
@@ -302,17 +347,30 @@ def save_scene(scene: Scene, scene_path: str | Path, cloud_format: str = "ascii"
 
 def load_scene(scene_path: str | Path) -> Scene:
     """Read a scene file and its cloud.  A malformed file raises ValueError
-    with the scene path in front of the reason; a value of the wrong JSON
-    type or a bad value is named by its field (``ground_truth[2]``,
-    ``ego.heading``)."""
+    naming the file and the field (``ground_truth[2].box.yaw``); a bad cloud
+    file, naming both files."""
     scene_path = Path(scene_path)
-    d = read_json(scene_path)
+    d = from_json(dict[str, Any], read_json(scene_path), scene_path)
+
+    def key(tp: Any, name: str, default: Any = MISSING) -> Any:
+        return from_json(tp, d.get(name, default), scene_path, name)
+
+    ego = key(dict[str, Any], "ego")
+    position = ego.pop("position", [0, 0, 0])
+    if position != [0, 0, 0] or bool in map(type, position):
+        raise ValueError(f"{scene_path}: ego.position must be [0, 0, 0] (the ego is the "
+                         f"frame origin), got {position!r}")
+    if d.get("objects", []) != []:
+        raise ValueError(f"{scene_path}: objects must be [] (detections come from the detector "
+                         f"that config.detector names), got {reprlib.repr(d['objects'])}")
+    missing = [f.name for f in fields(EgoState) if f.name not in ego]
+    if missing:  # format v1 writes every ego key, so none takes its default
+        raise ValueError(f"{scene_path}: ego: missing key {missing[0]!r}")
+    ego = from_json(EgoState, ego, scene_path, "ego")
+    ground_truth = key(Optional[tuple[GroundTruthObject, ...]], "ground_truth", None)
+    timestamp, frame_id = key(float, "timestamp"), key(str, "frame_id", "ego")
+    cloud_path = scene_path.parent / key(str, "cloud_file")
     try:
-        cloud_file = d["cloud_file"]
-        with _field("cloud_file"):
-            cloud_path = scene_path.parent / cloud_file
-        return scene_from_dict(d, read_cloud(cloud_path))
-    except KeyError as exc:
-        raise ValueError(f"{scene_path}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+        return Scene(timestamp, ego, read_cloud(cloud_path), ground_truth, frame_id)
+    except ValueError as exc:
         raise ValueError(f"{scene_path}: {exc}") from exc

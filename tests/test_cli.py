@@ -6,19 +6,13 @@ import re
 import os
 import sys
 import warnings
-from dataclasses import asdict, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from drivetrace.cli import main
-from drivetrace.config import (
-    _SECTIONS,
-    PipelineConfig,
-    config_from_dict,
-    load_config,
-    save_config,
-)
+from drivetrace.config import PipelineConfig, load_config, save_config
 from drivetrace.detector import DETECTORS
 from drivetrace.interaction import (
     MAX_LOG_STD,
@@ -28,12 +22,17 @@ from drivetrace.interaction import (
     save_model,
 )
 from drivetrace.pipeline import run_scene
-from drivetrace.scene_io import load_scene
+from drivetrace.reasoner import SpeedDecision
+from drivetrace.scene_io import from_json, load_scene
 from interaction_oracle import scalar_build_graph
 
 
+#: each config section's name and class
+SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig)
+            if f.default_factory is not MISSING}
+
 #: (section, key) of every float config field
-FLOAT_FIELDS = [(section, f.name) for section, cls in _SECTIONS.items()
+FLOAT_FIELDS = [(section, f.name) for section, cls in SECTIONS.items()
                 for f in fields(cls) if f.type in (float, "float")]
 
 
@@ -81,23 +80,32 @@ WRONG_TYPES = {
 }
 
 #: An edit of a scene file giving one value of the right type a bad value,
-#: and the error that names the entry holding it.
+#: and the error, which names the value's field, or the object whose
+#: ``__post_init__`` refuses it.
 BAD_VALUES = {
     "ego-heading-nan": (lambda d: d["ego"].update(heading=math.nan),
-                        "ego: angle must be finite, got nan"),
+                        "ego.heading must be finite, got nan"),
     "truth-yaw-nan": (lambda d: d["ground_truth"][0]["box"].update(yaw=math.nan),
-                      "ground_truth[0]: angle must be finite, got nan"),
+                      "ground_truth[0].box.yaw must be finite, got nan"),
     "truth-center-inf": (lambda d: d["ground_truth"][0]["box"].update(center=[math.inf, 0, 0]),
-                         "ground_truth[0]: center must be 3 finite values, got (inf, 0, 0)"),
+                         "ground_truth[0].box.center[0] must be finite, got inf"),
     "truth-class-truck": (lambda d: d["ground_truth"][0].update({"class": "Truck"}),
-                          "ground_truth[0]: 'Truck' is not a valid ObjectClass"),
+                          "ground_truth[0].class must be one of ['Vehicle', 'Pedestrian', "
+                          "'Cyclist', 'StaticObstacle'], got 'Truck'"),
     # 1 followed by 400 zeros: a JSON integer that no float holds
     "ego-heading-huge": (lambda d: d["ego"].update(heading=10 ** 400),
-                         "ego.heading: int too large to convert to float"),
+                         "ego.heading must be finite, got an integer of 401 digits"),
     "timestamp-huge": (lambda d: d.update(timestamp=10 ** 400),
-                       "timestamp: int too large to convert to float"),
+                       "timestamp must be finite, got an integer of 401 digits"),
     "truth-velocity-huge": (lambda d: d["ground_truth"][0].update(velocity=[10 ** 400, 0, 0]),
-                            "ground_truth[0]: int too large to convert to float"),
+                            "ground_truth[0].velocity[0] must be finite, "
+                            "got an integer of 401 digits"),
+    "ego-speed-negative": (lambda d: d["ego"].update(speed=-1),
+                           "ego: EgoState.speed must be finite and >= 0, got -1"),
+    "truth-length-zero": (lambda d: d["ground_truth"][0]["box"].update(length=0),
+                          "ground_truth[0].box: OrientedBox.length must be > 0, got 0"),
+    "timestamp-negative": (lambda d: d.update(timestamp=-1),
+                           "Scene.timestamp must be finite and >= 0, got -1"),
 }
 
 
@@ -225,7 +233,7 @@ class TestPipelineCommands:
         bad.write_text(json.dumps(d))
         assert run("reason", "--scene", str(bad), "--out", str(tmp_path / "r")) == 1
         err = capsys.readouterr().err
-        assert f"error: ValueError: {bad}: ego: EgoState.speed must be finite and >= 0" in err
+        assert f"error: ValueError: {bad}: ego.speed must be finite, got nan\n" in err
 
     @pytest.mark.parametrize(("edit", "field"), WRONG_TYPES.values(), ids=list(WRONG_TYPES))
     def test_wrong_json_type_names_file(self, edit, field, lead_scene, tmp_path, capsys):
@@ -409,7 +417,7 @@ class TestTrainEvaluate:
                    "--out", str(out)) == 1
         assert "1 scene(s) failed" in capsys.readouterr().err
         records = {r["path"]: r for r in json.loads((out / "scenes.json").read_text())}
-        assert "EgoState.speed" in records[bad.name]["error"]
+        assert "ego.speed must be finite, got nan" in records[bad.name]["error"]
         assert records["scene_empty-road_0000.json"]["error"] is None
 
     @pytest.mark.parametrize("prefix", ["", "./"])
@@ -557,9 +565,20 @@ class TestTrainEvaluate:
         ("speed_confusion,Brake|Stop,-2",
          "line 3: speed_confusion Brake|Stop must lie in [0, inf], got -2"),
         ("count,errors,1", "line 3: count errors repeats line 2"),
+        ("path_accuracy,Nowhere,0.5", "line 3: path_accuracy class must be one of "
+                                      "['Straight', 'Turn', 'LaneChange'], got 'Nowhere'"),
+        ("speed_recall,Stop,0.5", "line 3: speed_recall class must be one of "
+                                  f"{[d.value for d in SpeedDecision]}, got 'Stop'"),
+        ("speed_confusion,Brake|Bogus,3", "line 3: speed_confusion class must be one of "
+                                          f"{[d.value for d in SpeedDecision]}, got 'Bogus'"),
+        ("speed_confusion,Bogus|Brake,3", "line 3: speed_confusion class must be one of "
+                                          f"{[d.value for d in SpeedDecision]}, got 'Bogus'"),
+        ("speed_confusion,Brake,3",
+         "line 3: speed_confusion key must be expected|predicted, got 'Brake'"),
     ], ids=["two-fields", "bad-count", "lone-speed-row", "unknown-scalar",
             "fraction-above-1", "nan", "negative-fraction", "negative-count",
-            "negative-confusion", "repeated-row"])
+            "negative-confusion", "repeated-row", "unknown-path-class", "unknown-speed-class",
+            "unknown-predicted-class", "unknown-expected-class", "confusion-key-without-bar"])
     def test_report_bad_csv_names_file_and_line(self, tmp_path, capsys, row, reason):
         path = tmp_path / "report.csv"
         path.write_text(f"section,key,value\ncount,errors,0\n{row}\n")
@@ -626,12 +645,12 @@ class TestArgsAndConfig:
         assert (tmp_path / "config2.json").read_bytes() == path.read_bytes()
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown top-level"):
-            config_from_dict({"bogus": {}})
-        with pytest.raises(ValueError, match="unknown keys in config section"):
-            config_from_dict({"risk": {"decay_length": 10.0, "typo": 1}})
-        with pytest.raises(ValueError, match="unknown top-level"):
-            config_from_dict({"normalization": {}})
+        with pytest.raises(ValueError, match="^c.json: unknown key 'bogus'$"):
+            from_json(PipelineConfig, {"bogus": {}}, "c.json")
+        with pytest.raises(ValueError, match="^c.json: risk: unknown key 'typo'$"):
+            from_json(PipelineConfig, {"risk": {"decay_length": 10.0, "typo": 1}}, "c.json")
+        with pytest.raises(ValueError, match="^c.json: unknown key 'normalization'$"):
+            from_json(PipelineConfig, {"normalization": {}}, "c.json")
 
     def test_unknown_detector_lists_table(self):
         with pytest.raises(ValueError) as exc:
@@ -641,7 +660,7 @@ class TestArgsAndConfig:
             assert repr(name) in str(exc.value)
 
     def test_section_override(self):
-        cfg = config_from_dict({"risk": {"decay_length": 10.0}, "seed": 7})
+        cfg = from_json(PipelineConfig, {"risk": {"decay_length": 10.0}, "seed": 7}, "c.json")
         assert cfg.risk.decay_length == 10.0
         assert cfg.risk.tier_high == 0.6  # untouched default
         assert cfg.seed == 7
@@ -689,32 +708,33 @@ class TestArgsAndConfig:
         assert str(exc.value) == f"{bad}: {section}.{key} must be finite, got {got}"
 
     @pytest.mark.parametrize(("text", "reason"), [
-        ('{"risk": 3}', "config section 'risk' must be an object, got 3"),
-        ('[1]', "config must be an object, got [1]"),
-        ('{"risk": {"typo": 1}}', "unknown keys in config section 'risk': ['typo']"),
-        ('{"bogus": {}}', "unknown top-level config keys: ['bogus']"),
+        ('{"risk": 3}', "risk must be an object, got 3"),
+        ('[1]', "top level must be an object, got [1]"),
+        ('{"risk": {"typo": 1}}', "risk: unknown key 'typo'"),
+        ('{"bogus": {}}', "unknown key 'bogus'"),
         ('{"risk": {', "Expecting property name enclosed in double quotes: "
                        "line 1 column 11 (char 10)"),
-        ('{"risk": {"decay_length": -5}}', "decay_length must be > 0"),
-        ('{"seed": 1.5}', "seed must be a non-negative integer, got 1.5"),
+        ('{"risk": {"decay_length": -5}}', "risk: decay_length must be > 0"),
+        ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
         ('{"seed": -1}', "seed must be a non-negative integer, got -1"),
-        ('{"seed": true}', "seed must be a non-negative integer, got True"),
-        ('{"seed": "3"}', "seed must be a non-negative integer, got '3'"),
-        ('{"noise": {"seed": 7}}', "unknown keys in config section 'noise': ['seed']"),
+        ('{"seed": true}', "seed must be an integer, got True"),
+        ('{"seed": "3"}', "seed must be an integer, got '3'"),
+        ('{"noise": {"seed": 7}}', "noise: unknown key 'seed'"),
         ('{"uncertainty": {"entropy_normalized": false}}',
-         "unknown keys in config section 'uncertainty': ['entropy_normalized']"),
+         "uncertainty: unknown key 'entropy_normalized'"),
         ('{"interaction": {"attention_positive_energy": true}}',
-         "unknown keys in config section 'interaction': ['attention_positive_energy']"),
+         "interaction: unknown key 'attention_positive_energy'"),
         ('{"reasoner": {"epistemic_threshold": -0.1}}',
-         "epistemic_threshold must be >= 0, got -0.1"),
-        ('{"detector": ["oracle"]}',
-         "detector must be one of ['geometric', 'oracle'], got ['oracle']"),
-        ('{"detector": {}}', "detector must be one of ['geometric', 'oracle'], got {}"),
+         "reasoner: epistemic_threshold must be >= 0, got -0.1"),
+        ('{"detector": ["oracle"]}', "detector must be a string, got ['oracle']"),
+        ('{"detector": {}}', "detector must be a string, got {}"),
+        ('{"detector": "lidarnet"}',
+         "detector must be one of ['geometric', 'oracle'], got 'lidarnet'"),
     ], ids=["section-not-object", "top-not-object", "unknown-key", "unknown-section",
             "json-syntax", "invalid-value", "seed-float", "seed-negative", "seed-bool",
             "seed-string", "removed-noise-seed", "removed-entropy-normalized",
             "removed-attention-positive-energy", "negative-epistemic-threshold",
-            "detector-list", "detector-object"])
+            "detector-list", "detector-object", "detector-unknown"])
     def test_bad_config_file_error_names_file(self, tmp_path, capsys, text, reason):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -776,7 +796,7 @@ class TestArgsAndConfig:
         assert load_config(path).risk.decay_length == int(sys.float_info.max)
 
     @pytest.mark.parametrize(("section", "key"), [(section, f.name)
-                                                  for section, cls in _SECTIONS.items()
+                                                  for section, cls in SECTIONS.items()
                                                   for f in fields(cls)])
     def test_every_section_field_refuses_a_string(self, tmp_path, section, key):
         bad = tmp_path / "bad.json"

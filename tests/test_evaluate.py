@@ -178,12 +178,16 @@ class TestModelDraws:
 
 class TestManifest:
     @pytest.mark.parametrize(("entry", "reason"), [
-        ({"path": "a.json"}, "missing key 'template'"),
-        ({"template": "empty-road"}, "missing key 'path'"),
-        ({"path": "a.json", "template": "no-such"}, "unknown template 'no-such'"),
-        ("a.json", "must be an object, got 'a.json'"),
-        ({"path": 3, "template": "empty-road"}, "path must be a string, got 3"),
-        ({"path": None, "template": "empty-road"}, "path must be a string, got None"),
+        ({"path": "a.json"}, "scenes[1]: missing key 'template'"),
+        ({"template": "empty-road"}, "scenes[1]: missing key 'path'"),
+        ({"path": "a.json", "template": "no-such"},
+         "scenes[1].template must be one of ['empty-road', 'lead-vehicle', "
+         "'pedestrian-crossing', 'occluded-junction', 'dense-traffic', "
+         "'static-vehicle-ahead'], got 'no-such'"),
+        ("a.json", "scenes[1] must be an object, got 'a.json'"),
+        ({"path": 3, "template": "empty-road"}, "scenes[1].path must be a string, got 3"),
+        ({"path": None, "template": "empty-road"},
+         "scenes[1].path must be a string, got None"),
     ], ids=["no-template", "no-path", "unknown-template", "not-object", "int-path",
             "null-path"])
     def test_bad_entry_names_manifest_and_entry(self, suite_dir, tmp_path, monkeypatch,
@@ -196,16 +200,16 @@ class TestManifest:
         path.write_text(json.dumps({"scenes": [good, entry]}))
         with pytest.raises(ValueError) as exc:
             evaluate_suite(path, PipelineConfig())
-        assert str(exc.value) == f"{path}: scenes[1]: {reason}"
+        assert str(exc.value) == f"{path}: {reason}"
         assert main(["evaluate", "--manifest", str(path),
                      "--out", str(tmp_path / "out")]) == 1
-        assert f"error: ValueError: {path}: scenes[1]: {reason}" in capsys.readouterr().err
+        assert f"error: ValueError: {path}: {reason}\n" in capsys.readouterr().err
         # the manifest is checked before any scene is read
         assert loaded == []
 
     @pytest.mark.parametrize(("text", "reason"), [
         ('{"scenes": [', "Expecting value: line 1 column 13 (char 12)"),
-        ('[]', "manifest must be an object, got []"),
+        ('[]', "top level must be an object, got []"),
         ('{}', "missing key 'scenes'"),
         ('{"scenes": 3}', "scenes must be a list, got 3"),
     ], ids=["json-syntax", "not-object", "no-scenes", "scenes-not-list"])

@@ -1,9 +1,10 @@
 """Source layout guards: every top-level function and class and every
 class member is used, every config knob has one owner that the code
 reads, no module reads the environment or imports a name it does not
-use, no two enums share a vocabulary, every CLI option is read by its
-command, and the README documents the config's keys and an explanation
-template for every decision rule.
+use, one function each writes and reads JSON, no two enums share a
+vocabulary, every CLI option is read by its command, and the README
+documents the config's keys and an explanation template for every
+decision rule.
 
 A top-level ``def`` or ``class`` in ``src/drivetrace`` whose name appears
 nowhere else in the package (as a whole word, outside its own definition
@@ -25,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import drivetrace.cli as cli
-from drivetrace.config import _SECTIONS, PipelineConfig
+from drivetrace.config import PipelineConfig
 from drivetrace.reasoner import ReasonerConfig, decide
 from drivetrace.scene import EgoState
 from drivetrace.scene_io import json_text
@@ -118,8 +119,9 @@ def test_every_import_is_used(path):
 
 
 #: (section, field) of every config knob
-CONFIG_FIELDS = [(section, f.name) for section, cls in _SECTIONS.items()
-                 for f in dataclasses.fields(cls)]
+CONFIG_FIELDS = [(section.name, f.name) for section in dataclasses.fields(PipelineConfig)
+                 if section.default_factory is not dataclasses.MISSING
+                 for f in dataclasses.fields(section.default_factory)]
 
 
 def test_every_config_field_is_read():
@@ -167,6 +169,33 @@ def test_one_json_writer():
     calls = [(path, i) for path, lines in SOURCES.items()
              for i, line in enumerate(lines, 1) if re.search(r"\bjson\.dumps?\b|\bdumps\(", line)]
     assert len(writer) == 1 and calls == writer, calls
+
+
+def _enclosing_functions(tree: ast.Module) -> dict[int, str]:
+    """The name of the top-level function holding each line of ``tree``."""
+    return {line: node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            for line in range(node.lineno, node.end_lineno + 1)}
+
+
+def test_one_json_reader():
+    """``json.loads`` is called once, in ``scene_io.read_json``, and only the
+    config, scene and manifest readers call ``read_json``, each handing what
+    it reads to ``scene_io.from_json``: the type, finiteness and key checks
+    of every JSON input are kept in one place."""
+    loads, reads = [], []
+    for path, lines in SOURCES.items():
+        tree = ast.parse("\n".join(lines))
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and getattr(node.value, "id", None) == "json"):
+                loads.append(f"{path.stem}.{owner.get(node.lineno)}")
+            elif isinstance(node, ast.Name) and node.id == "read_json" and isinstance(
+                    node.ctx, ast.Load):
+                reads.append(f"{path.stem}.{owner.get(node.lineno)}")
+    assert loads == ["scene_io.read_json"]
+    assert sorted(set(reads)) == ["config.load_config", "evaluate.evaluate_suite",
+                                  "scene_io.load_scene"], reads
 
 
 def test_no_two_enums_share_their_values():

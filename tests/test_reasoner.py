@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from drivetrace.config import PipelineConfig, config_from_dict
+from drivetrace.config import PipelineConfig
 from drivetrace.interaction import (
     EGO_ID,
     InteractionConfig,
@@ -429,7 +429,7 @@ class TestReasonerConfigReach:
         """The pipeline on a scene whose one truth the oracle detects as
         ``obj``."""
         truth = GroundTruthObject(obj.box, obj.class_dist.top_class, obj.velocity)
-        return run_scene(tiny_scene([truth]), config_from_dict({"reasoner": reasoner}))
+        return run_scene(tiny_scene([truth]), PipelineConfig(reasoner=ReasonerConfig(**reasoner)))
 
     def test_wide_corridor_lead_is_followed(self):
         result = self.run(make_object(0, (15, 3, 0), velocity=(8, 0, 0)), corridor_width=8.0)

@@ -196,8 +196,9 @@ def test_nan_ego_speed_rejected_at_load(tmp_path):
     d["ego"]["speed"] = float("nan")
     path.write_text(json.dumps(d))
     assert "NaN" in path.read_text()
-    with pytest.raises(ValueError, match="EgoState.speed"):
+    with pytest.raises(ValueError) as exc:
         load_scene(path)
+    assert str(exc.value) == f"{path}: ego.speed must be finite, got nan"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -209,7 +210,7 @@ def test_non_finite_timestamp_rejected_at_load(tmp_path, bad):
     path.write_text(json.dumps(d))
     with pytest.raises(ValueError) as exc:
         load_scene(path)
-    assert str(exc.value) == f"{path}: Scene.timestamp must be finite and >= 0, got {bad!r}"
+    assert str(exc.value) == f"{path}: timestamp must be finite, got {bad!r}"
 
 
 def test_detections_file_is_the_detector_output(tmp_path):
@@ -289,6 +290,25 @@ def test_binary_cloud_shorter_than_header(tmp_path):
     with pytest.raises(ValueError, match="less than its 16-byte header") as exc:
         read_cloud(path)
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["cloud.pcb", "cloud.pts"])
+def test_zero_byte_cloud_names_file(tmp_path, name):
+    """Both writers write a header, so an empty cloud file was cut short."""
+    path = tmp_path / name
+    path.write_bytes(b"")
+    with pytest.raises(ValueError) as exc:
+        read_cloud(path)
+    assert str(exc.value) == f"point cloud {path} has 0 bytes, but a cloud file starts with a header"
+
+
+def test_ascii_cloud_not_utf8_names_file(tmp_path):
+    path = tmp_path / "cloud.pts"
+    path.write_bytes(b"1 2 3 4\n\xff\xfe 1 2 3\n")
+    with pytest.raises(ValueError) as exc:
+        read_cloud(path)
+    assert str(exc.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in position 8: "
+                              f"invalid start byte")
 
 
 def test_ascii_bad_number_names_file_and_line(tmp_path):
