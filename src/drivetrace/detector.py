@@ -5,7 +5,10 @@ Two detectors stand in for a trained neural detector at desk scale; the
 
 * :func:`oracle_detect` perturbs ground truth with configurable Gaussian
   noise, class-temperature smoothing and dropout.  Deterministic for a
-  given seed (NumPy PCG64 via ``default_rng``).
+  given seed (NumPy PCG64 via ``default_rng``, four draws per object in
+  a fixed order).  With the all-zero noise model it returns the
+  ground-truth boxes, makes no generator and so imports no
+  ``numpy.random``.
 * :func:`geometric_detect` is a classical baseline: ground removal,
   fixed-radius euclidean clustering on a uniform grid, PCA-oriented box
   fits, and a dimension-based class heuristic.
@@ -15,6 +18,7 @@ Both return TrackedObjects whose support points index into the scene cloud.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -79,11 +83,13 @@ class ClusterParams:
             raise ValueError("min_points must be >= 1")
 
 
+@functools.cache
 def smoothed_class_dist(label: ObjectClass, temperature: float) -> ClassDistribution:
     """One-hot label smoothed by softmax temperature.
 
     Temperature near zero recovers the one-hot; larger temperatures raise
-    entropy toward uniform.
+    entropy toward uniform.  Cached: the result is frozen, and a process
+    meets a few labels at one or two temperatures.
     """
     logits = np.zeros(4)
     logits[label.index] = 1.0
@@ -110,43 +116,49 @@ def oracle_detect(scene: Scene, noise: NoiseModel, seed: int) -> list[TrackedObj
 
     One detection per non-dropped ground-truth object, in ground-truth
     order.  Box center/dims/yaw receive zero-mean Gaussian noise (dims
-    clamped positive); the class distribution is the temperature-smoothed
-    one-hot label; velocity is passed through.  The noise stream is seeded
-    with ``seed`` alone, so the result is bit-reproducible for a given seed.
+    clamped to at least MIN_EXTENT); the class distribution is the
+    temperature-smoothed one-hot label; velocity is passed through.  The
+    noise stream is seeded with ``seed`` alone and draws four values per
+    object in a fixed order, so the result is bit-reproducible for a given
+    seed.  When ``pos_std``, ``dim_std``, ``yaw_std`` and ``dropout_prob``
+    are all zero nothing is drawn: each detection's box is its ground-truth
+    box, a dimension below MIN_EXTENT raised to it.
 
     Raises:
         ValueError: if the scene has no ground truth.
     """
     if scene.ground_truth is None:
         raise ValueError("oracle_detect requires scene.ground_truth")
-    rng = np.random.default_rng(seed)
+    noisy = any((noise.pos_std, noise.dim_std, noise.yaw_std, noise.dropout_prob))
+    rng = np.random.default_rng(seed) if noisy else None
     xyz = scene.cloud.xyz
     x, y = np.ascontiguousarray(xyz[:, 0]), np.ascontiguousarray(xyz[:, 1])
-    class_dists: dict[ObjectClass, ClassDistribution] = {}
     detections: list[TrackedObject] = []
     for gt in scene.ground_truth:
-        # fixed draw order per object keeps the stream aligned across configs
-        drop_u = rng.uniform()
-        d_pos = rng.normal(0.0, 1.0, 3)
-        d_dim = rng.normal(0.0, 1.0, 3)
-        d_yaw = rng.normal(0.0, 1.0)
-        if drop_u < noise.dropout_prob:
-            continue
-        b = gt.box
-        center = tuple(np.asarray(b.center) + noise.pos_std * d_pos)
-        dims = np.array([b.length, b.width, b.height]) + noise.dim_std * d_dim
-        dims = np.maximum(dims, MIN_EXTENT)
-        box = OrientedBox(center, float(dims[0]), float(dims[1]), float(dims[2]),
-                          wrap_angle(b.yaw + noise.yaw_std * d_yaw))
-        if gt.label not in class_dists:
-            class_dists[gt.label] = smoothed_class_dist(gt.label, noise.class_temperature)
+        b = box = gt.box
+        if rng is not None:
+            # fixed draw order per object keeps the stream aligned across configs
+            drop_u = rng.uniform()
+            d_pos = rng.normal(0.0, 1.0, 3)
+            d_dim = rng.normal(0.0, 1.0, 3)
+            d_yaw = rng.normal(0.0, 1.0)
+            if drop_u < noise.dropout_prob:
+                continue
+            center = tuple(np.asarray(b.center) + noise.pos_std * d_pos)
+            dims = np.array([b.length, b.width, b.height]) + noise.dim_std * d_dim
+            dims = np.maximum(dims, MIN_EXTENT)
+            box = OrientedBox(center, float(dims[0]), float(dims[1]), float(dims[2]),
+                              wrap_angle(b.yaw + noise.yaw_std * d_yaw))
+        elif min(b.length, b.width, b.height) < MIN_EXTENT:
+            box = OrientedBox(b.center, max(b.length, MIN_EXTENT), max(b.width, MIN_EXTENT),
+                              max(b.height, MIN_EXTENT), b.yaw)
         detections.append(
             TrackedObject(
                 id=len(detections),
                 box=box,
                 velocity=gt.velocity,
-                class_dist=class_dists[gt.label],
-                support_points=_support_indices(xyz, x, y, gt.box),
+                class_dist=smoothed_class_dist(gt.label, noise.class_temperature),
+                support_points=_support_indices(xyz, x, y, b),
             )
         )
     return detections

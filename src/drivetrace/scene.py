@@ -403,6 +403,9 @@ class Scene:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
             raise ValueError(f"Scene.timestamp must be finite and >= 0, got {self.timestamp!r}")
+        # the ASCII cloud's header line holds the frame id
+        if "".join(self.frame_id.splitlines()) != self.frame_id:
+            raise ValueError(f"Scene.frame_id must hold no line break, got {self.frame_id!r}")
         if self.ground_truth is not None:
             gt = tuple(self.ground_truth)
             seen = set()

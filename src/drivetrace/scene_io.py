@@ -3,8 +3,9 @@
 Scene files are JSON with top-level keys ``timestamp``, ``ego``,
 ``objects``, ``ground_truth``, ``cloud_file`` (path to the point cloud,
 relative to the scene file) and ``frame_id`` (the ego frame of the scene
-and its cloud; a file without it loads as ``ego``).  The ego is the frame
-origin, so its ``position`` is written as zeros and must be zero if given.
+and its cloud; a file without it loads as ``ego``), and no other.  The
+ego is the frame origin, so its ``position`` is written as zeros and must
+be zero if given.
 Detections come from the detector, so ``objects`` is written as ``[]``
 and must be ``[]`` if given.
 Point clouds come in two flavors:
@@ -12,7 +13,8 @@ Point clouds come in two flavors:
 * ASCII: one point per line, ``x y z intensity`` whitespace-separated,
   ``#``-prefixed comment lines allowed.  The writer's first line
   ``# point cloud frame=<id> count=<n>`` names the scene's frame, and its
-  count is checked against the points read.
+  count is checked against the points read; a file that starts with it
+  must end in a newline, as the writer's files do.
 * Binary: 16-byte header (8-byte magic ``PCBIN001`` + uint64 little-endian
   point count) followed by 4 float32 little-endian values per point.
 
@@ -40,8 +42,12 @@ import numpy as np
 from .scene import EgoState, GroundTruthObject, PointCloud, Scene, TrackedObject
 
 CLOUD_MAGIC = b"PCBIN001"
-#: The first line ``write_cloud_ascii`` writes; group 1 is the point count.
-_ASCII_HEADER = re.compile(r"# point cloud frame=.* count=([0-9]+)")
+#: How the first line ``write_cloud_ascii`` writes starts, whatever the frame id.
+_ASCII_HEADER_START = "# point cloud frame="
+#: That whole line; group 1 is the point count.
+_ASCII_HEADER = re.compile(re.escape(_ASCII_HEADER_START) + r".* count=([0-9]+)")
+#: The keys of a scene file.
+_SCENE_KEYS = {"timestamp", "ego", "objects", "ground_truth", "cloud_file", "frame_id"}
 
 
 def _jsonable(value: Any) -> Any:
@@ -199,7 +205,7 @@ def from_json(tp: Any, value: Any, where: str | Path, path: str = "") -> Any:
 
 
 def write_cloud_ascii(cloud: PointCloud, path: str | Path, frame_id: str) -> None:
-    lines = [f"# point cloud frame={frame_id} count={len(cloud)}"]
+    lines = [f"{_ASCII_HEADER_START}{frame_id} count={len(cloud)}"]
     lines += [" ".join(map(repr, row)) for row in cloud.data.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -266,9 +272,16 @@ def _loadtxt_points(text: str, lines: list[str]) -> np.ndarray | None:
 
 def _read_ascii(path: str | Path, raw: bytes) -> np.ndarray:
     """The (n, 4) points of an ASCII cloud file's bytes.  When the first
-    line is the writer's header, its count must match the points read."""
+    line is the writer's header, its count must match the points read.
+    The writer ends every line with a newline, so a file that starts like
+    its header (or a part of it) but does not end in one was cut short."""
     text = raw.decode("utf-8")
     lines = text.splitlines()
+    first = lines[0] if lines else ""
+    if (first and not text.endswith("\n")
+            and (first.startswith(_ASCII_HEADER_START) or _ASCII_HEADER_START.startswith(first))):
+        raise ValueError(f"point cloud {path} starts like the writer's header line but does "
+                         f"not end in a newline, so it was cut short")
     data = _loadtxt_points(text, lines)
     if data is None:
         data = _scan_points(path, lines)
@@ -351,6 +364,8 @@ def load_scene(scene_path: str | Path) -> Scene:
     file, naming both files."""
     scene_path = Path(scene_path)
     d = from_json(dict[str, Any], read_json(scene_path), scene_path)
+    if not d.keys() <= _SCENE_KEYS:
+        raise ValueError(f"{scene_path}: unknown key {min(d.keys() - _SCENE_KEYS)!r}")
 
     def key(tp: Any, name: str, default: Any = MISSING) -> Any:
         return from_json(tp, d.get(name, default), scene_path, name)

@@ -13,6 +13,15 @@ the clustering accepts, including points on sub-cell edges.
 ``scan_support_points`` is the full-cloud scan the oracle detector used to
 collect each object's support points before it prefiltered the cloud by
 the box's axis-aligned bounding rectangle.
+
+``oracle_detect`` and ``smoothed_class_dist`` are the oracle detector as it
+was before it skipped the generator for an all-zero noise model: it always
+seeds ``default_rng(seed)``, draws four values per object, rebuilds every
+box from them and smooths each label once per call.  It is the oracle for
+``drivetrace.detector.oracle_detect``, which must return equal detections
+for every noise model, seed and scene; only the sign of a ground-truth
+centre coordinate or yaw of -0.0 may differ, as it came from a draw
+multiplied by zero.
 """
 
 from __future__ import annotations
@@ -21,8 +30,15 @@ from collections import deque
 
 import numpy as np
 
-from drivetrace.detector import points_in_box
-from drivetrace.scene import OrientedBox
+from drivetrace.detector import MIN_EXTENT, NoiseModel, _support_indices, points_in_box
+from drivetrace.scene import (
+    ClassDistribution,
+    ObjectClass,
+    OrientedBox,
+    Scene,
+    TrackedObject,
+    wrap_angle,
+)
 
 
 def scan_support_points(xyz: np.ndarray, box: OrientedBox, margin: float) -> np.ndarray:
@@ -62,3 +78,63 @@ def bfs_grid_clusters(xyz: np.ndarray, radius: float) -> list[np.ndarray]:
                         queue.append(j)
         next_label += 1
     return [np.nonzero(labels == k)[0] for k in range(next_label)]
+
+
+def smoothed_class_dist(label: ObjectClass, temperature: float) -> ClassDistribution:
+    """One-hot label smoothed by softmax temperature.
+
+    Temperature near zero recovers the one-hot; larger temperatures raise
+    entropy toward uniform.
+    """
+    logits = np.zeros(4)
+    logits[label.index] = 1.0
+    z = (logits - logits.max()) / temperature
+    p = np.exp(z)
+    return ClassDistribution.from_array(p / p.sum())
+
+
+def oracle_detect(scene: Scene, noise: NoiseModel, seed: int) -> list[TrackedObject]:
+    """Detect by perturbing ground truth with the configured noise model.
+
+    One detection per non-dropped ground-truth object, in ground-truth
+    order.  Box center/dims/yaw receive zero-mean Gaussian noise (dims
+    clamped positive); the class distribution is the temperature-smoothed
+    one-hot label; velocity is passed through.  The noise stream is seeded
+    with ``seed`` alone, so the result is bit-reproducible for a given seed.
+
+    Raises:
+        ValueError: if the scene has no ground truth.
+    """
+    if scene.ground_truth is None:
+        raise ValueError("oracle_detect requires scene.ground_truth")
+    rng = np.random.default_rng(seed)
+    xyz = scene.cloud.xyz
+    x, y = np.ascontiguousarray(xyz[:, 0]), np.ascontiguousarray(xyz[:, 1])
+    class_dists: dict[ObjectClass, ClassDistribution] = {}
+    detections: list[TrackedObject] = []
+    for gt in scene.ground_truth:
+        # fixed draw order per object keeps the stream aligned across configs
+        drop_u = rng.uniform()
+        d_pos = rng.normal(0.0, 1.0, 3)
+        d_dim = rng.normal(0.0, 1.0, 3)
+        d_yaw = rng.normal(0.0, 1.0)
+        if drop_u < noise.dropout_prob:
+            continue
+        b = gt.box
+        center = tuple(np.asarray(b.center) + noise.pos_std * d_pos)
+        dims = np.array([b.length, b.width, b.height]) + noise.dim_std * d_dim
+        dims = np.maximum(dims, MIN_EXTENT)
+        box = OrientedBox(center, float(dims[0]), float(dims[1]), float(dims[2]),
+                          wrap_angle(b.yaw + noise.yaw_std * d_yaw))
+        if gt.label not in class_dists:
+            class_dists[gt.label] = smoothed_class_dist(gt.label, noise.class_temperature)
+        detections.append(
+            TrackedObject(
+                id=len(detections),
+                box=box,
+                velocity=gt.velocity,
+                class_dist=class_dists[gt.label],
+                support_points=_support_indices(xyz, x, y, gt.box),
+            )
+        )
+    return detections

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import os
+import subprocess
 import sys
 import warnings
 from dataclasses import MISSING, asdict, fields, replace
@@ -11,6 +12,7 @@ from dataclasses import MISSING, asdict, fields, replace
 import numpy as np
 import pytest
 
+import drivetrace
 from drivetrace.cli import main
 from drivetrace.config import PipelineConfig, load_config, save_config
 from drivetrace.detector import DETECTORS
@@ -392,6 +394,36 @@ class TestTrainEvaluate:
         result = json.loads((out / "result.json").read_text())
         assert result["counts"]["errors"] == 0
         assert result["speed_metrics"]["SpeedLimit"]["f1"] == 1.0
+
+    @pytest.mark.parametrize("variant", ["default", "noisy", "model"])
+    def test_evaluate_imports_numpy_random_only_to_draw(self, tmp_path, variant):
+        """``evaluate`` in a fresh interpreter: the all-zero noise model
+        draws nothing, so ``numpy.random`` stays unloaded; a noisy oracle
+        and a BGNN model draw, so they load it."""
+        gen = tmp_path / "gen"
+        assert run("generate", "--template", "empty-road,lead-vehicle",
+                   "--out", str(gen)) == 0
+        argv = ["evaluate", "--manifest", str(gen / "manifest.json"),
+                "--out", str(tmp_path / "eval")]
+        if variant == "noisy":
+            config = tmp_path / "noisy.json"
+            config.write_text(json.dumps({"noise": {"pos_std": 0.1}}))
+            argv += ["--config", str(config)]
+        elif variant == "model":
+            model = tmp_path / "model.bin"
+            save_model(BgnnModel.initialize(InteractionConfig()), model)
+            argv += ["--model", str(model)]
+        child = ("import sys\n"
+                 "from drivetrace.cli import main\n"
+                 "assert main(sys.argv[1:]) == 0\n"
+                 "print('numpy.random' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(drivetrace.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == str(variant != "default")
 
     def test_evaluate_deterministic(self, tmp_path):
         gen = tmp_path / "gen"

@@ -13,6 +13,7 @@ from drivetrace import detector
 from drivetrace.config import PipelineConfig
 from drivetrace.detector import (
     DETECTORS,
+    MIN_EXTENT,
     ClusterParams,
     NoiseModel,
     _grid_clusters,
@@ -29,6 +30,7 @@ from drivetrace.scene import (GroundTruthObject, ObjectClass, OrientedBox, Point
                               box_iou_pairs, box_rows)
 from conftest import tiny_scene
 from detector_oracle import bfs_grid_clusters, scan_support_points
+from detector_oracle import oracle_detect as reference_oracle_detect
 from iou_oracle import clip_polygon, scalar_box_iou
 from risk_oracle import shannon_entropy
 
@@ -747,3 +749,82 @@ class TestSupportPointsOracle:
         for det in dets:
             assert np.array_equal(det.support_points, want[det.box.center])
 
+
+
+@st.composite
+def _noise_models(draw) -> NoiseModel:
+    """The all-zero noise model half the time; else one or more of the four
+    scales that need draws made non-zero.  Any class temperature."""
+    temperature = draw(st.sampled_from([1e-9, 0.25, 1.0, 4.0]) | st.floats(1e-3, 100.0))
+    scales = {}
+    if draw(st.booleans()):
+        names = draw(st.sets(st.sampled_from(["pos_std", "dim_std", "yaw_std", "dropout_prob"]),
+                             min_size=1))
+        for name in names:
+            scales[name] = draw(st.floats(1e-6, 0.9) if name == "dropout_prob"
+                                else st.floats(1e-6, 5.0))
+    return NoiseModel(class_temperature=temperature, **scales)
+
+
+@st.composite
+def _oracle_scenes(draw) -> Scene:
+    """Up to six ground-truth boxes centred up to 1e6 m from the origin,
+    with extents from below MIN_EXTENT to 20 m, any yaw and label, and a
+    cloud of points around each of them."""
+    scale = draw(st.sampled_from([0.0, 10.0, 1e3, 1e6]))
+    coord = st.floats(-scale, scale)
+    extent = st.floats(1e-4, MIN_EXTENT) | st.floats(MIN_EXTENT, 20.0)
+    key = (lambda g: (g.box.center, g.box.length, g.box.width, g.box.height, g.box.yaw))
+    truths = draw(st.lists(st.builds(
+        GroundTruthObject,
+        st.builds(OrientedBox, st.tuples(coord, coord, st.floats(-2.0, 2.0)),
+                  extent, extent, extent, _YAWS),
+        st.sampled_from(ObjectClass),
+        st.tuples(*[st.floats(-30.0, 30.0)] * 3)), max_size=6, unique_by=key))
+    rng = np.random.default_rng(draw(_seeds))
+    pts = [np.asarray(g.box.center) + rng.uniform(-1.0, 1.0, (20, 3)) * max(
+        g.box.length, g.box.width, g.box.height) for g in truths]
+    xyz = np.vstack(pts) if pts else np.empty((0, 3))
+    return tiny_scene(truths, cloud_points=np.column_stack([xyz, np.ones(len(xyz))]))
+
+
+class TestOracleDetectReference:
+    """The detector against its reference, which always draws and rebuilds
+    every box (``detector_oracle.oracle_detect``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_oracle_scenes(), _noise_models(), _seeds)
+    def test_equals_reference(self, scene, noise, seed):
+        assert oracle_detect(scene, noise, seed) == reference_oracle_detect(scene, noise, seed)
+
+    def test_negative_zero_keeps_its_sign(self):
+        """The one declared difference: with no noise a detection's box is
+        its ground truth's, so a centre coordinate or yaw of -0.0 keeps its
+        sign.  The reference adds a draw times zero to each, which gives the
+        draw's sign: default_rng(seed) draws a uniform, then three centre,
+        three extent and one yaw normals."""
+        box = OrientedBox((-0.0, -0.0, -0.0), 4.5, 1.9, 1.6, -0.0)
+        scene = tiny_scene([GroundTruthObject(box, ObjectClass.VEHICLE, (0.0, 0.0, 0.0))])
+
+        def signs(b: OrientedBox) -> list[float]:
+            return [math.copysign(1.0, v) for v in (*b.center, b.yaw)]
+
+        reference_signs = []
+        for seed in range(4):
+            (det,) = oracle_detect(scene, NoiseModel(), seed)
+            (ref,) = reference_oracle_detect(scene, NoiseModel(), seed)
+            assert det == ref and det.box is box
+            assert signs(det.box) == [-1.0] * 4
+            rng = np.random.default_rng(seed)
+            rng.uniform()
+            d_pos = rng.normal(0.0, 1.0, 3)
+            rng.normal(0.0, 1.0, 3)
+            reference_signs += signs(ref.box)
+            assert signs(ref.box) == np.sign([*d_pos, rng.normal(0.0, 1.0)]).tolist()
+        assert 1.0 in reference_signs
+
+    def test_noiseless_box_below_min_extent_is_raised(self):
+        box = OrientedBox((1.0, 2.0, 0.5), 1e-4, 0.5, 1e-3, 0.3)
+        scene = tiny_scene([GroundTruthObject(box, ObjectClass.PEDESTRIAN, (0.0, 0.0, 0.0))])
+        (det,) = oracle_detect(scene, NoiseModel(), 0)
+        assert det.box == OrientedBox((1.0, 2.0, 0.5), MIN_EXTENT, 0.5, MIN_EXTENT, 0.3)

@@ -1,7 +1,7 @@
 """The one JSON reader, ``scene_io.from_json``, under Hypothesis: written
 configs and scenes read back equal, a one-field mutation of either file
 loads what the file says or is refused naming the file and the field, and
-every truncated binary file is refused naming the file."""
+every truncated cloud or model file is refused naming the file."""
 
 import copy
 import dataclasses
@@ -32,6 +32,7 @@ from drivetrace.scene_io import (
     read_cloud,
     save_scene,
     scene_to_dict,
+    write_cloud_ascii,
     write_cloud_binary,
 )
 
@@ -69,20 +70,34 @@ def configs(draw) -> PipelineConfig:
 _finite = st.floats(-1e6, 1e6, allow_nan=False)
 _vector = st.tuples(_finite, _finite, _finite)
 _box = st.builds(OrientedBox, _vector, *[st.floats(0.01, 50.0)] * 3, _finite)
-# no line breaks, which would split the ASCII cloud's header line
-_frame_id = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8)
+#: the characters at which ``str.splitlines`` splits
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# any character UTF-8 can encode, line breaks included
+_frame_id = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+def _splits(frame_id: str) -> bool:
+    return any(c in LINE_BREAKS for c in frame_id)
 
 
 @st.composite
-def scenes(draw) -> Scene:
+def scene_fields(draw) -> dict:
+    """The fields of a scene, its frame id any string."""
     truths = draw(st.none() | st.lists(
         st.builds(GroundTruthObject, _box, st.sampled_from(ObjectClass), _vector),
         max_size=4, unique_by=lambda g: (g.box.center, g.box.length, g.box.width,
                                          g.box.height, g.box.yaw)))
     ego = st.builds(EgoState, _finite, st.floats(0.0, 50.0), _finite, st.sampled_from(Intent))
     cloud = st.lists(st.tuples(_finite, _finite, _finite, st.floats(0.0, 255.0)), max_size=5)
-    return Scene(draw(st.floats(0.0, 1e9)), draw(ego), PointCloud(np.array(draw(cloud))),
-                 None if truths is None else tuple(truths), draw(_frame_id))
+    return dict(timestamp=draw(st.floats(0.0, 1e9)), ego=draw(ego),
+                cloud=PointCloud(np.array(draw(cloud))),
+                ground_truth=None if truths is None else tuple(truths),
+                frame_id=draw(_frame_id))
+
+
+def scenes():
+    """A valid scene: its frame id holds no line break."""
+    return scene_fields().filter(lambda f: not _splits(f["frame_id"])).map(lambda f: Scene(**f))
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,11 +107,27 @@ def test_config_round_trip(config):
 
 
 @settings(max_examples=60, deadline=None)
-@given(scenes())
-def test_scene_round_trip(tmp_path_factory, scene):
+@given(scene_fields())
+def test_scene_round_trip(tmp_path_factory, fields):
+    """A scene reads back equal, but one whose frame id holds a line break,
+    which would split the ASCII cloud's header line, is refused when built."""
+    if _splits(fields["frame_id"]):
+        with pytest.raises(ValueError, match=r"^Scene\.frame_id must hold no line break"):
+            Scene(**fields)
+        return
+    scene = Scene(**fields)
     path = tmp_path_factory.mktemp("scene") / "scene.json"
     save_scene(scene, path)
     assert load_scene(path) == scene
+
+
+def test_frame_id_with_a_line_break_is_refused():
+    """Each character at which ``str.splitlines`` splits, at either end or
+    inside; the round trip draws such a frame id in about 2 % of scenes."""
+    for c in LINE_BREAKS:
+        for frame_id in (c, f"a{c}", f"{c}b", f"a{c}b"):
+            with pytest.raises(ValueError, match=r"^Scene\.frame_id must hold no line break"):
+                Scene(0.0, EgoState(), PointCloud(), frame_id=frame_id)
 
 
 def _dotted(path: tuple) -> str:
@@ -168,11 +199,9 @@ def _check_refusal(message: str, file, path: tuple) -> None:
             or rest in (f"missing key {path[-1]!r}", f"unknown key {path[-1]!r}")), message
 
 
-def _mutations(doc, top_level_keys_checked=True):
+def _mutations(doc):
     for path in _places(doc):
         for mutation in MUTATIONS:
-            if not top_level_keys_checked and mutation == "unknown-key" and not path:
-                continue
             mutated = _mutate(doc, path, mutation)
             if mutated is not None:
                 yield mutation, *mutated
@@ -239,10 +268,9 @@ def _config_mutations(config):
 
 
 def _scene_mutations(scene, path):
-    """The mutations of ``scene`` as saved at ``path``, but for an unknown
-    key at the top level, which a scene file does not check."""
+    """The mutations of ``scene`` as saved at ``path``."""
     save_scene(scene, path)
-    return list(_mutations(json.loads(path.read_text()), top_level_keys_checked=False))
+    return list(_mutations(json.loads(path.read_text())))
 
 
 def test_every_config_mutation(tmp_path):
@@ -311,6 +339,21 @@ def test_every_prefix_of_a_binary_cloud_is_refused(tmp_path):
     write_cloud_binary(PointCloud([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]), path)
     raw = path.read_bytes()
     assert len(read_cloud(path)) == 2
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(ValueError) as exc:
+            read_cloud(path)
+        assert str(path) in str(exc.value), n
+
+
+def test_every_prefix_of_an_ascii_cloud_is_refused(tmp_path):
+    """A cut inside the last value (``8.125`` to ``8.1``) leaves a cloud of
+    the header's count; only the missing final newline shows it."""
+    path = tmp_path / "cloud.pts"
+    cloud = PointCloud([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.125]])
+    write_cloud_ascii(cloud, path, "f")
+    raw = path.read_bytes()
+    assert read_cloud(path) == cloud
     for n in range(len(raw)):
         path.write_bytes(raw[:n])
         with pytest.raises(ValueError) as exc:
