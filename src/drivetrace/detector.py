@@ -57,6 +57,9 @@ class NoiseModel:
     dropout_prob: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("pos_std", "dim_std", "yaw_std", "class_temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"NoiseModel.{name} must be finite, got {getattr(self, name)!r}")
         if min(self.pos_std, self.dim_std, self.yaw_std) < 0:
             raise ValueError("noise stds must be >= 0")
         if self.class_temperature <= 0:
@@ -96,19 +99,6 @@ def smoothed_class_dist(label: ObjectClass, temperature: float) -> ClassDistribu
     z = (logits - logits.max()) / temperature
     p = np.exp(z)
     return ClassDistribution.from_array(p / p.sum())
-
-
-def points_in_box(xyz: np.ndarray, box: OrientedBox, margin: float = 0.0) -> np.ndarray:
-    """Boolean mask of points inside the (optionally inflated) box."""
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    rel = xyz - np.asarray(box.center)
-    local_x = rel[:, 0] * c + rel[:, 1] * s
-    local_y = -rel[:, 0] * s + rel[:, 1] * c
-    return (
-        (np.abs(local_x) <= box.length / 2.0 + margin)
-        & (np.abs(local_y) <= box.width / 2.0 + margin)
-        & (np.abs(rel[:, 2]) <= box.height / 2.0 + margin)
-    )
 
 
 def oracle_detect(scene: Scene, noise: NoiseModel, seed: int) -> list[TrackedObject]:
@@ -167,25 +157,35 @@ def oracle_detect(scene: Scene, noise: NoiseModel, seed: int) -> list[TrackedObj
 def _support_indices(xyz: np.ndarray, x: np.ndarray, y: np.ndarray,
                      box: OrientedBox) -> np.ndarray:
     """Ascending indices of the points in ``box`` inflated by SUPPORT_MARGIN:
-    ``np.nonzero(points_in_box(xyz, box, SUPPORT_MARGIN))[0]``, but only the
-    points inside the axis-aligned rectangle around the rotated footprint
-    are rotated.  ``x`` and ``y`` are contiguous copies of xyz's columns.
+    those whose offset from the centre, rotated by ``-yaw``, lies within
+    the half-extents plus the margin.  ``x`` and ``y`` are contiguous
+    copies of xyz's columns.
 
-    A point that passes ``points_in_box`` has ``|rel_x| <= ex`` and
+    Only the points inside the axis-aligned rectangle around the rotated
+    footprint are rotated.  The x offsets of the whole cloud are taken
+    (the one pass over the cloud per box), then the y offsets of the
+    points within ``ex`` of the centre in x, then the z values of those
+    also within ``ey`` in y.  The exact test rotates the very offsets the
+    prefilters compared, so a point it keeps has ``|rel_x| <= ex`` and
     ``|rel_y| <= ey`` up to the rounding of its rotation, a few ulps of
-    ``ex + ey``; ``rel`` itself is the same float64 subtraction in both
-    tests.  The slack of 1e-9 relative (plus 1e-9 m for tiny boxes) is
-    millions of ulps wider, so the prefilter never drops such a point.
+    ``ex + ey``.  The slack of 1e-9 relative (plus 1e-9 m for tiny boxes)
+    is millions of ulps wider, so the prefilter never drops such a point.
     """
-    c, s = abs(math.cos(box.yaw)), abs(math.sin(box.yaw))
+    cos, sin = math.cos(box.yaw), math.sin(box.yaw)
     hl = box.length / 2.0 + SUPPORT_MARGIN
     hw = box.width / 2.0 + SUPPORT_MARGIN
-    ex, ey = hl * c + hw * s, hl * s + hw * c
+    ex, ey = hl * abs(cos) + hw * abs(sin), hl * abs(sin) + hw * abs(cos)
     slack = 1e-9 * (1.0 + ex + ey)
-    cx, cy = box.center[0], box.center[1]
-    cand = np.flatnonzero(np.abs(x - cx) <= ex + slack)
-    cand = cand[np.abs(y[cand] - cy) <= ey + slack]
-    return cand[points_in_box(xyz[cand], box, SUPPORT_MARGIN)]
+    cx, cy, cz = box.center
+    dx = x - cx
+    cand = np.flatnonzero(np.abs(dx) <= ex + slack)
+    ry = y[cand] - cy
+    near = np.abs(ry) <= ey + slack
+    cand, ry = cand[near], ry[near]
+    rx, rz = dx[cand], xyz[cand, 2] - cz
+    return cand[(np.abs(rx * cos + ry * sin) <= hl)
+                & (np.abs(-rx * sin + ry * cos) <= hw)
+                & (np.abs(rz) <= box.height / 2.0 + SUPPORT_MARGIN)]
 
 
 #: Candidate point pairs that :func:`_grid_clusters` tests per batch.  A

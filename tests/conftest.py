@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from drivetrace.detector import points_in_box
 from drivetrace.scene import (
     ClassDistribution,
     EgoState,
@@ -18,6 +17,7 @@ from drivetrace.scene import (
     TrackedObject,
     box_corners,
 )
+from detector_oracle import points_in_box
 
 #: The profile CI runs (``--hypothesis-profile=ci``): Hypothesis's own CI
 #: defaults, spelled out so that they hold on every Hypothesis version, with

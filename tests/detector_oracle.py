@@ -10,9 +10,15 @@ half-radius sub-cell without a test and links sub-cells over a stencil:
 the two must give the same partition, in the same order, for every cloud
 the clustering accepts, including points on sub-cell edges.
 
-``scan_support_points`` is the full-cloud scan the oracle detector used to
-collect each object's support points before it prefiltered the cloud by
-the box's axis-aligned bounding rectangle.
+``points_in_box`` is the box test the oracle detector ran on whole point
+rows: it subtracts the box centre from each (x, y, z) row and rotates the
+offset.  ``scan_support_points`` runs it over the whole cloud, the way the
+detector collected each object's support points before it prefiltered the
+cloud by the box's axis-aligned bounding rectangle and rotated the
+prefilter's own offsets.  It is the oracle for
+``drivetrace.detector._support_indices``, which must return the same
+indices for every box and cloud.  The tests also use ``points_in_box`` to
+check generated clouds and Monte Carlo IoU.
 
 ``oracle_detect`` and ``smoothed_class_dist`` are the oracle detector as it
 was before it skipped the generator for an all-zero noise model: it always
@@ -26,11 +32,12 @@ multiplied by zero.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
-from drivetrace.detector import MIN_EXTENT, NoiseModel, _support_indices, points_in_box
+from drivetrace.detector import MIN_EXTENT, NoiseModel, _support_indices
 from drivetrace.scene import (
     ClassDistribution,
     ObjectClass,
@@ -39,6 +46,19 @@ from drivetrace.scene import (
     TrackedObject,
     wrap_angle,
 )
+
+
+def points_in_box(xyz: np.ndarray, box: OrientedBox, margin: float = 0.0) -> np.ndarray:
+    """Boolean mask of points inside the (optionally inflated) box."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    rel = xyz - np.asarray(box.center)
+    local_x = rel[:, 0] * c + rel[:, 1] * s
+    local_y = -rel[:, 0] * s + rel[:, 1] * c
+    return (
+        (np.abs(local_x) <= box.length / 2.0 + margin)
+        & (np.abs(local_y) <= box.width / 2.0 + margin)
+        & (np.abs(rel[:, 2]) <= box.height / 2.0 + margin)
+    )
 
 
 def scan_support_points(xyz: np.ndarray, box: OrientedBox, margin: float) -> np.ndarray:

@@ -21,7 +21,6 @@ from drivetrace.detector import (
     geometric_detect,
     match_boxes,
     oracle_detect,
-    points_in_box,
 )
 from drivetrace.pipeline import detect
 from drivetrace.scenario import ScenarioSpec, Template, generate
@@ -29,7 +28,7 @@ from drivetrace.scene import (GroundTruthObject, ObjectClass, OrientedBox, Point
                               EgoState, _clip_footprints, _footprints, box_corners, box_iou,
                               box_iou_pairs, box_rows)
 from conftest import tiny_scene
-from detector_oracle import bfs_grid_clusters, scan_support_points
+from detector_oracle import bfs_grid_clusters, points_in_box, scan_support_points
 from detector_oracle import oracle_detect as reference_oracle_detect
 from iou_oracle import clip_polygon, scalar_box_iou
 from risk_oracle import shannon_entropy
@@ -238,6 +237,14 @@ def test_cluster_params_non_finite_message_names_class():
     with pytest.raises(ValueError) as exc:
         ClusterParams(neighbor_radius=float("nan"))
     assert str(exc.value) == "ClusterParams.neighbor_radius must be finite, got nan"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["pos_std", "dim_std", "yaw_std", "class_temperature"])
+def test_noise_model_rejects_non_finite(name, value):
+    with pytest.raises(ValueError) as exc:
+        NoiseModel(**{name: value})
+    assert str(exc.value) == f"NoiseModel.{name} must be finite, got {value!r}"
 
 
 def assert_same_clusters(xyz, radius):
@@ -703,18 +710,19 @@ def _ulp_steps(v):
 
 
 @st.composite
-def _boxes_near_their_points(draw):
-    """Overlapping boxes around a centre up to 1e6 m from the origin, and a
-    cloud holding, per box, points on each inflated face and corner, each
-    also nudged up to two ulps in and out along x and y, plus random points."""
+def _boxes_near_their_points(draw, n_boxes=st.integers(1, 4), spread=3.0,
+                             extent=st.floats(0.05, 8.0)):
+    """Overlapping boxes centred within ``spread`` of a point up to 1e6 m
+    from the origin, and a cloud holding, per box, points on each inflated
+    face and corner, each also nudged up to two ulps in and out along x and
+    y, plus random points."""
     scale = draw(st.sampled_from([0.0, 10.0, 1e3, 1e6]))
     base = np.array([draw(st.floats(-scale, scale)), draw(st.floats(-scale, scale))])
     rng = np.random.default_rng(draw(_seeds))
     boxes, pts = [], []
-    for _ in range(draw(st.integers(1, 4))):
-        cx, cy = base + rng.uniform(-3.0, 3.0, 2)
-        box = OrientedBox((cx, cy, 1.0), draw(st.floats(0.05, 8.0)),
-                          draw(st.floats(0.05, 8.0)), 2.0, draw(_YAWS))
+    for _ in range(draw(n_boxes)):
+        cx, cy = base + rng.uniform(-spread, spread, 2)
+        box = OrientedBox((cx, cy, 1.0), draw(extent), draw(extent), 2.0, draw(_YAWS))
         boxes.append(box)
         hl = box.length / 2.0 + detector.SUPPORT_MARGIN
         hw = box.width / 2.0 + detector.SUPPORT_MARGIN
@@ -734,20 +742,61 @@ def _boxes_near_their_points(draw):
     return boxes, np.column_stack([xyz, np.ones(len(xyz))])
 
 
+def _vehicles(boxes: list[OrientedBox], data: np.ndarray) -> Scene:
+    """A scene of one still vehicle per box over the cloud ``data``."""
+    return tiny_scene([GroundTruthObject(box, ObjectClass.VEHICLE, (0.0, 0.0, 0.0))
+                       for box in boxes], cloud_points=data)
+
+
+def _assert_supports_equal_full_scan(scene: Scene, noise: NoiseModel, seed: int) -> int:
+    """Each detection's support points are the full-cloud scan of the
+    ground-truth box it was made from.  Returns the number of detections."""
+    support, boxes = detector._support_indices, []
+
+    def recorded(xyz, x, y, box):
+        boxes.append(box)
+        return support(xyz, x, y, box)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detector, "_support_indices", recorded)
+        dets = oracle_detect(scene, noise, seed)
+    # detections keep ground-truth order, so their boxes are a subsequence of it
+    truth = iter(gt.box for gt in scene.ground_truth)
+    assert len(boxes) == len(dets) and all(box in truth for box in boxes)
+    for det, box in zip(dets, boxes):
+        want = scan_support_points(scene.cloud.xyz, box, detector.SUPPORT_MARGIN)
+        assert np.array_equal(det.support_points, want)
+    return len(dets)
+
+
 class TestSupportPointsOracle:
     @settings(max_examples=150, deadline=None)
     @given(_boxes_near_their_points(), st.sampled_from([0.0, 0.3, 0.6]), _seeds)
     def test_support_points_equal_full_scan(self, case, dropout, seed):
-        boxes, data = case
-        gts = [GroundTruthObject(box, ObjectClass.VEHICLE, (0.0, 0.0, 0.0)) for box in boxes]
-        scene = tiny_scene(gts, cloud_points=data)
-        # with no box noise a detection's centre is its ground truth's
-        want = {box.center: scan_support_points(scene.cloud.xyz, box, detector.SUPPORT_MARGIN)
-                for box in boxes}
-        dets = oracle_detect(scene, NoiseModel(dropout_prob=dropout), seed)
-        assert len(dets) == len(boxes) or dropout > 0
-        for det in dets:
-            assert np.array_equal(det.support_points, want[det.box.center])
+        kept = _assert_supports_equal_full_scan(_vehicles(*case), NoiseModel(dropout_prob=dropout),
+                                                seed)
+        assert kept == len(case[0]) or dropout > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(_boxes_near_their_points(st.integers(10, 30), 1.0, st.floats(2.0, 8.0)), _seeds)
+    def test_crowded_boxes_equal_full_scan(self, case, seed):
+        # 10-30 boxes of 2-8 m centred within 1 m: most points lie in several
+        noise = NoiseModel(pos_std=0.5, dim_std=0.5, yaw_std=0.5, dropout_prob=0.2)
+        _assert_supports_equal_full_scan(_vehicles(*case), noise, seed)
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(),
+        NoiseModel(pos_std=0.3, dim_std=0.2, yaw_std=0.1, dropout_prob=0.3),
+    ], ids=["noiseless", "noisy"])
+    def test_sixty_object_dense_scene(self, noise):
+        # the dense-60 benchmark's scale: 61 vehicles, 263 of whose 1,830
+        # box pairs overlap
+        scene = generate(ScenarioSpec(template=Template.DENSE_TRAFFIC, seed=1, n_objects=60))
+        truth = [gt.box for gt in scene.ground_truth]
+        assert len(truth) == 61
+        assert sum(box_iou(a, b) > 0 for i, a in enumerate(truth) for b in truth[i + 1:]) == 263
+        kept = _assert_supports_equal_full_scan(scene, noise, 5)
+        assert kept == 61 or (noise.dropout_prob > 0 and 0 < kept < 61)
 
 
 

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from drivetrace.detector import points_in_box
 from drivetrace.interaction import InteractionLabel
 from drivetrace.reasoner import ReasonerConfig
 from drivetrace.scenario import (
@@ -19,6 +18,7 @@ from drivetrace.scenario import (
 from drivetrace.scene import GroundTruthObject, ObjectClass, OrientedBox, in_corridor
 from drivetrace.scene_io import save_scene
 from conftest import tiny_scene
+from detector_oracle import points_in_box
 
 RCFG = ReasonerConfig()
 
