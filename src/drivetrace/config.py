@@ -20,6 +20,8 @@ from .scene_io import from_json, read_json, write_json
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting of one pipeline run: a section per stage, the detector and the seed."""
+
     cluster: ClusterParams = field(default_factory=ClusterParams)
     noise: NoiseModel = field(default_factory=NoiseModel)
     uncertainty: UncertaintyConfig = field(default_factory=UncertaintyConfig)

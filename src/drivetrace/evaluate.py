@@ -45,6 +45,8 @@ TEMPLATE_EXPECTED: dict[Template, tuple[SpeedDecision, Intent]] = {
 
 @dataclass(frozen=True)
 class ClassMetrics:
+    """One-vs-rest precision, recall and F1 of one speed decision."""
+
     precision: float
     recall: float
     f1: float
@@ -52,6 +54,8 @@ class ClassMetrics:
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """A suite's decision, detection and uncertainty metrics, written as ``result.json``."""
+
     speed_metrics: dict[str, ClassMetrics]
     speed_confusion: dict[str, dict[str, int]]  # expected -> predicted -> n
     path_accuracy: dict[str, float]
@@ -90,6 +94,8 @@ def f1_per_class(predictions: Sequence[str], labels: Sequence[str]) -> dict[str,
 
 @dataclass(frozen=True)
 class SceneRecord:
+    """One scene's decisions or error, and its detection and uncertainty sums."""
+
     path: str
     template: str
     expected_speed: Optional[str] = None

@@ -525,6 +525,8 @@ def _pool_beliefs(log_raw: np.ndarray, attention: np.ndarray,
 
 @dataclass(frozen=True)
 class RefinedEstimate:
+    """One object's class belief and uncertainty after refinement, and its interaction label."""
+
     object_id: int
     refined_class_probs: tuple[float, ...]
     refined_uncertainty: float
@@ -633,6 +635,8 @@ def refine_objects(
 
 @dataclass
 class AdamState:
+    """Adam's first and second moment estimates per parameter, and the step count."""
+
     m: list[list[np.ndarray]] = field(default_factory=list)
     v: list[list[np.ndarray]] = field(default_factory=list)
     t: int = 0

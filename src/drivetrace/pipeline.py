@@ -34,6 +34,8 @@ from .scene import Scene, TrackedObject
 
 @dataclass(frozen=True)
 class SceneResult:
+    """Every stage's output for one scene, ending in the decision trace."""
+
     detections: tuple[TrackedObject, ...]
     assessments: tuple[ObjectAssessment, ...]
     graph: InteractionGraph

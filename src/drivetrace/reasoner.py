@@ -48,6 +48,8 @@ class SpeedDecision(Enum):
 
 @dataclass(frozen=True)
 class ReasonerConfig:
+    """Thresholds and corridor geometry of the decision rules."""
+
     corridor_width: float = 3.5
     corridor_length: float = 40.0
     brake_level: float = 0.7
@@ -73,6 +75,8 @@ class ReasonerConfig:
 
 @dataclass(frozen=True)
 class RiskFactor:
+    """One risk the reasoner found, with its magnitude in [0, 1] and its evidence."""
+
     kind: FactorKind
     magnitude: float
     object_id: Optional[int] = None
@@ -88,6 +92,8 @@ class RiskFactor:
 
 @dataclass(frozen=True)
 class LeadInfo:
+    """The vehicle the ego follows: its id, forward gap and speed."""
+
     object_id: int
     distance: float  # forward distance along ego heading, meters
     speed: float
@@ -95,6 +101,8 @@ class LeadInfo:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One rule's test in the trace: whether it passed, its evidence and its conclusion."""
+
     index: int
     rule_id: str
     passed: bool
@@ -104,6 +112,8 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class DecisionTrace:
+    """The rules tested in order, the speed and path decisions, and their explanation."""
+
     steps: tuple[TraceStep, ...]
     speed: SpeedDecision
     path: Intent

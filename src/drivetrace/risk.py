@@ -37,6 +37,8 @@ MAX_ENTROPY = math.log(NUM_CLASSES)
 
 @dataclass(frozen=True)
 class UncertaintyConfig:
+    """Weights of entropy and yaw deviation in an object's uncertainty, and its flag level."""
+
     w_entropy: float = 0.5
     w_deviation: float = 0.5
     threshold: float = 0.8
@@ -52,6 +54,8 @@ class UncertaintyConfig:
 
 @dataclass(frozen=True)
 class RiskConfig:
+    """Distance decay of collision risk and the levels of its tiers."""
+
     decay_length: float = 20.0  # meters; risk = exp(-d_min / decay_length)
     tier_high: float = 0.6
     tier_moderate: float = 0.3
@@ -75,6 +79,8 @@ class RiskTier(Enum):
 
 @dataclass(frozen=True)
 class ObjectAssessment:
+    """One object's uncertainty, closest distance to the ego, collision risk and tier."""
+
     object_id: int
     entropy: float  # nats
     deviation: float  # radians in [0, pi]

@@ -59,6 +59,8 @@ class Template(Enum):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """What ``generate`` builds: a template, seed, object count, noise and point density."""
+
     template: Template
     seed: int = 0
     n_objects: int = 4

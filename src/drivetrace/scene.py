@@ -68,11 +68,15 @@ def wrap_angle(a: float) -> float:
 
 
 class PointCloud:
-    """Ordered collection of LiDAR points, stored as an (N, 4) float64 array.
+    """Ordered collection of LiDAR points, stored as an (N, 4) float64 array
+    of float32 values.
 
-    Columns are x, y, z, intensity.  Point order is significant and is
-    preserved by serialization round-trips (a detection's support points
-    are indices into this order).
+    Columns are x, y, z, intensity.  LiDAR returns are float32, so every
+    value is rounded to the nearest float32 when the cloud is built, and a
+    value that rounds past the float32 maximum is refused.  Both cloud
+    file formats therefore hold exactly the values a cloud has.  Point
+    order is significant and is preserved by serialization round-trips (a
+    detection's support points are indices into this order).
     """
 
     __slots__ = ("data",)
@@ -87,7 +91,14 @@ class PointCloud:
             raise ValueError("point cloud contains non-finite values")
         if np.any(arr[:, 3] < 0):
             raise ValueError("point intensities must be >= 0")
-        arr = arr.copy()
+        with np.errstate(over="ignore"):
+            f32 = arr.astype(np.float32)
+        overflow = np.isinf(f32)
+        if overflow.any():
+            raise ValueError(f"point cloud values must round to a finite float32 (the float32 "
+                             f"maximum is {float(np.finfo(np.float32).max)}), "
+                             f"got {float(arr[overflow][0])!r}")
+        arr = f32.astype(np.float64)
         arr.flags.writeable = False
         self.data = arr
 
@@ -380,6 +391,8 @@ class EgoState:
 
 @dataclass(frozen=True)
 class GroundTruthObject:
+    """One true object of a generated scene: its box, class and velocity."""
+
     box: OrientedBox
     label: ObjectClass
     velocity: tuple[float, float, float]

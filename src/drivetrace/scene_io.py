@@ -15,8 +15,12 @@ Point clouds come in two flavors:
   ``# point cloud frame=<id> count=<n>`` names the scene's frame, and its
   count is checked against the points read; a file that starts with it
   must end in a newline, as the writer's files do.
+  Each value is written with ``%.9g``, which identifies a float32.
 * Binary: 16-byte header (8-byte magic ``PCBIN001`` + uint64 little-endian
   point count) followed by 4 float32 little-endian values per point.
+
+A :class:`~drivetrace.scene.PointCloud` holds float32 values, so both
+formats hold a cloud's values exactly and load the same floats.
 
 Writers are byte-deterministic: identical inputs produce identical files.
 :func:`write_json` writes every JSON artifact, scene files included;
@@ -205,9 +209,12 @@ def from_json(tp: Any, value: Any, where: str | Path, path: str = "") -> Any:
 
 
 def write_cloud_ascii(cloud: PointCloud, path: str | Path, frame_id: str) -> None:
-    lines = [f"{_ASCII_HEADER_START}{frame_id} count={len(cloud)}"]
-    lines += [" ".join(map(repr, row)) for row in cloud.data.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the header line, then each point as ``x y z intensity`` with
+    ``%.9g``: nine significant digits identify every float32, so reading
+    the text back gives the cloud's values exactly."""
+    header = f"{_ASCII_HEADER_START}{frame_id} count={len(cloud)}\n"
+    body = "%.9g %.9g %.9g %.9g\n" * len(cloud) % tuple(cloud.data.ravel().tolist())
+    Path(path).write_text(header + body)
 
 
 def write_cloud_binary(cloud: PointCloud, path: str | Path) -> None:

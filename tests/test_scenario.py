@@ -78,7 +78,11 @@ class TestGenerate:
         spec = ScenarioSpec(template=Template.STATIC_VEHICLE_AHEAD, seed=3, noise_std=0.0)
         scene = generate(spec)
         box = scene.ground_truth[0].box
-        obj_pts = scene.cloud.xyz[points_in_box(scene.cloud.xyz, box, 1e-6)]
+        # the cloud holds float32 values, so each coordinate may lie up to half
+        # a float32 spacing off the face; one whole spacing at the largest
+        # coordinate covers any rotated sum of two of those half-spacings
+        spacing = np.abs(np.spacing(np.abs(scene.cloud.xyz).max().astype(np.float32)))
+        obj_pts = scene.cloud.xyz[points_in_box(scene.cloud.xyz, box, 1e-6 + spacing)]
         assert len(obj_pts) > 100
         # every object point sits on a face: max local coordinate at a half-extent
         c, s = math.cos(box.yaw), math.sin(box.yaw)
@@ -87,7 +91,14 @@ class TestGenerate:
         ly = np.abs(-rel[:, 0] * s + rel[:, 1] * c) / (box.width / 2)
         lz = np.abs(rel[:, 2]) / (box.height / 2)
         on_face = np.maximum(np.maximum(lx, ly), lz)
-        np.testing.assert_allclose(on_face, 1.0, atol=1e-9)
+        # float32 rounding moves each point by at most half its spacing per
+        # coordinate; carried through the rotation and the max, that bounds
+        # each local coordinate's error, on top of float64 rounding (1e-9)
+        ex, ey, ez = (np.abs(np.spacing(obj_pts.astype(np.float32))) / 2).T
+        bound = np.maximum.reduce([(abs(c) * ex + abs(s) * ey) / (box.length / 2),
+                                   (abs(s) * ex + abs(c) * ey) / (box.width / 2),
+                                   ez / (box.height / 2)])
+        assert np.all(np.abs(on_face - 1.0) <= bound + 1e-9)
 
     def test_noise_within_three_sigma(self):
         spec = ScenarioSpec(template=Template.STATIC_VEHICLE_AHEAD, seed=3, noise_std=0.05)

@@ -2,13 +2,16 @@
 
 import json
 import math
+import re
 import reprlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drivetrace.pipeline import PipelineConfig, run_scene
 from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import EgoState, Intent, OrientedBox, PointCloud, Scene
 from drivetrace.scene_io import (
@@ -27,6 +30,16 @@ from drivetrace.scene_io import (
 )
 
 
+#: The float32 maximum, its smallest subnormal, and the float64 halfway
+#: between the maximum (2**128 - 2**104) and 2**128: a value of at least this
+#: magnitude rounds to float32 infinity (a tie goes to the even neighbour).
+F32_MAX = 2.0**128 - 2.0**104
+F32_TINY = 2.0**-149
+F32_OVERFLOW = 2.0**128 - 2.0**103
+OUT_OF_RANGE = ("point cloud values must round to a finite float32 "
+                "(the float32 maximum is 3.4028234663852886e+38)")
+
+
 @pytest.fixture
 def cloud(rng):
     data = np.column_stack([rng.uniform(-50, 50, (100, 3)), rng.uniform(0, 255, 100)])
@@ -37,19 +50,43 @@ def test_ascii_round_trip_exact(cloud, tmp_path):
     path = tmp_path / "cloud.pts"
     write_cloud_ascii(cloud, path, "test")
     back = read_cloud(path)
-    # repr-based serialization reproduces every float64 exactly, in order
+    # nine significant digits reproduce every float32 exactly, in order
     np.testing.assert_array_equal(back.data, cloud.data)
 
 
 def test_ascii_writer_text(tmp_path):
-    """The writer's exact text: the shortest repr of each float64."""
-    data = np.array([[-0.0, 5e-324, 1 / 3, 1e16],
-                     [1e16, -1 / 3, -5e-324, 1.7976931348623157e308]])
+    """The writer's exact text: each value rounded to float32, then written
+    with nine significant digits."""
+    data = np.array([[-0.0, F32_TINY, 1 / 3, 1e16],
+                     [1e16, -1 / 3, -F32_TINY, F32_MAX]])
     path = tmp_path / "cloud.pts"
     write_cloud_ascii(PointCloud(data), path, "pin")
     assert path.read_text() == ("# point cloud frame=pin count=2\n"
-                                "-0.0 5e-324 0.3333333333333333 1e+16\n"
-                                "1e+16 -0.3333333333333333 -5e-324 1.7976931348623157e+308\n")
+                                "-0 1.40129846e-45 0.333333343 1.00000003e+16\n"
+                                "1.00000003e+16 -0.333333343 -1.40129846e-45 3.40282347e+38\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_values_outside_float32_range_refused_without_warning(tmp_path):
+    """No writer can write a value its reader refuses: a cloud value that
+    rounds past the float32 maximum is refused when the cloud is built, and
+    a file holding one is refused naming the file.  At the limits no reader
+    or writer warns, and both formats give the scene back."""
+    with pytest.raises(ValueError) as exc:
+        PointCloud([[1e39, 0.0, 0.0, 0.0]])
+    assert str(exc.value) == f"{OUT_OF_RANGE}, got 1e+39"
+    path = tmp_path / "cloud.pts"
+    path.write_text("1e39 0 0 0\n")
+    with pytest.raises(ValueError) as exc:
+        read_cloud(path)
+    assert str(exc.value) == f"{path}: {OUT_OF_RANGE}, got 1e+39"
+    scene = replace(generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=1)),
+                    cloud=PointCloud([[F32_MAX, -F32_MAX, F32_TINY, F32_MAX],
+                                      [math.nextafter(F32_OVERFLOW, 0), -0.0, -F32_TINY, 0.0]]))
+    assert scene.cloud.data[1, 0] == F32_MAX
+    for cloud_format in ("ascii", "binary"):
+        save_scene(scene, tmp_path / f"{cloud_format}.json", cloud_format=cloud_format)
+        assert load_scene(tmp_path / f"{cloud_format}.json") == scene
 
 
 def test_ascii_comments_and_blank_lines(tmp_path):
@@ -112,8 +149,7 @@ def test_frame_id_round_trip(tmp_path, cloud_format):
     save_scene(scene, path, cloud_format=cloud_format)
     back = load_scene(path)
     assert back.frame_id == "pedestrian-crossing-3"
-    if cloud_format == "ascii":
-        assert back == scene
+    assert back == scene
 
 
 def test_ascii_header_names_the_scene_frame(tmp_path):
@@ -429,27 +465,90 @@ def test_ascii_parse_matches_line_scan_for_every_ascii_char(tmp_path):
                     == _outcome(lambda: _line_scan(path))), repr(body)
 
 
+#: Values that a float32 cloud holds: any float64 that rounds to a finite
+#: float32, and the edges of that range.
+_F32_EDGES = [0.0, -0.0, F32_TINY, -F32_TINY, 5e-324, 2.0**-126, F32_MAX, -F32_MAX,
+              math.nextafter(F32_OVERFLOW, 0), -1e-300, 0.1, 1 / 3, 123456789.12345679]
 _coord = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                     1.7976931348623157e308, -1e-300, 0.1, 1 / 3, 123456789.12345679]),
+    st.floats(min_value=-F32_OVERFLOW, max_value=F32_OVERFLOW, exclude_min=True, exclude_max=True),
+    st.sampled_from(_F32_EDGES),
 )
 _intensity = st.one_of(
-    st.floats(min_value=0.0, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 5e-324, 1e308, 255.0]),
+    st.floats(min_value=0.0, max_value=F32_OVERFLOW, exclude_max=True),
+    st.sampled_from([0.0, -0.0, F32_TINY, 5e-324, 1e38, 255.0, F32_MAX]),
 )
+_rows = st.lists(st.tuples(_coord, _coord, _coord, _intensity), min_size=1, max_size=40)
+_out_of_range = st.one_of(st.floats(min_value=F32_OVERFLOW, allow_infinity=False),
+                          st.sampled_from([F32_OVERFLOW, 1e39]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_coord, _coord, _coord, _intensity), min_size=1, max_size=40))
-def test_ascii_read_bit_identical_to_line_scan(tmp_path_factory, rows):
+@given(_rows, _out_of_range, st.integers(0, 39), st.integers(0, 3), st.booleans())
+def test_ascii_read_bit_identical_to_line_scan(tmp_path_factory, rows, bad, i, j, negate):
     path = tmp_path_factory.mktemp("cloud") / "cloud.pts"
     written = PointCloud(np.array(rows, dtype=np.float64))
     write_cloud_ascii(written, path, "ego")
     text = path.read_text()
-    assert _loadtxt_points(text, text.splitlines()) is not None
-    expected = _line_scan(path).tobytes()
-    assert read_cloud(path).data.tobytes() == expected == written.data.tobytes()
+    parsed = _loadtxt_points(text, text.splitlines())
+    expected = _line_scan(path)
+    assert parsed.tobytes() == expected.tobytes()
+    assert (read_cloud(path).data.tobytes() == PointCloud(expected).data.tobytes()
+            == written.data.tobytes() == PointCloud(rows).data.tobytes())
+    # one value past the float32 range: refused when built and when read
+    rows = [list(row) for row in rows]
+    rows[i % len(rows)][j] = -bad if negate and j < 3 else bad
+    with pytest.raises(ValueError, match=re.escape(OUT_OF_RANGE)):
+        PointCloud(rows)
+    path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {OUT_OF_RANGE}")):
+        read_cloud(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rows)
+def test_ascii_and_binary_round_trips_give_the_cloud(tmp_path_factory, rows):
+    """Both formats give back a float32-range cloud's own array, byte for byte."""
+    cloud = PointCloud(rows)
+    directory = tmp_path_factory.mktemp("cloud")
+    write_cloud_ascii(cloud, directory / "cloud.pts", "ego")
+    write_cloud_binary(cloud, directory / "cloud.pcb")
+    assert (read_cloud(directory / "cloud.pts").data.tobytes()
+            == read_cloud(directory / "cloud.pcb").data.tobytes() == cloud.data.tobytes())
+
+
+_f32 = st.one_of(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                 st.sampled_from([0.0, -0.0, F32_TINY, -F32_TINY, 2.0**-126 - F32_TINY,
+                                  2.0**-126, F32_MAX, -F32_MAX]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_f32)
+def test_nine_digits_identify_every_float32(tmp_path_factory, x):
+    """The writer's ``%.9g`` text parses (as float64, then rounded to
+    float32) back to the very float32 it was written from."""
+    path = tmp_path_factory.mktemp("cloud") / "cloud.pts"
+    values = [x, -x, x, abs(x)]
+    write_cloud_ascii(PointCloud([values]), path, "ego")
+    fields = path.read_text().splitlines()[1].split()
+    assert fields == ["%.9g" % v for v in values]
+    for field, v in zip(fields, values):
+        assert np.float32(float(field)).tobytes() == np.float32(v).tobytes()
+    assert read_cloud(path).data.tobytes() == np.array([values]).tobytes()
+
+
+@pytest.mark.parametrize("template", list(Template), ids=lambda t: t.value)
+def test_both_cloud_formats_load_the_generated_scene(tmp_path, template):
+    """Results do not depend on the cloud format: either file loads the
+    scene ``generate`` built, and the pipeline gives it equal results."""
+    scene = generate(ScenarioSpec(template=template, seed=1))
+    save_scene(scene, tmp_path / "ascii.json", cloud_format="ascii")
+    save_scene(scene, tmp_path / "binary.json", cloud_format="binary")
+    ascii_scene = load_scene(tmp_path / "ascii.json")
+    binary_scene = load_scene(tmp_path / "binary.json")
+    assert ascii_scene == binary_scene == scene
+    for config in (PipelineConfig(), PipelineConfig(detector="geometric")):
+        result = run_scene(scene, config)
+        assert run_scene(ascii_scene, config) == run_scene(binary_scene, config) == result
 
 
 def test_truncated_ascii_cloud_names_header_count(tmp_path):
