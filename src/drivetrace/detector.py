@@ -439,8 +439,6 @@ def geometric_detect(scene: Scene, params: ClusterParams) -> list[TrackedObject]
     """
     xyz = scene.cloud.xyz
     above = np.nonzero(xyz[:, 2] > params.ground_z_max)[0]
-    if above.size == 0:
-        return []
     clusters = _grid_clusters(xyz[above], params.neighbor_radius)
     fits = []
     for idx in clusters:

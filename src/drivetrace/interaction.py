@@ -633,31 +633,6 @@ def refine_objects(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """Adam's first and second moment estimates per parameter, and the step count."""
-
-    m: list[list[np.ndarray]] = field(default_factory=list)
-    v: list[list[np.ndarray]] = field(default_factory=list)
-    t: int = 0
-
-
-def adam_step(params: Sequence[BayesianLayer], grads: Sequence[BayesianLayer],
-              state: AdamState, lr: float = 0.01) -> None:
-    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Adam's usual decay rates and epsilon
-    if not state.m:
-        state.m = [[np.zeros_like(a) for a in layer.arrays()] for layer in params]
-        state.v = [[np.zeros_like(a) for a in layer.arrays()] for layer in params]
-    state.t += 1
-    for layer, grad, ms, vs in zip(params, grads, state.m, state.v):
-        for arr, g, m, v in zip(layer.arrays(), grad.arrays(), ms, vs):
-            m += (1 - beta1) * (g - m)
-            v += (1 - beta2) * (g * g - v)
-            m_hat = m / (1 - beta1 ** state.t)
-            v_hat = v / (1 - beta2 ** state.t)
-            arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
 def training_accuracy(model: BgnnModel,
                       dataset: Sequence[tuple[InteractionGraph, np.ndarray, np.ndarray]]
                       ) -> float:
@@ -712,8 +687,10 @@ def train_bgnn(
         raise ValueError(f"lr must be finite and > 0, got {lr!r}")
     if not dataset:
         raise ValueError("the training set must hold at least one graph")
-    model._draws = None  # drawn from the parameters that adam_step changes
-    state = AdamState()
+    model._draws = None  # drawn from the parameters that the steps below change
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Adam's usual decay rates and epsilon
+    arrays = [a for layer in model.params for a in layer.arrays()]
+    moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
     history = []
     for step in range(steps):
         # a non-finite result is refused below, so no warning on the way
@@ -721,7 +698,13 @@ def train_bgnn(
             terms, grads = elbo_loss(model.params, dataset, seed=seed * 100003 + step,
                                      prior_std=model.config.prior_std,
                                      mc_samples=TRAIN_MC_SAMPLES)
-            adam_step(model.params, grads, state, lr=lr)
+            g_arrays = [g for layer in grads for g in layer.arrays()]
+            for arr, g, (m, v) in zip(arrays, g_arrays, moments, strict=True):
+                m += (1 - beta1) * (g - m)
+                v += (1 - beta2) * (g * g - v)
+                m_hat = m / (1 - beta1 ** (step + 1))
+                v_hat = v / (1 - beta2 ** (step + 1))
+                arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
         problem = _parameter_problem(model.params)
         if problem or not math.isfinite(terms.loss):
             raise ValueError(f"training diverged at step {step + 1} of {steps}: "

@@ -71,6 +71,10 @@ class ReasonerConfig:
             raise ValueError("occlusion_density_ratio must lie in (0, 1)")
         if not self.epistemic_threshold >= 0.0:
             raise ValueError(f"epistemic_threshold must be >= 0, got {self.epistemic_threshold!r}")
+        if not self.static_speed >= 0.0:
+            raise ValueError(f"static_speed must be >= 0, got {self.static_speed!r}")
+        if not self.follow_gap > 0.0:
+            raise ValueError(f"follow_gap must be > 0, got {self.follow_gap!r}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +146,6 @@ def _adjacent_clear(scene_objects: Sequence[TrackedObject], exclude_id: int,
 def _sector_densities(scene: Scene, cfg: ReasonerConfig) -> list[float]:
     """Cloud point density (points / m^2) per corridor range sector."""
     xyz = scene.cloud.xyz
-    if xyz.shape[0] == 0:
-        return [0.0] * cfg.occlusion_sectors
     fwd, lat = forward_lateral(xyz[:, 0], xyz[:, 1], scene.ego)
     half = cfg.corridor_width / 2.0
     sector_len = cfg.corridor_length / cfg.occlusion_sectors

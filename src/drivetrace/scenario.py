@@ -135,8 +135,6 @@ def apply_azimuth_occlusion(points: np.ndarray, owners: np.ndarray,
     corner are removed.  Occlusion only ever removes points.
     """
     keep = np.ones(len(points), dtype=bool)
-    if len(points) == 0:
-        return keep
     az = np.arctan2(points[:, 1], points[:, 0])
     rng2d = np.hypot(points[:, 0], points[:, 1])
     for i, corners in enumerate(_footprints(box_rows(boxes))):
@@ -157,17 +155,16 @@ def _finalize_cloud(
     gt: list[GroundTruthObject],
     noise_std: float,
 ) -> PointCloud:
-    parts = [ground] + object_points
     owners = np.concatenate(
         [np.full(len(ground), -1)]
         + [np.full(len(p), i) for i, p in enumerate(object_points)]
-    ) if parts else np.empty(0, dtype=np.int64)
-    xyz = np.concatenate(parts) if parts else np.empty((0, 3))
+    )
+    xyz = np.concatenate([ground] + object_points)
     keep = apply_azimuth_occlusion(xyz, owners, [g.box for g in gt])
     xyz = xyz[keep]
     owners = owners[keep]
     # range noise along each ray
-    if noise_std > 0 and len(xyz):
+    if noise_std > 0:
         r = np.linalg.norm(xyz, axis=1)
         safe = r > 1e-9
         noise = rng.normal(0.0, noise_std, len(xyz))
@@ -175,10 +172,9 @@ def _finalize_cloud(
     # intensity per owner class
     base = np.array([_BASE_INTENSITY[None]]
                     + [_BASE_INTENSITY[g.label] for g in gt])[owners + 1]
-    intensity = np.maximum(base + rng.normal(0.0, 5.0, len(xyz)), 0.0) if len(xyz) else base
-    in_range = np.linalg.norm(xyz, axis=1) <= RANGE_LIMIT if len(xyz) else np.ones(0, bool)
-    data = np.column_stack([xyz[in_range], intensity[in_range]]) if len(xyz) else np.empty((0, 4))
-    return PointCloud(data)
+    intensity = np.maximum(base + rng.normal(0.0, 5.0, len(xyz)), 0.0)
+    in_range = np.linalg.norm(xyz, axis=1) <= RANGE_LIMIT
+    return PointCloud(np.column_stack([xyz[in_range], intensity[in_range]]))
 
 
 def _vehicle_box(x: float, y: float, yaw: float) -> OrientedBox:

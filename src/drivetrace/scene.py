@@ -71,20 +71,23 @@ class PointCloud:
     """Ordered collection of LiDAR points, stored as an (N, 4) float64 array
     of float32 values.
 
-    Columns are x, y, z, intensity.  LiDAR returns are float32, so every
-    value is rounded to the nearest float32 when the cloud is built, and a
-    value that rounds past the float32 maximum is refused.  Both cloud
-    file formats therefore hold exactly the values a cloud has.  Point
-    order is significant and is preserved by serialization round-trips (a
+    Columns are x, y, z, intensity.  LiDAR returns are float32, so a
+    float32 array (such as a binary cloud file's body) is taken as it is;
+    anything else is cast once to float64 and each value rounded to the
+    nearest float32, and a value that rounds past the float32 maximum is
+    refused.  Any empty input is the empty (0, 4) cloud.  Both cloud file
+    formats therefore hold exactly the values a cloud has.  Point order is
+    significant and is preserved by serialization round-trips (a
     detection's support points are indices into this order).
     """
 
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray | Sequence[Sequence[float]] = ()):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = (data if isinstance(data, np.ndarray) and data.dtype == np.float32
+               else np.asarray(data, dtype=np.float64))
         if arr.size == 0:
-            arr = np.empty((0, 4), dtype=np.float64)
+            arr = arr.reshape(0, 4)
         if arr.ndim != 2 or arr.shape[1] != 4:
             raise ValueError(f"point cloud data must be (N, 4), got {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -92,7 +95,7 @@ class PointCloud:
         if np.any(arr[:, 3] < 0):
             raise ValueError("point intensities must be >= 0")
         with np.errstate(over="ignore"):
-            f32 = arr.astype(np.float32)
+            f32 = arr.astype(np.float32, copy=False)
         overflow = np.isinf(f32)
         if overflow.any():
             raise ValueError(f"point cloud values must round to a finite float32 (the float32 "

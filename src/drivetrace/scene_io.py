@@ -223,9 +223,9 @@ def write_cloud_binary(cloud: PointCloud, path: str | Path) -> None:
     Path(path).write_bytes(header + body)
 
 
-def _scan_points(path: str | Path, lines: list[str]) -> np.ndarray:
-    """The (n, 4) points on an ASCII cloud's lines, parsed one line at a
-    time.  A bad line raises ValueError naming the file and the line."""
+def _scan_points(path: str | Path, lines: list[str]) -> list[list[float]]:
+    """The points on an ASCII cloud's lines, as 4-value rows parsed one line
+    at a time.  A bad line raises ValueError naming the file and the line."""
     rows = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
@@ -239,7 +239,7 @@ def _scan_points(path: str | Path, lines: list[str]) -> np.ndarray:
             rows.append([float(v) for v in parts])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+    return rows
 
 
 def _comments_start_lines(text: str) -> bool:
@@ -277,9 +277,10 @@ def _loadtxt_points(text: str, lines: list[str]) -> np.ndarray | None:
     return data if data.shape[1] == 4 else None
 
 
-def _read_ascii(path: str | Path, raw: bytes) -> np.ndarray:
-    """The (n, 4) points of an ASCII cloud file's bytes.  When the first
-    line is the writer's header, its count must match the points read.
+def _read_ascii(path: str | Path, raw: bytes) -> np.ndarray | list[list[float]]:
+    """The points of an ASCII cloud file's bytes, as an (n, 4) array or as
+    4-value rows.  When the first line is the writer's header, its count
+    must match the points read.
     The writer ends every line with a newline, so a file that starts like
     its header (or a part of it) but does not end in one was cut short."""
     text = raw.decode("utf-8")
@@ -301,8 +302,10 @@ def _read_ascii(path: str | Path, raw: bytes) -> np.ndarray:
 
 def read_cloud(path: str | Path) -> PointCloud:
     """Read either cloud format; binary is detected by its magic string.
-    A malformed file raises ValueError naming the file, and for an ASCII
-    cloud the line."""
+    The binary body is float32, so :class:`PointCloud` takes it as it is;
+    ASCII values are parsed as float64, and ``PointCloud`` rounds each to
+    float32.  A malformed file raises ValueError naming the file, and for
+    an ASCII cloud the line."""
     raw = Path(path).read_bytes()
     if not raw:  # every writer writes a header, so the file was cut short
         raise ValueError(f"point cloud {path} has 0 bytes, but a cloud file starts with a header")
@@ -314,8 +317,7 @@ def read_cloud(path: str | Path) -> PointCloud:
         if len(raw) != 16 + 16 * count:
             raise ValueError(f"point cloud {path} has header count {count}, which needs "
                              f"{16 + 16 * count} bytes, but the file has {len(raw)}")
-        data = np.frombuffer(raw, dtype="<f4", offset=16, count=count * 4)
-        data = data.reshape(count, 4).astype(np.float64)
+        data = np.frombuffer(raw, dtype="<f4", offset=16, count=count * 4).reshape(count, 4)
     else:
         try:
             data = _read_ascii(path, raw)

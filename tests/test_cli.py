@@ -758,6 +758,8 @@ class TestArgsAndConfig:
          "interaction: unknown key 'attention_positive_energy'"),
         ('{"reasoner": {"epistemic_threshold": -0.1}}',
          "reasoner: epistemic_threshold must be >= 0, got -0.1"),
+        ('{"reasoner": {"static_speed": -1}}', "reasoner: static_speed must be >= 0, got -1"),
+        ('{"reasoner": {"follow_gap": -5}}', "reasoner: follow_gap must be > 0, got -5"),
         ('{"detector": ["oracle"]}', "detector must be a string, got ['oracle']"),
         ('{"detector": {}}', "detector must be a string, got {}"),
         ('{"detector": "lidarnet"}',
@@ -766,7 +768,7 @@ class TestArgsAndConfig:
             "json-syntax", "invalid-value", "seed-float", "seed-negative", "seed-bool",
             "seed-string", "removed-noise-seed", "removed-entropy-normalized",
             "removed-attention-positive-energy", "negative-epistemic-threshold",
-            "detector-list", "detector-object", "detector-unknown"])
+            "negative-static-speed", "negative-follow-gap", "detector-list", "detector-object", "detector-unknown"])
     def test_bad_config_file_error_names_file(self, tmp_path, capsys, text, reason):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

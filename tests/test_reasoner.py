@@ -179,7 +179,7 @@ def cascade_inputs(draw):
     brake = draw(st.floats(slow, 1.0, exclude_min=True))
     cfg = ReasonerConfig(
         slow_level=slow, brake_level=brake,
-        follow_gap=draw(st.sampled_from([0.0, 10.0, 25.0])),
+        follow_gap=draw(st.sampled_from([math.ulp(0.0), 10.0, 25.0])),
         static_speed=draw(st.sampled_from([0.0, 0.5, 2.0])),
         occlusion_density_ratio=draw(st.sampled_from([0.1, 0.3, 0.9])))
     magnitude = st.one_of(
@@ -441,3 +441,18 @@ class TestReasonerConfigReach:
         assert self.run(obj).refined[0].interaction_label is InteractionLabel.FOLLOW
         result = self.run(obj, static_speed=0.2)
         assert result.refined[0].interaction_label is InteractionLabel.YIELD
+
+
+class TestReasonerConfigBounds:
+    @pytest.mark.parametrize(("field", "value", "reason"), [
+        ("static_speed", math.nan, "static_speed must be >= 0, got nan"),
+        ("follow_gap", 0.0, "follow_gap must be > 0, got 0.0"),
+        ("follow_gap", math.nan, "follow_gap must be > 0, got nan"),
+    ])
+    def test_out_of_range_threshold_refused(self, field, value, reason):
+        """A follow gap of exactly 0 is refused, and so is a NaN in either
+        field, which only the Python API can give (the config reader refuses
+        NaN first)."""
+        with pytest.raises(ValueError) as exc:
+            ReasonerConfig(**{field: value})
+        assert str(exc.value) == reason

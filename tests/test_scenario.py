@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from drivetrace.config import PipelineConfig
 from drivetrace.interaction import InteractionLabel
-from drivetrace.reasoner import ReasonerConfig
+from drivetrace.pipeline import run_scene
+from drivetrace.reasoner import FactorKind, ReasonerConfig, SpeedDecision, _sector_densities
 from drivetrace.scenario import (
     RANGE_LIMIT,
     ScenarioSpec,
@@ -16,7 +18,7 @@ from drivetrace.scenario import (
     label_interactions,
 )
 from drivetrace.scene import GroundTruthObject, ObjectClass, OrientedBox, in_corridor
-from drivetrace.scene_io import save_scene
+from drivetrace.scene_io import load_scene, save_scene
 from conftest import tiny_scene
 from detector_oracle import points_in_box
 
@@ -199,3 +201,28 @@ class TestLabelInteractions:
         scene = type(scene)(scene.timestamp, scene.ego, scene.cloud)
         with pytest.raises(ValueError):
             label_interactions(scene, RCFG)
+
+
+class TestEmptyCloud:
+    """A density too low for one point gives the empty cloud, which every
+    stage takes through its general path: both cloud formats, the oracle
+    and the geometric detector, and the occlusion sectors."""
+
+    @pytest.mark.parametrize("cloud_format", ["ascii", "binary"])
+    @pytest.mark.parametrize("template", [Template.EMPTY_ROAD, Template.LEAD_VEHICLE,
+                                          Template.DENSE_TRAFFIC])
+    def test_empty_cloud_runs_end_to_end(self, tmp_path, template, cloud_format):
+        scene = generate(ScenarioSpec(template=template, seed=1, points_per_m2=1e-6))
+        assert scene.cloud.data.shape == (0, 4)
+        save_scene(scene, tmp_path / "scene.json", cloud_format=cloud_format)
+        loaded = load_scene(tmp_path / "scene.json")
+        assert loaded == scene
+        assert _sector_densities(loaded, RCFG) == [0.0] * RCFG.occlusion_sectors
+        oracle = run_scene(loaded, PipelineConfig())
+        assert len(oracle.detections) == len(scene.ground_truth)
+        assert all(o.support_points.size == 0 for o in oracle.detections)
+        geometric = run_scene(loaded, PipelineConfig(detector="geometric"))
+        assert geometric.detections == ()
+        assert geometric.trace.speed is SpeedDecision.SPEED_LIMIT
+        for result in (oracle, geometric):
+            assert FactorKind.OCCLUSION not in [f.kind for f in result.factors]

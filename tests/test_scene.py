@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from drivetrace.scene import (
     ClassDistribution,
@@ -21,6 +22,15 @@ from drivetrace.scene import (
     wrap_angle,
 )
 from conftest import UNIFORM, mc_box_iou, random_box
+
+
+def float32_clouds(min_points: int) -> st.SearchStrategy[np.ndarray]:
+    """Finite (N, 4) float32 arrays with non-negative intensities."""
+    finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    return st.integers(min_points, 30).flatmap(
+        lambda n: arrays(np.float32, (n, 4), elements=finite)).map(
+        lambda a: np.column_stack([a[:, :3], np.abs(a[:, 3])]))
+
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -171,6 +181,38 @@ class TestTypes:
         with pytest.raises(ValueError):
             PointCloud(np.array([[1.0, 2.0, 3.0, -1.0]]))
         assert not cloud.data.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_float32_array_is_taken_as_it_is(self, data):
+        """A finite float32 array with non-negative intensities gives the
+        cloud of its float64 cast, as a read-only float64 copy."""
+        a = data.draw(float32_clouds(0))
+        cloud = PointCloud(a)
+        assert cloud == PointCloud(a.astype(np.float64))
+        assert cloud.data.dtype == np.float64
+        assert cloud.data.tobytes() == a.astype(np.float64).tobytes()
+        assert not np.shares_memory(cloud.data, a)
+        assert not cloud.data.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from([math.nan, math.inf, -math.inf, -1.0]))
+    def test_bad_float32_array_refused_as_its_float64_cast(self, data, bad):
+        a = data.draw(float32_clouds(1))
+        a[data.draw(st.integers(0, len(a) - 1)),
+          3 if bad == -1.0 else data.draw(st.integers(0, 3))] = bad
+        reason = ("point intensities must be >= 0" if bad == -1.0
+                  else "point cloud contains non-finite values")
+        for arr in (a, a.astype(np.float64)):
+            with pytest.raises(ValueError) as exc:
+                PointCloud(arr)
+            assert str(exc.value) == reason
+
+    def test_wrong_shape_refused_in_either_dtype(self):
+        for dtype in (np.float32, np.float64):
+            with pytest.raises(ValueError, match=r"must be \(N, 4\), got \(2, 3\)"):
+                PointCloud(np.zeros((2, 3), dtype=dtype))
+            assert PointCloud(np.zeros((0, 3), dtype=dtype)).data.shape == (0, 4)
 
     def test_ego_normalizes_headings(self):
         ego = EgoState(heading=3 * math.pi, lane_heading=-3 * math.pi)

@@ -397,16 +397,19 @@ def test_scene_load_error_names_scene_file(tmp_path):
 
 
 def _outcome(parse):
-    """What a parse gives: its array's shape and bytes, or its error."""
+    """What a parse gives, cast to float64 as ``PointCloud`` casts it: the
+    array's shape and bytes, or the parse's error."""
     try:
-        data = parse()
+        data = np.asarray(parse(), dtype=np.float64)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
     return data.shape, data.tobytes()
 
 
 def _line_scan(path):
-    return _scan_points(path, path.read_bytes().decode("utf-8").splitlines())
+    """The line scan's rows as the float64 array that ``PointCloud`` makes of them."""
+    return np.asarray(_scan_points(path, path.read_bytes().decode("utf-8").splitlines()),
+                      dtype=np.float64)
 
 
 #: Bodies on which np.loadtxt on its own differs from the line scan, or
