@@ -93,7 +93,11 @@ def cmd_scene(args) -> int:
     scene = load_scene(args.scene)
     model = load_model(args.model, config.interaction) if args.model else None
     name, payload_of, line = SCENE_COMMANDS[args.command]
-    payload = payload_of(run_scene(scene, config, model))
+    try:
+        result = run_scene(scene, config, model)
+    except ValueError as exc:
+        raise ValueError(f"{args.scene}: {exc}") from None
+    payload = payload_of(result)
     if isinstance(payload, str):
         (out / name).write_text(payload + "\n")
     else:
@@ -138,10 +142,10 @@ def cmd_evaluate(args) -> int:
 def cmd_report(args) -> int:
     out = _out_dir(args)
     try:
-        result = parse_csv(Path(args.csv).read_text())
-    except ValueError as exc:
+        text = Path(args.csv).read_text()
+    except UnicodeDecodeError as exc:
         raise ValueError(f"{args.csv}: {exc}") from None
-    paths = write_report(result, out)
+    paths = write_report(parse_csv(text, args.csv), out)
     print("\n".join(str(p) for p in paths))
     return 0
 

@@ -9,7 +9,12 @@ error against ground truth.
 
 Reports are byte-stable: a text table, a loss-free CSV (floats serialized
 with ``repr`` so parsing them back reproduces the result exactly), and a
-plot-data JSON.
+plot-data JSON.  :func:`parse_csv` reads only the CSV's syntax: it puts
+each row's value where ``result.json`` holds it, and ``scene_io.from_json``
+reads that document as a :class:`SuiteResult`, as it reads
+``result.json``.  ``SuiteResult`` and ``ClassMetrics`` check their own
+classes, fractions and counts, also when :func:`evaluate_suite` builds
+them, so ``evaluate`` writes no result that its reader refuses.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from .config import PipelineConfig
 from .detector import box_regression_error, match_boxes
@@ -43,18 +48,38 @@ TEMPLATE_EXPECTED: dict[Template, tuple[SpeedDecision, Intent]] = {
 }
 
 
+def _check_range(what: str, value: float, high: float = 1.0) -> None:
+    if not 0 <= value <= high:  # NaN fails too
+        raise ValueError(f"{what} must lie in [0, {high:g}], got {value}")
+
+
+def _check_classes(what: str, keys: Iterable[str], classes: list[str]) -> None:
+    for key in keys:
+        if key not in classes:
+            raise ValueError(f"{what}: key must be one of {classes}, got {key!r}")
+
+
 @dataclass(frozen=True)
 class ClassMetrics:
-    """One-vs-rest precision, recall and F1 of one speed decision."""
+    """One-vs-rest precision, recall and F1 of one speed decision, each a
+    float in [0, 1]."""
 
     precision: float
     recall: float
     f1: float
 
+    def __post_init__(self) -> None:
+        for name in ("precision", "recall", "f1"):
+            _check_range(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
+
 
 @dataclass(frozen=True)
 class SuiteResult:
-    """A suite's decision, detection and uncertainty metrics, written as ``result.json``."""
+    """A suite's decision, detection and uncertainty metrics, written as
+    ``result.json``: speed classes are speed decisions, path classes are
+    path intents, fractions lie in [0, 1], counts are >= 0 and the other
+    values are floats."""
 
     speed_metrics: dict[str, ClassMetrics]
     speed_confusion: dict[str, dict[str, int]]  # expected -> predicted -> n
@@ -65,6 +90,28 @@ class SuiteResult:
     mean_deviation_deg: Optional[float]
     reg_error: Optional[float]
     counts: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for exp, row in self.speed_confusion.items():
+            for pred, n in row.items():
+                _check_range(f"speed_confusion.{exp}.{pred}", n, math.inf)
+            _check_classes(f"speed_confusion.{exp}", row, SPEED_ORDER)
+        for key, n in self.counts.items():
+            _check_range(f"counts.{key}", n, math.inf)
+        for cls, v in self.path_accuracy.items():
+            _check_range(f"path_accuracy.{cls}", v)
+        for name in ("mean_iou", "detection_accuracy"):
+            if getattr(self, name) is not None:
+                _check_range(name, getattr(self, name))
+        _check_classes("speed_metrics", self.speed_metrics, SPEED_ORDER)
+        _check_classes("speed_confusion", self.speed_confusion, SPEED_ORDER)
+        _check_classes("path_accuracy", self.path_accuracy, PATH_ORDER)
+        # a reader gives an integer such as the CSV's "1" as an int
+        object.__setattr__(self, "path_accuracy",
+                           {cls: float(v) for cls, v in self.path_accuracy.items()})
+        for name in _SCALARS:
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def f1_per_class(predictions: Sequence[str], labels: Sequence[str]) -> dict[str, ClassMetrics]:
@@ -167,27 +214,27 @@ def evaluate_suite(
 ) -> tuple[SuiteResult, list[SceneRecord]]:
     """Evaluate every scene in the manifest.
 
-    Every manifest entry is checked before any scene runs, and a path
-    listed twice is refused.  Unreadable or failing scenes are recorded
-    with their error and skipped from the metrics; aggregation runs in a
-    canonical order (sorted by scene path) so the result does not depend
-    on manifest ordering.
+    Every manifest entry is checked before any scene runs, and two entries
+    whose paths resolve to one file are refused.  Unreadable or failing
+    scenes are recorded with their error and skipped from the metrics;
+    aggregation runs in a canonical order (sorted by scene path) so the
+    result does not depend on manifest ordering.
     """
     manifest_path = Path(manifest_path)
     manifest = from_json(dict[str, Any], read_json(manifest_path), manifest_path)
     scenes = from_json(tuple[dict[str, Any], ...], manifest.get("scenes", MISSING),
                        manifest_path, "scenes")
-    entries, index = [], {}  # index: Path(path) -> its entry's position
+    base = manifest_path.parent
+    entries, index = [], {}  # index: resolved scene file -> its entry's position
     for k, e in enumerate(scenes):
         path = from_json(str, e.get("path", MISSING), manifest_path, f"scenes[{k}].path")
         template = from_json(Template, e.get("template", MISSING), manifest_path,
                              f"scenes[{k}].template")
-        if Path(path) in index:
-            raise ValueError(f"{manifest_path}: scenes[{index[Path(path)]}] and scenes[{k}] "
+        first = index.setdefault((base / path).resolve(), k)
+        if first != k:
+            raise ValueError(f"{manifest_path}: scenes[{first}] and scenes[{k}] "
                              f"both list {path!r}")
-        index[Path(path)] = k
         entries.append((path, template))
-    base = manifest_path.parent
     records = sorted((_evaluate_one(p, t, config, model, base) for p, t in entries),
                      key=lambda r: r.path)
     return _aggregate(records), records
@@ -260,7 +307,7 @@ def render_text(result: SuiteResult) -> str:
         if cls in result.path_accuracy:
             lines.append(f"  {cls:<14} {100.0 * result.path_accuracy[cls]:>8.2f}%")
     lines.append("Detection")
-    for key, (label, *_) in _SCALARS.items():
+    for key, label in _SCALARS.items():
         lines.append(f"  {label:<19} {_fmt(getattr(result, key))}")
     lines.append("Counts")
     for k in sorted(result.counts):
@@ -268,131 +315,93 @@ def render_text(result: SuiteResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_value(v: Any) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def render_csv(result: SuiteResult) -> str:
+    """One row per value; a float is written as its ``repr``, which
+    ``str`` gives, and a None scalar as an empty value."""
     rows = [_CSV_HEADER]
     for cls in sorted(result.speed_metrics):
-        m = result.speed_metrics[cls]
-        rows.append(f"speed_precision,{cls},{_csv_value(m.precision)}")
-        rows.append(f"speed_recall,{cls},{_csv_value(m.recall)}")
-        rows.append(f"speed_f1,{cls},{_csv_value(m.f1)}")
+        for section, name in _SPEED_METRICS.items():
+            rows.append(f"{section},{cls},{getattr(result.speed_metrics[cls], name)}")
     for exp in sorted(result.speed_confusion):
         for pred in sorted(result.speed_confusion[exp]):
             rows.append(f"speed_confusion,{exp}|{pred},{result.speed_confusion[exp][pred]}")
     for cls in sorted(result.path_accuracy):
-        rows.append(f"path_accuracy,{cls},{_csv_value(result.path_accuracy[cls])}")
+        rows.append(f"path_accuracy,{cls},{result.path_accuracy[cls]}")
     for key in _SCALARS:
-        rows.append(f"scalar,{key},{_csv_value(getattr(result, key))}")
+        value = getattr(result, key)
+        rows.append(f"scalar,{key},{'' if value is None else value}")
     for k in sorted(result.counts):
         rows.append(f"count,{k},{result.counts[k]}")
     return "\n".join(rows) + "\n"
 
 
 _CSV_HEADER = "section,key,value"
-_SPEED_SECTIONS = ("speed_precision", "speed_recall", "speed_f1")
-_UNIT = (0.0, 1.0)
-_ANY = (-math.inf, math.inf)
-#: the scalars of a SuiteResult, in report order, each with its label in
-#: render_text and the range parse_csv accepts
-_SCALARS = {"mean_iou": ("mean IoU", *_UNIT),
-            "detection_accuracy": ("detection accuracy", *_UNIT),
-            "mean_entropy": ("mean entropy (nats)", *_ANY),
-            "mean_deviation_deg": ("mean deviation (deg)", *_ANY),
-            "reg_error": ("box regression error", *_ANY)}
+#: the ClassMetrics field of each speed metric section
+_SPEED_METRICS = {"speed_precision": "precision", "speed_recall": "recall", "speed_f1": "f1"}
+#: the scalars of a SuiteResult, in report order, with their labels in render_text
+_SCALARS = {"mean_iou": "mean IoU", "detection_accuracy": "detection accuracy",
+            "mean_entropy": "mean entropy (nats)",
+            "mean_deviation_deg": "mean deviation (deg)", "reg_error": "box regression error"}
 
 
-def _csv_number(value: str, what: str, low: float = -math.inf, high: float = math.inf,
-                parse: Callable[[str], float] = float) -> float:
-    """``parse(value)``; raises ValueError unless it is finite and in [low, high]."""
-    v = parse(value)
-    if not math.isfinite(v):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    if not low <= v <= high:
-        raise ValueError(f"{what} must lie in [{low:g}, {high:g}], got {value}")
-    return v
+def _number(text: str, what: str) -> int | float:
+    """The number ``text`` holds: an int where ``int`` reads it, as in JSON,
+    else a float."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be a number, got {text!r}")
 
 
-def _csv_class(name: str, section: str, classes: list[str]) -> str:
-    """``name``, if it is one of ``classes``, the rows ``render_text`` shows."""
-    if name not in classes:
-        raise ValueError(f"{section} class must be one of {classes}, got {name!r}")
-    return name
-
-
-def parse_csv(text: str) -> SuiteResult:
-    """Inverse of :func:`render_csv`; the round-trip is lossless.
+def parse_csv(text: str, where: str | Path) -> SuiteResult:
+    """Inverse of :func:`render_csv`; the round-trip is lossless.  Each row's
+    value goes where ``result.json`` holds it (``speed_f1,Brake,x`` to
+    ``speed_metrics.Brake.f1``), and :func:`from_json` reads the document.
 
     Raises:
-        ValueError: naming the line, on a missing header, a malformed or
-            repeated row, a speed or path class that ``render_text`` does
-            not show, an unknown scalar, a value that is not finite, a
-            fraction (speed metric, path accuracy, ``mean_iou``,
-            ``detection_accuracy``) outside [0, 1], a negative count, or a
-            speed class that lacks one of its three metric rows.
+        ValueError: ``<where>: line <n>: <reason>`` on a missing header, a
+            row without three fields, an unknown section, a
+            ``speed_confusion`` key without ``|``, a value that is not a
+            number, or a repeated row; ``from_json``'s
+            ``<where>: <field> ...`` on a value ``SuiteResult`` refuses.
     """
-    speed: dict[str, dict[str, float]] = {}
-    confusion: dict[str, dict[str, int]] = {}
-    path_accuracy: dict[str, float] = {}
-    scalars: dict[str, Optional[float]] = {}
-    counts: dict[str, int] = {}
+    doc: dict[str, Any] = {"speed_metrics": {}, "speed_confusion": {}, "path_accuracy": {},
+                           "counts": {}}
+    scalars: dict[str, Any] = dict.fromkeys(_SCALARS)
+    places = {"path_accuracy": doc["path_accuracy"], "count": doc["counts"], "scalar": scalars}
     row_lines: dict[tuple[str, str], int] = {}  # (section, key) -> its line
     numbered = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln]
     number, header = numbered[0] if numbered else (1, "")
-    if header != _CSV_HEADER:
-        raise ValueError(f"line {number}: expected the header {_CSV_HEADER!r}, got {header!r}")
-    for number, line in numbered[1:]:
-        try:
+    try:
+        if header != _CSV_HEADER:
+            raise ValueError(f"expected the header {_CSV_HEADER!r}, got {header!r}")
+        for number, line in numbered[1:]:
             fields = line.split(",", 2)
             if len(fields) != 3:
                 raise ValueError(f"expected section,key,value, got {line!r}")
             section, key, value = fields
-            what = f"{section} {key}"
             first = row_lines.setdefault((section, key), number)
             if first != number:
-                raise ValueError(f"{what} repeats line {first}")
-            if section in _SPEED_SECTIONS:
-                speed.setdefault(_csv_class(key, section, SPEED_ORDER), {})[section] = (
-                    _csv_number(value, what, *_UNIT))
+                raise ValueError(f"{section} {key} repeats line {first}")
+            if section in _SPEED_METRICS:
+                place, name = doc["speed_metrics"].setdefault(key, {}), _SPEED_METRICS[section]
             elif section == "speed_confusion":
-                exp, bar, pred = key.partition("|")
+                exp, bar, name = key.partition("|")
                 if not bar:
                     raise ValueError(f"{section} key must be expected|predicted, got {key!r}")
-                confusion.setdefault(_csv_class(exp, section, SPEED_ORDER), {})[
-                    _csv_class(pred, section, SPEED_ORDER)] = _csv_number(value, what, 0, parse=int)
-            elif section == "path_accuracy":
-                path_accuracy[_csv_class(key, section, PATH_ORDER)] = (
-                    _csv_number(value, what, *_UNIT))
-            elif section == "scalar":
-                if key not in _SCALARS:
-                    raise ValueError(f"unknown scalar {key!r}")
-                scalars[key] = _csv_number(value, what, *_SCALARS[key][1:]) if value else None
-            elif section == "count":
-                counts[key] = _csv_number(value, what, 0, parse=int)
+                place = doc["speed_confusion"].setdefault(exp, {})
+            elif section in places:
+                place, name = places[section], key
             else:
                 raise ValueError(f"unknown CSV section {section!r}")
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from None
-    for cls, d in speed.items():
-        missing = [section for section in _SPEED_SECTIONS if section not in d]
-        if missing:
-            first = min(row_lines[section, cls] for section in d)
-            raise ValueError(f"line {first}: speed class {cls!r} has no {missing[0]} row")
-    metrics = {cls: ClassMetrics(*(d[section] for section in _SPEED_SECTIONS))
-               for cls, d in speed.items()}
-    return SuiteResult(
-        speed_metrics=metrics,
-        speed_confusion=confusion,
-        path_accuracy=path_accuracy,
-        **{key: scalars.get(key) for key in _SCALARS},
-        counts=counts,
-    )
+            place[name] = (None if section == "scalar" and not value
+                           else _number(value, f"{section} {key}"))
+    except ValueError as exc:
+        raise ValueError(f"{where}: line {number}: {exc}") from None
+    # a scalar row named like a section replaces it, which from_json refuses
+    return from_json(SuiteResult, {**doc, **scalars}, where)
 
 
 def render_plot_json(result: SuiteResult) -> str:

@@ -257,7 +257,7 @@ def test_c10_metric_harness(tmp_path):
         assert main(["generate", "--template", "empty-road,pedestrian-crossing",
                      "--count", "2", "--out", str(gen)]) == 0
         result, records = evaluate_suite(gen / "manifest.json", PipelineConfig())
-        assert parse_csv(render_csv(result)) == result
+        assert parse_csv(render_csv(result), "report.csv") == result
         # confusion-matrix row sums equal per-class ground-truth counts
         row_sums = {k: sum(v.values()) for k, v in result.speed_confusion.items()}
         assert row_sums == {"SpeedLimit": 2, "Brake": 2}

@@ -237,6 +237,18 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert f"error: ValueError: {bad}: ego.speed must be finite, got nan\n" in err
 
+    @pytest.mark.parametrize("command", ["detect", "trace"])
+    def test_pipeline_error_names_scene(self, command, ped_scene, tmp_path, capsys):
+        """A scene that loads but that the pipeline refuses: the oracle
+        detector needs the ground truth this one lacks."""
+        d = json.loads(ped_scene.read_text())
+        d["ground_truth"] = None
+        bad = ped_scene.parent / "no_truth.json"
+        bad.write_text(json.dumps(d))
+        assert run(command, "--scene", str(bad), "--out", str(tmp_path / "r")) == 1
+        assert capsys.readouterr().err == (f"error: ValueError: {bad}: oracle_detect requires "
+                                           f"scene.ground_truth\n")
+
     @pytest.mark.parametrize(("edit", "field"), WRONG_TYPES.values(), ids=list(WRONG_TYPES))
     def test_wrong_json_type_names_file(self, edit, field, lead_scene, tmp_path, capsys):
         d = json.loads(lead_scene.read_text())
@@ -283,8 +295,8 @@ class TestPipelineCommands:
         geometric.write_text('{"detector": "geometric"}')
         assert run("detect", "--scene", str(ped_scene), "--config", str(geometric),
                    "--out", str(tmp_path / "g")) == 1
-        assert ("error: ValueError: cannot cluster at neighbor radius 0.7: the largest "
-                "coordinate is 1.429e+12 radii") in capsys.readouterr().err
+        assert (f"error: ValueError: {ped_scene}: cannot cluster at neighbor radius 0.7: the "
+                f"largest coordinate is 1.429e+12 radii") in capsys.readouterr().err
         assert run("detect", "--scene", str(ped_scene), "--out", str(tmp_path / "o")) == 0
 
     def test_trace_pretty_print(self, ped_scene, tmp_path, capsys):
@@ -452,7 +464,7 @@ class TestTrainEvaluate:
         assert "ego.speed must be finite, got nan" in records[bad.name]["error"]
         assert records["scene_empty-road_0000.json"]["error"] is None
 
-    @pytest.mark.parametrize("prefix", ["", "./"])
+    @pytest.mark.parametrize("prefix", ["", "./", "sub/../"])
     def test_evaluate_path_listed_twice_exit_1(self, tmp_path, capsys, prefix):
         gen = tmp_path / "gen"
         assert run("generate", "--template", "empty-road,lead-vehicle",
@@ -524,8 +536,8 @@ class TestTrainEvaluate:
         expected = {
             "weight_log_stds": f"{path}: layer {head} has a log-std of 800.0, "
                                f"above the bound {MAX_LOG_STD!r}\n",
-            "weight_means": "the model's Monte Carlo interaction probabilities are not "
-                            "finite: a parameter or a node feature is too large\n",
+            "weight_means": f"{ped_scene}: the model's Monte Carlo interaction probabilities "
+                            f"are not finite: a parameter or a node feature is too large\n",
         }[part]
         assert f"error: ValueError: {expected}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
@@ -583,34 +595,37 @@ class TestTrainEvaluate:
     @pytest.mark.parametrize(("row", "reason"), [
         ("scalar,mean_iou",
          "line 3: expected section,key,value, got 'scalar,mean_iou'"),
-        ("count,scenes,x",
-         "line 3: invalid literal for int() with base 10: 'x'"),
-        ("speed_f1,Brake,0.5",
-         "line 3: speed class 'Brake' has no speed_precision row"),
-        ("scalar,mean_iuo,0.5", "line 3: unknown scalar 'mean_iuo'"),
-        ("path_accuracy,Straight,1.5",
-         "line 3: path_accuracy Straight must lie in [0, 1], got 1.5"),
-        ("scalar,mean_iou,nan", "line 3: scalar mean_iou must be finite, got 'nan'"),
-        ("speed_precision,Brake,-0.1",
-         "line 3: speed_precision Brake must lie in [0, 1], got -0.1"),
-        ("count,scenes,-1", "line 3: count scenes must lie in [0, inf], got -1"),
+        ("count,scenes,x", "line 3: count scenes must be a number, got 'x'"),
+        ("speed_f1,Brake,0.5", "speed_metrics.Brake: missing key 'precision'"),
+        ("scalar,mean_iuo,0.5", "unknown key 'mean_iuo'"),
+        ("path_accuracy,Straight,1.5", "path_accuracy.Straight must lie in [0, 1], got 1.5"),
+        ("scalar,mean_iou,nan", "mean_iou must be finite, got nan"),
+        ("speed_precision,Brake,-0.1\nspeed_recall,Brake,1.0\nspeed_f1,Brake,1.0",
+         "speed_metrics.Brake: precision must lie in [0, 1], got -0.1"),
+        ("count,scenes,-1", "counts.scenes must lie in [0, inf], got -1"),
         ("speed_confusion,Brake|Stop,-2",
-         "line 3: speed_confusion Brake|Stop must lie in [0, inf], got -2"),
+         "speed_confusion.Brake.Stop must lie in [0, inf], got -2"),
         ("count,errors,1", "line 3: count errors repeats line 2"),
-        ("path_accuracy,Nowhere,0.5", "line 3: path_accuracy class must be one of "
+        ("path_accuracy,Nowhere,0.5", "path_accuracy: key must be one of "
                                       "['Straight', 'Turn', 'LaneChange'], got 'Nowhere'"),
-        ("speed_recall,Stop,0.5", "line 3: speed_recall class must be one of "
-                                  f"{[d.value for d in SpeedDecision]}, got 'Stop'"),
-        ("speed_confusion,Brake|Bogus,3", "line 3: speed_confusion class must be one of "
+        ("speed_precision,Stop,0.5\nspeed_recall,Stop,0.5\nspeed_f1,Stop,0.5",
+         f"speed_metrics: key must be one of {[d.value for d in SpeedDecision]}, got 'Stop'"),
+        ("speed_recall,Stop,0.5", "speed_metrics.Stop: missing key 'precision'"),
+        ("speed_confusion,Brake|Bogus,3", "speed_confusion.Brake: key must be one of "
                                           f"{[d.value for d in SpeedDecision]}, got 'Bogus'"),
-        ("speed_confusion,Bogus|Brake,3", "line 3: speed_confusion class must be one of "
+        ("speed_confusion,Bogus|Brake,3", "speed_confusion: key must be one of "
                                           f"{[d.value for d in SpeedDecision]}, got 'Bogus'"),
         ("speed_confusion,Brake,3",
          "line 3: speed_confusion key must be expected|predicted, got 'Brake'"),
+        ("count,scenes,1.0", "counts.scenes must be an integer, got 1.0"),
+        ("bogus,key,1", "line 3: unknown CSV section 'bogus'"),
+        ("scalar,counts,5", "counts must be an object, got 5"),
     ], ids=["two-fields", "bad-count", "lone-speed-row", "unknown-scalar",
             "fraction-above-1", "nan", "negative-fraction", "negative-count",
             "negative-confusion", "repeated-row", "unknown-path-class", "unknown-speed-class",
-            "unknown-predicted-class", "unknown-expected-class", "confusion-key-without-bar"])
+            "lone-unknown-speed-row", "unknown-predicted-class", "unknown-expected-class",
+            "confusion-key-without-bar", "float-count", "unknown-section",
+            "scalar-named-like-a-section"])
     def test_report_bad_csv_names_file_and_line(self, tmp_path, capsys, row, reason):
         path = tmp_path / "report.csv"
         path.write_text(f"section,key,value\ncount,errors,0\n{row}\n")
@@ -636,6 +651,13 @@ class TestTrainEvaluate:
         path.write_text("\n\nsection,key,value\ncount,scenes,30\n")
         assert run("report", "--csv", str(path), "--out", str(tmp_path / "re")) == 0
         assert (tmp_path / "re" / "report.csv").read_text().endswith("count,scenes,30\n")
+
+    def test_report_csv_not_utf8_names_file(self, tmp_path, capsys):
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"section,key,value\ncount,scenes,\xff\n")
+        assert run("report", "--csv", str(path), "--out", str(tmp_path / "re")) == 1
+        assert (f"error: ValueError: {path}: 'utf-8' codec can't decode byte 0xff in "
+                f"position 31: invalid start byte\n") in capsys.readouterr().err
 
 
 class TestArgsAndConfig:

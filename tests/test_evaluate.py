@@ -1,6 +1,8 @@
 """Metric computation, suite evaluation, and report round-trips."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 
@@ -64,10 +66,33 @@ def small_result() -> SuiteResult:
     )
 
 
+@pytest.mark.parametrize(("change", "message"), [
+    ({"path_accuracy": {"Straight": float("nan")}}, "path_accuracy.Straight must lie in [0, 1]"),
+    ({"mean_iou": 1.0000000000000002}, "mean_iou must lie in [0, 1]"),
+    ({"detection_accuracy": -0.0001}, "detection_accuracy must lie in [0, 1]"),
+    ({"counts": {"scenes": -1}}, "counts.scenes must lie in [0, inf]"),
+    ({"speed_confusion": {"Brake": {"Stop": 1}}}, "speed_confusion.Brake: key must be one of"),
+    ({"speed_metrics": {"A": ClassMetrics(1.0, 1.0, 1.0)}}, "speed_metrics: key must be one of"),
+], ids=["nan-fraction", "iou-above-1", "negative-fraction", "negative-count",
+        "unknown-predicted-class", "unknown-speed-class"])
+def test_suite_result_checks_its_values(change, message):
+    """The checks run on a result built in memory, as ``evaluate`` builds
+    it, and not only on one read from a file."""
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        dataclasses.replace(small_result(), **change)
+
+
+@pytest.mark.parametrize("name", ["precision", "recall", "f1"])
+@pytest.mark.parametrize("value", [float("nan"), -0.5, 1.5])
+def test_class_metrics_lie_in_unit_interval(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must lie in \\[0, 1\\], got {value}$"):
+        dataclasses.replace(ClassMetrics(0.5, 0.5, 0.5), **{name: value})
+
+
 class TestReports:
     def test_csv_round_trip_exact(self):
         result = small_result()
-        back = parse_csv(render_csv(result))
+        back = parse_csv(render_csv(result), "report.csv")
         assert back == result
 
     def test_csv_deterministic(self):
@@ -89,7 +114,8 @@ class TestReports:
                             {"scenes": 0, "errors": 0})
         paths = write_report(empty, tmp_path)
         assert all(p.exists() for p in paths)
-        assert parse_csv((tmp_path / "report.csv").read_text()) == empty
+        path = tmp_path / "report.csv"
+        assert parse_csv(path.read_text(), path) == empty
 
 
 @pytest.fixture(scope="module")
