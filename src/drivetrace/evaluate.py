@@ -78,8 +78,10 @@ class ClassMetrics:
 class SuiteResult:
     """A suite's decision, detection and uncertainty metrics, written as
     ``result.json``: speed classes are speed decisions, path classes are
-    path intents, fractions lie in [0, 1], counts are >= 0 and the other
-    values are floats."""
+    path intents, fractions lie in [0, 1], counts are integers >= 0 and the
+    other values are floats >= 0.  ``report.csv`` can hold each result: no
+    row of the confusion matrix is empty, and no count's name holds a comma
+    or a line break."""
 
     speed_metrics: dict[str, ClassMetrics]
     speed_confusion: dict[str, dict[str, int]]  # expected -> predicted -> n
@@ -93,16 +95,18 @@ class SuiteResult:
 
     def __post_init__(self) -> None:
         for exp, row in self.speed_confusion.items():
+            if not row:  # report.csv has a row per cell
+                raise ValueError(f"speed_confusion.{exp} must not be empty")
             for pred, n in row.items():
                 _check_range(f"speed_confusion.{exp}.{pred}", n, math.inf)
             _check_classes(f"speed_confusion.{exp}", row, SPEED_ORDER)
         for key, n in self.counts.items():
+            # report.csv writes the name between commas, on a line of its own
+            if "," in key or "".join(key.splitlines()) != key:
+                raise ValueError(f"counts: key must hold no comma or line break, got {key!r}")
             _check_range(f"counts.{key}", n, math.inf)
         for cls, v in self.path_accuracy.items():
             _check_range(f"path_accuracy.{cls}", v)
-        for name in ("mean_iou", "detection_accuracy"):
-            if getattr(self, name) is not None:
-                _check_range(name, getattr(self, name))
         _check_classes("speed_metrics", self.speed_metrics, SPEED_ORDER)
         _check_classes("speed_confusion", self.speed_confusion, SPEED_ORDER)
         _check_classes("path_accuracy", self.path_accuracy, PATH_ORDER)
@@ -111,6 +115,9 @@ class SuiteResult:
                            {cls: float(v) for cls, v in self.path_accuracy.items()})
         for name in _SCALARS:
             if getattr(self, name) is not None:
+                # no upper bound: a mean of deviations of pi can round past 180
+                high = 1.0 if name in ("mean_iou", "detection_accuracy") else math.inf
+                _check_range(name, getattr(self, name), high)
                 object.__setattr__(self, name, float(getattr(self, name)))
 
 

@@ -10,12 +10,12 @@ Detections come from the detector, so ``objects`` is written as ``[]``
 and must be ``[]`` if given.
 Point clouds come in two flavors:
 
-* ASCII: one point per line, ``x y z intensity`` whitespace-separated,
-  ``#``-prefixed comment lines allowed.  The writer's first line
-  ``# point cloud frame=<id> count=<n>`` names the scene's frame, and its
-  count is checked against the points read; a file that starts with it
-  must end in a newline, as the writer's files do.
-  Each value is written with ``%.9g``, which identifies a float32.
+* ASCII: the header line ``# point cloud frame=<id> count=<n>``, which
+  names the scene's frame, then one point a line, ``x y z intensity``
+  separated by spaces, and a final newline.  Each value is written with
+  ``%.9g``, which identifies a float32.  The reader takes only this form
+  (tabs, CRLF line ends and blank lines aside): the header's count must
+  match the points read, and one ``np.loadtxt`` call parses them.
 * Binary: 16-byte header (8-byte magic ``PCBIN001`` + uint64 little-endian
   point count) followed by 4 float32 little-endian values per point.
 
@@ -223,78 +223,45 @@ def write_cloud_binary(cloud: PointCloud, path: str | Path) -> None:
     Path(path).write_bytes(header + body)
 
 
-def _scan_points(path: str | Path, lines: list[str]) -> list[list[float]]:
-    """The points on an ASCII cloud's lines, as 4-value rows parsed one line
-    at a time.  A bad line raises ValueError naming the file and the line."""
-    rows = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: bad point line {line!r}, "
-                             f"expected 4 values")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return rows
-
-
-def _comments_start_lines(text: str) -> bool:
-    """Whether every ``#`` in ``text`` is its first character or follows
-    a newline, so that it starts a comment line."""
-    i = text.find("#", 1)
-    while i != -1:
-        if text[i - 1] != "\n":
-            return False
-        i = text.find("#", i + 1)
-    return True
-
-
-def _loadtxt_points(text: str, lines: list[str]) -> np.ndarray | None:
-    """The points ``_scan_points`` parses from ``lines`` (which is
-    ``text.splitlines()``), parsed by numpy's C reader; None where that
-    reader could differ from the line scan.
-
-    ``np.loadtxt`` gets the same lines, so line breaks agree.  On ASCII
-    text it splits fields at the same whitespace as ``str.split`` and
-    parses each with the same ``PyOS_string_to_double`` as ``float``, so it
-    rejects every value ``float`` rejects.  What is left gives None:
-    non-ASCII text, a ``#`` that does not start a line (loadtxt drops an
-    inline comment), a body without a point line (loadtxt warns), anything
-    loadtxt rejects (``1_000`` is a float) and a column count other than 4
-    (loadtxt reads any count).
-    """
-    if not (text.isascii() and _comments_start_lines(text)
-            and any(line.strip() and not line.strip().startswith("#") for line in lines)):
-        return None
-    try:
-        data = np.loadtxt(lines, dtype=np.float64, comments="#", ndmin=2)
-    except ValueError:
-        return None
-    return data if data.shape[1] == 4 else None
-
-
-def _read_ascii(path: str | Path, raw: bytes) -> np.ndarray | list[list[float]]:
-    """The points of an ASCII cloud file's bytes, as an (n, 4) array or as
-    4-value rows.  When the first line is the writer's header, its count
-    must match the points read.
-    The writer ends every line with a newline, so a file that starts like
-    its header (or a part of it) but does not end in one was cut short."""
-    text = raw.decode("utf-8")
+def _points(text: str) -> np.ndarray:
+    """The points on an ASCII cloud's point lines, as an (n, 4) float64
+    array.  A line that is neither blank nor 4 numbers apart by ASCII
+    whitespace raises ValueError."""
+    if not text.isascii():  # numpy's whitespace would take NBSP
+        raise ValueError("the point lines are not ASCII")
     lines = text.splitlines()
-    first = lines[0] if lines else ""
-    if (first and not text.endswith("\n")
-            and (first.startswith(_ASCII_HEADER_START) or _ASCII_HEADER_START.startswith(first))):
-        raise ValueError(f"point cloud {path} starts like the writer's header line but does "
-                         f"not end in a newline, so it was cut short")
-    data = _loadtxt_points(text, lines)
-    if data is None:
-        data = _scan_points(path, lines)
-    header = _ASCII_HEADER.fullmatch(lines[0].strip()) if lines else None
-    if header and int(header[1]) != len(data):
+    if not any(map(str.strip, lines)):  # loadtxt warns on input without data
+        return np.empty((0, 4))
+    data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    if data.shape[1] != 4:
+        raise ValueError(f"a point line holds {data.shape[1]} values")
+    return data
+
+
+def _read_ascii(path: str | Path, raw: bytes) -> np.ndarray:
+    """The (n, 4) points of an ASCII cloud file's bytes, which must be what
+    ``write_cloud_ascii`` writes: its header line, whose count must match
+    the points read, one point a line and a final newline."""
+    first, _, body = raw.decode("utf-8").partition("\n")
+    header = _ASCII_HEADER.fullmatch(first.rstrip("\r"))  # a CRLF line end
+    if header is None:
+        raise ValueError(f"{path}:1: expected the header line '{_ASCII_HEADER_START}<id> "
+                         f"count=<n>', got {reprlib.repr(first)}")
+    if not raw.endswith(b"\n"):
+        raise ValueError(f"{path}: the file does not end in a newline, so it was cut short")
+    try:
+        data = _points(body)
+    except ValueError as exc:
+        # numpy counts a bad value's row from 0 and a ragged row from 1, so
+        # the first bad line is found by parsing the lines one at a time
+        for lineno, line in enumerate(body.splitlines(), 2):
+            try:
+                _points(line)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad point line {reprlib.repr(line)}, "
+                                 f"expected 4 numbers separated by spaces or tabs") from None
+        raise ValueError(f"{path}: {exc}") from None
+    if int(header[1]) != len(data):
         raise ValueError(f"point cloud {path} has header count {header[1]}, "
                          f"but {len(data)} points were read")
     return data

@@ -281,7 +281,8 @@ class TestPipelineCommands:
         cloud.write_text("\n".join(lines) + "\n")
         assert run("reason", "--scene", str(ped_scene), "--out", str(tmp_path / "r")) == 1
         err = capsys.readouterr().err
-        assert f"error: ValueError: {ped_scene}: {cloud}:4: could not convert" in err
+        assert (f"error: ValueError: {ped_scene}: {cloud}:4: bad point line '1.0 2.0 3.0 abc', "
+                f"expected 4 numbers separated by spaces or tabs") in err
 
     def test_geometric_detect_beyond_the_grid_exit_1(self, ped_scene, tmp_path, capsys):
         """A point at 1e12 m, 1.4e12 radii out, is more than the grid

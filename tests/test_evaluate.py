@@ -73,8 +73,13 @@ def small_result() -> SuiteResult:
     ({"counts": {"scenes": -1}}, "counts.scenes must lie in [0, inf]"),
     ({"speed_confusion": {"Brake": {"Stop": 1}}}, "speed_confusion.Brake: key must be one of"),
     ({"speed_metrics": {"A": ClassMetrics(1.0, 1.0, 1.0)}}, "speed_metrics: key must be one of"),
+    ({"reg_error": -1e-300}, "reg_error must lie in [0, inf], got -1e-300"),
+    ({"speed_confusion": {"Brake": {}}}, "speed_confusion.Brake must not be empty"),
+    ({"counts": {"a,b": 1}}, "counts: key must hold no comma or line break, got 'a,b'"),
+    ({"counts": {"a\x85": 1}}, "counts: key must hold no comma or line break, got 'a\\x85'"),
 ], ids=["nan-fraction", "iou-above-1", "negative-fraction", "negative-count",
-        "unknown-predicted-class", "unknown-speed-class"])
+        "unknown-predicted-class", "unknown-speed-class", "negative-reg-error",
+        "empty-confusion-row", "comma-in-count-name", "line-break-in-count-name"])
 def test_suite_result_checks_its_values(change, message):
     """The checks run on a result built in memory, as ``evaluate`` builds
     it, and not only on one read from a file."""

@@ -6,7 +6,7 @@ in-memory result hold one value."""
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from drivetrace.cli import main
 from drivetrace.config import load_config
@@ -23,23 +23,29 @@ from drivetrace.scenario import Template
 from drivetrace.scene_io import from_json, read_json
 
 _unit = st.floats(0.0, 1.0)
-_finite = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+_non_negative = st.none() | st.floats(min_value=0.0, allow_infinity=False)
 _count = st.integers(0, 10 ** 12)
 _speed = st.sampled_from(SPEED_ORDER)
-#: a count's name: no comma, which splits a row, and no character at which
-#: ``str.splitlines`` splits a line
-_name = st.text(st.characters(exclude_characters=",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029",
-                              exclude_categories=("Cs",)), max_size=8)
-#: a valid result that the CSV can hold
+
+
+def _accepted(**fields):
+    """The result of ``fields``, or a rejected example where SuiteResult
+    refuses them."""
+    try:
+        return SuiteResult(**fields)
+    except ValueError:
+        reject()
+
+
+#: any valid result
 results = st.builds(
-    SuiteResult,
+    _accepted,
     speed_metrics=st.dictionaries(_speed, st.builds(ClassMetrics, _unit, _unit, _unit)),
-    # the CSV has a row per confusion cell, so no row of the matrix is empty
-    speed_confusion=st.dictionaries(_speed, st.dictionaries(_speed, _count, min_size=1)),
+    speed_confusion=st.dictionaries(_speed, st.dictionaries(_speed, _count)),
     path_accuracy=st.dictionaries(st.sampled_from(PATH_ORDER), _unit),
     mean_iou=st.none() | _unit, detection_accuracy=st.none() | _unit,
-    mean_entropy=_finite, mean_deviation_deg=_finite, reg_error=_finite,
-    counts=st.dictionaries(_name, _count))
+    mean_entropy=_non_negative, mean_deviation_deg=_non_negative, reg_error=_non_negative,
+    counts=st.dictionaries(st.text(max_size=8), _count))
 
 
 @settings(max_examples=100, deadline=None)
@@ -58,13 +64,13 @@ def test_integer_values_of_float_fields_read_as_floats():
     as a float, so the CSV re-renders as ``evaluate`` writes it."""
     text = ("section,key,value\nspeed_precision,Brake,1\nspeed_recall,Brake,0\n"
             "speed_f1,Brake,0\npath_accuracy,Straight,1\nscalar,mean_iou,1\n"
-            "scalar,reg_error,-3\ncount,scenes,2\n")
+            "scalar,reg_error,3\ncount,scenes,2\n")
     result = parse_csv(text, "report.csv")
     assert render_csv(result) == ("section,key,value\nspeed_precision,Brake,1.0\n"
                                   "speed_recall,Brake,0.0\nspeed_f1,Brake,0.0\n"
                                   "path_accuracy,Straight,1.0\nscalar,mean_iou,1.0\n"
                                   "scalar,detection_accuracy,\nscalar,mean_entropy,\n"
-                                  "scalar,mean_deviation_deg,\nscalar,reg_error,-3.0\n"
+                                  "scalar,mean_deviation_deg,\nscalar,reg_error,3.0\n"
                                   "count,scenes,2\n")
 
 
@@ -97,7 +103,7 @@ def _mutations(section: str, key: str):
     outside the vocabulary."""
     fraction = section in _FRACTIONS or key in _FRACTIONS
     integer = section in ("count", "speed_confusion")
-    for value in ("-0.5", "1.5") if fraction else ("-1",) if integer else ():
+    for value in ("-0.5", "1.5") if fraction else ("-1",) if integer else ("-0.5",):
         yield "out-of-range", key, value
     for value in ("nan", "inf", "-inf"):
         yield "non-finite", key, value

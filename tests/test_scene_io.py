@@ -16,9 +16,6 @@ from drivetrace.scenario import ScenarioSpec, Template, generate
 from drivetrace.scene import EgoState, Intent, OrientedBox, PointCloud, Scene
 from drivetrace.scene_io import (
     CLOUD_MAGIC,
-    _loadtxt_points,
-    _read_ascii,
-    _scan_points,
     json_text,
     load_scene,
     object_to_dict,
@@ -38,6 +35,12 @@ F32_TINY = 2.0**-149
 F32_OVERFLOW = 2.0**128 - 2.0**103
 OUT_OF_RANGE = ("point cloud values must round to a finite float32 "
                 "(the float32 maximum is 3.4028234663852886e+38)")
+BAD_LINE = ", expected 4 numbers separated by spaces or tabs"
+
+
+def header(count):
+    """The header line ``write_cloud_ascii`` writes for a cloud of ``count`` points."""
+    return f"# point cloud frame=ego count={count}\n"
 
 
 @pytest.fixture
@@ -76,7 +79,7 @@ def test_values_outside_float32_range_refused_without_warning(tmp_path):
         PointCloud([[1e39, 0.0, 0.0, 0.0]])
     assert str(exc.value) == f"{OUT_OF_RANGE}, got 1e+39"
     path = tmp_path / "cloud.pts"
-    path.write_text("1e39 0 0 0\n")
+    path.write_text(header(1) + "1e39 0 0 0\n")
     with pytest.raises(ValueError) as exc:
         read_cloud(path)
     assert str(exc.value) == f"{path}: {OUT_OF_RANGE}, got 1e+39"
@@ -90,19 +93,24 @@ def test_values_outside_float32_range_refused_without_warning(tmp_path):
 
 
 def test_ascii_comments_and_blank_lines(tmp_path):
+    """Blank lines are skipped; no writer writes a comment after the header."""
     path = tmp_path / "cloud.pts"
-    path.write_text("# header comment\n\n1.0 2.0 3.0 4.0\n# mid comment\n5 6 7 8\n")
+    path.write_text(header(2) + "\n1.0 2.0 3.0 4.0\n\n5 6 7 8\n")
     back = read_cloud(path)
     assert len(back) == 2
     assert back.data[1, 0] == 5.0
+    path.write_text(header(2) + "\n1.0 2.0 3.0 4.0\n# mid comment\n5 6 7 8\n")
+    with pytest.raises(ValueError) as exc:
+        read_cloud(path)
+    assert str(exc.value) == f"{path}:4: bad point line '# mid comment'{BAD_LINE}"
 
 
 def test_ascii_bad_line_rejected(tmp_path):
     path = tmp_path / "cloud.pts"
-    path.write_text("1.0 2.0 3.0\n")
-    with pytest.raises(ValueError, match="expected 4 values") as exc:
+    path.write_text(header(1) + "1.0 2.0 3.0\n")
+    with pytest.raises(ValueError) as exc:
         read_cloud(path)
-    assert str(exc.value).startswith(f"{path}:1: ")
+    assert str(exc.value) == f"{path}:2: bad point line '1.0 2.0 3.0'{BAD_LINE}"
 
 
 def test_binary_round_trip(cloud, tmp_path):
@@ -349,10 +357,10 @@ def test_ascii_cloud_not_utf8_names_file(tmp_path):
 
 def test_ascii_bad_number_names_file_and_line(tmp_path):
     path = tmp_path / "cloud.pts"
-    path.write_text("# header\n1 2 3 4\n\n1 2 3 abc\n")
+    path.write_text(header(2) + "1 2 3 4\n\n1 2 3 abc\n")
     with pytest.raises(ValueError) as exc:
         read_cloud(path)
-    assert str(exc.value) == f"{path}:4: could not convert string to float: 'abc'"
+    assert str(exc.value) == f"{path}:4: bad point line '1 2 3 abc'{BAD_LINE}"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -361,7 +369,8 @@ def test_non_finite_cloud_names_file(tmp_path, fmt, bad):
     path = tmp_path / ("cloud.pts" if fmt == "ascii" else "cloud.pcb")
     rows = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, bad, 7.0, 8.0]])
     if fmt == "ascii":
-        path.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in rows))
+        path.write_text(header(2) + "".join(" ".join(repr(float(v)) for v in row) + "\n"
+                                            for row in rows))
     else:
         path.write_bytes(CLOUD_MAGIC + struct.pack("<Q", 2) + rows.astype("<f4").tobytes())
     with pytest.raises(ValueError) as exc:
@@ -388,84 +397,74 @@ def test_scene_load_error_names_scene_file(tmp_path):
     assert str(exc.value).startswith(str(path))
     assert str(cloud_path) in str(exc.value)
     cloud_path = tmp_path / "scene.pts"
-    cloud_path.write_text("1 2 3 4\n1 2 3 abc\n")
+    cloud_path.write_text(header(2) + "1 2 3 4\n1 2 3 abc\n")
     d["cloud_file"] = cloud_path.name
     path.write_text(json.dumps(d))
     with pytest.raises(ValueError) as exc:
         load_scene(path)
-    assert str(exc.value).startswith(f"{path}: {cloud_path}:2: could not convert")
+    assert str(exc.value) == f"{path}: {cloud_path}:3: bad point line '1 2 3 abc'{BAD_LINE}"
 
 
-def _outcome(parse):
-    """What a parse gives, cast to float64 as ``PointCloud`` casts it: the
-    array's shape and bytes, or the parse's error."""
-    try:
-        data = np.asarray(parse(), dtype=np.float64)
-    except ValueError as exc:
-        return type(exc).__name__, str(exc)
-    return data.shape, data.tobytes()
-
-
-def _line_scan(path):
-    """The line scan's rows as the float64 array that ``PointCloud`` makes of them."""
-    return np.asarray(_scan_points(path, path.read_bytes().decode("utf-8").splitlines()),
-                      dtype=np.float64)
-
-
-#: Bodies on which np.loadtxt on its own differs from the line scan, or
-#: that sit at the edge of the syntax.
+NON_FINITE = ": point cloud contains non-finite values"
+CUT_SHORT = ": the file does not end in a newline, so it was cut short"
+#: Bodies at the edge of the ASCII form, each after a writer header, and
+#: what reading the file gives: its rows, or the error after the file name.
 TRAP_BODIES = {
-    "inline-comment": b"1 2 3 4 # note\n",
-    "inline-comment-3-values": b"1 2 3 #4\n",
-    **{f"break-{b:#04x}": b"1 2" + bytes([b]) + b"3 4\n5 6 7 8\n"
+    "inline-comment": (b"1 2 3 4 # note\n", f":2: bad point line '1 2 3 4 # note'{BAD_LINE}"),
+    "inline-comment-3-values": (b"1 2 3 #4\n", f":2: bad point line '1 2 3 #4'{BAD_LINE}"),
+    **{f"break-{b:#04x}": (b"1 2" + bytes([b]) + b"3 4\n5 6 7 8\n",
+                           f":2: bad point line '1 2'{BAD_LINE}")
        for b in (0x0B, 0x0C, 0x1C, 0x1D, 0x1E)},
-    "break-before-comment": b"1 2 3 4\x0c# note\n",
-    "indented-comment": b"  # note\n1 2 3 4\n",
-    "cr-only": b"# head\r1 2 3 4\r5 6 7 8\r",
-    "crlf": b"# head\r\n1 2 3 4\r\n5 6 7 8\r\n",
-    "nbsp": "1\u00a02\u00a03\u00a04\n".encode(),
-    "nel": "1 2 3 4\u00855 6 7 8\n".encode(),
-    "arabic-digits": "\u0661 2 3 4\n".encode(),
-    "not-utf8": b"\xff 2 3 4\n",
-    "underscore": b"1_000 2 3 4\n",
-    "plus-exponent": b"+1e3 2 3 4\n",
-    "infinity": b"Infinity 2 3 4\n",
-    "nan": b"nan 2 3 4\n",
-    "overflow": b"1e400 2 3 4\n",
-    "hex": b"0x10 2 3 4\n",
-    "nul": b"1 2 3 4\x00\n",
-    "3-values": b"1 2 3\n4 5 6\n",
-    "5-values": b"1 2 3 4 5\n",
-    "1-value-4-lines": b"1\n2\n3\n4\n",
-    "ragged": b"1 2 3 4\n5 6 7\n",
-    "empty": b"",
-    "header-only": b"# point cloud frame=ego count=0\n",
-    "comment-only": b"# note\n",
-    "blank-lines-only": b"\n  \n\t\n",
-    "no-final-newline": b"# h\n1 2 3 4\n5 6 7 8",
+    "break-before-comment": (b"1 2 3 4\x0c# note\n", f":3: bad point line '# note'{BAD_LINE}"),
+    "comment-line": (b"# note\n1 2 3 4\n", f":2: bad point line '# note'{BAD_LINE}"),
+    "indented-comment": (b"  # note\n1 2 3 4\n", f":2: bad point line '  # note'{BAD_LINE}"),
+    "cr-only": (b"1 2 3 4\r5 6 7 8\r", CUT_SHORT),
+    "crlf": (b"1 2 3 4\r\n5 6 7 8\r\n", [[1, 2, 3, 4], [5, 6, 7, 8]]),
+    "tabs": (b"1\t2\t3\t4\n \t5 6\t 7 8\t\n", [[1, 2, 3, 4], [5, 6, 7, 8]]),
+    "blank-lines": (b"\n1 2 3 4\n \n\t\n5 6 7 8\n\n", [[1, 2, 3, 4], [5, 6, 7, 8]]),
+    "nbsp": ("1\u00a02\u00a03\u00a04\n".encode(),
+             f":2: bad point line '1\\xa02\\xa03\\xa04'{BAD_LINE}"),
+    "nel": ("1 2 3 4\u00855 6 7 8\n".encode(), ": the point lines are not ASCII"),
+    "arabic-digits": ("\u0661 2 3 4\n".encode(), f":2: bad point line '\u0661 2 3 4'{BAD_LINE}"),
+    "not-utf8": (b"\xff 2 3 4\n",
+                 ": 'utf-8' codec can't decode byte 0xff in position 32: invalid start byte"),
+    "underscore": (b"1_000 2 3 4\n", f":2: bad point line '1_000 2 3 4'{BAD_LINE}"),
+    "plus-exponent": (b"+1e3 2 3 4\n", [[1000, 2, 3, 4]]),
+    "infinity": (b"Infinity 2 3 4\n", NON_FINITE),
+    "nan": (b"nan 2 3 4\n", NON_FINITE),
+    "overflow": (b"1e400 2 3 4\n", NON_FINITE),
+    "hex": (b"0x10 2 3 4\n", f":2: bad point line '0x10 2 3 4'{BAD_LINE}"),
+    "nul": (b"1 2 3 4\x00\n", f":2: bad point line '1 2 3 4\\x00'{BAD_LINE}"),
+    "3-values": (b"1 2 3\n4 5 6\n", f":2: bad point line '1 2 3'{BAD_LINE}"),
+    "5-values": (b"1 2 3 4 5\n", f":2: bad point line '1 2 3 4 5'{BAD_LINE}"),
+    "1-value-4-lines": (b"1\n2\n3\n4\n", f":2: bad point line '1'{BAD_LINE}"),
+    "ragged": (b"1 2 3 4\n5 6 7\n", f":3: bad point line '5 6 7'{BAD_LINE}"),
+    "header-only": (b"", []),
+    "comment-only": (b"# note\n", f":2: bad point line '# note'{BAD_LINE}"),
+    "blank-lines-only": (b"\n  \n\t\n", []),
+    "no-final-newline": (b"1 2 3 4\n5 6 7 8", CUT_SHORT),
+}
+#: Each trap after a header whose count is the number of points read, or 1.
+ASCII_FILES = {
+    **{name: (header(len(outcome) if isinstance(outcome, list) else 1).encode() + body, outcome)
+       for name, (body, outcome) in TRAP_BODIES.items()},
+    "headerless": (b"1 2 3 4\n", ":1: expected the header line '# point cloud frame=<id> "
+                                 "count=<n>', got '1 2 3 4'"),
 }
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("body", TRAP_BODIES.values(), ids=TRAP_BODIES.keys())
-def test_ascii_parse_matches_line_scan(tmp_path, body):
-    """Each trap loads to the line scan's bytes or fails with its message."""
+@pytest.mark.parametrize(("raw", "outcome"), ASCII_FILES.values(), ids=ASCII_FILES.keys())
+def test_ascii_cloud_loads_or_is_refused_naming_the_file(tmp_path, raw, outcome):
+    """Each file loads its rows, or its error starts with the file's path."""
     path = tmp_path / "cloud.pts"
-    path.write_bytes(body)
-    assert _outcome(lambda: _read_ascii(path, body)) == _outcome(lambda: _line_scan(path))
-
-
-@pytest.mark.filterwarnings("error")
-def test_ascii_parse_matches_line_scan_for_every_ascii_char(tmp_path):
-    """np.loadtxt's whitespace, on the lines it is given, is str.split's."""
-    path = tmp_path / "cloud.pts"
-    for code in range(128):
-        c = chr(code)
-        for body in (f"1{c}2 3 4\n", f"1 2 3 4{c}\n", f"{c}1 2 3 4\n", f"# h\n{c}\n1 2 3 4\n"):
-            raw = body.encode()
-            path.write_bytes(raw)
-            assert (_outcome(lambda: _read_ascii(path, raw))
-                    == _outcome(lambda: _line_scan(path))), repr(body)
+    path.write_bytes(raw)
+    if isinstance(outcome, list):
+        assert read_cloud(path).data.tolist() == outcome
+    else:
+        with pytest.raises(ValueError) as exc:
+            read_cloud(path)
+        assert str(exc.value) == f"{path}{outcome}"
 
 
 #: Values that a float32 cloud holds: any float64 that rounds to a finite
@@ -487,22 +486,17 @@ _out_of_range = st.one_of(st.floats(min_value=F32_OVERFLOW, allow_infinity=False
 
 @settings(max_examples=200, deadline=None)
 @given(_rows, _out_of_range, st.integers(0, 39), st.integers(0, 3), st.booleans())
-def test_ascii_read_bit_identical_to_line_scan(tmp_path_factory, rows, bad, i, j, negate):
+def test_ascii_read_bit_identical_to_written_cloud(tmp_path_factory, rows, bad, i, j, negate):
     path = tmp_path_factory.mktemp("cloud") / "cloud.pts"
     written = PointCloud(np.array(rows, dtype=np.float64))
     write_cloud_ascii(written, path, "ego")
-    text = path.read_text()
-    parsed = _loadtxt_points(text, text.splitlines())
-    expected = _line_scan(path)
-    assert parsed.tobytes() == expected.tobytes()
-    assert (read_cloud(path).data.tobytes() == PointCloud(expected).data.tobytes()
-            == written.data.tobytes() == PointCloud(rows).data.tobytes())
+    assert read_cloud(path).data.tobytes() == written.data.tobytes() == PointCloud(rows).data.tobytes()
     # one value past the float32 range: refused when built and when read
     rows = [list(row) for row in rows]
     rows[i % len(rows)][j] = -bad if negate and j < 3 else bad
     with pytest.raises(ValueError, match=re.escape(OUT_OF_RANGE)):
         PointCloud(rows)
-    path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows))
+    path.write_text(header(len(rows)) + "".join(" ".join(map(repr, row)) + "\n" for row in rows))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {OUT_OF_RANGE}")):
         read_cloud(path)
 
@@ -567,18 +561,30 @@ def test_truncated_ascii_cloud_names_header_count(tmp_path):
                               f"but {n // 2} points were read")
 
 
-@pytest.mark.parametrize("header", ["# point cloud frame=x count=3", "# count=5", "# note"])
-def test_ascii_header_count_checked_only_on_writer_header(tmp_path, header):
+@pytest.mark.parametrize("first", ["# count=5", "# note", " # point cloud frame=x count=3", ""])
+def test_ascii_cloud_without_the_writer_header_refused(tmp_path, first):
     path = tmp_path / "cloud.pts"
-    path.write_text(f"{header}\n1 2 3 4\n5 6 7 8\n9 10 11 12\n")
-    assert len(read_cloud(path)) == 3
-
-
-def test_ascii_header_count_checked_on_line_scan_path(tmp_path):
-    path = tmp_path / "cloud.pts"
-    path.write_text("# point cloud frame=x count=3\r\n1 2 3 4\r\n1_0 2 3 4\r\n")
-    with pytest.raises(ValueError, match="has header count 3, but 2 points were read"):
+    path.write_text(f"{first}\n1 2 3 4\n5 6 7 8\n9 10 11 12\n")
+    with pytest.raises(ValueError) as exc:
         read_cloud(path)
+    assert str(exc.value) == (f"{path}:1: expected the header line '# point cloud frame=<id> "
+                              f"count=<n>', got {reprlib.repr(first)}")
+
+
+def test_ascii_cloud_cut_short_refused(tmp_path):
+    """A writer's file without its header line, cut at a line boundary, is
+    refused at line 1; one cut inside a value, for its missing newline."""
+    cloud = generate(ScenarioSpec(template=Template.EMPTY_ROAD, seed=1)).cloud
+    path = tmp_path / "cloud.pts"
+    write_cloud_ascii(cloud, path, "ego")
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[1:4]))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: expected the header line")):
+        read_cloud(path)
+    path.write_text("".join(lines)[:-3])
+    with pytest.raises(ValueError) as exc:
+        read_cloud(path)
+    assert str(exc.value) == f"{path}{CUT_SHORT}"
 
 
 def test_json_text_writes_dataclasses_enums_and_arrays():
