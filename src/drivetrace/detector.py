@@ -162,27 +162,34 @@ def _support_indices(xyz: np.ndarray, x: np.ndarray, y: np.ndarray,
     copies of xyz's columns.
 
     Only the points inside the axis-aligned rectangle around the rotated
-    footprint are rotated.  The x offsets of the whole cloud are taken
-    (the one pass over the cloud per box), then the y offsets of the
-    points within ``ex`` of the centre in x, then the z values of those
-    also within ``ey`` in y.  The exact test rotates the very offsets the
-    prefilters compared, so a point it keeps has ``|rel_x| <= ex`` and
-    ``|rel_y| <= ey`` up to the rounding of its rotation, a few ulps of
-    ``ex + ey``.  The slack of 1e-9 relative (plus 1e-9 m for tiny boxes)
-    is millions of ulps wider, so the prefilter never drops such a point.
+    footprint are rotated.  One pass over the cloud per box compares x and
+    y with that rectangle's bounds, ``cx ± ax`` and ``cy ± ay``, and makes
+    no float temporary; the offsets and z values are taken for the
+    candidates alone.  The exact test rotates those offsets, so a point it
+    keeps has ``|x - cx| <= ex`` and ``|y - cy| <= ey`` up to the rounding
+    of the offsets and of their rotation, a few ulps of ``ex + ey``.  The
+    slack in ``ax = ex + slack`` is 1e-9 relative (plus 1e-9 m for tiny
+    boxes), millions of ulps wider, so such a point lies within ``ax`` of
+    ``cx`` in exact arithmetic.  The bounds themselves are rounded.
+    Rounding is monotone and the point's x is a float, so it stays within
+    them; the ``|cx| + |cy|`` term also keeps each such point more than the
+    bounds' rounding error (half an ulp of ``cx + ax``) inside them, so it
+    never lies on a bound.
     """
     cos, sin = math.cos(box.yaw), math.sin(box.yaw)
     hl = box.length / 2.0 + SUPPORT_MARGIN
     hw = box.width / 2.0 + SUPPORT_MARGIN
     ex, ey = hl * abs(cos) + hw * abs(sin), hl * abs(sin) + hw * abs(cos)
-    slack = 1e-9 * (1.0 + ex + ey)
     cx, cy, cz = box.center
-    dx = x - cx
-    cand = np.flatnonzero(np.abs(dx) <= ex + slack)
-    ry = y[cand] - cy
-    near = np.abs(ry) <= ey + slack
-    cand, ry = cand[near], ry[near]
-    rx, rz = dx[cand], xyz[cand, 2] - cz
+    slack = 1e-9 * (1.0 + ex + ey + abs(cx) + abs(cy))
+    ax, ay = ex + slack, ey + slack
+    near = x >= cx - ax
+    near &= x <= cx + ax
+    near &= y >= cy - ay
+    near &= y <= cy + ay
+    cand = np.flatnonzero(near)
+    del near  # the cloud-sized mask goes before the candidates' arrays are made
+    rx, ry, rz = x[cand] - cx, y[cand] - cy, xyz[cand, 2] - cz
     return cand[(np.abs(rx * cos + ry * sin) <= hl)
                 & (np.abs(-rx * sin + ry * cos) <= hw)
                 & (np.abs(rz) <= box.height / 2.0 + SUPPORT_MARGIN)]

@@ -51,6 +51,8 @@ TEMPLATE_EXPECTED: dict[Template, tuple[SpeedDecision, Intent]] = {
 def _check_range(what: str, value: float, high: float = 1.0) -> None:
     if not 0 <= value <= high:  # NaN fails too
         raise ValueError(f"{what} must lie in [0, {high:g}], got {value}")
+    if value == math.inf:  # neither result.json nor report.csv can hold it
+        raise ValueError(f"{what} must be finite, got {value}")
 
 
 def _check_classes(what: str, keys: Iterable[str], classes: list[str]) -> None:
@@ -79,9 +81,9 @@ class SuiteResult:
     """A suite's decision, detection and uncertainty metrics, written as
     ``result.json``: speed classes are speed decisions, path classes are
     path intents, fractions lie in [0, 1], counts are integers >= 0 and the
-    other values are floats >= 0.  ``report.csv`` can hold each result: no
-    row of the confusion matrix is empty, and no count's name holds a comma
-    or a line break."""
+    other values are finite floats >= 0.  ``report.csv`` can hold each
+    result: no row of the confusion matrix is empty, and each count's name
+    encodes as UTF-8 and holds no comma or line break."""
 
     speed_metrics: dict[str, ClassMetrics]
     speed_confusion: dict[str, dict[str, int]]  # expected -> predicted -> n
@@ -104,6 +106,10 @@ class SuiteResult:
             # report.csv writes the name between commas, on a line of its own
             if "," in key or "".join(key.splitlines()) != key:
                 raise ValueError(f"counts: key must hold no comma or line break, got {key!r}")
+            try:
+                key.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"counts: key must encode as UTF-8, got {key!r}") from None
             _check_range(f"counts.{key}", n, math.inf)
         for cls, v in self.path_accuracy.items():
             _check_range(f"path_accuracy.{cls}", v)

@@ -14,16 +14,18 @@ the clustering accepts, including points on sub-cell edges.
 rows: it subtracts the box centre from each (x, y, z) row and rotates the
 offset.  ``scan_support_points`` runs it over the whole cloud, the way the
 detector collected each object's support points before it prefiltered the
-cloud by the box's axis-aligned bounding rectangle and rotated the
-prefilter's own offsets.  It is the oracle for
-``drivetrace.detector._support_indices``, which must return the same
-indices for every box and cloud.  The tests also use ``points_in_box`` to
-check generated clouds and Monte Carlo IoU.
+cloud.  It is the oracle for ``drivetrace.detector._support_indices``,
+which compares the x and y columns with the bounds of the box's
+axis-aligned bounding rectangle in one pass and rotates the offsets of the
+points within them alone; the two must return the same indices for every
+box and cloud.  The tests also use ``points_in_box`` to check generated
+clouds and Monte Carlo IoU.
 
 ``oracle_detect`` and ``smoothed_class_dist`` are the oracle detector as it
 was before it skipped the generator for an all-zero noise model: it always
 seeds ``default_rng(seed)``, draws four values per object, rebuilds every
-box from them and smooths each label once per call.  It is the oracle for
+box from them, smooths each label once per call and takes each object's
+support points by the full-cloud scan.  It is the oracle for
 ``drivetrace.detector.oracle_detect``, which must return equal detections
 for every noise model, seed and scene; only the sign of a ground-truth
 centre coordinate or yaw of -0.0 may differ, as it came from a draw
@@ -37,7 +39,7 @@ from collections import deque
 
 import numpy as np
 
-from drivetrace.detector import MIN_EXTENT, NoiseModel, _support_indices
+from drivetrace.detector import MIN_EXTENT, SUPPORT_MARGIN, NoiseModel
 from drivetrace.scene import (
     ClassDistribution,
     ObjectClass,
@@ -128,8 +130,6 @@ def oracle_detect(scene: Scene, noise: NoiseModel, seed: int) -> list[TrackedObj
     if scene.ground_truth is None:
         raise ValueError("oracle_detect requires scene.ground_truth")
     rng = np.random.default_rng(seed)
-    xyz = scene.cloud.xyz
-    x, y = np.ascontiguousarray(xyz[:, 0]), np.ascontiguousarray(xyz[:, 1])
     class_dists: dict[ObjectClass, ClassDistribution] = {}
     detections: list[TrackedObject] = []
     for gt in scene.ground_truth:
@@ -154,7 +154,7 @@ def oracle_detect(scene: Scene, noise: NoiseModel, seed: int) -> list[TrackedObj
                 box=box,
                 velocity=gt.velocity,
                 class_dist=class_dists[gt.label],
-                support_points=_support_indices(xyz, x, y, gt.box),
+                support_points=scan_support_points(scene.cloud.xyz, gt.box, SUPPORT_MARGIN),
             )
         )
     return detections

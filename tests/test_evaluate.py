@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 
 import pytest
@@ -77,9 +78,19 @@ def small_result() -> SuiteResult:
     ({"speed_confusion": {"Brake": {}}}, "speed_confusion.Brake must not be empty"),
     ({"counts": {"a,b": 1}}, "counts: key must hold no comma or line break, got 'a,b'"),
     ({"counts": {"a\x85": 1}}, "counts: key must hold no comma or line break, got 'a\\x85'"),
+    ({"counts": {"\udc80": 1}}, "counts: key must encode as UTF-8, got '\\udc80'"),
+    ({"reg_error": math.inf}, "reg_error must be finite, got inf"),
+    ({"mean_entropy": math.inf}, "mean_entropy must be finite, got inf"),
+    ({"mean_deviation_deg": math.inf}, "mean_deviation_deg must be finite, got inf"),
+    ({"counts": {"scenes": math.inf}}, "counts.scenes must be finite, got inf"),
+    ({"speed_confusion": {"Brake": {"Brake": math.inf}}},
+     "speed_confusion.Brake.Brake must be finite, got inf"),
+    ({"mean_iou": math.inf}, "mean_iou must lie in [0, 1], got inf"),
 ], ids=["nan-fraction", "iou-above-1", "negative-fraction", "negative-count",
         "unknown-predicted-class", "unknown-speed-class", "negative-reg-error",
-        "empty-confusion-row", "comma-in-count-name", "line-break-in-count-name"])
+        "empty-confusion-row", "comma-in-count-name", "line-break-in-count-name",
+        "unencodable-count-name", "infinite-reg-error", "infinite-entropy",
+        "infinite-deviation", "infinite-count", "infinite-confusion-cell", "infinite-fraction"])
 def test_suite_result_checks_its_values(change, message):
     """The checks run on a result built in memory, as ``evaluate`` builds
     it, and not only on one read from a file."""

@@ -23,7 +23,7 @@ from drivetrace.scenario import Template
 from drivetrace.scene_io import from_json, read_json
 
 _unit = st.floats(0.0, 1.0)
-_non_negative = st.none() | st.floats(min_value=0.0, allow_infinity=False)
+_non_negative = st.none() | st.floats(min_value=0.0)
 _count = st.integers(0, 10 ** 12)
 _speed = st.sampled_from(SPEED_ORDER)
 
