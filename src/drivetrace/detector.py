@@ -508,19 +508,20 @@ def match_boxes(
 
     Returns (pred_index, truth_index, iou) triples; pairs below
     :data:`MATCH_IOU` are never matched, so only the pairs that
-    :func:`_may_overlap` keeps are scored.  Ties break on indices so the
-    matching is deterministic.
+    :func:`_may_overlap` keeps are scored.  Equal IoUs are taken in
+    (pred_index, truth_index) order, so the matching is deterministic: the
+    pairs come in that order from ``np.nonzero`` and a stable sort keeps it.
     """
     a, b = box_rows(predicted), box_rows(truth)
     ia, ib = np.nonzero(_may_overlap(a, b))
-    ious = box_iou_pairs(a, b, ia, ib).tolist()
-    pairs = [(iou, i, j) for iou, i, j in zip(ious, ia.tolist(), ib.tolist())
-             if iou >= MATCH_IOU]
-    pairs.sort(key=lambda x: (-x[0], x[1], x[2]))
+    ious = box_iou_pairs(a, b, ia, ib)
+    kept = ious >= MATCH_IOU
+    ia, ib, ious = ia[kept], ib[kept], ious[kept]
+    order = np.argsort(-ious, kind="stable")
     used_p: set[int] = set()
     used_t: set[int] = set()
     matches = []
-    for iou, i, j in pairs:
+    for iou, i, j in zip(ious[order].tolist(), ia[order].tolist(), ib[order].tolist()):
         if i in used_p or j in used_t:
             continue
         used_p.add(i)

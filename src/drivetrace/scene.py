@@ -11,7 +11,6 @@ they are safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -174,60 +173,48 @@ def _footprints(rows: np.ndarray) -> np.ndarray:
     return half @ rot + rows[:, np.newaxis, :2]
 
 
-@functools.lru_cache(maxsize=None)
-def _successor_table(width: int) -> np.ndarray:
-    """Row c, for a polygon stored in the first c of ``width`` slots: the
-    slot of each vertex's successor, and -1 in the slots past the polygon.
-    Read-only, as the cache hands the same array to every caller."""
-    slot = np.arange(width)
-    count = np.arange(width + 1)[:, np.newaxis]
-    table = np.where(slot + 1 < count, slot + 1, np.where(slot < count, 0, -1))
-    table.flags.writeable = False
-    return table
-
-
 def _clip_footprints(subject: np.ndarray, clip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sutherland-Hodgman clip of each (4, 2) subject footprint by the CCW
     clip footprint of the same row, one clip edge at a time for all rows.
 
-    Returns the clipped vertices, shape (P, W, 2), in the first slots of
-    each row, and the vertex count per row.  W is 4 while no clip edge has
-    cut a row.  A clip edge adds at most one vertex to a convex polygon, so
-    then W is 8, unless rounding flips the side of near-collinear vertices;
-    then W doubles to fit.
+    Returns the clipped polygons, shape (P, W + 1, 2), and the vertex count
+    per row.  A row's polygon is closed: its vertices fill the first slots,
+    the slot after the last repeats the first, and the slots past that are
+    zero.  W is 4 while no clip edge has cut a row.  A clip edge adds at
+    most one vertex to a convex polygon, so then W is 8, unless rounding
+    flips the side of near-collinear vertices; then W doubles to fit.
     """
-    pts = subject
+    pts = np.concatenate([subject, subject[:, :1]], axis=1)
     n = len(pts)
-    rows = np.arange(n)[:, np.newaxis]
     count = np.full(n, 4)
+    valid = np.ones((n, 4), dtype=bool)  # the slots below each row's count
     edges = clip[:, [1, 2, 3, 0]] - clip
     for k in range(4):
         edge = edges[:, k, np.newaxis]
         rel = pts - clip[:, k, np.newaxis]
         # signed area sign: >= 0 means inside (left of edge) for CCW clip
         d = edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]
-        nxt = _successor_table(pts.shape[1])[count]
-        valid = nxt >= 0
-        dn = d[rows, nxt]
+        d, dn = d[:, :-1], d[:, 1:]
         keep = valid & (d >= 0)
         # the sides of d and dn differ strictly
         cross = valid & (np.minimum(d, dn) < 0) & (np.maximum(d, dn) > 0)
         if not cross.any() and (keep == valid).all():
             continue  # every polygon lies inside this edge's half-plane
-        # t is 0 off the crossings, so slots past a row's count stay finite
+        # t is 0 off the crossings, where d - dn may be 0
         t = np.where(cross, d, 0.0) / np.where(cross, d - dn, 1.0)
         # slot j emits its vertex if kept, then its edge's crossing point
-        out = np.empty((n, pts.shape[1], 2, 2))
-        out[:, :, 0] = pts
-        out[:, :, 1] = pts + t[..., np.newaxis] * (pts[rows, nxt] - pts)
-        emit = np.empty((n, pts.shape[1], 2), dtype=bool)
-        emit[:, :, 0] = keep
-        emit[:, :, 1] = cross
-        emit = emit.reshape(n, -1)
-        count = emit.sum(axis=1)
+        out = np.empty((n, d.shape[1], 2, 2))
+        out[:, :, 0] = pts[:, :-1]
+        out[:, :, 1] = pts[:, :-1] + t[..., np.newaxis] * (pts[:, 1:] - pts[:, :-1])
+        emit = np.empty((n, d.shape[1], 2), dtype=bool)
+        emit[..., 0], emit[..., 1] = keep, cross
+        count = emit.sum(axis=(1, 2))
         width = max(8, 1 << (int(count.max()) - 1).bit_length())
-        order = np.argsort(~emit, axis=1, kind="stable")[:, :width]
-        pts = out.reshape(n, -1, 2)[rows, order]
+        valid = np.arange(width) < count[:, np.newaxis]
+        # the emitted points, row by row in order, fill each row's first slots
+        pts = np.zeros((n, width + 1, 2))
+        pts[:, :-1][valid] = out[emit]
+        pts[np.arange(n), count] = pts[:, 0]
     return pts, count
 
 
@@ -252,18 +239,18 @@ def box_iou_pairs(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray
     Each IoU is (2D footprint overlap area x vertical overlap) divided by
     the union volume: in [0, 1], 1 for identical boxes, 0 for disjoint
     ones.  The overlap is the footprint of ``a`` clipped by that of ``b``
-    (Zhou et al., "IoU Loss for 2D/3D Object Detection", 3DV 2019).
+    (Zhou et al., "IoU Loss for 2D/3D Object Detection", 3DV 2019).  Its
+    shoelace area pairs each slot of the closed clipped polygon with the
+    next slot, and sums each row with :func:`_halving_sum`.
     """
     ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
     if len(ia) == 0:
         return np.zeros(0)
     pts, count = _clip_footprints(_footprints(a)[ia], _footprints(b)[ib])
-    nxt = _successor_table(pts.shape[1])[count]
-    valid = nxt >= 0
     x, y = pts[..., 0], pts[..., 1]
-    rows = np.arange(len(pts))[:, np.newaxis]
-    shoelace = (_halving_sum(np.where(valid, x * y[rows, nxt], 0.0))
-                - _halving_sum(np.where(valid, y * x[rows, nxt], 0.0)))
+    valid = np.arange(pts.shape[1] - 1) < count[:, np.newaxis]
+    shoelace = (_halving_sum(np.where(valid, x[:, :-1] * y[:, 1:], 0.0))
+                - _halving_sum(np.where(valid, y[:, :-1] * x[:, 1:], 0.0)))
     # with under 3 vertices both sums add the same products: the area is 0
     area = 0.5 * np.abs(shoelace)
     pa, pb = a[ia], b[ib]

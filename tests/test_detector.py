@@ -30,7 +30,9 @@ from drivetrace.scene import (GroundTruthObject, ObjectClass, OrientedBox, Point
 from conftest import tiny_scene
 from detector_oracle import bfs_grid_clusters, points_in_box, scan_support_points
 from detector_oracle import oracle_detect as reference_oracle_detect
+from iou_oracle import box_iou_pairs as reference_box_iou_pairs
 from iou_oracle import clip_polygon, scalar_box_iou
+from iou_oracle import match_boxes as reference_match_boxes
 from risk_oracle import shannon_entropy
 
 
@@ -630,6 +632,26 @@ def _oracle_tolerance(*boxes):
     return 1e-12 if near else 1e-8
 
 
+#: a self-crossing subject and clip quadrilateral whose clip keeps 9 vertices
+NINE_VERTICES = (
+    [[-0.988161627321579, 0.5352891062622658], [-0.7207660317481197, 0.8879250482989005],
+     [-0.9114097898205831, 0.41637159947369917], [0.5371710860532641, 0.0832753612044248]],
+    [[-0.4519319215718065, 0.3563941481750472], [0.2798405011505405, 0.1253149722974436],
+     [0.39851245908612043, 0.9319844808777915], [-0.8809970832741094, 0.8261858005380984]])
+
+
+def _nine_vertices():
+    """:data:`NINE_VERTICES` as a (subject, clip) pair of (4, 2) arrays."""
+    return tuple(np.array(q) for q in NINE_VERTICES)
+
+
+#: batches of (subject, clip) quadrilaterals, convex or not
+_quadrilaterals = st.lists(
+    st.tuples(arrays(np.float64, (4, 2), elements=st.floats(-1, 1)),
+              arrays(np.float64, (4, 2), elements=st.floats(-1, 1))),
+    min_size=1, max_size=4)
+
+
 class TestIouKernel:
     """The batched IoU kernel against the per-pair scalar clipper."""
 
@@ -671,31 +693,107 @@ class TestIouKernel:
         for box, fp in zip(boxes, footprints):
             assert np.array_equal(fp, box_corners(box)[:4, :2])
 
-    #: a self-crossing subject and clip quadrilateral whose clip keeps 9 vertices
-    NINE_VERTICES = (
-        [[-0.988161627321579, 0.5352891062622658], [-0.7207660317481197, 0.8879250482989005],
-         [-0.9114097898205831, 0.41637159947369917], [0.5371710860532641, 0.0832753612044248]],
-        [[-0.4519319215718065, 0.3563941481750472], [0.2798405011505405, 0.1253149722974436],
-         [0.39851245908612043, 0.9319844808777915], [-0.8809970832741094, 0.8261858005380984]])
-
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(arrays(np.float64, (4, 2), elements=st.floats(-1, 1)),
-                              arrays(np.float64, (4, 2), elements=st.floats(-1, 1))),
-                    min_size=1, max_size=4),
-           st.booleans())
+    @given(_quadrilaterals, st.booleans())
     def test_clip_vertices_are_scalar_bits(self, quads, widen):
         """Any quadrilaterals, convex or not; with ``widen`` the batch also
         holds a row of 9 clipped vertices, so every row takes the widened
-        buffers."""
+        buffers.  Each row's polygon is closed by a copy of its first
+        vertex, and zeros fill the slots after it."""
         if widen:
-            quads.append(tuple(np.array(q) for q in self.NINE_VERTICES))
+            quads.append(_nine_vertices())
         subject, clip = (np.stack(side) for side in zip(*quads))
         pts, count = _clip_footprints(subject, clip)
-        assert pts.shape[1] == 16 or not widen
+        assert pts.shape[1] == 17 or not widen
         for row, (s, c) in enumerate(quads):
             want = clip_polygon(s, c).reshape(-1, 2)
             assert count[row] == len(want)
             assert np.array_equal(pts[row, :count[row]], want)
+            assert np.array_equal(pts[row, count[row]], pts[row, 0])
+            assert not pts[row, count[row] + 1:].any()
+
+
+def _assert_reference_bits(predicted, truth):
+    """Over every pair, ``box_iou_pairs`` gives the reference kernel's IoUs
+    bit for bit, and ``match_boxes`` the reference matching."""
+    a, b = box_rows(predicted), box_rows(truth)
+    ia, ib = np.nonzero(np.ones((len(predicted), len(truth)), dtype=bool))
+    assert np.array_equal(box_iou_pairs(a, b, ia, ib), reference_box_iou_pairs(a, b, ia, ib))
+    assert match_boxes(predicted, truth) == reference_match_boxes(predicted, truth)
+
+
+class TestBitReference:
+    """The closed-polygon kernel and the argsort matching against the
+    open-polygon kernel and the tuple-sort matching of
+    ``tests/iou_oracle.py``: equal IoUs bit for bit, equal matchings."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_box, max_size=6), st.lists(_box, max_size=6),
+           st.lists(st.one_of(_neighbours(), _special_pairs().map(lambda c: c[:2])),
+                    max_size=3),
+           st.lists(st.tuples(_box, st.integers(1, 3), st.integers(1, 3)), max_size=2),
+           st.randoms(use_true_random=False))
+    def test_equals_reference(self, pred, truth, extra, repeated, rng):
+        for a, b in extra:
+            pred.append(a)
+            truth.append(b)
+        for box, n_pred, n_truth in repeated:
+            pred.extend([box] * n_pred)
+            truth.extend([box] * n_truth)
+        rng.shuffle(pred)
+        rng.shuffle(truth)
+        _assert_reference_bits(pred, truth)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_box, st.integers(2, 12), st.integers(2, 12), st.data())
+    def test_tied_ious_match_in_index_order(self, box, n_pred, n_truth, data):
+        """Copies of one box on both sides, so that every copy pair has the
+        same IoU, and among the predictions one copy moved by a quarter of
+        its length, whose pairs rank below them."""
+        moved = data.draw(st.integers(0, n_pred))
+        pred = [box] * n_pred
+        pred.insert(moved, _shifted(box, box.length / 4, 0.0))
+        truth = [box] * n_truth
+        _assert_reference_bits(pred, truth)
+        copies = [i for i in range(n_pred + 1) if i != moved]
+        want = list(zip(copies, range(n_truth)))
+        if n_truth > n_pred:
+            want.append((moved, n_pred))
+        assert [(i, j) for i, j, _ in match_boxes(pred, truth)] == sorted(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_quadrilaterals, st.booleans())
+    def test_quadrilateral_batch_equals_reference(self, quads, widen):
+        """Both kernels on the same quadrilaterals in place of footprints;
+        with ``widen`` every row takes the widened buffers."""
+        if widen:
+            quads.append(_nine_vertices())
+        subject, clip = (np.stack(side) for side in zip(*quads))
+        # 3 m cubes at one height, so the union exceeds any quad's area
+        n = len(quads)
+        rows = np.tile([0.0, 0.0, 0.0, 3.0, 3.0, 3.0, 0.0], (2 * n, 1))
+        ia, ib = np.arange(n), n + np.arange(n)
+        polygons = np.concatenate([subject, clip])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("drivetrace.scene._footprints", lambda _rows: polygons)
+            got = box_iou_pairs(rows, rows, ia, ib)
+            want = reference_box_iou_pairs(rows, rows, ia, ib)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_pred, n_truth", [(0, 0), (0, 2), (2, 0)])
+    def test_empty_inputs(self, n_pred, n_truth):
+        boxes = [OrientedBox((0.0, 0.0, 0.0), 1.0, 1.0, 1.0, 0.0)] * 2
+        _assert_reference_bits(boxes[:n_pred], boxes[:n_truth])
+        assert match_boxes(boxes[:n_pred], boxes[:n_truth]) == []
+
+    def test_sixty_object_dense_scene(self):
+        scene = generate(ScenarioSpec(template=Template.DENSE_TRAFFIC, seed=1, n_objects=60))
+        truth = [gt.box for gt in scene.ground_truth]
+        noise = NoiseModel(pos_std=0.3, dim_std=0.2, yaw_std=0.1)
+        noisy = [det.box for det in oracle_detect(scene, noise, 5)]
+        assert len(truth) == len(noisy) == 61
+        _assert_reference_bits(truth, truth)
+        _assert_reference_bits(noisy, truth)
 
 
 _YAWS = st.one_of(st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi / 4, math.pi]),
