@@ -295,10 +295,21 @@ def _linked(pts: np.ndarray, r2: float, starts: np.ndarray, counts: np.ndarray,
             s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Mask over the sub-cell pairs ``(s[k], t[k])``: does some point of
     sub-cell ``s[k]`` lie within the radius of some point of sub-cell
-    ``t[k]``?  Point pairs are tested per run of whole rows (one point
-    against one sub-cell) holding about :data:`PAIR_CHUNK` pairs, so the
-    temporaries stay bounded however many points a sub-cell holds.
+    ``t[k]``?
+
+    Each pair's first points are tested first, as its witness; a witness
+    is the same operands through the same kernel as in the full test, so a
+    hit is a pair that test accepts.  Only the pairs whose witness misses
+    and that hold another point pair go through the full test.  Its point
+    pairs are tested per run of whole rows (one point against one
+    sub-cell) holding about :data:`PAIR_CHUNK` pairs, so the temporaries
+    stay bounded however many points a sub-cell holds.
     """
+    linked = _near_pairs(pts, starts[s], starts[t], r2)
+    rest = np.flatnonzero(~linked & ((counts[s] > 1) | (counts[t] > 1)))
+    if rest.size == 0:
+        return linked
+    s, t = s[rest], t[rest]
     count_s, count_t = counts[s], counts[t]
     row_end = np.cumsum(count_s)
     offset, start_t = starts[s] - row_end + count_s, starts[t]
@@ -310,7 +321,6 @@ def _linked(pts: np.ndarray, r2: float, starts: np.ndarray, counts: np.ndarray,
         k = np.searchsorted(pair_end, targets, side="right")
         first_pair = pair_end[k] - count_s[k] * count_t[k]
         bounds[1:1] = (row_end[k] - count_s[k] + (targets - first_pair) // count_t[k]).tolist()
-    linked = np.zeros(s.size, dtype=bool)
     for lo, hi in zip(bounds, bounds[1:]):
         if lo == hi:
             continue
@@ -319,7 +329,7 @@ def _linked(pts: np.ndarray, r2: float, starts: np.ndarray, counts: np.ndarray,
         count = count_t[k]
         i = np.repeat(rows + offset[k], count)
         j = np.arange(i.size) + np.repeat(start_t[k] - np.cumsum(count) + count, count)
-        linked[np.repeat(k, count)[_near_pairs(pts, i, j, r2)]] = True
+        linked[rest[np.repeat(k, count)[_near_pairs(pts, i, j, r2)]]] = True
     return linked
 
 
@@ -337,8 +347,10 @@ def _grid_clusters(xyz: np.ndarray, radius: float) -> list[np.ndarray]:
     They are linked over :data:`_STENCIL` in two stages, the 3 face
     neighbours and then the other 86 offsets; a pair of sub-cells already
     in one component is skipped, and any other pair is joined when one of
-    its point pairs lies within the radius.  Returns each component as a
-    sorted index array, ordered by smallest index.
+    its point pairs lies within the radius, which :func:`_linked` tests on
+    one witness pair first.  Once one component is left, the lookups
+    stop.  Returns each component as a sorted index array, ordered by
+    smallest index.
 
     Raises:
         ValueError: for a coordinate of ``2**40`` radii or more, where
@@ -370,13 +382,18 @@ def _grid_clusters(xyz: np.ndarray, radius: float) -> list[np.ndarray]:
     del codes, halves
     pts = xyz[order]
     parent = np.arange(cells.size)
+    # parent is fully compressed, so all zeros means one component is left
     for stage in (slice(0, 3), slice(3, None)):
+        if not parent.any():
+            break
         for s, t in _sub_cell_pairs(cells, pattern, _STENCIL[stage] @ steps, _ADJACENT[:, stage]):
             apart = parent[s] != parent[t]
             s, t = s[apart], t[apart]
             if s.size:
                 linked = _linked(pts, r2, starts, counts, s, t)
                 _merge_components(parent, s[linked], t[linked])
+                if not parent.any():
+                    break
     low = np.full(cells.size, n)
     np.minimum.at(low, parent, first)
     label = np.empty(n, dtype=np.int64)

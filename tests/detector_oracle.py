@@ -6,9 +6,13 @@ and label merging: points are bucketed by grid cell, and each unlabelled
 point seeds a search over the 27 surrounding cells, testing the distance
 of every pair it meets.  It is the oracle for
 ``drivetrace.detector._grid_clusters``, which joins the points of a
-half-radius sub-cell without a test and links sub-cells over a stencil:
+half-radius sub-cell without a test, links sub-cells over a stencil,
+tests each pair of sub-cells on the pair of their first points before
+testing all their point pairs, and stops once one component is left:
 the two must give the same partition, in the same order, for every cloud
-the clustering accepts, including points on sub-cell edges.
+the clustering accepts, including points on sub-cell edges and pairs
+whose first points lie beyond the radius while later points lie within
+it.
 
 ``points_in_box`` is the box test the oracle detector ran on whole point
 rows: it subtracts the box centre from each (x, y, z) row and rotates the

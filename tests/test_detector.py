@@ -437,10 +437,16 @@ class TestGridClustersOracle:
         xyz = np.vstack(surfaces)
         assert_same_clusters(xyz + rng.normal(0.0, 0.01, xyz.shape), radius)
 
-    def test_dense_traffic_tests_few_pairs(self):
-        # the seed-1 scene tested 109,161 pairs when every pair of points
-        # in adjacent cells was tested
-        scene = generate(ScenarioSpec(template=Template.DENSE_TRAFFIC, seed=1))
+    @pytest.mark.parametrize("axes", [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    def test_witness_beyond_the_radius_falls_back_to_every_pair(self, axes):
+        # two face-adjacent sub-cells whose first points lie 1.21 apart,
+        # while the second point of one lies 0.85 from the other's
+        xyz = np.array([[0.0, 0.0, 0.0], [0.49, 0.0, 0.0], [0.99, 0.49, 0.49]])[:, axes]
+        assert len(assert_same_clusters(xyz, 1.0)) == 1
+
+    @staticmethod
+    def _pairs_tested(**spec):
+        scene = generate(ScenarioSpec(template=Template.DENSE_TRAFFIC, seed=1, **spec))
         xyz = scene.cloud.xyz[scene.cloud.xyz[:, 2] > ClusterParams().ground_z_max]
         near, tested = detector._near_pairs, []
 
@@ -451,7 +457,34 @@ class TestGridClustersOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(detector, "_near_pairs", counted)
             _grid_clusters(xyz, ClusterParams().neighbor_radius)
-        assert 0 < sum(tested) <= 30_000
+        return sum(tested)
+
+    def test_dense_traffic_tests_few_pairs(self):
+        # the seed-1 scene tested 17,186 pairs when every point pair of each
+        # candidate sub-cell pair was tested, and 109,161 when every pair of
+        # points in adjacent cells was
+        assert 0 < self._pairs_tested() <= 2_000
+
+    def test_sixty_object_cloud_tests_few_pairs(self):
+        # 349,754 pairs when every point pair of each candidate sub-cell
+        # pair was tested
+        assert 0 < self._pairs_tested(n_objects=60) <= 10_000
+
+    def test_one_component_skips_the_second_stage(self):
+        # the lead vehicle is one cluster once the face neighbours are linked
+        scene = generate(ScenarioSpec(template=Template.LEAD_VEHICLE, seed=1))
+        xyz = scene.cloud.xyz[scene.cloud.xyz[:, 2] > ClusterParams().ground_z_max]
+        pairs, stages = detector._sub_cell_pairs, []
+
+        def counted(cells, pattern, shifts, adjacent):
+            stages.append(shifts.size)
+            return pairs(cells, pattern, shifts, adjacent)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detector, "_sub_cell_pairs", counted)
+            clusters = assert_same_clusters(xyz, ClusterParams().neighbor_radius)
+        assert len(clusters) == 1
+        assert stages == [3]
 
     def test_sixty_object_cloud_memory(self):
         # 1.7 MB when pairs were generated per point; looking up the whole
